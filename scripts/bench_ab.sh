@@ -1,0 +1,135 @@
+#!/usr/bin/env bash
+# Interleaved A/B runs of the repository benchmark (tdwpbench): a parent git
+# ref against the working tree.
+#
+#   scripts/bench_ab.sh <parent-ref> <workload> <pairs>
+#
+# Exports <parent-ref> with `git archive` into a work directory, then lets
+# tdwpbench/run.py build each side from its own sources (each checkout gets
+# its own .bench_build/). After one short warm-up run per side it runs
+# <pairs> pairs on fresh seeds — pair i uses seed AB_SEED+i on both sides —
+# alternating which side goes first. For every metric in the runs' JSON it
+# prints each side's median and quartiles, the median difference, the
+# parent's quartile spread, and how many pairs the working tree won. A gain
+# is shown when the working tree wins at least 9 pairs in 10 and the median
+# difference exceeds the parent's quartile spread.
+#
+# Environment:
+#   AB_SECONDS  --seconds per run (default 15)
+#   AB_TRACE    --trace per run (default 0: end-to-end metrics; 1: per layer)
+#   AB_SEED     first seed (default: from the clock; printed)
+#   AB_WORKDIR  parent export and per-run logs (default: a new temp dir); a
+#               directory that already holds the same parent commit is
+#               reused, so its build is incremental
+#
+# Neither side's tdwpbench/ nor BENCHMARK.json is modified.
+set -euo pipefail
+
+if [[ $# -ne 3 ]]; then
+  echo "usage: $0 <parent-ref> <workload> <pairs>" >&2
+  exit 2
+fi
+ref=$1
+workload=$2
+pairs=$3
+seconds=${AB_SECONDS:-15}
+trace=${AB_TRACE:-0}
+seed=${AB_SEED:-$(( $(date +%s) % 1000000 * 100 ))}
+
+root=$(cd "$(dirname "$0")/.." && pwd)
+commit=$(git -C "$root" rev-parse --verify "$ref^{commit}")
+workdir=${AB_WORKDIR:-$(mktemp -d "${TMPDIR:-/tmp}/bench_ab.XXXXXX")}
+parent=$workdir/parent
+mkdir -p "$workdir"
+if [[ "$(cat "$parent/.ab_commit" 2>/dev/null)" != "$commit" ]]; then
+  rm -rf "$parent"
+  mkdir -p "$parent"
+  git -C "$root" archive "$commit" | tar -x -C "$parent"
+  echo "$commit" > "$parent/.ab_commit"
+fi
+logs=$workdir/runs-$workload-$seed
+mkdir -p "$logs"
+
+echo "bench_ab: parent $ref ($commit) vs working tree; workload $workload," \
+     "$pairs pairs, seeds $seed..$((seed + pairs - 1)), --seconds $seconds," \
+     "--trace $trace; logs in $logs" >&2
+
+# run <side> <checkout> <seed> <seconds> <log>
+run() {
+  if ! (cd "$2" && python3 tdwpbench/run.py --workload "$workload" \
+          --seed "$3" --seconds "$4" --trace "$trace") > "$5" 2> "$5.err"; then
+    echo "bench_ab: $1 run failed (seed $3); see $5.err" >&2
+    exit 1
+  fi
+}
+
+# Warm-up: builds each side and touches its code paths once.
+run parent "$parent" "$seed" 1 "$logs/warmup-parent.out"
+run candidate "$root" "$seed" 1 "$logs/warmup-candidate.out"
+
+for ((i = 0; i < pairs; i++)); do
+  s=$((seed + i))
+  if ((i % 2 == 0)); then
+    run parent "$parent" "$s" "$seconds" "$logs/parent-$i.out"
+    run candidate "$root" "$s" "$seconds" "$logs/candidate-$i.out"
+  else
+    run candidate "$root" "$s" "$seconds" "$logs/candidate-$i.out"
+    run parent "$parent" "$s" "$seconds" "$logs/parent-$i.out"
+  fi
+  echo "bench_ab: pair $((i + 1))/$pairs done" >&2
+done
+
+python3 - "$root/BENCHMARK.json" "$logs" "$pairs" <<'EOF'
+import json
+import os
+import statistics
+import sys
+
+bench_path, logs, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
+with open(bench_path) as f:
+    bench = json.load(f)
+better = {m["name"]: m["better"]
+          for m in bench.get("end_to_end", []) + bench.get("per_layer", [])}
+
+
+def load(side, i):
+    with open(os.path.join(logs, "%s-%d.out" % (side, i))) as f:
+        lines = [l for l in f.read().splitlines() if l.startswith("{")]
+    result = json.loads(lines[-1])
+    if not result.get("correct", False) or result.get("failed", 0):
+        sys.exit("bench_ab: %s run %d was not correct" % (side, i))
+    return {k: v["value"] for k, v in result["metrics"].items()}
+
+
+runs = {side: [load(side, i) for i in range(pairs)]
+        for side in ("parent", "candidate")}
+
+
+def quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+print("%-34s %8s %10s %10s %10s %10s %10s %10s %8s %9s %5s" %
+      ("metric", "better", "par.q1", "par.med", "par.q3", "cand.q1",
+       "cand.med", "cand.q3", "diff", "par.iqr", "wins"))
+for name in runs["parent"][0]:
+    if name not in better or name not in runs["candidate"][0]:
+        continue
+    p = [r[name] for r in runs["parent"]]
+    c = [r[name] for r in runs["candidate"]]
+    sign = -1 if better[name] == "lower" else 1
+    wins = sum(1 for a, b in zip(p, c) if sign * (b - a) > 0)
+    pq1, pmed, pq3 = quartiles(p)
+    cq1, cmed, cq3 = quartiles(c)
+    rel = (cmed - pmed) / pmed if pmed else 0.0
+    iqr = (pq3 - pq1) / pmed if pmed else 0.0
+    gain = (wins * 10 >= pairs * 9 and sign * (cmed - pmed) > 0
+            and abs(cmed - pmed) > pq3 - pq1)
+    print("%-34s %8s %10.4g %10.4g %10.4g %10.4g %10.4g %10.4g %+7.1f%% "
+          "%8.1f%% %2d/%-2d%s" %
+          (name, better[name], pq1, pmed, pq3, cq1, cmed, cq3, 100 * rel,
+           100 * iqr, wins, pairs, "  gain" if gain else ""))
+EOF

@@ -87,14 +87,21 @@ class BufferReader {
     return v;
   }
 
-  Result<std::string> GetBytes(size_t n) {
+  /// Borrows the next `n` bytes in place (no copy); the pointer lives as
+  /// long as the underlying buffer.
+  Result<const uint8_t*> GetSpan(size_t n) {
     if (remaining() < n) {
       return Status::ProtocolError("buffer underrun: need ", n, " bytes, have ",
                                    remaining());
     }
-    std::string out(reinterpret_cast<const char*>(data_ + pos_), n);
+    const uint8_t* p = data_ + pos_;
     pos_ += n;
-    return out;
+    return p;
+  }
+
+  Result<std::string> GetBytes(size_t n) {
+    HQ_ASSIGN_OR_RETURN(const uint8_t* p, GetSpan(n));
+    return std::string(reinterpret_cast<const char*>(p), n);
   }
 
   /// Length-prefixed (u32) byte string.

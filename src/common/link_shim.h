@@ -5,9 +5,9 @@
 // not just when a single call site throws. This seam lets a chaos engine
 // (src/chaos/link.h) interpose on every byte the proxy moves:
 //
-//   * client <-> proxy: Socket::WriteAll / Socket::ReadExactly consult the
-//     shim per transfer chunk, so it can delay, throttle, shorten, corrupt,
-//     blackhole, or reset real TCP traffic;
+//   * client <-> proxy: Socket::WriteAll / Socket::RecvChunk consult the
+//     shim per send()/recv() chunk, so it can delay, throttle, shorten,
+//     corrupt, blackhole, or reset real TCP traffic;
 //   * proxy <-> replica: BackendConnector consults it per request/batch via
 //     CheckLink(), modelling the same faults on the warehouse link.
 //
@@ -45,8 +45,8 @@ struct LinkOp {
   const char* link = "";   // instance id (backend name); "" for raw sockets
   bool send = false;       // direction: true = outbound from the caller
   size_t requested = 0;    // bytes the caller wants to move in this chunk
-  /// True on the first chunk of a logical transfer (one WriteAll /
-  /// ReadExactly call, one backend attempt). Per-op faults — latency above
+  /// True on the first chunk of a logical transfer (one WriteAll, one
+  /// ReadFrame / ReadExactly call, one backend attempt). Per-op faults — latency above
   /// all — fire once per transfer, not once per short-I/O fragment.
   bool first_chunk = true;
 };

@@ -1,6 +1,12 @@
 #include "protocol/client.h"
 
+#include <algorithm>
+
 namespace hyperq::protocol {
+
+namespace {
+constexpr uint64_t kMaxReservedRows = 1 << 16;
+}  // namespace
 
 Status TdwpClient::Connect(uint16_t port) {
   HQ_ASSIGN_OR_RETURN(sock_, Socket::ConnectLocal(port));
@@ -66,6 +72,9 @@ Result<ClientResult> TdwpClient::Run(const std::string& sql) {
                             DecodeResultHeader(frame.payload));
         out.columns = std::move(header.columns);
         announced_rows = header.total_rows;
+        // The header announces the row count up front; cap the reservation
+        // so a corrupted count cannot demand gigabytes before any row.
+        out.rows.reserve(std::min<uint64_t>(announced_rows, kMaxReservedRows));
         have_header = true;
         break;
       }

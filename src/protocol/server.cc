@@ -15,6 +15,18 @@ namespace hyperq::protocol {
 
 namespace obs = observability;
 
+namespace {
+
+/// The kError payload for `status`: its code and its rendered message.
+std::vector<uint8_t> ErrorPayload(const Status& status) {
+  ErrorMessage err;
+  err.code = static_cast<uint32_t>(status.code());
+  err.message = status.ToString();
+  return Encode(err);
+}
+
+}  // namespace
+
 TdwpServer::TdwpServer(RequestHandler* handler, TdwpServerOptions options)
     : handler_(handler), options_(options) {
   if (options_.metrics == nullptr) {
@@ -200,10 +212,7 @@ void TdwpServer::ReapFinishedWorkers() {
 
 void TdwpServer::ShedConnection(Socket conn, const Status& reason) {
   shed_counter_->Inc();
-  ErrorMessage err;
-  err.code = static_cast<uint32_t>(reason.code());
-  err.message = reason.ToString();
-  Frame f{MessageKind::kError, 0, Encode(err)};
+  Frame f{MessageKind::kError, 0, ErrorPayload(reason)};
   (void)conn.SetSendTimeoutMs(1000);
   (void)conn.WriteFrame(f);
   // Socket dtor closes.
@@ -332,24 +341,27 @@ namespace {
 
 /// The QueryContext client probe (DESIGN.md §8): a zero-timeout poll of the
 /// client socket from inside the request path. The worker thread is not
-/// reading the connection while a request runs, so any readable data here
-/// is either an abort/goodbye frame or EOF from a vanished client.
+/// reading the connection while a request runs, so any data here — already
+/// in the socket's read buffer (pipelined behind the request) or readable
+/// from the kernel — is either an abort/goodbye frame or EOF from a
+/// vanished client.
 Status ProbeClient(Socket& conn, CancelCause* cause) {
   if (!conn.valid()) {
     *cause = CancelCause::kClientGone;
     return Status::Cancelled("client connection closed");
   }
-  struct pollfd pfd;
-  pfd.fd = conn.fd();
-  pfd.events = POLLIN;
-  pfd.revents = 0;
-  int rc = ::poll(&pfd, 1, /*timeout=*/0);
-  if (rc <= 0) return Status::OK();  // nothing pending (or EINTR): alive
-  if ((pfd.revents & (POLLERR | POLLNVAL)) != 0) {
-    *cause = CancelCause::kClientGone;
-    return Status::Cancelled("client connection error mid-request");
-  }
-  if ((pfd.revents & (POLLIN | POLLHUP)) != 0) {
+  if (conn.buffered() == 0) {
+    struct pollfd pfd;
+    pfd.fd = conn.fd();
+    pfd.events = POLLIN;
+    pfd.revents = 0;
+    int rc = ::poll(&pfd, 1, /*timeout=*/0);
+    if (rc <= 0) return Status::OK();  // nothing pending (or EINTR): alive
+    if ((pfd.revents & (POLLERR | POLLNVAL)) != 0) {
+      *cause = CancelCause::kClientGone;
+      return Status::Cancelled("client connection error mid-request");
+    }
+    if ((pfd.revents & (POLLIN | POLLHUP)) == 0) return Status::OK();
     char peek = 0;
     ssize_t n = ::recv(conn.fd(), &peek, 1, MSG_PEEK | MSG_DONTWAIT);
     if (n == 0) {
@@ -357,25 +369,23 @@ Status ProbeClient(Socket& conn, CancelCause* cause) {
       return Status::Cancelled("client disconnected mid-request");
     }
     if (n < 0) return Status::OK();  // transient; re-probed next boundary
-    // A whole frame is pending while a request is in flight; tdwp is
-    // synchronous, so it can only be an abort (or a goodbye racing the
-    // result). Consume it.
-    auto frame = conn.ReadFrame();
-    if (!frame.ok()) {
-      *cause = CancelCause::kClientGone;
-      return Status::Cancelled("client connection lost mid-request: ",
-                               frame.status().message());
-    }
-    if (frame->kind == MessageKind::kAbortRequest) {
-      *cause = CancelCause::kClientAbort;
-      return Status::Cancelled("query aborted by client request");
-    }
-    *cause = CancelCause::kClientGone;
-    return Status::Cancelled("client sent ",
-                             static_cast<int>(frame->kind),
-                             " mid-request; abandoning the query");
   }
-  return Status::OK();
+  // A whole frame is pending while a request is in flight; tdwp is
+  // synchronous, so it can only be an abort (or a goodbye racing the
+  // result). Consume it.
+  auto frame = conn.ReadFrame();
+  if (!frame.ok()) {
+    *cause = CancelCause::kClientGone;
+    return Status::Cancelled("client connection lost mid-request: ",
+                             frame.status().message());
+  }
+  if (frame->kind == MessageKind::kAbortRequest) {
+    *cause = CancelCause::kClientAbort;
+    return Status::Cancelled("query aborted by client request");
+  }
+  *cause = CancelCause::kClientGone;
+  return Status::Cancelled("client sent ", static_cast<int>(frame->kind),
+                           " mid-request; abandoning the query");
 }
 
 }  // namespace
@@ -385,11 +395,7 @@ void TdwpServer::ServeConnection(Socket& conn, ActiveQuery& active) {
   bool logged_on = false;
   std::string counted_user;  // non-empty: holds a per-user session slot
   auto send_error = [&](const Status& status) {
-    ErrorMessage err;
-    err.code = static_cast<uint32_t>(status.code());
-    err.message = status.ToString();
-    Frame f{MessageKind::kError, 0, Encode(err)};
-    (void)conn.WriteFrame(f);
+    (void)conn.WriteFrame(Frame{MessageKind::kError, 0, ErrorPayload(status)});
   };
   if (options_.idle_timeout_ms > 0) {
     (void)conn.SetRecvTimeoutMs(options_.idle_timeout_ms);
@@ -524,32 +530,40 @@ void TdwpServer::ServeConnection(Socket& conn, ActiveQuery& active) {
         if (!resp.ok()) {
           send_error(resp.status());
         } else {
+          // The whole response — header, batches, success — is one buffer
+          // and one send (DESIGN.md §9), sized up front.
+          std::vector<uint8_t> header;
+          std::vector<uint8_t> success = Encode(resp->success);
+          size_t bytes = kFrameHeaderBytes + success.size();
           if (resp->has_rowset) {
-            Frame h{MessageKind::kResultHeader, 0, Encode(resp->header)};
-            write_status = conn.WriteFrame(h);
+            header = Encode(resp->header);
+            bytes += kFrameHeaderBytes + header.size();
             for (const auto& batch : resp->batches) {
-              if (!write_status.ok()) break;
-              // Poll the lifecycle between batch writes: a client abort,
-              // disconnect, deadline, kill, or drain stops the stream at a
-              // frame boundary (never a torn frame) with an error frame.
-              Status alive = ctx->CheckAlive();
-              if (!alive.ok()) {
-                write_status = std::move(alive);
-                break;
-              }
-              Frame b{MessageKind::kRecordBatch, 0, batch};
-              write_status = conn.WriteFrame(b);
+              bytes += kFrameHeaderBytes + batch.size();
             }
           }
-          if (write_status.ok()) {
-            Frame s{MessageKind::kSuccess, 0, Encode(resp->success)};
-            write_status = conn.WriteFrame(s);
-          } else if (write_status.IsCancelled() ||
-                     write_status.IsDeadlineExceeded()) {
-            outcome = outcome_of(write_status);
-            send_error(write_status);
-            write_status = Status::OK();  // answered cleanly; keep serving
+          std::vector<uint8_t> out;
+          out.reserve(bytes);
+          Status alive;
+          if (resp->has_rowset) {
+            AppendFrame(MessageKind::kResultHeader, header, &out);
+            for (const auto& batch : resp->batches) {
+              // Poll the lifecycle before each batch: a client abort,
+              // disconnect, deadline, kill, or drain ends the response at
+              // a frame boundary (never a torn frame) with an error frame
+              // in place of Success.
+              alive = ctx->CheckAlive();
+              if (!alive.ok()) break;
+              AppendFrame(MessageKind::kRecordBatch, batch, &out);
+            }
           }
+          if (alive.ok()) {
+            AppendFrame(MessageKind::kSuccess, success, &out);
+          } else {
+            outcome = outcome_of(alive);
+            AppendFrame(MessageKind::kError, ErrorPayload(alive), &out);
+          }
+          write_status = conn.WriteAll(out.data(), out.size());
         }
         {
           std::lock_guard<std::mutex> active_lock(active.mutex);

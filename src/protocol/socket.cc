@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -14,6 +15,16 @@
 namespace hyperq::protocol {
 
 namespace {
+constexpr uint32_t kMaxFramePayload = 256u << 20;
+
+Status FrameStall(int budget_ms, size_t outstanding, size_t total) {
+  return Status::DeadlineExceeded("tdwp frame stalled: peer delivered ",
+                                  total - outstanding, " of ", total,
+                                  " bytes within the ", budget_ms,
+                                  "ms per-frame budget")
+      .WithDetail(StatusDetail::kFrameStall);
+}
+
 Status SetFdTimeout(int fd, int optname, int ms) {
   timeval tv{};
   tv.tv_sec = ms / 1000;
@@ -32,6 +43,9 @@ Socket& Socket::operator=(Socket&& other) noexcept {
     Close();
     fd_.store(other.fd_.exchange(-1), std::memory_order_release);
     link_scope_ = other.link_scope_;
+    read_buf_ = std::move(other.read_buf_);
+    read_pos_ = std::exchange(other.read_pos_, 0);
+    read_end_ = std::exchange(other.read_end_, 0);
   }
   return *this;
 }
@@ -132,6 +146,7 @@ Status Socket::WriteAll(const void* data, size_t n) {
 
 Result<size_t> Socket::RecvChunk(char* p, size_t n, bool first_chunk,
                                  size_t outstanding, size_t total) {
+  HQ_FAULT_POINT(faultpoints::kSocketRead);
   for (;;) {
     size_t chunk = n;
     bool corrupt = false;
@@ -181,16 +196,74 @@ Result<size_t> Socket::RecvChunk(char* p, size_t n, bool first_chunk,
   }
 }
 
+Result<size_t> Socket::RecvSome(char* p, size_t n, size_t outstanding,
+                                size_t total, ReadOp* op) {
+  if (op->started) {
+    // Once the frame has started it must complete within the budget no
+    // matter how slowly bytes trickle in: the recv timeout is re-derived
+    // from the remaining budget before every chunk, so a 1-byte-per-second
+    // client cannot reset the clock (the slowloris attack the guard is
+    // for).
+    auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
+                         op->deadline - std::chrono::steady_clock::now())
+                         .count();
+    if (remaining <= 0) {
+      return FrameStall(op->budget_ms, outstanding, total);
+    }
+    HQ_RETURN_IF_ERROR(SetRecvTimeoutMs(static_cast<int>(remaining)));
+    op->timeout_changed = true;
+  }
+  auto r = RecvChunk(p, n, op->first_chunk, outstanding, total);
+  op->first_chunk = false;
+  if (!r.ok()) {
+    if (op->started && r.status().IsDeadlineExceeded()) {
+      return FrameStall(op->budget_ms, outstanding, total);
+    }
+    return r.status();
+  }
+  // Waiting for the frame to start is idleness, not a stall: the first
+  // bytes arrive under the caller's idle policy, then the clock runs.
+  if (op->budget_ms > 0 && !op->started) op->Start();
+  return r;
+}
+
+Status Socket::Fill(size_t need, ReadOp* op) {
+  if (!read_buf_) read_buf_.reset(new uint8_t[kReadBufferBytes]);
+  if (read_pos_ + need > kReadBufferBytes) {
+    std::memmove(read_buf_.get(), read_buf_.get() + read_pos_, buffered());
+    read_end_ -= read_pos_;
+    read_pos_ = 0;
+  }
+  while (buffered() < need) {
+    // Ask for all the free space: whatever the peer has already sent —
+    // the rest of this frame and any frame pipelined behind it — comes in
+    // with the same recv.
+    char* p = reinterpret_cast<char*>(read_buf_.get() + read_end_);
+    HQ_ASSIGN_OR_RETURN(size_t r,
+                        RecvSome(p, kReadBufferBytes - read_end_,
+                                 need - buffered(), need, op));
+    read_end_ += r;
+  }
+  return Status::OK();
+}
+
+void Socket::Consume(void* dst, size_t n) {
+  if (n == 0) return;
+  std::memcpy(dst, read_buf_.get() + read_pos_, n);
+  read_pos_ += n;
+  if (read_pos_ == read_end_) read_pos_ = read_end_ = 0;
+}
+
 Status Socket::ReadExactly(void* data, size_t n) {
-  HQ_FAULT_POINT(faultpoints::kSocketRead);
-  char* p = static_cast<char*>(data);
-  size_t total = n;
-  bool first_chunk = true;
-  while (n > 0) {
-    HQ_ASSIGN_OR_RETURN(size_t r, RecvChunk(p, n, first_chunk, n, total));
+  size_t have = std::min(n, buffered());
+  Consume(data, have);
+  char* p = static_cast<char*>(data) + have;
+  size_t rest = n - have;
+  ReadOp op;
+  while (rest > 0) {
+    HQ_ASSIGN_OR_RETURN(size_t r, RecvSome(p, rest, rest, n, &op));
     p += r;
-    n -= r;
-    first_chunk = false;
+    rest -= r;
   }
   return Status::OK();
 }
@@ -200,93 +273,53 @@ Status Socket::WriteFrame(const Frame& frame) {
   return WriteAll(bytes.data(), bytes.size());
 }
 
-Result<Frame> Socket::ReadFrame() {
-  uint8_t header[8];
-  HQ_RETURN_IF_ERROR(ReadExactly(header, sizeof(header)));
+Result<Frame> Socket::ReadFrameImpl(ReadOp* op) {
+  // Bytes already buffered mean the frame has started: only what is still
+  // to arrive runs against the guard's budget.
+  if (op->budget_ms > 0 && buffered() > 0) op->Start();
+  HQ_RETURN_IF_ERROR(Fill(kFrameHeaderBytes, op));
+  uint8_t header[kFrameHeaderBytes];
+  Consume(header, sizeof(header));
   Frame frame;
   frame.kind = static_cast<MessageKind>(header[0]);
   frame.flags = header[1];
   uint32_t len;
   std::memcpy(&len, header + 4, 4);
-  if (len > (256u << 20)) {
+  if (len > kMaxFramePayload) {
     return Status::ProtocolError("oversized frame (", len, " bytes)");
   }
   frame.payload.resize(len);
-  if (len > 0) {
-    HQ_RETURN_IF_ERROR(ReadExactly(frame.payload.data(), len));
+  uint8_t* payload = frame.payload.data();
+  size_t have = std::min<size_t>(len, buffered());
+  Consume(payload, have);
+  size_t rest = len - have;
+  if (rest > kReadBufferBytes) {
+    // Too big to stage: receive the remainder straight into the payload.
+    while (rest > 0) {
+      HQ_ASSIGN_OR_RETURN(
+          size_t r, RecvSome(reinterpret_cast<char*>(payload + len - rest),
+                             rest, rest, len, op));
+      rest -= r;
+    }
+  } else if (rest > 0) {
+    HQ_RETURN_IF_ERROR(Fill(rest, op));
+    Consume(payload + have, rest);
   }
   return frame;
+}
+
+Result<Frame> Socket::ReadFrame() {
+  ReadOp op;
+  return ReadFrameImpl(&op);
 }
 
 Result<Frame> Socket::ReadFrameGuarded(int frame_budget_ms,
                                        int idle_timeout_ms) {
   if (frame_budget_ms <= 0) return ReadFrame();
-  // Waiting for the frame to start is idleness, not a stall: the first
-  // header byte arrives under the caller's idle policy.
-  uint8_t header[8];
-  HQ_RETURN_IF_ERROR(ReadExactly(header, 1));
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(frame_budget_ms);
-  // Once started, the frame must complete within the budget no matter how
-  // slowly bytes trickle in: the recv timeout is re-derived from the
-  // remaining budget before every chunk, so a 1-byte-per-second client
-  // cannot reset the clock (the slowloris attack this guard exists for).
-  auto read_rest = [&](void* data, size_t n, size_t total) -> Status {
-    char* p = static_cast<char*>(data);
-    bool first_chunk = true;
-    while (n > 0) {
-      auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-                           deadline - std::chrono::steady_clock::now())
-                           .count();
-      if (remaining <= 0) {
-        return Status::DeadlineExceeded(
-                   "tdwp frame stalled: peer delivered ", total - n, " of ",
-                   total, " bytes within the ", frame_budget_ms,
-                   "ms per-frame budget")
-            .WithDetail(StatusDetail::kFrameStall);
-      }
-      HQ_RETURN_IF_ERROR(SetRecvTimeoutMs(static_cast<int>(remaining)));
-      auto r = RecvChunk(p, n, first_chunk, n, total);
-      if (!r.ok()) {
-        if (r.status().IsDeadlineExceeded()) {
-          return Status::DeadlineExceeded(
-                     "tdwp frame stalled: peer delivered ", total - n, " of ",
-                     total, " bytes within the ", frame_budget_ms,
-                     "ms per-frame budget")
-              .WithDetail(StatusDetail::kFrameStall);
-        }
-        return r.status();
-      }
-      p += *r;
-      n -= *r;
-      first_chunk = false;
-    }
-    return Status::OK();
-  };
-  auto restore_idle = [&] { (void)SetRecvTimeoutMs(idle_timeout_ms); };
-  Status rest = read_rest(header + 1, sizeof(header) - 1, sizeof(header));
-  if (!rest.ok()) {
-    restore_idle();
-    return rest;
-  }
-  Frame frame;
-  frame.kind = static_cast<MessageKind>(header[0]);
-  frame.flags = header[1];
-  uint32_t len;
-  std::memcpy(&len, header + 4, 4);
-  if (len > (256u << 20)) {
-    restore_idle();
-    return Status::ProtocolError("oversized frame (", len, " bytes)");
-  }
-  frame.payload.resize(len);
-  if (len > 0) {
-    Status body = read_rest(frame.payload.data(), len, len);
-    if (!body.ok()) {
-      restore_idle();
-      return body;
-    }
-  }
-  restore_idle();
+  ReadOp op;
+  op.budget_ms = frame_budget_ms;
+  auto frame = ReadFrameImpl(&op);
+  if (op.timeout_changed) (void)SetRecvTimeoutMs(idle_timeout_ms);
   return frame;
 }
 

@@ -1,17 +1,25 @@
 #include "protocol/tdwp.h"
 
+#include <cstring>
+
 #include "types/date.h"
 
 namespace hyperq::protocol {
 
+void AppendFrame(MessageKind kind, const std::vector<uint8_t>& payload,
+                 std::vector<uint8_t>* out, uint8_t flags) {
+  uint8_t header[kFrameHeaderBytes] = {static_cast<uint8_t>(kind), flags};
+  uint32_t len = static_cast<uint32_t>(payload.size());
+  std::memcpy(header + 4, &len, 4);
+  out->insert(out->end(), header, header + kFrameHeaderBytes);
+  out->insert(out->end(), payload.begin(), payload.end());
+}
+
 std::vector<uint8_t> EncodeFrame(const Frame& frame) {
-  BufferWriter out;
-  out.PutU8(static_cast<uint8_t>(frame.kind));
-  out.PutU8(frame.flags);
-  out.PutU16(0);
-  out.PutU32(static_cast<uint32_t>(frame.payload.size()));
-  out.PutBytes(frame.payload.data(), frame.payload.size());
-  return out.Take();
+  std::vector<uint8_t> out;
+  out.reserve(kFrameHeaderBytes + frame.payload.size());
+  AppendFrame(frame.kind, frame.payload, &out, frame.flags);
+  return out;
 }
 
 std::vector<uint8_t> Encode(const LogonRequest& m) {
@@ -285,15 +293,14 @@ Status EncodeRecord(const std::vector<WireColumn>& schema,
 Result<std::vector<Datum>> DecodeRecord(const std::vector<WireColumn>& schema,
                                         BufferReader* in) {
   HQ_ASSIGN_OR_RETURN(uint16_t rec_len, in->GetU16());
-  HQ_ASSIGN_OR_RETURN(std::string rec_bytes, in->GetBytes(rec_len));
-  BufferReader rec(reinterpret_cast<const uint8_t*>(rec_bytes.data()),
-                   rec_bytes.size());
+  HQ_ASSIGN_OR_RETURN(const uint8_t* rec_bytes, in->GetSpan(rec_len));
+  BufferReader rec(rec_bytes, rec_len);
   size_t nbytes = (schema.size() + 7) / 8;
-  HQ_ASSIGN_OR_RETURN(std::string bitmap, rec.GetBytes(nbytes));
+  HQ_ASSIGN_OR_RETURN(const uint8_t* bitmap, rec.GetSpan(nbytes));
   std::vector<Datum> row;
   row.reserve(schema.size());
   for (size_t i = 0; i < schema.size(); ++i) {
-    bool present = (static_cast<uint8_t>(bitmap[i / 8]) >> (i % 8)) & 1;
+    bool present = (bitmap[i / 8] >> (i % 8)) & 1;
     if (!present) {
       row.push_back(Datum::Null());
       continue;
@@ -361,6 +368,11 @@ Result<std::vector<Datum>> DecodeRecord(const std::vector<WireColumn>& schema,
         break;
       }
     }
+  }
+  if (!rec.AtEnd()) {
+    return Status::ProtocolError("record of ", rec_len, " bytes has ",
+                                 rec.remaining(),
+                                 " trailing bytes past its fields");
   }
   return row;
 }

@@ -57,6 +57,14 @@ struct Frame {
   std::vector<uint8_t> payload;
 };
 
+/// Bytes of the fixed frame header (kind, flags, resv, length).
+inline constexpr size_t kFrameHeaderBytes = 8;
+
+/// \brief Appends one frame (header + payload) to `out`. Several frames
+/// appended to one buffer go out in a single send.
+void AppendFrame(MessageKind kind, const std::vector<uint8_t>& payload,
+                 std::vector<uint8_t>* out, uint8_t flags = 0);
+
 /// \brief Serializes a frame (header + payload).
 std::vector<uint8_t> EncodeFrame(const Frame& frame);
 
@@ -153,7 +161,9 @@ Result<WireColumn> ToWireColumn(const std::string& name, const SqlType& type);
 Status EncodeRecord(const std::vector<WireColumn>& schema,
                     const std::vector<Datum>& row, BufferWriter* out);
 
-/// \brief Decodes one record (client side / tests).
+/// \brief Decodes one record (client side / tests), reading the record in
+/// place. A record whose fields do not fill exactly its u16 length is a
+/// ProtocolError.
 Result<std::vector<Datum>> DecodeRecord(const std::vector<WireColumn>& schema,
                                         BufferReader* in);
 

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -333,6 +334,164 @@ TEST_F(ChaosTest, SlowButSteadyFrameSurvivesTheGuard) {
   ASSERT_TRUE(reply.ok()) << reply.status();
   EXPECT_EQ(reply->kind, MessageKind::kStatsResponse);
   EXPECT_EQ(server.stats().frame_stalls, 0);
+  server.Stop();
+}
+
+TEST_F(ChaosTest, GuardFiresWhenTheFrameStartIsAlreadyBuffered) {
+  vdb::Engine engine;
+  service::HyperQService service(&engine, {});
+  TdwpServerOptions options;
+  options.frame_read_timeout_ms = 120;
+  TdwpServer server(&service, options);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  auto conn = Socket::ConnectLocal(server.port());
+  ASSERT_TRUE(conn.ok());
+  // A guard that missed the buffered start would wait forever.
+  ASSERT_TRUE(conn->SetRecvTimeoutMs(5000).ok());
+  // One send: a whole stats request, then half the header of a second
+  // frame. The server's one recv buffers both; the half frame then gets
+  // the budget, not the idle policy, though no byte of it is still in the
+  // kernel.
+  std::vector<uint8_t> bytes =
+      protocol::EncodeFrame(Frame{MessageKind::kStatsRequest, 0, {}});
+  bytes.insert(bytes.end(),
+               {static_cast<uint8_t>(MessageKind::kStatsRequest), 0, 0, 0});
+  ASSERT_TRUE(conn->WriteAll(bytes.data(), bytes.size()).ok());
+
+  auto stats = conn->ReadFrame();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->kind, MessageKind::kStatsResponse);
+  auto reply = conn->ReadFrame();
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  ASSERT_EQ(reply->kind, MessageKind::kError);
+  auto err = protocol::DecodeError(reply->payload);
+  ASSERT_TRUE(err.ok());
+  EXPECT_EQ(err->code, static_cast<uint32_t>(StatusCode::kDeadlineExceeded));
+  EXPECT_NE(err->message.find("frame_stall"), std::string::npos)
+      << err->message;
+  uint8_t byte = 0;
+  EXPECT_FALSE(conn->ReadExactly(&byte, 1).ok());
+  EXPECT_EQ(server.stats().frame_stalls, 1);
+  server.Stop();
+}
+
+// --- Syscall shape -------------------------------------------------------------
+// A RUN response is one buffer and one send(); a RUN request under the read
+// buffer's size is one recv(). A counting shim on the server's side of the
+// link sees every send() and recv() the server makes.
+
+/// Counts the server's send()s and its recv()s that delivered bytes. Every
+/// frontend recv is flagged "corrupt" so its bytes pass through
+/// CorruptPayload, which runs only after a recv returned data — and leaves
+/// them untouched.
+class SyscallCounter : public LinkShim {
+ public:
+  Status BeforeTransfer(const LinkOp& op, size_t*, bool*,
+                        bool* corrupt) override {
+    if (std::strcmp(op.scope, linkscopes::kFrontend) != 0) {
+      return Status::OK();
+    }
+    if (op.send) {
+      sends.fetch_add(1);
+    } else {
+      *corrupt = true;
+    }
+    return Status::OK();
+  }
+  void CorruptPayload(const LinkOp& op, uint8_t*, size_t) override {
+    if (!op.send && std::strcmp(op.scope, linkscopes::kFrontend) == 0) {
+      recvs.fetch_add(1);
+    }
+  }
+
+  std::atomic<int> sends{0};
+  std::atomic<int> recvs{0};
+};
+
+TEST_F(ChaosTest, OneSendPerResponseAndOneRecvPerRequest) {
+  vdb::Engine engine;
+  service::HyperQService service(&engine, {});
+  {
+    auto sid = service.OpenSession("loader");
+    ASSERT_TRUE(sid.ok());
+    ASSERT_TRUE(service.Submit(*sid, "CREATE TABLE T (A INTEGER)").ok());
+    ASSERT_TRUE(service.Submit(*sid, "INS INTO T VALUES (0)").ok());
+    for (int k = 0; k < 12; ++k) {  // doubles T to keys 0..4095
+      ASSERT_TRUE(service
+                      .Submit(*sid, "INS INTO T SEL A + " +
+                                        std::to_string(1 << k) + " FROM T")
+                      .ok());
+    }
+    service.CloseSession(*sid);
+  }
+  SyscallCounter counter;  // outlives the server's threads
+  TdwpServer server(&service);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  // Installed before logon: the server enters its next recv while the
+  // logon reply is still in flight, and that recv must be counted.
+  SetGlobalLinkShim(&counter);
+  auto conn = Socket::ConnectLocal(server.port());
+  ASSERT_TRUE(conn.ok());
+  protocol::LogonRequest logon{"alice", "pw", "", "ASCII"};
+  ASSERT_TRUE(conn->WriteFrame(Frame{MessageKind::kLogonRequest, 0,
+                                     protocol::Encode(logon)})
+                  .ok());
+  ASSERT_TRUE(conn->ReadFrame().ok());
+
+  struct Shape {
+    std::string sql;
+    bool rowset;
+    uint32_t rows;
+  };
+  const std::vector<Shape> shapes = {
+      {"SEL A FROM T WHERE A < 0", true, 0},
+      {"SEL A FROM T WHERE A = 7", true, 1},
+      {"SEL A FROM T WHERE A < 3000", true, 3000},  // > rows_per_batch
+      {"UPD T SET A = A WHERE A = 7", false, 0},
+      // Just under the read buffer: still one recv.
+      {"SEL A FROM T WHERE A = 8" + std::string(7000, ' '), true, 1},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.sql.substr(0, 40));
+    counter.sends = 0;
+    counter.recvs = 0;
+    protocol::RunRequest run{shape.sql};
+    ASSERT_TRUE(
+        conn->WriteFrame(Frame{MessageKind::kRunRequest, 0,
+                               protocol::Encode(run)})
+            .ok());
+    std::vector<MessageKind> kinds;
+    size_t batches = 0;
+    uint32_t rows = 0;
+    while (kinds.empty() || (kinds.back() != MessageKind::kSuccess &&
+                             kinds.back() != MessageKind::kError)) {
+      auto frame = conn->ReadFrame();
+      ASSERT_TRUE(frame.ok()) << frame.status();
+      kinds.push_back(frame->kind);
+      if (frame->kind == MessageKind::kRecordBatch) {
+        BufferReader in(frame->payload);
+        auto n = in.GetU32();
+        ASSERT_TRUE(n.ok());
+        rows += *n;
+        ++batches;
+      }
+    }
+    // Client-visible sequence: header, N batches, success.
+    ASSERT_EQ(kinds.back(), MessageKind::kSuccess);
+    if (shape.rowset) {
+      EXPECT_EQ(kinds.front(), MessageKind::kResultHeader);
+      EXPECT_EQ(kinds.size(), batches + 2);
+      EXPECT_EQ(rows, shape.rows);
+      if (shape.rows > 2048) EXPECT_GE(batches, 2u);
+    } else {
+      EXPECT_EQ(kinds.size(), 1u);
+    }
+    EXPECT_EQ(counter.sends.load(), 1);
+    EXPECT_EQ(counter.recvs.load(), 1);
+  }
+  SetGlobalLinkShim(nullptr);
   server.Stop();
 }
 

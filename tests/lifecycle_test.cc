@@ -483,6 +483,86 @@ TEST_F(LifecycleTest, StopDrainCancelsStreamingAtFrameBoundary) {
   rig.server.reset();  // already stopped
 }
 
+// --- Pipelined frames ---------------------------------------------------------
+// A client may send its abort or goodbye in the same send() as the request.
+// The server's one recv then takes in both frames, so the client probe has
+// to find the second one in the socket's read buffer, not in the kernel.
+
+// Logs a raw socket on, then sends a RUN for `sql` followed by `second` in
+// one send. Returns the frames of the reply, up to its Success or Error.
+std::vector<protocol::Frame> RunPipelined(protocol::Socket& raw,
+                                          const std::string& sql,
+                                          protocol::MessageKind second) {
+  using protocol::MessageKind;
+  protocol::LogonRequest logon{"app", "pw", "", "ASCII"};
+  EXPECT_TRUE(raw.WriteFrame(protocol::Frame{MessageKind::kLogonRequest, 0,
+                                             protocol::Encode(logon)})
+                  .ok());
+  EXPECT_TRUE(raw.ReadFrame().ok());
+  std::vector<uint8_t> bytes;
+  protocol::AppendFrame(MessageKind::kRunRequest,
+                        protocol::Encode(protocol::RunRequest{sql}), &bytes);
+  protocol::AppendFrame(second, {}, &bytes);
+  EXPECT_TRUE(raw.WriteAll(bytes.data(), bytes.size()).ok());
+  std::vector<protocol::Frame> reply;
+  while (reply.empty() || (reply.back().kind != MessageKind::kSuccess &&
+                           reply.back().kind != MessageKind::kError)) {
+    auto frame = raw.ReadFrame();
+    EXPECT_TRUE(frame.ok()) << frame.status();
+    if (!frame.ok()) break;
+    reply.push_back(std::move(frame).value());
+  }
+  return reply;
+}
+
+TEST_F(LifecycleTest, RunAndAbortInOneSendCancelsAsClientAbort) {
+  WireRig rig;
+  auto raw = protocol::Socket::ConnectLocal(rig.server->port());
+  ASSERT_TRUE(raw.ok());
+  auto reply =
+      RunPipelined(*raw, "SEL * FROM BIG", protocol::MessageKind::kAbortRequest);
+  ASSERT_FALSE(reply.empty());
+  ASSERT_EQ(reply.back().kind, protocol::MessageKind::kError);
+  auto err = protocol::DecodeError(reply.back().payload);
+  ASSERT_TRUE(err.ok());
+  EXPECT_EQ(err->code, static_cast<uint32_t>(StatusCode::kCancelled));
+  EXPECT_NE(err->message.find("aborted by client request"), std::string::npos)
+      << err->message;
+
+  // A client abort ends the request, not the connection.
+  protocol::RunRequest next{"SEL COUNT(*) FROM BIG"};
+  ASSERT_TRUE(raw->WriteFrame(protocol::Frame{protocol::MessageKind::kRunRequest,
+                                              0, protocol::Encode(next)})
+                  .ok());
+  protocol::MessageKind last = protocol::MessageKind::kError;
+  for (int i = 0; i < 3; ++i) {
+    auto frame = raw->ReadFrame();
+    ASSERT_TRUE(frame.ok()) << frame.status();
+    last = frame->kind;
+    if (last == protocol::MessageKind::kSuccess) break;
+  }
+  EXPECT_EQ(last, protocol::MessageKind::kSuccess);
+}
+
+TEST_F(LifecycleTest, RunAndGoodbyeInOneSendIsClientGone) {
+  WireRig rig;
+  auto raw = protocol::Socket::ConnectLocal(rig.server->port());
+  ASSERT_TRUE(raw.ok());
+  auto reply =
+      RunPipelined(*raw, "SEL * FROM BIG", protocol::MessageKind::kGoodbye);
+  ASSERT_FALSE(reply.empty());
+  ASSERT_EQ(reply.back().kind, protocol::MessageKind::kError);
+  auto err = protocol::DecodeError(reply.back().payload);
+  ASSERT_TRUE(err.ok());
+  EXPECT_EQ(err->code, static_cast<uint32_t>(StatusCode::kCancelled));
+  EXPECT_NE(err->message.find("abandoning the query"), std::string::npos)
+      << err->message;
+  // A vanished client has no next statement: the server closes the link.
+  EXPECT_TRUE(raw->ReadFrame().status().IsUnavailable());
+  ASSERT_TRUE(WaitFor([&] { return rig.server->active_connections() == 0; }));
+  ASSERT_TRUE(WaitFor([&] { return rig.service->open_sessions() == 0; }));
+}
+
 // --- Cancellation vs the translation cache -----------------------------------
 
 TEST_F(LifecycleTest, CancelledExecutionStillAdmitsTemplate) {

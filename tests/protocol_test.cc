@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <thread>
+#include <vector>
 
 #include "protocol/client.h"
 #include "protocol/server.h"
@@ -126,6 +128,30 @@ TEST(RecordFormatTest, NullBitmapMarksAbsentFields) {
   EXPECT_EQ((*row)[2].int_val(), 3);
 }
 
+TEST(RecordFormatTest, TrailingBytesInsideARecordAreRejected) {
+  std::vector<WireColumn> schema;
+  auto col = ToWireColumn("A", SqlType::Int());
+  ASSERT_TRUE(col.ok());
+  schema.push_back(*col);
+  BufferWriter rec;
+  ASSERT_TRUE(EncodeRecord(schema, {Datum::Int(7)}, &rec).ok());
+  // Grow the record's u16 length by two and append two junk bytes: the
+  // record is still well-framed, but its fields stop short of its end.
+  std::vector<uint8_t> bytes = rec.Take();
+  uint16_t len;
+  std::memcpy(&len, bytes.data(), 2);
+  len += 2;
+  std::memcpy(bytes.data(), &len, 2);
+  bytes.push_back(0xAB);
+  bytes.push_back(0xCD);
+  BufferReader r(bytes);
+  auto row = DecodeRecord(schema, &r);
+  ASSERT_FALSE(row.ok());
+  EXPECT_TRUE(row.status().IsProtocolError()) << row.status();
+  EXPECT_NE(row.status().message().find("trailing"), std::string::npos)
+      << row.status();
+}
+
 // Property: records round-trip bit-identically for a mixed schema across
 // many generated rows.
 class RecordRoundTripProperty : public ::testing::TestWithParam<int> {};
@@ -195,6 +221,103 @@ TEST(FrameTest, HeaderLayout) {
   uint32_t len;
   std::memcpy(&len, bytes.data() + 4, 4);
   EXPECT_EQ(len, 3u);
+}
+
+TEST(FrameTest, AppendFrameConcatenatesEncodedFrames) {
+  Frame a{MessageKind::kResultHeader, 0, {9, 8}};
+  Frame b{MessageKind::kSuccess, 0, {}};
+  std::vector<uint8_t> out;
+  AppendFrame(a.kind, a.payload, &out);
+  AppendFrame(b.kind, b.payload, &out);
+  std::vector<uint8_t> want = EncodeFrame(a);
+  std::vector<uint8_t> tail = EncodeFrame(b);
+  want.insert(want.end(), tail.begin(), tail.end());
+  EXPECT_EQ(out, want);
+}
+
+// --- Socket read buffer -----------------------------------------------------
+
+struct LoopbackPair {
+  Socket client;
+  Socket server;
+};
+
+LoopbackPair ConnectPair() {
+  auto listener = ListenSocket::BindLocal(0);
+  EXPECT_TRUE(listener.ok());
+  auto client = Socket::ConnectLocal(listener->port());
+  EXPECT_TRUE(client.ok());
+  auto server = listener->Accept();
+  EXPECT_TRUE(server.ok());
+  return {std::move(client).value(), std::move(server).value()};
+}
+
+// Sends `frames` back to back in one send(), as a pipelining client does.
+void SendPipelined(Socket& sock, const std::vector<Frame>& frames) {
+  std::vector<uint8_t> bytes;
+  for (const Frame& f : frames) AppendFrame(f.kind, f.payload, &bytes);
+  ASSERT_TRUE(sock.WriteAll(bytes.data(), bytes.size()).ok());
+}
+
+TEST(SocketBufferTest, PipelinedFramesComeFromOneRecv) {
+  LoopbackPair pair = ConnectPair();
+  SendPipelined(pair.client, {Frame{MessageKind::kRunRequest, 0, {1, 2, 3}},
+                              Frame{MessageKind::kAbortRequest, 0, {}}});
+  auto first = pair.server.ReadFrame();
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->kind, MessageKind::kRunRequest);
+  EXPECT_EQ(first->payload, (std::vector<uint8_t>{1, 2, 3}));
+  // The abort came in with the same recv and waits in the buffer.
+  EXPECT_EQ(pair.server.buffered(), kFrameHeaderBytes);
+  pair.client.Close();
+  auto second = pair.server.ReadFrame();
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->kind, MessageKind::kAbortRequest);
+  EXPECT_EQ(pair.server.buffered(), 0u);
+}
+
+TEST(SocketBufferTest, MovedFromSocketHandsOverItsBufferedBytes) {
+  LoopbackPair pair = ConnectPair();
+  SendPipelined(pair.client, {Frame{MessageKind::kStatsRequest, 0, {}},
+                              Frame{MessageKind::kRunRequest, 0, {4, 5}},
+                              Frame{MessageKind::kGoodbye, 0, {}}});
+  ASSERT_TRUE(pair.server.ReadFrame().ok());
+  // The peer is gone: the remaining frames exist only in the read buffer.
+  pair.client.Close();
+
+  Socket moved(std::move(pair.server));
+  EXPECT_EQ(pair.server.buffered(), 0u);
+  auto run = moved.ReadFrame();
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(run->kind, MessageKind::kRunRequest);
+  EXPECT_EQ(run->payload, (std::vector<uint8_t>{4, 5}));
+
+  Socket assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(moved.buffered(), 0u);
+  auto bye = assigned.ReadFrame();
+  ASSERT_TRUE(bye.ok()) << bye.status();
+  EXPECT_EQ(bye->kind, MessageKind::kGoodbye);
+  // Buffer drained: the next read reaches the kernel and sees the EOF.
+  EXPECT_TRUE(assigned.ReadFrame().status().IsUnavailable());
+}
+
+TEST(SocketBufferTest, PayloadLargerThanTheBufferRoundTrips) {
+  LoopbackPair pair = ConnectPair();
+  std::vector<uint8_t> big(3 * Socket::kReadBufferBytes + 5);
+  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<uint8_t>(i);
+  std::thread writer([&] {
+    SendPipelined(pair.client, {Frame{MessageKind::kRecordBatch, 0, big},
+                                Frame{MessageKind::kSuccess, 0, {7}}});
+  });
+  auto batch = pair.server.ReadFrame();
+  auto success = pair.server.ReadFrame();
+  writer.join();
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  EXPECT_EQ(batch->payload, big);
+  ASSERT_TRUE(success.ok()) << success.status();
+  EXPECT_EQ(success->kind, MessageKind::kSuccess);
+  EXPECT_EQ(success->payload, (std::vector<uint8_t>{7}));
 }
 
 TEST(WireColumnTest, IntervalHasNoWireForm) {

@@ -342,6 +342,14 @@ struct OrderCase {
   const char* first;  // expected first value rendered
 };
 
+// Without this, gtest prints the case as the raw bytes of its two pointers,
+// and ctest (which names value-parameterized tests after the printed value)
+// would get a different test name on every build.
+void PrintTo(const OrderCase& c, std::ostream* os) {
+  *os << "ORDER BY a" << (*c.order ? " " : "") << c.order << " -> "
+      << c.first;
+}
+
 class VdbOrderSweep : public VdbTest,
                       public ::testing::WithParamInterface<OrderCase> {};
 

@@ -97,12 +97,13 @@ TEST(CustomerWorkloadTest, ReplayCountsPreserveTotals) {
 }
 
 // The synthesized workloads, re-measured through the instrumented
-// translator, must land on the paper's Figure 8 fractions.
-class Figure8Property
-    : public ::testing::TestWithParam<std::pair<int, const char*>> {};
+// translator, must land on the paper's Figure 8 fractions. The parameter is
+// the workload number; it is a plain int so the printed value, and with it
+// the ctest test name, is the same on every build.
+class Figure8Property : public ::testing::TestWithParam<int> {};
 
 TEST_P(Figure8Property, MeasuredFractionsMatchPaper) {
-  bool is_w1 = GetParam().first == 1;
+  bool is_w1 = GetParam() == 1;
   auto profile = is_w1 ? CustomerProfile::Customer1Health()
                        : CustomerProfile::Customer2Telco();
   vdb::Engine engine;
@@ -136,9 +137,9 @@ TEST_P(Figure8Property, MeasuredFractionsMatchPaper) {
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, Figure8Property,
-    ::testing::Values(std::make_pair(1, "health"),
-                      std::make_pair(2, "telco")),
-    [](const auto& info) { return std::string(info.param.second); });
+    ::testing::Values(1, 2), [](const auto& info) {
+      return std::string(info.param == 1 ? "health" : "telco");
+    });
 
 TEST(CustomerWorkloadTest, GeneratorOracleAgreesWithInstrumentation) {
   // For every feature query the generator claims, the instrumented engine
