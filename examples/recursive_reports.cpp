@@ -52,8 +52,7 @@ SELECT EMPNO FROM REPORTS ORDER BY EMPNO)";
     return 1;
   }
   transform::Transformer xform(transform::BackendProfile::Vdb());
-  binder::ColIdGenerator ids;
-  for (int i = 0; i < 1000000; ++i) ids.Next();
+  binder::ColIdGenerator ids(binder::kFirstRewriteColId);
   FeatureSet features;
   if (!xform.Run(transform::Stage::kSerialization, &*plan, &ids, &features,
                  hyperq.catalog())

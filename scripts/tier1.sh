@@ -11,8 +11,8 @@
 #   scripts/tier1.sh --tsan     # also build build-tsan/ and run the
 #                               # cross-thread suites (`lifecycle`,
 #                               # `faults`, `observability`, `fleet`,
-#                               # `tail`, `chaos`, `batch`) under
-#                               # ThreadSanitizer
+#                               # `tail`, `chaos`, `batch`, `cache`)
+#                               # under ThreadSanitizer
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -81,4 +81,9 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # the fetch loop from another thread — the batch suite must be
   # TSan-clean, not just ASan-clean.
   ctest --test-dir build-tsan --output-on-failure -L batch -j "$jobs"
+  # Concurrent sessions share the translation cache's sharded LRU (the
+  # cross-shard hammer) — the cache suite must be TSan-clean too. It runs
+  # serially: HitPathTranslationAtLeast5xFaster compares wall-clock
+  # medians, and TSan neighbours on the other cores skew that ratio.
+  ctest --test-dir build-tsan --output-on-failure -L cache
 fi

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "common/fault.h"
 
@@ -19,11 +20,7 @@ ResultStore::ResultStore(size_t memory_budget_bytes, std::string spill_dir,
     : memory_budget_(memory_budget_bytes),
       spill_dir_(std::move(spill_dir)),
       governor_(std::move(governor)),
-      session_tag_(session_tag) {
-  if (spill_dir_.empty()) {
-    spill_dir_ = std::filesystem::temp_directory_path().string();
-  }
-}
+      session_tag_(session_tag) {}
 
 ResultStore::~ResultStore() { Release(); }
 
@@ -125,6 +122,17 @@ Status ResultStore::AppendBatch(
 }
 
 Status ResultStore::SpillBatch(const std::vector<uint8_t>& batch, Slot* slot) {
+  // Resolved on the first spill, not per store: almost no result spills,
+  // and the lookup stats the directory.
+  if (spill_dir_.empty()) {
+    std::error_code ec;
+    spill_dir_ = std::filesystem::temp_directory_path(ec).string();
+    if (ec) {
+      spill_dir_.clear();
+      return Status::IoError("no temp directory for spill files: ",
+                             ec.message());
+    }
+  }
   std::string path = spill_dir_ + "/hyperq_spill_" +
                      std::to_string(g_store_counter.fetch_add(1)) + "_" +
                      std::to_string(next_file_++) + ".tdf";

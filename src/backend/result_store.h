@@ -44,7 +44,7 @@ class ResultStore {
  public:
   /// \param memory_budget_bytes in-memory cap before spilling
   /// \param spill_dir directory for spill files (created lazily); empty
-  ///        uses the system temp directory
+  ///        uses the system temp directory, looked up on the first spill
   /// \param governor optional shared budget arbiter; reserved bytes are
   ///        released by Release()/the destructor
   /// \param session_tag attribution key for per-session governor budgets

@@ -269,6 +269,7 @@ Result<OpPtr> Binder::BindQueryExpr(const sql::SelectStmt& stmt,
       auto lim = std::make_unique<Op>(OpKind::kLimit);
       lim->output = plan->output;
       lim->limit_count = stmt.limit;
+      lim->limit_offset = OwnLiteral(stmt.limit_offset);
       lim->children.push_back(std::move(plan));
       plan = std::move(lim);
     }
@@ -912,8 +913,11 @@ Result<xtra::ExprPtr> Binder::BindWindow(const sql::Expr& e, Scope* scope,
 Result<xtra::ExprPtr> Binder::BindExpr(const sql::Expr& e, Scope* scope,
                                        BlockState* block) {
   switch (e.kind) {
-    case ExprKind::kConst:
-      return xtra::Const(e.value, e.const_type);
+    case ExprKind::kConst: {
+      xtra::ExprPtr c = xtra::Const(e.value, e.const_type);
+      c->literal_offset = OwnLiteral(e.literal_offset);
+      return c;
+    }
     case ExprKind::kIdent:
       return BindIdent(e, scope);
     case ExprKind::kStar:
@@ -1465,20 +1469,24 @@ Result<OpPtr> Binder::BindBlock(const sql::QueryBlock& block_ast,
 
   // 10. TOP n / LIMIT.
   int64_t limit = -1;
+  int limit_offset = -1;
   bool ties = false;
   if (qb.top_n >= 0) {
     features_.Record(Feature::kTopToLimit);
     limit = qb.top_n;
+    limit_offset = qb.top_offset;
     ties = qb.top_with_ties;
     if (ties) features_.Record(Feature::kOrderedAnalytics);
   }
   if (enclosing.limit >= 0 && enclosing.block.get() == &block_ast) {
     limit = enclosing.limit;
+    limit_offset = enclosing.limit_offset;
   }
   if (limit >= 0) {
     auto lim = std::make_unique<Op>(OpKind::kLimit);
     lim->output = plan->output;
     lim->limit_count = limit;
+    lim->limit_offset = OwnLiteral(limit_offset);
     lim->with_ties = ties;
     lim->children.push_back(std::move(plan));
     plan = std::move(lim);
@@ -1597,12 +1605,14 @@ Result<OpPtr> Binder::BindInsert(const sql::InsertStatement& stmt) {
           sql::ParseStatement("SELECT " + col.props.default_expr, dialect_));
       Scope empty;
       BlockState state;
-      HQ_ASSIGN_OR_RETURN(
-          xtra::ExprPtr dflt,
+      binding_default_ = true;
+      auto bound_default =
           BindExpr(*dflt_stmt->As<sql::SelectStatement>()
                         ->query->block->select_list[0]
                         .expr,
-                   &empty, &state));
+                   &empty, &state);
+      binding_default_ = false;
+      HQ_ASSIGN_OR_RETURN(xtra::ExprPtr dflt, std::move(bound_default));
       Op* src = op->children[0].get();
       if (src->kind == OpKind::kValues) {
         for (auto& row : src->rows) row.push_back(dflt->Clone());

@@ -30,14 +30,21 @@
 
 namespace hyperq::binder {
 
+/// First column id handed to transformer rules. The binder numbers from 1,
+/// so ids a rewrite allocates from here on never collide with bound ones;
+/// the value is visible in SQL-B names such as R_1000001.
+inline constexpr int kFirstRewriteColId = 1000001;
+
 /// \brief Allocates column ids unique within one query tree.
 class ColIdGenerator {
  public:
+  explicit ColIdGenerator(int first = 1) : next_(first) {}
+
   int Next() { return next_++; }
   int current() const { return next_; }
 
  private:
-  int next_ = 1;
+  int next_;
 };
 
 /// \brief Binds ASTs of the source dialect into XTRA.
@@ -122,6 +129,13 @@ class Binder {
   /// FROM and appends them (implicit-join expansion).
   Status ExpandImplicitJoins(sql::QueryBlock* block, const Scope& scope);
 
+  /// `offset` when the literal comes from the statement's own SQL-A, else
+  /// -1: view bodies and column defaults are parsed from catalog text, so
+  /// their literal offsets do not point into the statement.
+  int OwnLiteral(int offset) const {
+    return view_depth_ == 0 && !binding_default_ ? offset : -1;
+  }
+
   const Catalog* catalog_;
   sql::Dialect dialect_;
   ColIdGenerator ids_;
@@ -129,6 +143,7 @@ class Binder {
   std::map<std::string, CteDef> ctes_;  // visible CTEs by upper name
   std::set<int> ci_columns_;  // col ids of NOT CASESPECIFIC columns
   int view_depth_ = 0;
+  bool binding_default_ = false;  // inside BindInsert's default expansion
 };
 
 }  // namespace hyperq::binder

@@ -11,6 +11,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "serializer/dialect.h"
@@ -18,6 +19,22 @@
 #include "xtra/xtra.h"
 
 namespace hyperq::serializer {
+
+/// \brief Where a constant tagged with a SQL-A literal offset
+/// (xtra::Expr::literal_offset, or a TOP/LIMIT n: xtra::Op::limit_offset)
+/// landed in the serialized SQL-B.
+struct LiteralSite {
+  int literal_offset = -1;
+  size_t begin = 0;  // byte range of the constant's rendering in SQL-B
+  size_t end = 0;
+};
+
+/// Control bytes that bracket tagged constants while Serialize() records
+/// sites; they are stripped before the text is returned. A caller whose
+/// SQL-A contains either byte must not ask for sites.
+inline constexpr char kSiteOpen = '\x01';
+inline constexpr char kSiteClose = '\x02';
+inline constexpr char kSiteMarkerBytes[] = "\x01\x02";
 
 /// \brief XTRA → SQL-B text for one target profile.
 ///
@@ -29,8 +46,14 @@ class Serializer {
  public:
   explicit Serializer(const transform::BackendProfile& profile);
 
-  /// \brief Renders a full statement (query or DML).
-  Result<std::string> Serialize(const xtra::Op& plan) const;
+  /// \brief Renders a full statement (query or DML). When `sites` is
+  /// non-null it receives, in textual order, the SQL-B byte range of every
+  /// constant that carries a literal tag (and of each row-limit clause
+  /// whose n came from a TOP/LIMIT literal); it is left empty if a
+  /// rendered constant or identifier contains a marker byte itself.
+  Result<std::string> Serialize(
+      const xtra::Op& plan,
+      std::vector<LiteralSite>* sites = nullptr) const;
 
   const transform::BackendProfile& profile() const { return profile_; }
 
@@ -42,6 +65,13 @@ class Serializer {
   /// Maps col id -> SQL text that evaluates it in the current scope.
   using NameMap = std::map<int, std::string>;
 
+  /// Per-call rendering state (the serializer itself is shared and const).
+  struct RenderState {
+    int aliases = 0;             // derived-table alias counter (T1, T2, ...)
+    bool mark_literals = false;  // bracket tagged constants with markers
+    bool marker_clash = false;   // rendered text held a marker byte
+  };
+
   struct Rendered {
     std::string sql;             // complete SELECT text
     bool bare_table = false;     // FROM can use the name directly
@@ -50,26 +80,33 @@ class Serializer {
   };
 
   Result<Rendered> RenderQuery(const xtra::Op& op, const NameMap& outer,
-                               int* alias_counter) const;
+                               RenderState* state) const;
   Result<std::string> RenderFromItem(const xtra::Op& op, const NameMap& outer,
                                      NameMap* scope,
-                                     int* alias_counter) const;
+                                     RenderState* state) const;
   Result<std::string> RenderExpr(const xtra::Expr& e, const NameMap& scope,
-                                 int* alias_counter) const;
+                                 RenderState* state) const;
   Result<std::string> RenderWindowCall(const xtra::WindowItem& item,
                                        const NameMap& scope,
-                                       int* alias_counter) const;
+                                       RenderState* state) const;
   Result<std::string> RenderAggCall(const xtra::AggItem& item,
                                     const NameMap& scope,
-                                    int* alias_counter) const;
+                                    RenderState* state) const;
 
-  Result<std::string> RenderInsert(const xtra::Op& op) const;
-  Result<std::string> RenderUpdate(const xtra::Op& op) const;
-  Result<std::string> RenderDelete(const xtra::Op& op) const;
+  Result<std::string> Render(const xtra::Op& plan, RenderState* state) const;
+  Result<std::string> RenderInsert(const xtra::Op& op,
+                                   RenderState* state) const;
+  Result<std::string> RenderUpdate(const xtra::Op& op,
+                                   RenderState* state) const;
+  Result<std::string> RenderDelete(const xtra::Op& op,
+                                   RenderState* state) const;
 
   // Surface syntax delegates to the active dialect generator.
-  std::string QuoteIdent(const std::string& name) const;
+  std::string QuoteIdent(const std::string& name, RenderState* state) const;
   std::string RenderLiteral(const Datum& v) const;
+  /// The dialect's row-limit clause for a kLimit op; marked as a site of
+  /// the TOP/LIMIT literal when recording sites.
+  std::string RenderRowLimit(const xtra::Op& limit, RenderState* state) const;
 
   transform::BackendProfile profile_;
   const SQLDialectGenerator* dialect_;  // registry-owned, never null

@@ -55,6 +55,14 @@ TranslationCacheOptions CacheOptionsFor(TranslationCacheOptions cache,
 bool IsLifecycleStatus(const Status& s) {
   return s.IsCancelled() || s.IsDeadlineExceeded();
 }
+
+// The serializer brackets tagged constants with control bytes while it
+// records literal sites; SQL-A that already carries one of those bytes
+// gets no sites, and template building falls back to value matching.
+bool CanTagLiterals(const std::string& sql_a) {
+  return sql_a.find_first_of(serializer::kSiteMarkerBytes) ==
+         std::string::npos;
+}
 }  // namespace
 
 HyperQService::HyperQService(vdb::Engine* engine, ServiceOptions options)
@@ -522,90 +530,12 @@ std::string HyperQService::MakeCacheKey(uint64_t settings_digest,
   return key;
 }
 
-Result<std::string> HyperQService::TranslatePipelineSql(
-    const std::string& sql_a) {
-  HQ_ASSIGN_OR_RETURN(sql::StatementPtr stmt,
-                      sql::ParseStatement(sql_a, frontend_dialect_));
-  switch (stmt->kind) {
-    case StmtKind::kSelect:
-    case StmtKind::kInsert:
-    case StmtKind::kUpdate:
-    case StmtKind::kDelete:
-      break;
-    default:
-      return Status::NotSupported("not a single pipeline statement");
-  }
-  binder::Binder binder(&catalog_, frontend_dialect_);
-  xtra::OpPtr plan;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    HQ_ASSIGN_OR_RETURN(plan, binder.BindStatement(*stmt));
-  }
-  FeatureSet fs = binder.features();
-  binder::ColIdGenerator ids;
-  for (int i = 0; i < 1000000; ++i) ids.Next();
-  HQ_RETURN_IF_ERROR(
-      transformer_.Run(transform::Stage::kBinding, &plan, &ids, &fs,
-                       &catalog_));
-  if (plan->kind == xtra::OpKind::kRecursiveCte) {
-    return Status::NotSupported("recursive emulation is not cacheable");
-  }
-  HQ_RETURN_IF_ERROR(
-      transformer_.Run(transform::Stage::kSerialization, &plan, &ids, &fs,
-                       &catalog_));
-  return serializer_.Serialize(*plan);
-}
-
-Result<CachedTranslation> HyperQService::BuildTemplateViaSentinels(
-    const sql::NormalizedStatement& norm, const std::string& sql_b,
-    std::vector<std::string>* sql_b_idents) {
-  if (norm.literals.empty()) {
-    return Status::NotSupported("no literals to disambiguate");
-  }
-  std::vector<sql::ExtractedLiteral> sentinels;
-  sentinels.reserve(norm.literals.size());
-  for (size_t k = 0; k < norm.literals.size(); ++k) {
-    sentinels.push_back(MakeSentinelLiteral(norm.literals[k], k));
-  }
-  HQ_ASSIGN_OR_RETURN(
-      std::string sentinel_sql,
-      SubstituteTemplateLiterals(norm.template_sql, sentinels));
-  HQ_ASSIGN_OR_RETURN(sql::NormalizedStatement sentinel_norm,
-                      sql::NormalizeStatement(sentinel_sql));
-  if (sentinel_norm.template_sql != norm.template_sql ||
-      sentinel_norm.literals.size() != norm.literals.size()) {
-    return Status::NotSupported("sentinel statement changed shape");
-  }
-  HQ_ASSIGN_OR_RETURN(std::string sentinel_sql_b,
-                      TranslatePipelineSql(sentinel_sql));
-  HQ_ASSIGN_OR_RETURN(
-      CachedTranslation built,
-      BuildTranslationTemplate(sentinel_sql_b, sentinel_norm, sql_b_idents));
-  // Slot modes carried over from the sentinels are correct (same token
-  // kind and typed-literal context), but the temporal-coercion guard must
-  // record what the REAL creator literals were canonical under.
-  for (TemplateSlot& slot : built.slots) {
-    if (slot.mode == sql::SpliceMode::kString) {
-      slot.temporal_mask =
-          sql::TemporalCanonicalMask(norm.literals[slot.param_index].text);
-    }
-  }
-  // End-to-end verification: splicing the original literals into the
-  // sentinel-derived template must reproduce the original translation
-  // byte-for-byte, or the template is rejected. This catches every
-  // divergence class at once (folding, reordering, coercion).
-  HQ_ASSIGN_OR_RETURN(std::string respliced,
-                      SpliceTranslationTemplate(built, norm));
-  if (respliced != sql_b) {
-    return Status::NotSupported("sentinel template failed verification");
-  }
-  return built;
-}
-
 void HyperQService::MaybeCacheTranslation(
     const std::string& cache_key, const sql::NormalizedStatement& norm,
-    const std::string& sql_b, const FeatureSet& features,
-    int64_t catalog_version, const QueryContext* ctx) {
+    const std::string& sql_b,
+    const std::vector<serializer::LiteralSite>& sites,
+    const FeatureSet& features, int64_t catalog_version,
+    const QueryContext* ctx) {
   // Emulation markers (e.g. the recursive-query comment) are not
   // executable SQL-B and must never be replayed from the cache.
   if (sql_b.rfind("--", 0) == 0) {
@@ -613,20 +543,12 @@ void HyperQService::MaybeCacheTranslation(
     return;
   }
   std::vector<std::string> sql_b_idents;
-  auto built = BuildTranslationTemplate(sql_b, norm, &sql_b_idents);
-  if (!built.ok()) {
-    // Direct site matching failed — usually duplicate literals. Probe
-    // with sentinel literals to recover the site mapping.
-    sql_b_idents.clear();
-    built = BuildTemplateViaSentinels(norm, sql_b, &sql_b_idents);
-  }
+  auto built = BuildTranslationTemplate(sql_b, norm, sites, &sql_b_idents);
   if (!built.ok()) {
     translation_cache_.RecordBypass();
-    // Negative-cache the shape so permanently uncacheable statements do
-    // not pay the sentinel probe's second translation on every miss. A
-    // cancelled request never plants the marker: its probe may have been
-    // cut short, which proves nothing about the shape — the next cold run
-    // re-probes with full effort.
+    // Negative-cache the shape so permanently uncacheable statements skip
+    // template building on every later miss. A cancelled request never
+    // plants the marker: only a clean cold run rules on the shape.
     if (ctx != nullptr && ctx->cancelled()) return;
     if (IsLifecycleStatus(built.status())) return;
     CachedTranslation marker;
@@ -1531,6 +1453,8 @@ Result<QueryOutcome> HyperQService::SubmitInternal(Session* session,
                        stmt->kind == StmtKind::kUpdate ||
                        stmt->kind == StmtKind::kDelete;
   PipelineArtifacts artifacts;
+  artifacts.want_sites =
+      cache_candidate && pipeline_kind && CanTagLiterals(sql_a);
   auto executed = ExecuteStatement(session, *stmt, sql_a, std::move(features),
                                    depth, ctx, &artifacts);
   if (!executed.ok()) {
@@ -1539,7 +1463,7 @@ Result<QueryOutcome> HyperQService::SubmitInternal(Session* session,
     // this shape hits the cache instead of re-translating (DESIGN.md §8).
     if (cache_candidate && pipeline_kind && artifacts.serialized &&
         IsLifecycleStatus(executed.status())) {
-      MaybeCacheTranslation(cache_key, norm, artifacts.sql_b,
+      MaybeCacheTranslation(cache_key, norm, artifacts.sql_b, artifacts.sites,
                             artifacts.features, catalog_version, ctx);
     }
     return executed.status();
@@ -1548,7 +1472,8 @@ Result<QueryOutcome> HyperQService::SubmitInternal(Session* session,
   outcome.timing.translation_micros += parse_micros;
   if (cache_candidate && pipeline_kind && outcome.backend_sql.size() == 1) {
     MaybeCacheTranslation(cache_key, norm, outcome.backend_sql[0],
-                          outcome.features, catalog_version, ctx);
+                          artifacts.sites, outcome.features, catalog_version,
+                          ctx);
   }
   RecordTranslationActivity(/*translate_path=*/false, /*cache_hit=*/false,
                             outcome.timing.translation_micros);
@@ -1795,8 +1720,7 @@ Result<QueryOutcome> HyperQService::RunPipeline(Session* session,
   }
   features.Merge(binder.features());
 
-  binder::ColIdGenerator ids;
-  for (int i = 0; i < 1000000; ++i) ids.Next();  // fresh id space for rules
+  binder::ColIdGenerator ids(binder::kFirstRewriteColId);
   obs::SpanScope transform_span(ctx, "transform");
   HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kBinding, &plan,
                                       &ids, &features, &catalog_));
@@ -1831,7 +1755,11 @@ Result<QueryOutcome> HyperQService::RunPipeline(Session* session,
   transform_span.End();
   obs::SpanScope serialize_span(ctx, "serialize");
   serialize_span.Annotate("dialect", serializer_.dialect().Name());
-  HQ_ASSIGN_OR_RETURN(std::string sql_b, serializer_.Serialize(*plan));
+  HQ_ASSIGN_OR_RETURN(
+      std::string sql_b,
+      serializer_.Serialize(*plan, artifacts != nullptr && artifacts->want_sites
+                                       ? &artifacts->sites
+                                       : nullptr));
   serialize_span.End();
   out.timing.translation_micros += translation.ElapsedMicros();
   out.timing.dialect = serializer_.dialect().Name();
@@ -1996,8 +1924,7 @@ Result<QueryOutcome> HyperQService::HandleCreateTable(
     }
     out.backend_sql.push_back(ddl);
     if (ct.with_data) {
-      binder::ColIdGenerator ids;
-      for (int i = 0; i < 1000000; ++i) ids.Next();
+      binder::ColIdGenerator ids(binder::kFirstRewriteColId);
       HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kBinding, &plan,
                                           &ids, &features, &catalog_));
       HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kSerialization,
@@ -2372,11 +2299,12 @@ Result<std::vector<std::string>> HyperQService::TranslateInternal(
   HQ_RETURN_IF_ERROR(frontend::ScanTranslationFeatures(sql_a, fs));
   HQ_ASSIGN_OR_RETURN(sql::StatementPtr stmt,
                       sql::ParseStatement(sql_a, frontend_dialect_));
+  std::vector<serializer::LiteralSite> sites;
   auto finish = [&](std::vector<std::string> out)
       -> Result<std::vector<std::string>> {
     if (cache_candidate && out.size() == 1) {
-      MaybeCacheTranslation(cache_key, norm, out[0], *fs, catalog_version,
-                            /*ctx=*/nullptr);
+      MaybeCacheTranslation(cache_key, norm, out[0], sites, *fs,
+                            catalog_version, /*ctx=*/nullptr);
     }
     RecordTranslationActivity(/*translate_path=*/true, /*cache_hit=*/false,
                               translation.ElapsedMicros());
@@ -2395,8 +2323,7 @@ Result<std::vector<std::string>> HyperQService::TranslateInternal(
         HQ_ASSIGN_OR_RETURN(plan, binder.BindStatement(*stmt));
       }
       fs->Merge(binder.features());
-      binder::ColIdGenerator ids;
-      for (int i = 0; i < 1000000; ++i) ids.Next();
+      binder::ColIdGenerator ids(binder::kFirstRewriteColId);
       HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kBinding, &plan,
                                           &ids, fs, &catalog_));
       if (plan->kind == xtra::OpKind::kRecursiveCte) {
@@ -2405,7 +2332,11 @@ Result<std::vector<std::string>> HyperQService::TranslateInternal(
       }
       HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kSerialization,
                                           &plan, &ids, fs, &catalog_));
-      HQ_ASSIGN_OR_RETURN(std::string sql_b, serializer_.Serialize(*plan));
+      HQ_ASSIGN_OR_RETURN(
+          std::string sql_b,
+          serializer_.Serialize(
+              *plan,
+              cache_candidate && CanTagLiterals(sql_a) ? &sites : nullptr));
       out.push_back(std::move(sql_b));
       return finish(std::move(out));
     }
@@ -2422,8 +2353,7 @@ Result<std::vector<std::string>> HyperQService::TranslateInternal(
           HQ_ASSIGN_OR_RETURN(plan, binder.BindStatement(*part));
         }
         fs->Merge(binder.features());
-        binder::ColIdGenerator ids;
-        for (int i = 0; i < 1000000; ++i) ids.Next();
+        binder::ColIdGenerator ids(binder::kFirstRewriteColId);
         HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kBinding,
                                             &plan, &ids, fs, &catalog_));
         HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kSerialization,

@@ -442,8 +442,10 @@ class HyperQService : public protocol::RequestHandler {
   /// cancellation that strikes mid-execution does not discard a perfectly
   /// good translation: the template is still admitted to the cache.
   struct PipelineArtifacts {
+    bool want_sites = false;  // caller will build a cache template
     bool serialized = false;  // serialize completed; sql_b/features valid
     std::string sql_b;
+    std::vector<serializer::LiteralSite> sites;  // when want_sites
     FeatureSet features;
   };
   void RegisterActiveQuery(uint32_t session_id, QueryContext* ctx);
@@ -547,26 +549,17 @@ class HyperQService : public protocol::RequestHandler {
       Session* session, const CachedTranslation& entry, std::string sql_b,
       const Stopwatch& translation, QueryContext* ctx, bool select_shape);
   /// Cold-path insertion; counts a bypass when the statement turns out
-  /// not to be safely parameterizable. A cancelled request (`ctx`) never
-  /// plants the negative "uncacheable" marker: a probe aborted mid-flight
-  /// proves nothing about the shape.
+  /// not to be safely parameterizable. `sites` is the literal provenance
+  /// the serializer reported for `sql_b` (empty = value matching only). A
+  /// cancelled request (`ctx`) never plants the negative "uncacheable"
+  /// marker: only a clean cold run rules on the shape.
   void MaybeCacheTranslation(const std::string& cache_key,
                              const sql::NormalizedStatement& norm,
                              const std::string& sql_b,
+                             const std::vector<serializer::LiteralSite>& sites,
                              const FeatureSet& features,
                              int64_t catalog_version,
                              const QueryContext* ctx);
-  /// Translation-only pipeline (parse -> bind -> transform -> serialize)
-  /// for a single query/DML statement; never executes anything. Used by
-  /// the sentinel re-translation probe.
-  Result<std::string> TranslatePipelineSql(const std::string& sql_a);
-  /// Second-chance template construction for statements whose literals
-  /// collide: re-translates with unique sentinel literals to discover the
-  /// site mapping, then verifies the template reproduces the original
-  /// SQL-B byte-for-byte before accepting it.
-  Result<CachedTranslation> BuildTemplateViaSentinels(
-      const sql::NormalizedStatement& norm, const std::string& sql_b,
-      std::vector<std::string>* sql_b_idents);
   /// DDL hook: sweeps entries keyed to older catalog versions.
   void InvalidateTranslationCacheAfterDdl();
   static uint64_t SettingsDigest(const SessionInfo& info);

@@ -1,7 +1,7 @@
 #include "service/translation_cache.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <string_view>
 
 #include "common/hash.h"
 #include "common/str_util.h"
@@ -17,32 +17,64 @@ namespace obs = observability;
 
 Result<CachedTranslation> BuildTranslationTemplate(
     const std::string& sql_b, const sql::NormalizedStatement& norm,
+    const std::vector<serializer::LiteralSite>& tagged,
     std::vector<std::string>* sql_b_identifiers) {
-  HQ_ASSIGN_OR_RETURN(std::vector<sql::Token> tokens, sql::Tokenize(sql_b));
-  if (tokens.size() <= 1) {
-    return Status::NotSupported("translation produced no executable tokens");
-  }
+  // Index of the literal whose SQL-A offset is `offset`, or kForeign when
+  // no extracted literal starts there. Literals are in offset order.
+  constexpr int kUntagged = -1;
+  constexpr int kForeign = -2;
+  auto literal_at = [&norm](int offset) {
+    auto it = std::lower_bound(
+        norm.literals.begin(), norm.literals.end(), offset,
+        [](const sql::ExtractedLiteral& lit, int off) {
+          return static_cast<int>(lit.offset) < off;
+        });
+    return it != norm.literals.end() && static_cast<int>(it->offset) == offset
+               ? static_cast<int>(it - norm.literals.begin())
+               : kForeign;
+  };
 
   // Literal tokens of the serialized statement, in textual order. The raw
   // byte slice is compared, so string tokens carry their quotes and ''
-  // escapes exactly as the serializer emitted them.
-  struct LiteralSite {
+  // escapes exactly as the serializer emitted them. A token inside a
+  // tagged range belongs to that range's literal. One streaming pass: no
+  // token vector is materialized.
+  struct TokenSite {
     size_t begin;
     size_t end;
-    std::string raw;
+    std::string_view raw;
+    int owner = kUntagged;  // literal index, kUntagged or kForeign
     bool claimed = false;
   };
-  std::vector<LiteralSite> sites;
-  for (const sql::Token& t : tokens) {
+  std::vector<TokenSite> sites;
+  size_t next_tag = 0;
+  size_t token_count = 0;
+  sql::StreamLexer lexer(sql_b);
+  sql::Token t;
+  while (true) {
+    HQ_RETURN_IF_ERROR(lexer.Next(&t));
+    if (t.kind == sql::TokenKind::kEof) break;
+    ++token_count;
     switch (t.kind) {
       case sql::TokenKind::kString:
       case sql::TokenKind::kInteger:
       case sql::TokenKind::kDecimal:
-      case sql::TokenKind::kFloat:
-        sites.push_back({t.begin_offset, t.end_offset,
-                         sql_b.substr(t.begin_offset,
-                                      t.end_offset - t.begin_offset)});
+      case sql::TokenKind::kFloat: {
+        TokenSite site{t.begin_offset, t.end_offset,
+                       std::string_view(sql_b).substr(
+                           t.begin_offset, t.end_offset - t.begin_offset)};
+        while (next_tag < tagged.size() &&
+               tagged[next_tag].end <= t.begin_offset) {
+          ++next_tag;
+        }
+        if (next_tag < tagged.size() &&
+            tagged[next_tag].begin <= t.begin_offset &&
+            t.end_offset <= tagged[next_tag].end) {
+          site.owner = literal_at(tagged[next_tag].literal_offset);
+        }
+        sites.push_back(std::move(site));
         break;
+      }
       case sql::TokenKind::kIdent:
         if (sql_b_identifiers != nullptr) {
           sql_b_identifiers->push_back(t.upper);
@@ -57,29 +89,49 @@ Result<CachedTranslation> BuildTranslationTemplate(
         break;
     }
   }
+  if (token_count == 0) {
+    return Status::NotSupported("translation produced no executable tokens");
+  }
 
   // Each SQL-A literal must claim exactly one SQL-B literal site. A
   // literal that was folded away matches zero sites; one duplicated by a
   // rewrite, or colliding with a transform-introduced constant, matches
-  // more than one. Either way the statement is not safely parameterizable.
+  // more than one. Provenance narrows the match: a site tagged with
+  // another literal is never a candidate, and among several value matches
+  // the literal's own tagged site wins. Otherwise the statement is not
+  // safely parameterizable.
   struct Claim {
     size_t site;
     TemplateSlot slot;
   };
   std::vector<Claim> claims;
   claims.reserve(norm.literals.size());
+  bool narrowed = false;
   for (size_t i = 0; i < norm.literals.size(); ++i) {
     const sql::ExtractedLiteral& lit = norm.literals[i];
     sql::SpliceMode mode = sql::NaturalSpliceMode(lit);
     HQ_ASSIGN_OR_RETURN(std::string canonical,
                         sql::RenderLiteralCanonical(lit, mode));
     size_t found = sites.size();
+    size_t own = sites.size();
     int matches = 0;
+    int own_matches = 0;
     for (size_t j = 0; j < sites.size(); ++j) {
-      if (!sites[j].claimed && sites[j].raw == canonical) {
-        ++matches;
-        found = j;
+      const TokenSite& site = sites[j];
+      if (site.claimed || site.raw != canonical) continue;
+      if (site.owner == static_cast<int>(i)) {
+        ++own_matches;
+        own = j;
+      } else if (site.owner != kUntagged) {
+        continue;
       }
+      ++matches;
+      found = j;
+    }
+    if (matches > 1 && own_matches == 1) {
+      found = own;
+      matches = 1;
+      narrowed = true;
     }
     if (matches != 1) {
       return Status::NotSupported(
@@ -104,12 +156,21 @@ Result<CachedTranslation> BuildTranslationTemplate(
   CachedTranslation entry;
   size_t cursor = 0;
   for (const Claim& c : claims) {
-    const LiteralSite& site = sites[c.site];
+    const TokenSite& site = sites[c.site];
     entry.pieces.push_back(sql_b.substr(cursor, site.begin - cursor));
     entry.slots.push_back(c.slot);
     cursor = site.end;
   }
   entry.pieces.push_back(sql_b.substr(cursor));
+  if (narrowed) {
+    // A template resolved through provenance must still reproduce its
+    // creator's translation byte-for-byte when re-spliced.
+    HQ_ASSIGN_OR_RETURN(std::string respliced,
+                        SpliceTranslationTemplate(entry, norm));
+    if (respliced != sql_b) {
+      return Status::NotSupported("template failed re-splice verification");
+    }
+  }
   return entry;
 }
 
@@ -148,97 +209,6 @@ Result<std::string> SpliceTranslationTemplate(
                         sql::RenderLiteralCanonical(lit, slot.mode));
     out += rendered;
     out += entry.pieces[k + 1];
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Sentinel disambiguation
-// ---------------------------------------------------------------------------
-
-sql::ExtractedLiteral MakeSentinelLiteral(
-    const sql::ExtractedLiteral& original, size_t slot) {
-  sql::ExtractedLiteral s;
-  s.kind = original.kind;
-  s.type_keyword = original.type_keyword;
-  // Values are chosen from ranges no real query uses so they cannot
-  // collide with transform-introduced constants; if one ever does, the
-  // exactly-one-match rule in BuildTranslationTemplate still catches it.
-  char buf[40];
-  switch (original.kind) {
-    case sql::TokenKind::kInteger:
-      s.text = std::to_string(880000001 + slot);
-      break;
-    case sql::TokenKind::kDecimal: {
-      size_t dot = original.text.find('.');
-      size_t scale =
-          dot == std::string::npos ? 0 : original.text.size() - dot - 1;
-      s.text = std::to_string(88000001 + slot);
-      s.text += '.';
-      s.text.append(scale, '7');
-      break;
-    }
-    case sql::TokenKind::kFloat:
-      s.text = "8.8" + std::to_string(100 + slot) + "e37";
-      break;
-    default: {  // kString, plain or typed
-      if (original.type_keyword == "DATE") {
-        std::snprintf(buf, sizeof(buf), "%04zu-%02zu-%02zu", 2185 + slot / 336,
-                      (slot / 28) % 12 + 1, slot % 28 + 1);
-        s.text = buf;
-      } else if (original.type_keyword == "TIME") {
-        std::snprintf(buf, sizeof(buf), "%02zu:%02zu:%02zu", slot % 24,
-                      (7 * slot + 1) % 60, (13 * slot + 2) % 60);
-        s.text = buf;
-      } else if (original.type_keyword == "TIMESTAMP") {
-        std::snprintf(buf, sizeof(buf), "%04zu-01-01 %02zu:%02zu:%02zu",
-                      2185 + slot / 24, slot % 24, (7 * slot + 1) % 60,
-                      (13 * slot + 2) % 60);
-        s.text = buf;
-      } else {
-        s.text = "HQSENTINEL" + std::to_string(slot);
-      }
-      break;
-    }
-  }
-  return s;
-}
-
-Result<std::string> SubstituteTemplateLiterals(
-    const std::string& template_sql,
-    const std::vector<sql::ExtractedLiteral>& literals) {
-  std::string out;
-  out.reserve(template_sql.size() + literals.size() * 24);
-  size_t next = 0;
-  bool in_string = false;
-  bool in_quoted_ident = false;
-  for (size_t i = 0; i < template_sql.size(); ++i) {
-    char c = template_sql[i];
-    if (c == '\'' && !in_quoted_ident) in_string = !in_string;
-    if (c == '"' && !in_string) in_quoted_ident = !in_quoted_ident;
-    if (c == '?' && !in_string && !in_quoted_ident) {
-      // Templates separate tokens with single spaces, so a literal
-      // placeholder is always a standalone '?' token.
-      bool alone = (i == 0 || template_sql[i - 1] == ' ') &&
-                   (i + 1 == template_sql.size() || template_sql[i + 1] == ' ');
-      if (!alone) {
-        return Status::Internal("malformed placeholder in template");
-      }
-      if (next >= literals.size()) {
-        return Status::Internal("more placeholders than literals");
-      }
-      const sql::ExtractedLiteral& lit = literals[next++];
-      if (lit.kind == sql::TokenKind::kString) {
-        out += QuoteSql(lit.text, '\'');
-      } else {
-        out += lit.text;
-      }
-      continue;
-    }
-    out += c;
-  }
-  if (next != literals.size()) {
-    return Status::Internal("fewer placeholders than literals");
   }
   return out;
 }

@@ -4,7 +4,9 @@
 // cache maps a normalized SQL-A template (plus session settings, backend
 // profile, and catalog version) to the fully serialized SQL-B with the
 // literal positions cut out; a repeat shape skips the whole pipeline and
-// only re-splices its literals.
+// only re-splices its literals. The positions come from one cold
+// translation: each SQL-A literal's offset rides on its constant through
+// bind and transform, and the serializer reports where it landed.
 //
 // Sharded LRU: the key hash picks a shard, each shard has its own mutex,
 // LRU list, and byte budget, so concurrent sessions hitting different
@@ -25,6 +27,7 @@
 #include "common/resource_governor.h"
 #include "common/result.h"
 #include "observability/metrics.h"
+#include "serializer/serializer.h"
 #include "sql/normalizer.h"
 
 namespace hyperq::service {
@@ -78,24 +81,29 @@ struct CachedTranslation {
   FeatureSet features;
   int64_t catalog_version = 0;
   size_t bytes = 0;  // self-reported cost (filled by Insert)
-  /// Negative-cache marker: this shape was probed and proven
-  /// non-parameterizable (e.g. a literal folds away even under sentinel
-  /// re-translation). Callers treat a marker hit as a bypass, which keeps
-  /// permanently uncacheable shapes from paying the sentinel probe's
-  /// second translation on every single miss.
+  /// Negative-cache marker: a cold translation of this shape proved it
+  /// non-parameterizable (e.g. a literal folds away). Callers treat a
+  /// marker hit as a bypass and translate cold without building a
+  /// template again.
   bool uncacheable = false;
 };
 
 /// \brief Builds a template from a cold translation: each extracted
 /// literal's canonical rendering must match exactly one literal token of
-/// `sql_b` (token-aware, so '1' never matches inside '100'). Statements
-/// where that bijection fails — a literal was folded, duplicated,
-/// reformatted, or collides with a transform-introduced constant — are
-/// not safely parameterizable and the caller must bypass the cache.
-/// `sql_b_identifiers`, when non-null, receives every upper-cased
-/// identifier of the SQL-B text (volatile-table leak checks).
+/// `sql_b` (token-aware, so '1' never matches inside '100'). `tagged` is
+/// the literal provenance Serializer::Serialize reported: a token inside a
+/// range tagged with literal j is never claimed by another literal, and a
+/// literal with several value matches (duplicate values, e.g. TPC-H Q1's
+/// two 1s, or a transform-introduced constant equal to it) is narrowed to
+/// its own tagged site. Statements where the mapping is still not one to
+/// one — a literal was folded, duplicated or reformatted — are not safely
+/// parameterizable and the caller must bypass the cache. Empty `tagged`
+/// falls back to value matching alone. `sql_b_identifiers`, when non-null,
+/// receives every upper-cased identifier of the SQL-B text (volatile-table
+/// leak checks).
 Result<CachedTranslation> BuildTranslationTemplate(
     const std::string& sql_b, const sql::NormalizedStatement& norm,
+    const std::vector<serializer::LiteralSite>& tagged,
     std::vector<std::string>* sql_b_identifiers);
 
 /// \brief Renders a statement's literals into a cached template. Fails
@@ -103,23 +111,6 @@ Result<CachedTranslation> BuildTranslationTemplate(
 /// trips the temporal-coercion guard.
 Result<std::string> SpliceTranslationTemplate(
     const CachedTranslation& entry, const sql::NormalizedStatement& norm);
-
-/// \brief A type-preserving stand-in for literal `slot`, whose canonical
-/// rendering is unique per slot index. A statement re-translated with
-/// sentinels in place of its literals reveals which serialized site each
-/// literal position feeds, which disambiguates statements whose original
-/// literals collide (e.g. the constant 1 appearing twice in TPC-H Q1).
-sql::ExtractedLiteral MakeSentinelLiteral(const sql::ExtractedLiteral& original,
-                                          size_t slot);
-
-/// \brief Rebuilds SQL-A text from a normalized template by substituting
-/// the k-th literal placeholder '?' with literals[k]. Quote-aware, so a
-/// '?' inside a retained string literal (INTERVAL values) or quoted
-/// identifier is never touched. Fails if placeholder and literal counts
-/// disagree.
-Result<std::string> SubstituteTemplateLiterals(
-    const std::string& template_sql,
-    const std::vector<sql::ExtractedLiteral>& literals);
 
 class TranslationCache {
  public:

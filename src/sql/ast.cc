@@ -76,6 +76,7 @@ ExprPtr Expr::Clone() const {
   auto c = std::make_unique<Expr>(kind);
   c->value = value;
   c->const_type = const_type;
+  c->literal_offset = literal_offset;
   c->name_parts = name_parts;
   c->func_name = func_name;
   c->uop = uop;
@@ -117,6 +118,7 @@ std::unique_ptr<QueryBlock> CloneBlock(const QueryBlock& b) {
   auto c = std::make_unique<QueryBlock>();
   c->distinct = b.distinct;
   c->top_n = b.top_n;
+  c->top_offset = b.top_offset;
   c->top_with_ties = b.top_with_ties;
   for (const auto& item : b.select_list) {
     SelectItem si;
@@ -155,6 +157,7 @@ std::unique_ptr<SelectStmt> SelectStmt::Clone() const {
   if (set_right) c->set_right = set_right->Clone();
   c->order_by = CloneOrder(order_by);
   c->limit = limit;
+  c->limit_offset = limit_offset;
   return c;
 }
 

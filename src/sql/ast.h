@@ -98,6 +98,10 @@ struct Expr {
   // kConst
   Datum value;
   SqlType const_type;
+  /// Byte offset in the parsed text of the literal token this constant was
+  /// built from (sql::ExtractedLiteral::offset); -1 for keywords (NULL,
+  /// TRUE), INTERVAL values and constants a rewrite builds.
+  int literal_offset = -1;
 
   // kIdent / kStar qualifier / kParam name / kFunc name / kExtract field
   std::vector<std::string> name_parts;
@@ -215,6 +219,7 @@ struct QueryBlock {
   bool distinct = false;
   /// Teradata TOP n [WITH TIES]; -1 = absent.
   int64_t top_n = -1;
+  int top_offset = -1;  // byte offset of the n token (cf. literal_offset)
   bool top_with_ties = false;
   std::vector<SelectItem> select_list;
   std::vector<TableRefPtr> from;
@@ -246,6 +251,7 @@ struct SelectStmt {
 
   std::vector<OrderItem> order_by;
   int64_t limit = -1;  // ANSI LIMIT / serialized form of TOP
+  int limit_offset = -1;  // byte offset of the n token (cf. literal_offset)
 
   std::unique_ptr<SelectStmt> Clone() const;
 };

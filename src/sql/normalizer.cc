@@ -73,6 +73,7 @@ Result<NormalizedStatement> NormalizeStatement(const std::string& sql) {
         ExtractedLiteral lit;
         lit.kind = t.kind;
         lit.text = t.text;
+        lit.offset = t.begin_offset;
         if (prev_temporal != nullptr) lit.type_keyword = prev_temporal;
         if (!out.literal_signature.empty()) out.literal_signature += ',';
         out.literal_signature += LiteralTag(lit);
@@ -87,6 +88,7 @@ Result<NormalizedStatement> NormalizeStatement(const std::string& sql) {
         ExtractedLiteral lit;
         lit.kind = t.kind;
         lit.text = t.text;
+        lit.offset = t.begin_offset;
         if (!out.literal_signature.empty()) out.literal_signature += ',';
         out.literal_signature += LiteralTag(lit);
         if (t.kind == TokenKind::kDecimal) {

@@ -44,6 +44,10 @@ struct ExtractedLiteral {
   /// Typed-literal context: "DATE"/"TIME"/"TIMESTAMP" when the string
   /// literal directly follows that keyword; empty otherwise.
   std::string type_keyword;
+  /// Byte offset of the literal token in the SQL-A text. The parser stamps
+  /// the same offset on the constant it builds from this token, which is
+  /// how the translation cache ties a serialized site back to its literal.
+  size_t offset = 0;
 };
 
 /// \brief A statement reduced to its cacheable shape.

@@ -228,6 +228,7 @@ class Parser {
       HQ_ASSIGN_OR_RETURN(stmt->order_by, ParseOrderByClause());
     }
     if (dialect_.allow_limit && ts_.ConsumeKeyword("LIMIT")) {
+      stmt->limit_offset = static_cast<int>(ts_.Peek().begin_offset);
       HQ_ASSIGN_OR_RETURN(int64_t n, ParseIntegerLiteral());
       stmt->limit = n;
     } else if (dialect_.allow_limit && ts_.Peek().IsKeyword("FETCH")) {
@@ -236,6 +237,7 @@ class Parser {
       if (!ts_.ConsumeKeyword("FIRST")) {
         HQ_RETURN_IF_ERROR(ts_.ExpectKeyword("NEXT"));
       }
+      stmt->limit_offset = static_cast<int>(ts_.Peek().begin_offset);
       HQ_ASSIGN_OR_RETURN(int64_t n, ParseIntegerLiteral());
       if (!ts_.ConsumeKeyword("ROWS")) {
         HQ_RETURN_IF_ERROR(ts_.ExpectKeyword("ROW"));
@@ -301,6 +303,7 @@ class Parser {
     }
     if (dialect_.allow_top && ts_.Peek().IsKeyword("TOP")) {
       ts_.Next();
+      block->top_offset = static_cast<int>(ts_.Peek().begin_offset);
       HQ_ASSIGN_OR_RETURN(block->top_n, ParseIntegerLiteral());
       if (ts_.ConsumeKeyword("WITH")) {
         HQ_RETURN_IF_ERROR(ts_.ExpectKeyword("TIES"));
@@ -757,27 +760,35 @@ class Parser {
     return ParsePrimary();
   }
 
+  // Stamps the literal token's offset on the constant built from it (the
+  // normalizer records the same offset for the extracted literal).
+  static ExprPtr FromLiteral(const Token& t, ExprPtr e) {
+    e->literal_offset = static_cast<int>(t.begin_offset);
+    return e;
+  }
+
   Result<ExprPtr> ParsePrimary() {
     const Token& t = ts_.Peek();
     switch (t.kind) {
       case TokenKind::kInteger: {
         ts_.Next();
-        return MakeIntConst(std::strtoll(t.text.c_str(), nullptr, 10));
+        return FromLiteral(
+            t, MakeIntConst(std::strtoll(t.text.c_str(), nullptr, 10)));
       }
       case TokenKind::kDecimal: {
         ts_.Next();
         HQ_ASSIGN_OR_RETURN(Decimal d, Decimal::Parse(t.text));
-        return MakeConst(Datum::MakeDecimal(d),
-                         SqlType::Decimal(18, d.scale));
+        return FromLiteral(t, MakeConst(Datum::MakeDecimal(d),
+                                        SqlType::Decimal(18, d.scale)));
       }
       case TokenKind::kFloat: {
         ts_.Next();
-        return MakeConst(Datum::MakeDouble(std::strtod(t.text.c_str(), nullptr)),
-                         SqlType::Double());
+        double v = std::strtod(t.text.c_str(), nullptr);
+        return FromLiteral(t, MakeConst(Datum::MakeDouble(v), SqlType::Double()));
       }
       case TokenKind::kString: {
         ts_.Next();
-        return MakeStringConst(t.text);
+        return FromLiteral(t, MakeStringConst(t.text));
       }
       case TokenKind::kParam: {
         ts_.Next();
@@ -844,17 +855,20 @@ class Parser {
     if ((kw == "DATE" || kw == "TIME" || kw == "TIMESTAMP") &&
         ts_.Peek(1).kind == TokenKind::kString) {
       ts_.Next();
-      std::string text = ts_.Next().text;
+      const Token& lit = ts_.Next();
+      const std::string& text = lit.text;
       if (kw == "DATE") {
         HQ_ASSIGN_OR_RETURN(int32_t days, ParseDate(text));
-        return MakeConst(Datum::Date(days), SqlType::Date());
+        return FromLiteral(lit, MakeConst(Datum::Date(days), SqlType::Date()));
       }
       if (kw == "TIME") {
         HQ_ASSIGN_OR_RETURN(int64_t micros, ParseTime(text));
-        return MakeConst(Datum::Time(micros), SqlType::Time());
+        return FromLiteral(lit,
+                           MakeConst(Datum::Time(micros), SqlType::Time()));
       }
       HQ_ASSIGN_OR_RETURN(int64_t micros, ParseTimestamp(text));
-      return MakeConst(Datum::Timestamp(micros), SqlType::Timestamp());
+      return FromLiteral(
+          lit, MakeConst(Datum::Timestamp(micros), SqlType::Timestamp()));
     }
     if (kw == "INTERVAL" && ts_.Peek(1).kind == TokenKind::kString) {
       // INTERVAL 'n' DAY|HOUR|MINUTE|SECOND|MONTH|YEAR

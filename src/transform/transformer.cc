@@ -176,7 +176,7 @@ class VectorSubqToExistsRule : public Rule {
       std::vector<xtra::ProjectItem> items;
       xtra::ProjectItem one;
       one.expr = xtra::IntConst(1);
-      one.out_id = ctx->ids ? ctx->ids->Next() : 1000000;
+      one.out_id = ctx->ids ? ctx->ids->Next() : binder::kFirstRewriteColId;
       one.name = "ONE";
       items.push_back(std::move(one));
       OpPtr remap = xtra::Project(std::move(x.subplan), std::move(items));

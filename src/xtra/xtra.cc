@@ -95,6 +95,7 @@ ExprPtr Expr::Clone() const {
   c->col_id = col_id;
   c->col_name = col_name;
   c->value = value;
+  c->literal_offset = literal_offset;
   c->arith = arith;
   c->comp = comp;
   c->boolk = boolk;
@@ -172,6 +173,7 @@ OpPtr Op::Clone() const {
     c->sort_items.push_back(std::move(si));
   }
   c->limit_count = limit_count;
+  c->limit_offset = limit_offset;
   c->with_ties = with_ties;
   c->cte_name = cte_name;
   c->cte_columns = cte_columns;

@@ -79,6 +79,11 @@ struct Expr {
 
   // kConst
   Datum value;
+  /// SQL-A byte offset of the literal this constant was bound from
+  /// (sql::Expr::literal_offset); -1 for constants a rule builds or folds.
+  /// The serializer reports where tagged constants land in SQL-B, which is
+  /// how the translation cache maps each literal to its site.
+  int literal_offset = -1;
 
   // kArith / kComp / kBool
   ArithKind arith = ArithKind::kAdd;
@@ -237,6 +242,7 @@ struct Op {
 
   // kLimit
   int64_t limit_count = -1;
+  int limit_offset = -1;  // SQL-A offset of the n literal (cf. Expr)
   bool with_ties = false;
 
   // kCteRef / kRecursiveCte

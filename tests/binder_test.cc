@@ -1,6 +1,10 @@
 // Binder tests: name resolution, scoping, feature recording, and the
 // binding-time rewrites of paper Table 2.
 
+#include <algorithm>
+#include <functional>
+#include <map>
+
 #include <gtest/gtest.h>
 
 #include "binder/binder.h"
@@ -129,6 +133,32 @@ TEST_F(BinderTest, ViewExpansion) {
   };
   walk(**plan);
   EXPECT_TRUE(found_t);
+}
+
+// Literal provenance: a constant bound from the statement's own literal
+// keeps that literal's SQL-A offset; constants from a view body (parsed
+// from catalog text) carry none, even where the values coincide.
+TEST_F(BinderTest, OnlyTheStatementsLiteralsKeepTheirOffsets) {
+  const std::string sql = "SEL A FROM V WHERE B = 'x' AND A < 0";
+  auto plan = Bind(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  std::map<std::string, std::vector<int>> offsets;  // rendered value -> tags
+  std::function<void(const xtra::Expr&)> visit = [&](const xtra::Expr& e) {
+    if (e.kind == xtra::ExprKind::kConst) {
+      offsets[e.value.ToString()].push_back(e.literal_offset);
+    }
+    for (const auto& c : e.children) visit(*c);
+  };
+  std::function<void(const xtra::Op&)> walk = [&](const xtra::Op& op) {
+    if (op.predicate) visit(*op.predicate);
+    for (const auto& c : op.children) walk(*c);
+  };
+  walk(**plan);
+  EXPECT_EQ(offsets["x"], std::vector<int>{static_cast<int>(sql.find("'x'"))});
+  std::vector<int> zeros = offsets["0"];
+  std::sort(zeros.begin(), zeros.end());
+  EXPECT_EQ(zeros,
+            (std::vector<int>{-1, static_cast<int>(sql.find("0"))}));
 }
 
 TEST_F(BinderTest, AggregateDecomposition) {

@@ -1,6 +1,10 @@
 // Serializer tests: SQL-B synthesis details, quoting, literals, and the
 // capability guard errors for constructs that must not reach it.
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "binder/binder.h"
@@ -62,6 +66,71 @@ TEST_F(SerializerTest, LiteralRendering) {
   EXPECT_NE(sql->find("DATE '2014-01-01'"), std::string::npos);
   EXPECT_NE(sql->find("IS NULL"), std::string::npos);
   RoundTripsThroughVdb(*sql);
+}
+
+// Literal provenance: every constant the parser built from a SQL-A literal
+// token reports where it landed in SQL-B, keyed by the token's offset; a
+// folded constant (the negated 7) reports nothing. Asking for sites never
+// changes the text.
+TEST_F(SerializerTest, ReportsSitesOfTaggedLiterals) {
+  const std::string sql =
+      "SEL A FROM T WHERE A BETWEEN 5 AND 5 AND B = 'x' AND A <> -7";
+  auto stmt = sql::ParseStatement(sql, sql::Dialect::Teradata());
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  binder::Binder binder(&catalog_, sql::Dialect::Teradata());
+  auto plan = binder.BindStatement(**stmt);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  Serializer ser(transform::BackendProfile::Vdb());
+  std::vector<LiteralSite> sites;
+  auto marked = ser.Serialize(**plan, &sites);
+  auto plain = ser.Serialize(**plan);
+  ASSERT_TRUE(marked.ok()) << marked.status();
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  EXPECT_EQ(*marked, *plain);
+
+  size_t first_five = sql.find("5 AND 5");
+  std::vector<std::pair<int, std::string>> expected = {
+      {static_cast<int>(first_five), "5"},
+      {static_cast<int>(first_five + 6), "5"},
+      {static_cast<int>(sql.find("'x'")), "'x'"}};
+  ASSERT_EQ(sites.size(), expected.size()) << *plain;
+  for (size_t i = 0; i < sites.size(); ++i) {
+    EXPECT_EQ(sites[i].literal_offset, expected[i].first) << i;
+    EXPECT_EQ(plain->substr(sites[i].begin, sites[i].end - sites[i].begin),
+              expected[i].second)
+        << i;
+  }
+}
+
+// Text that carries a marker byte of its own — a constant, or a catalog
+// name that never passed through SQL-A (here one shaped like a marker) —
+// cannot be told apart from a marker: no sites, and the text is exact.
+TEST_F(SerializerTest, MarkerBytesInRenderedTextYieldNoSites) {
+  const std::string forged = std::string("X\x01") + "0\x01Y\x02";
+  TableDef w;
+  w.name = "W";
+  w.columns = {{"A", SqlType::Int(), true, {}},
+               {forged, SqlType::Int(), true, {}}};
+  ASSERT_TRUE(catalog_.CreateTable(w).ok());
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"SEL A FROM T WHERE B = 'a\x01" "b' AND A = 5", "'a\x01" "b'"},
+      {"SEL * FROM W WHERE A = 5", forged}};
+  Serializer ser(transform::BackendProfile::Vdb());
+  for (const auto& [sql, raw] : cases) {
+    auto stmt = sql::ParseStatement(sql, sql::Dialect::Teradata());
+    ASSERT_TRUE(stmt.ok()) << stmt.status();
+    binder::Binder binder(&catalog_, sql::Dialect::Teradata());
+    auto plan = binder.BindStatement(**stmt);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    std::vector<LiteralSite> sites;
+    auto marked = ser.Serialize(**plan, &sites);
+    auto plain = ser.Serialize(**plan);
+    ASSERT_TRUE(marked.ok()) << marked.status();
+    ASSERT_TRUE(plain.ok()) << plain.status();
+    EXPECT_EQ(*marked, *plain);
+    EXPECT_NE(plain->find(raw), std::string::npos) << *plain;
+    EXPECT_TRUE(sites.empty()) << sql;
+  }
 }
 
 TEST_F(SerializerTest, FloatLiteralStaysFloat) {
