@@ -10,9 +10,9 @@
 #                               # suites under ASan+UBSan
 #   scripts/tier1.sh --tsan     # also build build-tsan/ and run the
 #                               # cross-thread suites (`lifecycle`,
-#                               # `faults`, `observability`, `fleet`,
-#                               # `tail`, `chaos`, `batch`, `cache`)
-#                               # under ThreadSanitizer
+#                               # `faults`, `failover`, `observability`,
+#                               # `fleet`, `tail`, `chaos`, `batch`,
+#                               # `cache`) under ThreadSanitizer
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,6 +60,11 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake --build build-tsan -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -L lifecycle -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -L faults -j "$jobs"
+  # Every session — a single backend is a fleet of one — shares its
+  # backend's breaker and takes pool slots through Acquire/Release, so the
+  # failover suite (journal replay, the server's admission queue and drain)
+  # crosses threads through that shared state too.
+  ctest --test-dir build-tsan --output-on-failure -L failover -j "$jobs"
   # The registry's whole contract is lock-cheap cross-thread counting and
   # the trace is mutated by the worker while cancellation inspects it —
   # the observability suite must be TSan-clean, not just ASan-clean.

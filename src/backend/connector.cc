@@ -24,7 +24,7 @@ BackendConnector::BackendConnector(vdb::Engine* engine,
                                    ConnectorOptions options)
     : engine_(engine),
       options_(std::move(options)),
-      breaker_(options_.breaker) {
+      breaker_(options_.breaker, options_.shared_breaker) {
   if (options_.metrics != nullptr) {
     attempts_counter_ =
         options_.metrics->counter(obs::names::kBackendAttempts);

@@ -79,10 +79,10 @@ struct ConnectorOptions {
   observability::MetricsRegistry* metrics = nullptr;
 
   // --- Fleet wiring (DESIGN.md §10) ---------------------------------------
-  /// When set, attempts are admitted through this breaker instead of the
-  /// connector's own: the pool shares one breaker per backend instance
-  /// across every session bound to it, so one session's failures protect
-  /// them all. Must outlive the connector (the pool owns both).
+  /// When set, the connector's breaker is a lane of this one (retry.h):
+  /// the pool shares one breaker per backend instance across every
+  /// session bound to it, so one session's run of failures protects them
+  /// all. Must outlive the connector (the pool owns both).
   CircuitBreaker* shared_breaker = nullptr;
   /// Pool liveness hook, consulted at attempt start and at every batch
   /// boundary while packaging; a non-OK status aborts the attempt. The
@@ -102,8 +102,7 @@ struct ConnectorOptions {
 };
 
 /// \brief Submits SQL-B requests to the target engine and packages results.
-/// One connector per session, like one ODBC connection per session. The
-/// connector owns the session's circuit breaker.
+/// One connector per session, like one ODBC connection per session.
 class BackendConnector {
  public:
   explicit BackendConnector(vdb::Engine* engine,
@@ -122,12 +121,9 @@ class BackendConnector {
                                       QueryContext* ctx = nullptr);
 
   vdb::Engine* engine() { return engine_; }
-  /// The breaker attempts are admitted through: the pool's shared
-  /// per-backend breaker when configured, else the connector's own.
-  CircuitBreaker* breaker() {
-    return options_.shared_breaker != nullptr ? options_.shared_breaker
-                                              : &breaker_;
-  }
+  /// The breaker attempts are admitted through: a lane of the pool's
+  /// shared per-backend breaker when configured, else the connector's own.
+  CircuitBreaker* breaker() { return &breaker_; }
 
   // --- Backend-session failover (DESIGN.md §6, "Failover & overload") ----
 

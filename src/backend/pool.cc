@@ -64,13 +64,20 @@ BackendPool::BackendPool(vdb::Engine* default_engine,
 
 BackendPool::~BackendPool() { Stop(); }
 
+void BackendPool::SetProfile(size_t i, transform::BackendProfile profile) {
+  Instance& inst = *instances_[i];
+  inst.spec.profile = std::move(profile);
+  inst.digest = inst.spec.profile.CacheKeyDigest();
+}
+
 void BackendPool::EvaluateLocked(Instance& inst,
                                  std::chrono::steady_clock::time_point now,
                                  double add_score) {
   // Exponential decay since the last evaluation, then the new failure mass.
   double elapsed_ms =
       std::chrono::duration<double, std::milli>(now - inst.last_decay).count();
-  if (elapsed_ms > 0 && options_.health.decay_half_life_ms > 0) {
+  if (inst.score > 0 && elapsed_ms > 0 &&
+      options_.health.decay_half_life_ms > 0) {
     inst.score *=
         std::pow(0.5, elapsed_ms / options_.health.decay_half_life_ms);
   }

@@ -18,10 +18,11 @@
 // The score accumulates `error_weight` per liveness failure (transient
 // errors, session losses, I/O errors, deadline expiries, failed probes)
 // and decays exponentially with a configurable half-life, so a backend
-// recovers on its own once errors stop. EJECTED backends are invisible to
-// the router until a deterministic jittered cooldown elapses, after which
-// they re-enter as DEGRADED (probation) — jitter decorrelates re-admission
-// across proxies so a recovering replica is not stampeded.
+// recovers on its own once errors stop. The router avoids EJECTED backends
+// while any other candidate is live (router.h, last-resort probation) until
+// a deterministic jittered cooldown elapses, after which they re-enter as
+// DEGRADED (probation) — jitter decorrelates re-admission across proxies
+// so a recovering replica is not stampeded.
 //
 // Replica model: specs may point at distinct vdb::Engine instances or
 // (engine == nullptr) share the pool's default engine — the cloud-DW
@@ -118,6 +119,10 @@ class BackendPool {
     return instances_[i]->digest;
   }
   vdb::Engine* engine(size_t i) const { return instances_[i]->engine; }
+  /// \brief Replaces backend `i`'s capability profile (and digest). Not
+  /// synchronized with routing: callers switch profiles only while no
+  /// query is in flight.
+  void SetProfile(size_t i, transform::BackendProfile profile);
   CircuitBreaker* breaker(size_t i) { return &instances_[i]->breaker; }
 
   /// \brief Current health of backend `i`. Evaluation is lazy: the score

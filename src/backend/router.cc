@@ -13,6 +13,19 @@ uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
 }
+
+// How one backend stands against a query's constraints.
+enum class Fit {
+  kEligible,       // live and capable
+  kEjected,        // capable but EJECTED (not killed): last-resort probation
+  kDigestBlocked,  // live and capable, but cannot honor the journal digest
+  kOut,            // excluded, killed, or unable to serve the profile
+};
+
+struct Candidate {
+  int index;
+  BackendHealth health;
+};
 }  // namespace
 
 Result<RouteDecision> Router::Pick(const RouteConstraints& constraints) {
@@ -20,35 +33,48 @@ Result<RouteDecision> Router::Pick(const RouteConstraints& constraints) {
                          .Check(faultpoints::kRouterPick)
                          .WithContext("router"));
 
-  struct Candidate {
-    int index;
-    BackendHealth health;
-  };
-  std::vector<Candidate> eligible;
-  bool digest_blocked_live_backend = false;
-  for (size_t i = 0; i < pool_->size(); ++i) {
-    int idx = static_cast<int>(i);
+  auto classify = [&](int idx, BackendHealth* health) {
     if (std::find(constraints.exclude.begin(), constraints.exclude.end(),
                   idx) != constraints.exclude.end()) {
-      continue;
+      return Fit::kOut;
     }
-    BackendHealth h = pool_->health(i);
-    if (h == BackendHealth::kEjected) continue;
+    size_t i = static_cast<size_t>(idx);
+    *health = pool_->health(i);
+    bool ejected = *health == BackendHealth::kEjected;
+    if (ejected && pool_->killed(i)) return Fit::kOut;
     if (constraints.emitted != nullptr &&
         !pool_->spec(i).profile.CanServe(*constraints.emitted)) {
-      continue;
+      return Fit::kOut;
     }
     if (constraints.require_profile_digest &&
         pool_->profile_digest(i) != constraints.profile_digest) {
       // Alive and capable, rejected only because it cannot honor the
       // session's journaled state — remember that for the error taxonomy.
-      digest_blocked_live_backend = true;
-      continue;
+      return ejected ? Fit::kOut : Fit::kDigestBlocked;
     }
-    eligible.push_back({idx, h});
+    return ejected ? Fit::kEjected : Fit::kEligible;
+  };
+
+  // Stickiness: keep the session where its state lives. The common case —
+  // the bound backend is eligible — is decided without a candidate list.
+  BackendHealth health;
+  if (constraints.sticky >= 0 &&
+      static_cast<size_t>(constraints.sticky) < pool_->size() &&
+      classify(constraints.sticky, &health) == Fit::kEligible) {
+    return RouteDecision{constraints.sticky, "sticky"};
   }
 
-  if (eligible.empty()) {
+  std::vector<Candidate> eligible;
+  std::vector<Candidate> ejected;
+  bool digest_blocked_live_backend = false;
+  for (size_t i = 0; i < pool_->size(); ++i) {
+    int idx = static_cast<int>(i);
+    Fit fit = classify(idx, &health);
+    if (fit == Fit::kEligible) eligible.push_back({idx, health});
+    if (fit == Fit::kEjected) ejected.push_back({idx, health});
+    if (fit == Fit::kDigestBlocked) digest_blocked_live_backend = true;
+  }
+  if (eligible.empty() && ejected.empty()) {
     if (digest_blocked_live_backend) {
       return Status::Unavailable(
                  "no replica matches the session's backend profile "
@@ -62,25 +88,29 @@ Result<RouteDecision> Router::Pick(const RouteConstraints& constraints) {
         .WithDetail(StatusDetail::kBackendDown);
   }
 
-  // Stickiness: keep the session where its state lives.
-  for (const Candidate& c : eligible) {
+  // Last-resort probation: when every live, capable candidate is EJECTED
+  // by passive scoring, route to them rather than fail. Scores rank
+  // replicas; they never refuse work only an ejected replica can take.
+  const bool last_resort = eligible.empty();
+  std::vector<Candidate>& live = last_resort ? ejected : eligible;
+  for (const Candidate& c : live) {
     if (c.index == constraints.sticky) {
-      return RouteDecision{c.index, "sticky"};
+      return RouteDecision{c.index, last_resort ? "probation" : "sticky"};
     }
   }
-  if (eligible.size() == 1) {
-    return RouteDecision{eligible[0].index, "only"};
+  if (live.size() == 1) {
+    return RouteDecision{live[0].index, last_resort ? "probation" : "only"};
   }
 
   // Healthiest tier first: HEALTHY backends take all traffic while any
-  // exist; DEGRADED ones only serve as probation fallback.
+  // exist; DEGRADED (and last-resort EJECTED) ones only serve as probation.
   std::vector<Candidate> tier;
-  for (const Candidate& c : eligible) {
+  for (const Candidate& c : live) {
     if (c.health == BackendHealth::kHealthy) tier.push_back(c);
   }
   const char* reason = "p2c";
   if (tier.empty()) {
-    tier = eligible;
+    tier = std::move(live);
     reason = "probation";
   }
   if (tier.size() == 1) {

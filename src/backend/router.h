@@ -8,10 +8,16 @@
 //     digest that state was created under.
 //  2. Stickiness — a session's bound backend wins while it is eligible, so
 //     session-scoped state (volatile tables, settings) stays where it is.
+//     This is the common case and is decided without a candidate list.
 //  3. Load — among the healthiest eligible tier (HEALTHY preferred,
 //     DEGRADED as probation fallback), power-of-two-choices by in-flight
 //     count: two seeded picks, the less-loaded one wins. Deterministic —
 //     the PRNG is a pure function of (seed, pick ordinal).
+//  4. Last-resort probation — when every live, capable candidate is
+//     EJECTED by passive scoring (none is killed), they are routed to as
+//     probation instead of failing: scores rank replicas, they never make
+//     the fleet refuse work only an ejected replica can take. A fleet of
+//     one therefore keeps serving through any run of liveness failures.
 //
 // When no candidate survives, the error distinguishes *why*: if at least
 // one live, capable backend was rejected only by the profile-digest
@@ -21,6 +27,7 @@
 
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -48,9 +55,14 @@ struct RouteConstraints {
   std::string profile_digest;
 };
 
+/// \brief Every RouteDecision::reason, in a fixed order (callers keep one
+/// metric series per backend and reason).
+inline constexpr std::array<const char*, 4> kRouteReasons = {
+    "sticky", "only", "p2c", "probation"};
+
 struct RouteDecision {
   int backend = -1;
-  /// "sticky" | "only" | "p2c" | "probation" — the route-metric label.
+  /// One of kRouteReasons — the route-metric label.
   std::string reason;
 };
 

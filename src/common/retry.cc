@@ -44,6 +44,7 @@ const char* BreakerStateName(BreakerState state) {
 }
 
 Status CircuitBreaker::Admit() {
+  if (shared_ != nullptr) return shared_->Admit();
   std::lock_guard<std::mutex> lock(mutex_);
   switch (state_) {
     case BreakerState::kClosed:
@@ -81,23 +82,46 @@ Status CircuitBreaker::Admit() {
 }
 
 void CircuitBreaker::OnSuccess() {
+  if (shared_ != nullptr) {
+    shared_->OnSuccess();
+    return;
+  }
   std::lock_guard<std::mutex> lock(mutex_);
+  ++successes_;
   failures_ = 0;
   probe_in_flight_ = false;
   state_ = BreakerState::kClosed;
 }
 
 void CircuitBreaker::OnFailure() {
+  if (shared_ != nullptr) {
+    shared_->OnLaneFailure(this);
+    return;
+  }
   std::lock_guard<std::mutex> lock(mutex_);
+  FailLocked(++failures_);
+}
+
+void CircuitBreaker::OnLaneFailure(CircuitBreaker* lane) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  // A success of any lane since this lane's streak began breaks it.
+  if (lane->successes_seen_ != successes_) {
+    lane->failures_ = 0;
+    lane->successes_seen_ = successes_;
+  }
+  failures_ = ++lane->failures_;
+  FailLocked(failures_);
+}
+
+void CircuitBreaker::FailLocked(int streak) {
   if (state_ == BreakerState::kHalfOpen) {
     // Failed probe: back to open, restart the cooldown.
     state_ = BreakerState::kOpen;
     probe_in_flight_ = false;
     opened_at_ = std::chrono::steady_clock::now();
-    ++failures_;
     return;
   }
-  if (++failures_ >= options_.failure_threshold &&
+  if (streak >= options_.failure_threshold &&
       state_ == BreakerState::kClosed) {
     state_ = BreakerState::kOpen;
     opened_at_ = std::chrono::steady_clock::now();
@@ -105,16 +129,19 @@ void CircuitBreaker::OnFailure() {
 }
 
 BreakerState CircuitBreaker::state() const {
+  if (shared_ != nullptr) return shared_->state();
   std::lock_guard<std::mutex> lock(mutex_);
   return state_;
 }
 
 int CircuitBreaker::consecutive_failures() const {
+  if (shared_ != nullptr) return shared_->consecutive_failures();
   std::lock_guard<std::mutex> lock(mutex_);
   return failures_;
 }
 
 int64_t CircuitBreaker::rejected_count() const {
+  if (shared_ != nullptr) return shared_->rejected_count();
   std::lock_guard<std::mutex> lock(mutex_);
   return rejected_;
 }

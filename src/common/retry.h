@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "common/result.h"
@@ -79,15 +80,24 @@ struct CircuitBreakerOptions {
   int cooldown_ms = 1000;     // open time before admitting a half-open probe
 };
 
-/// \brief Per-connector circuit breaker. Thread-safe.
+/// \brief Circuit breaker. Thread-safe.
 ///
 /// closed --(threshold consecutive transient failures)--> open
 /// open --(cooldown elapsed; one probe admitted)--> half-open
 /// half-open --probe success--> closed | --probe failure--> open
+///
+/// A breaker built over a `shared` one is a lane: one caller's view of a
+/// breaker shared by many (a pool backend's, shared by every session bound
+/// to it). Admission and state are the shared breaker's; the lane counts
+/// its caller's own consecutive failures, and a success of any lane breaks
+/// every streak. One caller's unbroken run of failures opens the breaker
+/// for all callers, while failures of many callers that keep succeeding in
+/// between never add up to a trip.
 class CircuitBreaker {
  public:
-  explicit CircuitBreaker(CircuitBreakerOptions options = {})
-      : options_(options) {}
+  explicit CircuitBreaker(CircuitBreakerOptions options = {},
+                          CircuitBreaker* shared = nullptr)
+      : options_(options), shared_(shared) {}
 
   /// \brief Gate before an attempt: OK to proceed, or a fail-fast
   /// kUnavailable while the breaker is open (or a probe is in flight).
@@ -102,10 +112,19 @@ class CircuitBreaker {
   int64_t rejected_count() const;
 
  private:
+  /// A failure reported through `lane`; lane fields are guarded by this
+  /// (the shared) breaker's mutex.
+  void OnLaneFailure(CircuitBreaker* lane);
+  /// Applies a failure that extends a streak to `streak`. Holds mutex_.
+  void FailLocked(int streak);
+
   CircuitBreakerOptions options_;
+  CircuitBreaker* shared_;
   mutable std::mutex mutex_;
   BreakerState state_ = BreakerState::kClosed;
   int failures_ = 0;
+  int64_t successes_ = 0;       // OnSuccess calls (breaks lane streaks)
+  int64_t successes_seen_ = 0;  // as a lane: the shared count at its streak
   int64_t rejected_ = 0;
   bool probe_in_flight_ = false;
   std::chrono::steady_clock::time_point opened_at_{};
@@ -143,10 +162,11 @@ auto RetryCall(const RetryPolicy& policy, const Deadline& deadline,
   RetryStats& st = stats != nullptr ? *stats : local;
   st = RetryStats{};
   int max_attempts = policy.max_attempts < 1 ? 1 : policy.max_attempts;
+  std::string last_error;  // names the failure a backoff sleep followed
   for (int attempt = 1;; ++attempt) {
     if (deadline.Expired()) {
       return R(Status::DeadlineExceeded("request deadline expired before ",
-                                        "attempt ", attempt));
+                                        "attempt ", attempt, last_error));
     }
     if (breaker != nullptr) {
       Status admitted = breaker->Admit();
@@ -185,6 +205,7 @@ auto RetryCall(const RetryPolicy& policy, const Deadline& deadline,
           "deadline would expire during backoff after attempt ", attempt,
           "; last error: ", status.ToString()));
     }
+    last_error = "; last error: " + status.ToString();
     std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
     st.backoff_micros += delay_ms * 1000.0;
   }

@@ -11,6 +11,12 @@
 //
 // Instrumentation: every Submit records the tracked-feature footprint
 // (Figure 8) and a translation/execution time breakdown (Figure 9).
+//
+// Implementation files: hyperq_service.cc (construction, stats, submit
+// entry points, the wire handler), hyperq_service_session.cc (sessions and
+// the journal), hyperq_service_fleet.cc (routing, failover, hedging),
+// hyperq_service_translation.cc (cache, templates, pipeline) and
+// hyperq_service_statements.cc (DDL/DML/script handlers).
 
 #pragma once
 
@@ -117,9 +123,10 @@ struct FailoverOptions {
   size_t max_journal_entries = 256;
 };
 
-/// \brief Multi-backend fleet configuration (DESIGN.md §10). With one or
-/// more backends registered the service routes sessions and queries over a
-/// BackendPool; empty = the classic single-connector-per-session mode.
+/// \brief Multi-backend fleet configuration (DESIGN.md §10). The service
+/// always routes sessions and queries over a BackendPool; empty `backends`
+/// = a fleet of one, an implicit replica over the service's own engine and
+/// `ServiceOptions::profile` with the prober off.
 struct FleetOptions {
   /// Registered backend instances; spec.engine == nullptr means "a compute
   /// replica over the service's shared engine".
@@ -127,7 +134,8 @@ struct FleetOptions {
   /// Scoring/probing/re-admission knobs; probe_interval_ms > 0 starts the
   /// background prober with the service.
   backend::HealthOptions health;
-  /// Distinct placement attempts per query (1 = no cross-replica retry).
+  /// Placement attempts per query, same-replica retries after a session
+  /// loss included (1 = no retry).
   int max_failover_attempts = 3;
   /// Seed of the router's deterministic power-of-two-choices PRNG.
   uint64_t route_seed = 0x5EEDULL;
@@ -135,9 +143,9 @@ struct FleetOptions {
 
 /// \brief Hedged-execution knobs (DESIGN.md §11). Hedging launches a second
 /// attempt of a slow idempotent read on a different replica and takes the
-/// first completion; the loser is cancelled promptly. Off by default: a
-/// single-backend deployment behaves byte-identically with the layer
-/// disabled.
+/// first completion; the loser is cancelled promptly. Off by default; a
+/// single backend (a fleet of one) never hedges: there is no second
+/// replica to race.
 struct HedgeOptions {
   bool enabled = false;
   /// The latency percentile of recent backend executions at which a hedge
@@ -251,10 +259,8 @@ struct ServiceLifecycleStats {
 
 /// \brief The unified stats surface (DESIGN.md §9): one point-in-time
 /// MetricsRegistry snapshot — the single sink every service, cache,
-/// connector, and governor counter now feeds — plus the legacy typed views
-/// derived from it. The per-surface accessors (resilience_stats(),
-/// lifecycle_stats(), translation_activity(), translation_cache_stats())
-/// are deprecated shims over this snapshot, kept for one release.
+/// connector, and governor counter now feeds — plus the typed views
+/// derived from it.
 struct ServiceStatsSnapshot {
   observability::MetricsSnapshot metrics;
   WorkloadFeatureStats features;
@@ -302,22 +308,20 @@ class HyperQService : public protocol::RequestHandler {
   bool KillQuery(uint32_t session_id);
 
   /// \brief Translation without execution: returns the SQL-B text(s) the
-  /// statement would produce. Used by the workload study and tests.
-  Result<std::vector<std::string>> Translate(const std::string& sql_a,
-                                             FeatureSet* features);
-
-  /// \brief Translate with timing attribution: fills `timing` (when non
-  /// null) with the translation time and the active SQL-B dialect, so
-  /// differential runs can attribute every translation to its generator.
+  /// statement would produce. Used by the workload study and tests. When
+  /// `timing` is non-null it receives the translation time and the active
+  /// SQL-B dialect, so differential runs can attribute every translation
+  /// to its generator.
   Result<std::vector<std::string>> Translate(const std::string& sql_a,
                                              FeatureSet* features,
-                                             TimingBreakdown* timing);
+                                             TimingBreakdown* timing = nullptr);
 
   /// \brief Re-targets this service to another registered SQL-B dialect:
   /// adopts the dialect's capability matrix, rebuilds the transformer and
   /// serializer, and re-keys the translation cache via the profile digest
   /// (entries of the old dialect become unreachable; no flush needed).
-  /// Fails in fleet mode and while queries are in flight.
+  /// The implicit replica of a fleet of one takes the new profile. Fails
+  /// with registered `fleet.backends` and while queries are in flight.
   Status SwitchBackendDialect(const std::string& dialect_name);
 
   Catalog* catalog() { return &catalog_; }
@@ -325,8 +329,9 @@ class HyperQService : public protocol::RequestHandler {
     return options_.profile;
   }
 
-  /// \brief The fleet pool/router (null in single-backend mode). Exposed
-  /// for chaos tests and the availability bench (KillBackend/ProbeNow).
+  /// \brief The fleet pool/router; never null (a fleet of one without
+  /// registered backends). Exposed for chaos tests and the availability
+  /// bench (KillBackend/ProbeNow).
   backend::BackendPool* backend_pool() { return pool_.get(); }
   backend::Router* router() { return router_.get(); }
   /// \brief The tail-tolerance controllers (DESIGN.md §11). Always
@@ -336,8 +341,8 @@ class HyperQService : public protocol::RequestHandler {
   /// path sheds from.
   RetryBudget* retry_budget() { return retry_budget_.get(); }
   BrownoutController* brownout() { return brownout_.get(); }
-  /// \brief Backend index a session is currently bound to (-1 when unknown
-  /// or in single-backend mode).
+  /// \brief Pool index of the backend a session is bound to (-1 for an
+  /// unknown session).
   int session_backend(uint32_t session_id) const;
 
   // --- Stats/admin surface (DESIGN.md §9) --------------------------------
@@ -358,22 +363,16 @@ class HyperQService : public protocol::RequestHandler {
   WorkloadFeatureStats stats() const;
   void ResetStats();
 
-  /// \deprecated Use StatsSnapshot().resilience.
-  ServiceResilienceStats resilience_stats() const;
-
-  /// \deprecated Use StatsSnapshot().lifecycle.
-  ServiceLifecycleStats lifecycle_stats() const;
-
   /// \brief Sessions currently open (observability/leak checks in tests).
   size_t open_sessions() const;
 
-  /// \deprecated Use StatsSnapshot().translation_cache.
+  /// \brief The cache's counters alone, without a registry snapshot. Kept
+  /// because the benchmark's layer replay (tdwpbench/replay.cc, per-request
+  /// deltas) and the chaos auditor (src/chaos/auditor.cc, a polling loop)
+  /// call it.
   TranslationCacheStats translation_cache_stats() const {
     return translation_cache_.stats();
   }
-
-  /// \deprecated Use StatsSnapshot().translation_activity.
-  TranslationActivityStats translation_activity() const;
 
   /// \brief Replayable journal entries currently held for a session
   /// (observability/tests); 0 for unknown sessions.
@@ -413,13 +412,13 @@ class HyperQService : public protocol::RequestHandler {
   struct Session {
     uint32_t id;
     SessionInfo info;
-    /// The active backend connection. In fleet mode this is the connector
-    /// of the bound backend (`backend_index`); rebinding parks it and
-    /// swaps another in, so the whole pipeline keeps one access path.
+    /// The active backend connection: the connector of the bound backend
+    /// (`backend_index`); rebinding parks it and swaps another in, so the
+    /// whole pipeline keeps one access path.
     std::unique_ptr<backend::BackendConnector> connector;
-    /// Fleet binding: pool index of the active connector (-1 = single-
-    /// backend mode) and connectors of previously bound backends, kept so
-    /// a fail-back reuses the established connection.
+    /// Pool index of the active connector, and connectors of previously
+    /// bound backends, kept so a fail-back reuses the established
+    /// connection.
     int backend_index = -1;
     std::map<int, std::unique_ptr<backend::BackendConnector>>
         parked_connectors;
@@ -427,7 +426,11 @@ class HyperQService : public protocol::RequestHandler {
     int txn_depth = 0;
     std::vector<JournalEntry> journal;
     bool journal_overflow = false;
-    int64_t backend_epoch = 1;  // last connector epoch we replayed up to
+    /// The bound backend holds none of the session's state: its session
+    /// was lost, or the session moved replicas. The next attempt on the
+    /// session replays the journal first — also when the request that saw
+    /// the loss gave up (cancelled, expired, fenced).
+    bool needs_replay = false;
     /// Digest of the translation-relevant session settings; part of the
     /// translation cache key. SET SESSION recomputes it, which atomically
     /// invalidates every cached plan built under the old settings while
@@ -470,17 +473,15 @@ class HyperQService : public protocol::RequestHandler {
                                   const QueryContext* ctx);
 
   // --- Failover (session journal & replay) -----------------------------
+  /// The placement + failover loop (DESIGN.md §6, §10): route (sticky-
+  /// preferred) -> replay the journal if the backend lost the session ->
+  /// acquire slot -> run -> score. A same-replica session loss retries in
+  /// place; any other failover-eligible failure excludes the replica and
+  /// re-routes (rebinding the session) — bounded by max_failover_attempts
+  /// and the QueryContext deadline.
   Result<QueryOutcome> SubmitWithFailover(Session* session,
                                           const std::string& sql_a,
                                           QueryContext* ctx);
-  /// Fleet-mode placement + cross-replica failover loop (DESIGN.md §10):
-  /// route (sticky-preferred) -> acquire slot -> run -> score; on a
-  /// failover-eligible failure, exclude the replica, re-route, rebind the
-  /// session (journal replay onto the new connector), and retry — bounded
-  /// by max_failover_attempts and the QueryContext deadline.
-  Result<QueryOutcome> SubmitWithFleetFailover(Session* session,
-                                               const std::string& sql_a,
-                                               QueryContext* ctx);
   /// Moves the session's active connector to pool backend `target`
   /// (parking the old one; reusing a parked connector when falling back).
   Status RebindSession(Session* session, int target);
@@ -523,6 +524,14 @@ class HyperQService : public protocol::RequestHandler {
   /// cancelled attempt); `all` waits for every one (destructor).
   void ReapHedgeStragglers(bool all);
 
+  /// Submit and SubmitScript: admission, tracing and accounting around one
+  /// statement (`script` false) or a ';'-script's batched statements.
+  Result<QueryOutcome> SubmitStatements(const QueryRequest& request,
+                                        bool script);
+  /// Merges runs of single-row INSERT ... VALUES into the same table into
+  /// multi-row statements (paper §4.3); other statements pass through.
+  std::vector<std::string> BatchSingleRowInserts(
+      std::vector<std::string> statements) const;
   Result<QueryOutcome> SubmitInternal(Session* session,
                                       const std::string& sql_a, int depth,
                                       QueryContext* ctx);
@@ -591,8 +600,9 @@ class HyperQService : public protocol::RequestHandler {
 
   static backend::BackendResult PackageLocal(
       const emulation::LocalResult& local);
-  static backend::BackendResult CommandResult(const std::string& tag,
-                                              int64_t activity = 0);
+  /// A statement answered by the mid-tier alone: a command tag, no rows.
+  static QueryOutcome CommandOutcome(const std::string& tag,
+                                     FeatureSet features);
 
   vdb::Engine* engine_;
   ServiceOptions options_;
@@ -602,8 +612,8 @@ class HyperQService : public protocol::RequestHandler {
   sql::Dialect frontend_dialect_;
 
   // Tail tolerance (DESIGN.md §11). Declared before pool_ and sessions_:
-  // connector options of both the pool and single-backend sessions point at
-  // the retry budget, so it must outlive them during destruction.
+  // the pool's connector options point at the retry budget, so it must
+  // outlive every connector during destruction.
   std::unique_ptr<RetryBudget> retry_budget_;
   std::unique_ptr<BrownoutController> brownout_;
 
@@ -612,6 +622,10 @@ class HyperQService : public protocol::RequestHandler {
   // session during destruction.
   std::unique_ptr<backend::BackendPool> pool_;
   std::unique_ptr<backend::Router> router_;
+  // hyperq.backend.route{backend,reason}, one series per pool backend and
+  // backend::kRouteReasons entry (index backend * kRouteReasons.size() +
+  // reason), registered up front so recording a route is one increment.
+  std::vector<observability::Counter*> c_routes_;
 
   // Hedged execution (DESIGN.md §11). A hedge loser's primary attempt may
   // still be draining its cancelled backend call when the winner returns;

@@ -230,6 +230,60 @@ TEST_F(FailoverTest, FailoverDisabledSurfacesCleanUnavailable) {
       << sel.status();
 }
 
+// A request whose client goes away exactly when the backend session is lost
+// gets no transparent retry, but the session must still be repaired: the
+// next statement finds its volatile table. Runs on the default config (a
+// fleet of one) and on a two-replica fleet, which share one failover loop.
+class CancelledFailoverTest : public FailoverTest,
+                              public ::testing::WithParamInterface<int> {};
+
+TEST_P(CancelledFailoverTest, SessionIsRepairedForTheNextStatement) {
+  vdb::Engine engine;
+  auto options = FastOptions();
+  for (int i = 0; i < GetParam(); ++i) {
+    backend::BackendSpec spec;
+    spec.name = "r" + std::to_string(i);
+    spec.profile = transform::BackendProfile::Vdb();
+    options.fleet.backends.push_back(spec);
+  }
+  service::HyperQService service(&engine, options);
+  auto sid = service.OpenSession("tester");
+  ASSERT_TRUE(sid.ok());
+  ASSERT_TRUE(
+      service.Submit(*sid, "CREATE VOLATILE TABLE SCRATCH (A INTEGER)").ok());
+  ASSERT_TRUE(service.Submit(*sid, "INS INTO SCRATCH VALUES (1)").ok());
+
+  FaultInjector::Global().Arm(faultpoints::kBackendSessionLost,
+                              LoseSessionOnce());
+  QueryContext ctx;
+  ctx.SetClientProbe([](CancelCause*) -> Status {
+    if (FaultInjector::Global().fires(faultpoints::kBackendSessionLost) == 0) {
+      return Status::OK();
+    }
+    return Status::Cancelled("client gone with the backend session");
+  });
+  auto died = service.Submit(*sid, "SEL * FROM SCRATCH", &ctx);
+  ASSERT_FALSE(died.ok());
+  EXPECT_TRUE(died.status().IsCancelled()) << died.status();
+  EXPECT_EQ(FaultInjector::Global().fires(faultpoints::kBackendSessionLost),
+            1);
+
+  auto next = service.Submit(*sid, "SEL * FROM SCRATCH");
+  ASSERT_TRUE(next.ok()) << next.status();
+  auto rows = next->result.DecodeRows();
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ((*rows)[0][0].int_val(), 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(DefaultAndFleet, CancelledFailoverTest,
+                         ::testing::Values(0, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return info.param == 0
+                                      ? std::string("DefaultConfig")
+                                      : std::string("TwoReplicaFleet");
+                         });
+
 // Recursion emulation runs many backend statements against session-scoped
 // WorkTables; a session loss mid-iteration must replay and re-run cleanly.
 TEST_F(FailoverTest, RecursiveQuerySurvivesSessionLoss) {

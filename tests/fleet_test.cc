@@ -391,6 +391,64 @@ TEST_F(FleetTest, LogonReportsBoundBackendAndQueriesRun) {
   service.Logoff(resp->session_id);
 }
 
+// Without registered backends the service is a fleet of one: an implicit
+// replica over its own engine binds every session and takes a dialect
+// switch, and passive scoring that ejects it never refuses work.
+TEST_F(FleetTest, DefaultServiceIsAFleetOfOne) {
+  vdb::Engine engine;
+  service::ServiceOptions options;
+  options.connector.retry.base_delay_ms = 1;
+  options.connector.retry.max_delay_ms = 2;
+  options.connector.breaker.failure_threshold = 1000000;  // isolate scoring
+  service::HyperQService service(&engine, options);
+  ASSERT_NE(service.backend_pool(), nullptr);
+  EXPECT_EQ(service.backend_pool()->size(), 1u);
+  auto sid = service.OpenSession("tester");
+  ASSERT_TRUE(sid.ok());
+  EXPECT_EQ(service.session_backend(*sid), 0);
+  ASSERT_TRUE(service.Submit(*sid, "CREATE TABLE T (A INTEGER)").ok());
+  ASSERT_TRUE(service.Submit(*sid, "INS INTO T VALUES (7)").ok());
+
+  // Every attempt of three statements loses the session: far past the
+  // eject threshold of the lone replica...
+  FaultSpec lose;
+  lose.kind = FaultKind::kDisconnect;
+  lose.max_fires = 9;
+  FaultInjector::Global().Arm(faultpoints::kBackendSessionLost, lose);
+  for (int i = 0; i < 3; ++i) {
+    auto r = service.Submit(*sid, "SEL * FROM T");
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsSessionLost()) << r.status();
+  }
+  EXPECT_EQ(FaultInjector::Global().fires(faultpoints::kBackendSessionLost),
+            9);
+  EXPECT_GE(service.backend_pool()->stats().ejections, 1);
+
+  // ...yet later statements and sessions are served by it, never refused
+  // with kBackendDown.
+  for (int i = 0; i < 5; ++i) {
+    auto r = service.Submit(*sid, "SEL * FROM T");
+    ASSERT_TRUE(r.ok()) << r.status();
+  }
+  auto other = service.OpenSession("other");
+  ASSERT_TRUE(other.ok()) << other.status();
+  EXPECT_EQ(service.session_backend(*other), 0);
+
+  // The implicit replica takes the switched dialect's profile.
+  ASSERT_TRUE(service.SwitchBackendDialect("sierra").ok());
+  EXPECT_EQ(service.backend_pool()->spec(0).profile.dialect, "sierra");
+  auto switched = service.Submit(*sid, "SEL * FROM T");
+  ASSERT_TRUE(switched.ok()) << switched.status();
+  EXPECT_EQ(switched->timing.dialect, "sierra");
+}
+
+TEST_F(FleetTest, DialectSwitchIsRefusedWithRegisteredBackends) {
+  vdb::Engine engine;
+  service::HyperQService service(&engine, FleetServiceOptions(2));
+  EXPECT_FALSE(service.SwitchBackendDialect("sierra").ok());
+  EXPECT_EQ(service.profile().dialect, "ansi");
+}
+
 // Tentpole acceptance: a session with volatile-table + SET SESSION state
 // keeps answering across a hard kill of its bound replica — the journal
 // replays onto a different backend, invisibly except for latency.
