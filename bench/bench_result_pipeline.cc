@@ -1,84 +1,87 @@
 // Ablation: the result data pipeline (paper §4.5/§4.6).
 //
-// Sweeps result-set sizes through the TDF packaging (ODBC-Server analog)
-// and the Result Converter, in both buffered-in-memory and spill-to-disk
-// regimes, and across converter parallelism — the design choices DESIGN.md
-// calls out for the Result Store / Result Converter components.
-//
-// The run also performs the row-vs-batch study (DESIGN.md §15): the same
-// result set pushed through the legacy per-row plane (TdfWriter::AddRow +
-// encoded-blob Append) and through the columnar plane (zero-copy batch
-// spans), medians over repeated runs, written to BENCH_pipeline.json. The
-// process exits non-zero if the batch path is not at least 2x faster —
-// the columnar redesign's floor, enforced where it can fail the build.
+// Sweeps result-set sizes through the ResultStore packaging (ODBC-Server
+// analog: columnar spans buffered in memory, or encoded as TDF and spilled
+// to disk past the memory budget) and the Result Converter, across
+// converter parallelism — the design choices DESIGN.md calls out for the
+// Result Store / Result Converter components.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <vector>
 
 #include "backend/connector.h"
 #include "backend/result_store.h"
 #include "backend/tdf.h"
-#include "common/stopwatch.h"
 #include "convert/result_converter.h"
 #include "protocol/tdwp.h"
 #include "vdb/column_batch.h"
-#include "vdb/engine.h"
 
 using namespace hyperq;
 
 namespace {
 
-vdb::QueryResult MakeResult(int64_t rows) {
-  vdb::QueryResult result;
-  result.columns = {{"ID", SqlType::Int()},
-                    {"NAME", SqlType::Varchar(32)},
-                    {"AMOUNT", SqlType::Decimal(12, 2)},
-                    {"WHEN_D", SqlType::Date()}};
-  result.rows.reserve(rows);
-  for (int64_t i = 0; i < rows; ++i) {
-    result.rows.push_back({Datum::Int(i),
-                           Datum::String("row_" + std::to_string(i % 997)),
-                           Datum::MakeDecimal(Decimal{i * 37, 2}),
-                           Datum::Date(static_cast<int32_t>(8000 + i % 365))});
+// Rows per result chunk, as the executor hands them to the connector.
+constexpr size_t kChunkRows = 2048;
+
+struct PipelineInput {
+  std::vector<backend::TdfColumn> schema;
+  std::vector<std::shared_ptr<const vdb::ColumnBatch>> chunks;
+};
+
+PipelineInput MakeInput(int64_t rows) {
+  PipelineInput in;
+  in.schema = {{"ID", SqlType::Int()},
+               {"NAME", SqlType::Varchar(32)},
+               {"AMOUNT", SqlType::Decimal(12, 2)},
+               {"WHEN_D", SqlType::Date()}};
+  std::vector<SqlType> types;
+  for (const auto& c : in.schema) types.push_back(c.type);
+  for (int64_t begin = 0; begin < rows;
+       begin += static_cast<int64_t>(kChunkRows)) {
+    int64_t end = std::min(rows, begin + static_cast<int64_t>(kChunkRows));
+    vdb::BatchBuilder builder(types);
+    builder.Reserve(static_cast<size_t>(end - begin));
+    for (int64_t i = begin; i < end; ++i) {
+      (void)builder.AppendRow(
+          {Datum::Int(i), Datum::String("row_" + std::to_string(i % 997)),
+           Datum::MakeDecimal(Decimal{i * 37, 2}),
+           Datum::Date(static_cast<int32_t>(8000 + i % 365))});
+    }
+    in.chunks.push_back(builder.Finish());
   }
-  result.command_tag = "SELECT";
-  return result;
+  return in;
 }
 
-// TDF packaging: rows -> TDF batches in the ResultStore, optionally
-// spilling (memory budget = 64KiB forces spill for larger results).
-void BM_TdfPackage(benchmark::State& state) {
+// Packages `in` into a fresh store in connector-sized spans.
+Result<backend::BackendResult> Package(const PipelineInput& in,
+                                       const backend::ConnectorOptions& opts) {
+  backend::BackendResult out;
+  out.columns = in.schema;
+  out.store = std::make_shared<backend::ResultStore>(opts.store_memory_budget,
+                                                     opts.spill_dir);
+  out.store->set_schema(out.columns);
+  for (const auto& chunk : in.chunks) {
+    for (size_t i = 0; i < chunk->rows; i += opts.batch_rows) {
+      size_t n = std::min(opts.batch_rows, chunk->rows - i);
+      HQ_RETURN_IF_ERROR(out.store->AppendBatch(chunk, i, n));
+    }
+  }
+  return out;
+}
+
+// Result packaging: spans into the ResultStore, optionally spilling
+// (memory budget = 64KiB forces spill for larger results).
+void BM_StorePackage(benchmark::State& state) {
   int64_t rows = state.range(0);
   bool spill = state.range(1) != 0;
-  vdb::QueryResult result = MakeResult(rows);
+  PipelineInput in = MakeInput(rows);
   backend::ConnectorOptions opts;
   opts.store_memory_budget = spill ? (64 << 10) : (256 << 20);
   int64_t spilled = 0;
   for (auto _ : state) {
-    // Same packaging path the BackendConnector uses internally.
-    vdb::QueryResult copy = result;
-    auto packaged = [&]() -> Result<backend::BackendResult> {
-      backend::BackendResult out;
-      for (const auto& col : copy.columns) {
-        out.columns.push_back({col.name, col.type});
-      }
-      out.store = std::make_shared<backend::ResultStore>(
-          opts.store_memory_budget, opts.spill_dir);
-      size_t i = 0;
-      while (i < copy.rows.size()) {
-        backend::TdfWriter writer(out.columns);
-        size_t end = std::min(copy.rows.size(), i + opts.batch_rows);
-        for (; i < end; ++i) {
-          HQ_RETURN_IF_ERROR(writer.AddRow(copy.rows[i]));
-        }
-        size_t n = writer.row_count();
-        HQ_RETURN_IF_ERROR(out.store->Append(writer.Finish(), n));
-      }
-      return out;
-    }();
+    auto packaged = Package(in, opts);
     if (!packaged.ok()) {
       state.SkipWithError(packaged.status().ToString().c_str());
       return;
@@ -90,7 +93,7 @@ void BM_TdfPackage(benchmark::State& state) {
   state.counters["spilled_batches"] = static_cast<double>(spilled);
   state.SetItemsProcessed(state.iterations() * rows);
 }
-BENCHMARK(BM_TdfPackage)
+BENCHMARK(BM_StorePackage)
     ->Args({1000, 0})
     ->Args({1000, 1})
     ->Args({20000, 0})
@@ -98,32 +101,21 @@ BENCHMARK(BM_TdfPackage)
     ->Args({100000, 0})
     ->Args({100000, 1});
 
-// Result conversion: TDF -> frontend binary records across parallelism.
+// Result conversion: buffered spans -> frontend binary records across
+// parallelism.
 void BM_ResultConvert(benchmark::State& state) {
   int64_t rows = state.range(0);
-  int parallelism = static_cast<int>(state.range(1));
-  vdb::QueryResult result = MakeResult(rows);
-  backend::BackendResult packaged;
-  for (const auto& col : result.columns) {
-    packaged.columns.push_back({col.name, col.type});
-  }
-  packaged.store = std::make_shared<backend::ResultStore>();
-  backend::TdfWriter writer(packaged.columns);
-  for (const auto& row : result.rows) {
-    if (!writer.AddRow(row).ok()) {
-      state.SkipWithError("tdf encode failed");
-      return;
-    }
-  }
-  size_t nrows = writer.row_count();
-  if (!packaged.store->Append(writer.Finish(), nrows).ok()) {
-    state.SkipWithError("store append failed");
+  backend::ConnectorOptions opts;
+  auto packaged = Package(MakeInput(rows), opts);
+  if (!packaged.ok()) {
+    state.SkipWithError(packaged.status().ToString().c_str());
     return;
   }
-
-  convert::ResultConverter converter(parallelism);
+  convert::ConverterOptions conv;
+  conv.parallelism = static_cast<int>(state.range(1));
+  convert::ResultConverter converter(conv);
   for (auto _ : state) {
-    auto converted = converter.Convert(packaged);
+    auto converted = converter.Convert(*packaged);
     if (!converted.ok()) {
       state.SkipWithError(converted.status().ToString().c_str());
       return;
@@ -166,137 +158,6 @@ void BM_RecordRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_RecordRoundTrip);
 
-double Median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
-// Row-vs-batch study (DESIGN.md §15): the same rowset through both data
-// planes, package + convert end to end.
-//
-//   row   — per-row Datum encode (TdfWriter::AddRow), encoded-blob Append
-//           into the store, converter re-decodes each blob into a batch.
-//   batch — columnar chunks appended as zero-copy spans; the converter
-//           encodes wire records straight from the column vectors.
-//
-// The chunks themselves are built outside the timed region: on the batch
-// plane the executor produces them natively, so constructing them is not
-// part of the pipeline being replaced.
-struct RowVsBatchStudy {
-  double row_us = 0;
-  double batch_us = 0;
-  double speedup = 0;
-};
-
-RowVsBatchStudy RunRowVsBatchStudy() {
-  constexpr int64_t kRows = 100000;
-  constexpr size_t kBatchRows = 2048;
-  constexpr int kIters = 9;
-
-  vdb::QueryResult result = MakeResult(kRows);
-  result.EnsureRows();
-  std::vector<backend::TdfColumn> schema;
-  std::vector<SqlType> types;
-  for (const auto& col : result.columns) {
-    schema.push_back({col.name, col.type});
-    types.push_back(col.type);
-  }
-  std::vector<std::shared_ptr<const vdb::ColumnBatch>> chunks;
-  for (size_t i = 0; i < result.rows.size(); i += kBatchRows) {
-    size_t end = std::min(result.rows.size(), i + kBatchRows);
-    chunks.push_back(vdb::BatchFromRows(types, result.rows, i, end));
-  }
-
-  convert::ResultConverter converter{convert::ConverterOptions{}};
-  uint64_t row_rows = 0, batch_rows = 0;
-
-  auto row_pass = [&]() -> double {
-    Stopwatch sw;
-    backend::BackendResult br;
-    br.columns = schema;
-    br.store = std::make_shared<backend::ResultStore>();
-    size_t i = 0;
-    while (i < result.rows.size()) {
-      backend::TdfWriter writer(schema);
-      size_t end = std::min(result.rows.size(), i + kBatchRows);
-      for (; i < end; ++i) {
-        if (!writer.AddRow(result.rows[i]).ok()) std::abort();
-      }
-      size_t n = writer.row_count();
-      if (!br.store->Append(writer.Finish(), n).ok()) std::abort();
-    }
-    auto converted = converter.Convert(br);
-    if (!converted.ok()) std::abort();
-    row_rows = converted->total_rows;
-    return sw.ElapsedMicros();
-  };
-
-  auto batch_pass = [&]() -> double {
-    Stopwatch sw;
-    backend::BackendResult br;
-    br.columns = schema;
-    br.store = std::make_shared<backend::ResultStore>();
-    br.store->set_schema(schema);
-    for (const auto& chunk : chunks) {
-      if (!br.store->AppendBatch(chunk, 0, chunk->rows).ok()) std::abort();
-    }
-    auto converted = converter.Convert(br);
-    if (!converted.ok()) std::abort();
-    batch_rows = converted->total_rows;
-    return sw.ElapsedMicros();
-  };
-
-  std::vector<double> row_us, batch_us;
-  for (int it = 0; it < kIters; ++it) {
-    row_us.push_back(row_pass());
-    batch_us.push_back(batch_pass());
-  }
-  if (row_rows != static_cast<uint64_t>(kRows) || batch_rows != row_rows) {
-    std::fprintf(stderr, "row-vs-batch study row-count mismatch\n");
-    std::abort();
-  }
-
-  RowVsBatchStudy study;
-  study.row_us = Median(row_us);
-  study.batch_us = Median(batch_us);
-  study.speedup = study.batch_us > 0 ? study.row_us / study.batch_us : 0;
-  std::printf("Row-vs-batch data plane (%lld rows x 4 cols, %d iters):\n",
-              static_cast<long long>(kRows), kIters);
-  std::printf("  row plane:   %10.1f us (median)\n", study.row_us);
-  std::printf("  batch plane: %10.1f us (median)\n", study.batch_us);
-  std::printf("  speedup:     %10.2fx (floor: 2x)\n", study.speedup);
-  return study;
-}
-
-void WritePipelineJson(const RowVsBatchStudy& study) {
-  const char* path = "BENCH_pipeline.json";
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"benchmark\": \"result_pipeline\",\n");
-  std::fprintf(f, "  \"row_vs_batch\": {\n");
-  std::fprintf(f, "    \"row_us\": %.1f,\n", study.row_us);
-  std::fprintf(f, "    \"batch_us\": %.1f,\n", study.batch_us);
-  std::fprintf(f, "    \"speedup\": %.2f,\n", study.speedup);
-  std::fprintf(f, "    \"floor\": 2.0\n");
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  RowVsBatchStudy study = RunRowVsBatchStudy();
-  WritePipelineJson(study);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  // Gate: the columnar plane must hold at least 2x over the row plane
-  // (acceptance bar for the DESIGN.md §15 redesign).
-  return study.speedup >= 2.0 ? 0 : 1;
-}
+BENCHMARK_MAIN();

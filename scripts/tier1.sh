@@ -2,13 +2,13 @@
 # Tier-1 gate: full build + test suite, plus (optionally) the resilience,
 # translation-cache, lifecycle, and observability suites under sanitizers.
 #
-#   scripts/tier1.sh            # standard build + ctest
+#   scripts/tier1.sh            # standard build (-Werror) + ctest
 #   scripts/tier1.sh --asan     # also build build-asan/ and run the
 #                               # `faults`, `failover`, `cache`, `golden`,
 #                               # `lifecycle`, `observability`, `fleet`,
 #                               # `tail`, `fuzz`, `chaos`, and `batch`
 #                               # suites under ASan+UBSan
-#   scripts/tier1.sh --tsan     # also build build-tsan/ and run the
+#   scripts/tier1.sh --tsan     # also build build-tsan/ (-Werror) and run the
 #                               # cross-thread suites (`lifecycle`,
 #                               # `faults`, `failover`, `observability`,
 #                               # `fleet`, `tail`, `chaos`, `batch`,
@@ -18,7 +18,11 @@ cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-cmake -B build -S .
+# The standard and TSan builds are warning-free and must stay so. The
+# ASan+UBSan build keeps warnings non-fatal: under those sanitizers GCC
+# reports false positives (-Wmaybe-uninitialized inside std::variant,
+# -Wrestrict).
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 scripts/check_golden.sh
@@ -56,7 +60,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # Cancellation is inherently cross-thread (kill/abort/drain race the
   # worker and converter threads), so the lifecycle suite — including the
   # chaos soak — must be clean under TSan, not just ASan.
-  cmake -B build-tsan -S . -DHYPERQ_SANITIZE=thread
+  cmake -B build-tsan -S . -DHYPERQ_SANITIZE=thread -DCMAKE_CXX_FLAGS=-Werror
   cmake --build build-tsan -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -L lifecycle -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -L faults -j "$jobs"

@@ -196,10 +196,6 @@ Result<BackendResult> BackendConnector::Package(vdb::QueryResult result,
                                             options_.session_tag);
   out.store->set_schema(out.columns);
 
-  // Legacy producers (the emulation layer) still deliver rows; fold them
-  // into one chunk so the rest of the pipeline sees only batches.
-  result.EnsureChunks();
-
   auto emit_span = [&](const std::shared_ptr<const vdb::ColumnBatch>& batch,
                        size_t offset, size_t rows) -> Status {
     // Cancellation is observed at every batch boundary: an abandoned fetch
@@ -214,8 +210,8 @@ Result<BackendResult> BackendConnector::Package(vdb::QueryResult result,
                                  options_.backend_name.c_str(),
                                  /*send=*/false, options_.batch_rows));
     HQ_FAULT_POINT(faultpoints::kConnectorFetchBatch);
-    // The per-row append fault point keeps its historical granularity so
-    // fault-injection counts are identical to the row-at-a-time path.
+    // The append fault point fires once per row, so an armed `every=N`
+    // schedule counts rows, not batches.
     for (size_t r = 0; r < rows; ++r) {
       HQ_FAULT_POINT(faultpoints::kTdfAppend);
     }
@@ -242,7 +238,7 @@ Result<BackendResult> BackendConnector::Package(vdb::QueryResult result,
     size_t i = 0;
     while (i < canon->rows) {
       // Spans never straddle chunk boundaries; a short tail span simply
-      // carries fewer rows, like the row path's final short batch.
+      // carries fewer rows.
       size_t n = std::min(options_.batch_rows, canon->rows - i);
       HQ_RETURN_IF_ERROR(emit_span(canon, i, n));
       i += n;

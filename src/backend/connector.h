@@ -48,9 +48,9 @@ struct BackendResult {
 
   bool is_rowset() const { return !columns.empty(); }
 
-  /// \brief Decodes all batches back into datum rows.
-  /// \deprecated Row-materializing shim kept for tests and legacy callers;
-  /// batch-path consumers should iterate `store->ScanSpans()` directly.
+  /// \brief Decodes all batches back into datum rows: the in-process read
+  /// API for examples and tests. The wire path iterates
+  /// `store->ScanSpans()` instead.
   Result<std::vector<std::vector<Datum>>> DecodeRows() const;
 };
 

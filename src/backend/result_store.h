@@ -1,7 +1,9 @@
-// ResultStore (paper §4.6): buffers TDF batches when the frontend protocol
-// cannot stream (e.g. it must announce the total row count first). Batches
-// beyond a memory budget spill to temporary files, which are kept until the
-// result is fully consumed and then removed.
+// ResultStore (paper §4.6): buffers result batches when the frontend
+// protocol cannot stream (e.g. it must announce the total row count first).
+// In memory a batch is a zero-copy span of the executor's ColumnBatch;
+// batches beyond a memory budget are encoded as TDF and spill to temporary
+// files, which are kept until the result is fully consumed and then
+// removed.
 //
 // When attached to a ResourceGovernor (DESIGN.md §8) the store reserves
 // every buffered byte against the shared budgets and applies the
@@ -37,9 +39,8 @@ struct BatchSpan {
 
 /// \brief Bounded in-memory buffer of result batches with disk spill.
 ///
-/// Batches are held columnar (BatchSpan) on the fast path; spilled spans
-/// are serialized as TDF2 and decoded back to batches on scan. The encoded
-/// row-oriented Append/Scan pair remains as a legacy shim.
+/// Batches are held columnar (BatchSpan, zero-copy); spilled spans are
+/// serialized as TDF and decoded back to batches on scan.
 class ResultStore {
  public:
   /// \param memory_budget_bytes in-memory cap before spilling
@@ -61,22 +62,18 @@ class ResultStore {
   // shared_ptr anyway.
   ResultStore(ResultStore&&) = delete;
 
-  /// \brief Appends one encoded TDF batch. Policy: memory if both the local
-  /// budget and the governor admit it, else spill (governor-bounded), else
-  /// shed (kResourceExhausted). Spill I/O failures surface as kIoError.
-  /// \deprecated Row-oriented shim; the batch data plane uses AppendBatch.
-  Status Append(std::vector<uint8_t> batch, size_t row_count);
-
-  /// \brief Schema used to serialize spans on spill and by the legacy Scan
-  /// shim; must be set before the first AppendBatch/Scan of span slots.
+  /// \brief Schema used to serialize spans on spill; must be set before
+  /// the first AppendBatch that may spill.
   void set_schema(std::vector<TdfColumn> schema) {
     schema_ = std::move(schema);
   }
   const std::vector<TdfColumn>& schema() const { return schema_; }
 
-  /// \brief Appends a columnar span under the same shed-or-spill policy.
-  /// In memory the span is held zero-copy (charged at its heap size); a
-  /// spilled span is encoded as TDF2 and charged at its encoded size.
+  /// \brief Appends a columnar span. Policy: memory if both the local
+  /// budget and the governor admit it, else spill (governor-bounded), else
+  /// shed (kResourceExhausted). In memory the span is held zero-copy
+  /// (charged at its heap size); a spilled span is encoded as TDF and
+  /// charged at its encoded size. Spill I/O failures surface as kIoError.
   Status AppendBatch(std::shared_ptr<const vdb::ColumnBatch> batch,
                      size_t offset, size_t rows);
 
@@ -87,15 +84,9 @@ class ResultStore {
   /// \brief Bytes currently spilled to disk by this store.
   int64_t spilled_bytes() const { return spilled_bytes_; }
 
-  /// \brief Visits every batch in append order (spilled batches are read
-  /// back from disk). The store stays valid for repeated scans.
-  /// \deprecated Legacy encoded-bytes view; span slots are re-encoded as
-  /// TDF2 on demand. Batch-path consumers should use ScanSpans.
-  Status Scan(
-      const std::function<Status(const std::vector<uint8_t>&)>& fn) const;
-
   /// \brief Visits every batch in append order as columnar spans (spilled
-  /// and legacy encoded slots are decoded). Repeated scans are valid.
+  /// batches are read back from disk and decoded). Repeated scans are
+  /// valid.
   Status ScanSpans(const std::function<Status(const BatchSpan&)>& fn) const;
 
   /// \brief Deletes spill files and returns every reserved byte to the
@@ -104,12 +95,9 @@ class ResultStore {
 
  private:
   struct Slot {
-    bool spilled = false;
-    bool is_span = false;
-    BatchSpan span;              // when an in-memory columnar span
-    std::vector<uint8_t> bytes;  // when in-memory encoded (legacy Append)
-    std::string path;            // when spilled
-    size_t size = 0;             // charged bytes (for governor release)
+    BatchSpan span;    // when in memory
+    std::string path;  // when spilled (non-empty)
+    size_t size = 0;   // encoded bytes of a spilled batch
   };
 
   Status SpillBatch(const std::vector<uint8_t>& batch, Slot* slot);

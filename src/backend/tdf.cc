@@ -1,6 +1,7 @@
 #include "backend/tdf.h"
 
 #include <cstring>
+#include <type_traits>
 
 #include "common/fault.h"
 
@@ -116,106 +117,6 @@ Result<Datum> DecodeDatumTagged(BufferReader* in) {
 
 }  // namespace
 
-TdfWriter::TdfWriter(std::vector<TdfColumn> schema)
-    : schema_(std::move(schema)) {}
-
-Status TdfWriter::AddRow(const std::vector<Datum>& row) {
-  HQ_FAULT_POINT(faultpoints::kTdfAppend);
-  if (row.size() != schema_.size()) {
-    return Status::InvalidArgument("TDF row arity ", row.size(),
-                                   " does not match schema arity ",
-                                   schema_.size());
-  }
-  // Presence bitmap.
-  size_t nbytes = (schema_.size() + 7) / 8;
-  std::vector<uint8_t> bitmap(nbytes, 0);
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (!row[i].is_null()) bitmap[i / 8] |= (1u << (i % 8));
-  }
-  body_.PutBytes(bitmap.data(), bitmap.size());
-
-  for (size_t i = 0; i < row.size(); ++i) {
-    Datum v = row[i];
-    if (v.is_null()) continue;
-    // Coerce to the declared column type: expression typing and runtime
-    // kinds can legitimately diverge (e.g. an integer-valued CASE branch in
-    // a DECIMAL-typed column).
-    if (schema_[i].type.kind != TypeKind::kNull) {
-      HQ_ASSIGN_OR_RETURN(v, v.CastTo(schema_[i].type));
-    }
-    if (v.is_bool()) {
-      body_.PutU8(v.bool_val() ? 1 : 0);
-    } else if (v.is_int()) {
-      body_.PutI64(v.int_val());
-    } else if (v.is_double()) {
-      body_.PutF64(v.double_val());
-    } else if (v.is_decimal()) {
-      body_.PutI64(v.decimal_val().value);
-      body_.PutI32(v.decimal_val().scale);
-    } else if (v.is_string()) {
-      body_.PutLenBytes(v.string_val());
-    } else if (v.is_date()) {
-      body_.PutI32(v.date_val());
-    } else if (v.is_time()) {
-      body_.PutI64(v.time_val());
-    } else if (v.is_timestamp()) {
-      body_.PutI64(v.timestamp_val());
-    } else if (v.is_interval()) {
-      body_.PutI64(v.interval_val());
-    } else if (v.is_period()) {
-      body_.PutI32(v.period_val().begin_days);
-      body_.PutI32(v.period_val().end_days);
-    } else {
-      return Status::Internal("TDF: unsupported datum kind");
-    }
-  }
-  ++rows_;
-  return Status::OK();
-}
-
-std::vector<uint8_t> TdfWriter::Finish() {
-  BufferWriter out;
-  out.PutU32(kTdfMagic);
-  out.PutU32(static_cast<uint32_t>(schema_.size()));
-  for (const auto& col : schema_) {
-    out.PutU8(static_cast<uint8_t>(col.type.kind));
-    out.PutI32(col.type.length);
-    out.PutI32(col.type.precision);
-    out.PutI32(col.type.scale);
-    out.PutLenBytes(col.name);
-  }
-  out.PutU32(static_cast<uint32_t>(rows_));
-  out.PutBytes(body_.data(), body_.size());
-  return out.Take();
-}
-
-Result<TdfReader> TdfReader::Open(std::vector<uint8_t> bytes) {
-  TdfReader reader;
-  reader.bytes_ = std::move(bytes);
-  BufferReader in(reader.bytes_);
-  HQ_ASSIGN_OR_RETURN(uint32_t magic, in.GetU32());
-  if (magic == kTdfMagic2) {
-    reader.columnar_ = true;
-  } else if (magic != kTdfMagic) {
-    return Status::ProtocolError("bad TDF magic");
-  }
-  HQ_ASSIGN_OR_RETURN(uint32_t ncols, in.GetU32());
-  for (uint32_t i = 0; i < ncols; ++i) {
-    TdfColumn col;
-    HQ_ASSIGN_OR_RETURN(uint8_t kind, in.GetU8());
-    col.type.kind = static_cast<TypeKind>(kind);
-    HQ_ASSIGN_OR_RETURN(col.type.length, in.GetI32());
-    HQ_ASSIGN_OR_RETURN(col.type.precision, in.GetI32());
-    HQ_ASSIGN_OR_RETURN(col.type.scale, in.GetI32());
-    HQ_ASSIGN_OR_RETURN(col.name, in.GetLenBytes());
-    reader.schema_.push_back(std::move(col));
-  }
-  HQ_ASSIGN_OR_RETURN(uint32_t nrows, in.GetU32());
-  reader.nrows_ = nrows;
-  reader.rows_offset_ = in.position();
-  return reader;
-}
-
 std::vector<uint8_t> EncodeTdfBatch(const std::vector<TdfColumn>& schema,
                                     const ColumnBatch& batch, size_t offset,
                                     size_t rows) {
@@ -286,87 +187,92 @@ std::vector<uint8_t> EncodeTdfBatch(const std::vector<TdfColumn>& schema,
   return out.Take();
 }
 
-Result<std::shared_ptr<const ColumnBatch>> TdfReader::ReadBatch() const {
-  if (!columnar_) {
-    // TDF1: decode rows, then columnarize against the schema types.
-    HQ_ASSIGN_OR_RETURN(std::vector<std::vector<Datum>> rows, ReadAll());
-    std::vector<SqlType> types;
-    types.reserve(schema_.size());
-    for (const auto& c : schema_) types.push_back(c.type);
-    return std::shared_ptr<const ColumnBatch>(
-        vdb::BatchFromRows(types, rows, 0, rows.size()));
+Result<TdfReader> TdfReader::Open(const std::vector<uint8_t>& bytes) {
+  TdfReader reader;
+  BufferReader in(bytes);
+  HQ_ASSIGN_OR_RETURN(uint32_t magic, in.GetU32());
+  if (magic != kTdfMagic2) return Status::ProtocolError("bad TDF magic");
+  HQ_ASSIGN_OR_RETURN(uint32_t ncols, in.GetU32());
+  for (uint32_t i = 0; i < ncols; ++i) {
+    TdfColumn col;
+    HQ_ASSIGN_OR_RETURN(uint8_t kind, in.GetU8());
+    col.type.kind = static_cast<TypeKind>(kind);
+    HQ_ASSIGN_OR_RETURN(col.type.length, in.GetI32());
+    HQ_ASSIGN_OR_RETURN(col.type.precision, in.GetI32());
+    HQ_ASSIGN_OR_RETURN(col.type.scale, in.GetI32());
+    HQ_ASSIGN_OR_RETURN(col.name, in.GetLenBytes());
+    reader.schema_.push_back(std::move(col));
   }
-  BufferReader in(bytes_.data() + rows_offset_, bytes_.size() - rows_offset_);
+  HQ_ASSIGN_OR_RETURN(uint32_t nrows, in.GetU32());
+
   auto batch = std::make_shared<ColumnBatch>();
-  batch->rows = nrows_;
-  const size_t n = nrows_;
-  const size_t valid_bytes = (n + 7) / 8;
-  for (size_t c = 0; c < schema_.size(); ++c) {
+  batch->rows = nrows;
+  const size_t n = nrows;
+  // Every fixed-width read takes its bytes before sizing a vector, so a
+  // corrupt row count fails as an underrun instead of a huge allocation.
+  auto fill = [&](auto* v) -> Status {
+    using T = typename std::remove_pointer_t<decltype(v)>::value_type;
+    HQ_ASSIGN_OR_RETURN(const uint8_t* p, in.GetSpan(n * sizeof(T)));
+    v->resize(n);
+    if (n > 0) std::memcpy(v->data(), p, n * sizeof(T));
+    return Status::OK();
+  };
+  for (size_t c = 0; c < reader.schema_.size(); ++c) {
     HQ_ASSIGN_OR_RETURN(uint8_t phys, in.GetU8());
     if (phys > static_cast<uint8_t>(PhysKind::kDatum)) {
       return Status::ProtocolError("TDF2: bad physical column kind ", phys);
     }
     auto col = std::make_shared<ColumnVec>(static_cast<PhysKind>(phys));
     col->size = n;
-    HQ_ASSIGN_OR_RETURN(std::string valid, in.GetBytes(valid_bytes));
-    col->valid.assign(valid.begin(), valid.end());
+    HQ_ASSIGN_OR_RETURN(const uint8_t* valid, in.GetSpan((n + 7) / 8));
+    col->valid.assign(valid, valid + (n + 7) / 8);
     for (size_t r = 0; r < n; ++r) {
       if (col->IsNull(r)) ++col->nulls;
     }
-    auto fill64 = [&](std::vector<int64_t>* v) -> Status {
-      v->resize(n);
-      HQ_ASSIGN_OR_RETURN(std::string raw, in.GetBytes(n * 8));
-      std::memcpy(v->data(), raw.data(), n * 8);
-      return Status::OK();
-    };
-    auto fill32 = [&](std::vector<int32_t>* v) -> Status {
-      v->resize(n);
-      HQ_ASSIGN_OR_RETURN(std::string raw, in.GetBytes(n * 4));
-      std::memcpy(v->data(), raw.data(), n * 4);
-      return Status::OK();
-    };
     switch (col->kind) {
       case PhysKind::kI64:
       case PhysKind::kTime:
       case PhysKind::kTimestamp:
       case PhysKind::kInterval:
-        HQ_RETURN_IF_ERROR(fill64(&col->i64));
+        HQ_RETURN_IF_ERROR(fill(&col->i64));
         break;
-      case PhysKind::kF64: {
-        col->f64.resize(n);
-        HQ_ASSIGN_OR_RETURN(std::string raw, in.GetBytes(n * 8));
-        std::memcpy(col->f64.data(), raw.data(), n * 8);
+      case PhysKind::kF64:
+        HQ_RETURN_IF_ERROR(fill(&col->f64));
         break;
-      }
-      case PhysKind::kBool: {
-        HQ_ASSIGN_OR_RETURN(std::string raw, in.GetBytes(n));
-        col->b8.assign(raw.begin(), raw.end());
+      case PhysKind::kBool:
+        HQ_RETURN_IF_ERROR(fill(&col->b8));
         break;
-      }
       case PhysKind::kDecimal:
-        HQ_RETURN_IF_ERROR(fill64(&col->i64));
-        HQ_RETURN_IF_ERROR(fill32(&col->i32b));
+        HQ_RETURN_IF_ERROR(fill(&col->i64));
+        HQ_RETURN_IF_ERROR(fill(&col->i32b));
         break;
       case PhysKind::kDate:
-        HQ_RETURN_IF_ERROR(fill32(&col->i32));
+        HQ_RETURN_IF_ERROR(fill(&col->i32));
         break;
       case PhysKind::kPeriod:
-        HQ_RETURN_IF_ERROR(fill32(&col->i32));
-        HQ_RETURN_IF_ERROR(fill32(&col->i32b));
+        HQ_RETURN_IF_ERROR(fill(&col->i32));
+        HQ_RETURN_IF_ERROR(fill(&col->i32b));
         break;
       case PhysKind::kString: {
+        std::vector<uint32_t> lens;
+        HQ_RETURN_IF_ERROR(fill(&lens));
         col->offsets.resize(n + 1);
-        col->offsets[0] = 0;
         uint64_t total = 0;
         for (size_t r = 0; r < n; ++r) {
-          HQ_ASSIGN_OR_RETURN(uint32_t len, in.GetU32());
-          total += len;
+          total += lens[r];
+          if (total > UINT32_MAX) {
+            return Status::ProtocolError("TDF2: string arena too large");
+          }
           col->offsets[r + 1] = static_cast<uint32_t>(total);
         }
         HQ_ASSIGN_OR_RETURN(col->arena, in.GetBytes(total));
         break;
       }
       case PhysKind::kDatum: {
+        // Each boxed value takes at least two bytes (tag + payload).
+        if (in.remaining() < 2 * (n - col->nulls)) {
+          return Status::ProtocolError("TDF2: truncated boxed column");
+        }
         col->datums.resize(n);
         for (size_t r = 0; r < n; ++r) {
           if (col->IsNull(r)) continue;
@@ -377,7 +283,12 @@ Result<std::shared_ptr<const ColumnBatch>> TdfReader::ReadBatch() const {
     }
     batch->columns.push_back(std::move(col));
   }
-  return std::shared_ptr<const ColumnBatch>(std::move(batch));
+  if (!in.AtEnd()) {
+    return Status::ProtocolError("TDF2: ", in.remaining(),
+                                 " trailing bytes after the payload");
+  }
+  reader.batch_ = std::move(batch);
+  return reader;
 }
 
 Result<std::shared_ptr<const ColumnBatch>> CanonicalizeBatch(
@@ -438,8 +349,8 @@ Result<std::shared_ptr<const ColumnBatch>> CanonicalizeBatch(
       case TypeKind::kPeriodDate:
         return col.kind == PhysKind::kPeriod;
       case TypeKind::kNull:
-        // The row reader yields NULL for kNull schema columns regardless of
-        // payload; canonical form is the all-NULL column.
+        // A kNull schema column carries no values; canonical form is the
+        // all-NULL column.
         return col.nulls == col.size;
     }
     return false;
@@ -469,7 +380,6 @@ Result<std::shared_ptr<const ColumnBatch>> CanonicalizeBatch(
         col->AppendNull();
         continue;
       }
-      // Same coercion TdfWriter::AddRow applies per value.
       HQ_ASSIGN_OR_RETURN(Datum v, src.GetDatum(r).CastTo(t));
       if (!col->Append(v)) {
         return Status::Internal("TDF2: cast result does not match schema ",
@@ -479,96 +389,6 @@ Result<std::shared_ptr<const ColumnBatch>> CanonicalizeBatch(
     out->columns.push_back(std::move(col));
   }
   return std::shared_ptr<const ColumnBatch>(std::move(out));
-}
-
-Result<std::vector<std::vector<Datum>>> TdfReader::ReadAll() const {
-  if (columnar_) {
-    HQ_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnBatch> batch, ReadBatch());
-    std::vector<std::vector<Datum>> out;
-    out.reserve(nrows_);
-    vdb::AppendRowsFromBatch(*batch, 0, batch->rows, &out);
-    return out;
-  }
-  std::vector<std::vector<Datum>> out;
-  out.reserve(nrows_);
-  BufferReader in(bytes_.data() + rows_offset_, bytes_.size() - rows_offset_);
-  size_t ncols = schema_.size();
-  size_t bitmap_bytes = (ncols + 7) / 8;
-  for (size_t r = 0; r < nrows_; ++r) {
-    HQ_ASSIGN_OR_RETURN(std::string bitmap, in.GetBytes(bitmap_bytes));
-    std::vector<Datum> row;
-    row.reserve(ncols);
-    for (size_t i = 0; i < ncols; ++i) {
-      bool present =
-          (static_cast<uint8_t>(bitmap[i / 8]) >> (i % 8)) & 1;
-      if (!present) {
-        row.push_back(Datum::Null());
-        continue;
-      }
-      switch (schema_[i].type.kind) {
-        case TypeKind::kBool: {
-          HQ_ASSIGN_OR_RETURN(uint8_t b, in.GetU8());
-          row.push_back(Datum::Bool(b != 0));
-          break;
-        }
-        case TypeKind::kSmallInt:
-        case TypeKind::kInt:
-        case TypeKind::kBigInt: {
-          HQ_ASSIGN_OR_RETURN(int64_t v, in.GetI64());
-          row.push_back(Datum::Int(v));
-          break;
-        }
-        case TypeKind::kDouble: {
-          HQ_ASSIGN_OR_RETURN(double v, in.GetF64());
-          row.push_back(Datum::MakeDouble(v));
-          break;
-        }
-        case TypeKind::kDecimal: {
-          HQ_ASSIGN_OR_RETURN(int64_t unscaled, in.GetI64());
-          HQ_ASSIGN_OR_RETURN(int32_t scale, in.GetI32());
-          row.push_back(Datum::MakeDecimal(Decimal{unscaled, scale}));
-          break;
-        }
-        case TypeKind::kChar:
-        case TypeKind::kVarchar: {
-          HQ_ASSIGN_OR_RETURN(std::string s, in.GetLenBytes());
-          row.push_back(Datum::String(std::move(s)));
-          break;
-        }
-        case TypeKind::kDate: {
-          HQ_ASSIGN_OR_RETURN(int32_t d, in.GetI32());
-          row.push_back(Datum::Date(d));
-          break;
-        }
-        case TypeKind::kTime: {
-          HQ_ASSIGN_OR_RETURN(int64_t t, in.GetI64());
-          row.push_back(Datum::Time(t));
-          break;
-        }
-        case TypeKind::kTimestamp: {
-          HQ_ASSIGN_OR_RETURN(int64_t t, in.GetI64());
-          row.push_back(Datum::Timestamp(t));
-          break;
-        }
-        case TypeKind::kInterval: {
-          HQ_ASSIGN_OR_RETURN(int64_t t, in.GetI64());
-          row.push_back(Datum::Interval(t));
-          break;
-        }
-        case TypeKind::kPeriodDate: {
-          HQ_ASSIGN_OR_RETURN(int32_t b, in.GetI32());
-          HQ_ASSIGN_OR_RETURN(int32_t e, in.GetI32());
-          row.push_back(Datum::Period(b, e));
-          break;
-        }
-        case TypeKind::kNull:
-          row.push_back(Datum::Null());
-          break;
-      }
-    }
-    out.push_back(std::move(row));
-  }
-  return out;
 }
 
 }  // namespace hyperq::backend

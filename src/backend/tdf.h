@@ -1,34 +1,19 @@
 // TDF — Tabular Data Format (paper §4.5): Hyper-Q's binary batch
-// representation for query results pulled from the target database.
+// representation for query results pulled from the target database. The
+// ResultStore writes it when a batch spills to disk and reads it back on
+// scan (DESIGN.md §15).
 //
 // A TDF batch is self-describing: a header with the column schema followed
-// by rows. Rows carry a presence bitmap and variable-width field encodings;
-// compound values (PERIOD) nest their components, demonstrating the
-// format's nested-data capability. All integers are little-endian.
+// by the payload stored column-at-a-time, mirroring vdb::ColumnBatch so
+// whole batches serialize with bulk copies instead of per-row dispatch.
+// Compound values (PERIOD) nest their components. All integers are
+// little-endian.
 //
 // Layout:
-//   magic      u32   'T''D''F''1'
+//   magic      u32   'T''D''F''2'
 //   ncols      u32
 //   per column: kind u8, length i32, precision i32, scale i32,
 //               name (u32 length + bytes)
-//   nrows      u32
-//   per row:   presence bitmap (ceil(ncols/8) bytes; bit set = non-NULL)
-//              then each non-NULL field:
-//                ints               i64
-//                double             f64
-//                decimal            i64 unscaled + i32 scale
-//                bool               u8
-//                char/varchar       u32 length + bytes
-//                date               i32 days
-//                time/timestamp     i64 micros
-//                interval           i64 micros
-//                period(date)       nested: i32 begin + i32 end
-//
-// TDF2 (columnar, DESIGN.md §15) keeps the same self-describing header but
-// stores the payload column-at-a-time, mirroring vdb::ColumnBatch so whole
-// batches serialize with bulk copies instead of per-row dispatch:
-//   magic      u32   'T''D''F''2'
-//   header     identical to TDF1 (ncols + per-column schema)
 //   nrows      u32
 //   per column: phys u8 (vdb::PhysKind)
 //               valid bitmap (ceil(nrows/8) bytes; bit set = non-NULL)
@@ -51,7 +36,6 @@
 
 #include "common/buffer.h"
 #include "common/result.h"
-#include "types/datum.h"
 #include "types/type.h"
 #include "vdb/column_batch.h"
 
@@ -62,76 +46,44 @@ struct TdfColumn {
   SqlType type;
 };
 
-/// \brief Encodes rows into one TDF1 batch.
-///
-/// \deprecated Row-at-a-time entry point kept for legacy producers and the
-/// row-vs-batch benchmark; the data plane serializes whole batches with
-/// EncodeTdfBatch().
-class TdfWriter {
- public:
-  explicit TdfWriter(std::vector<TdfColumn> schema);
-
-  /// \brief Appends one row (datums must match the schema arity; values are
-  /// encoded by their runtime kind, which the schema's type governs).
-  /// \deprecated See class comment; use EncodeTdfBatch for the batch path.
-  Status AddRow(const std::vector<Datum>& row);
-
-  size_t row_count() const { return rows_; }
-
-  /// \brief Finalizes and returns the encoded batch.
-  std::vector<uint8_t> Finish();
-
- private:
-  std::vector<TdfColumn> schema_;
-  BufferWriter body_;
-  size_t rows_ = 0;
-};
-
-/// \brief Decodes one TDF batch (either format; dispatches on the magic).
+/// \brief Decodes one TDF batch. Spill files come back from disk, so the
+/// bytes are treated as outside input: a wrong magic (including the
+/// retired row-format TDF1), a truncated payload or trailing bytes are a
+/// ProtocolError.
 class TdfReader {
  public:
-  /// \brief Parses the batch header; fails on malformed input.
-  static Result<TdfReader> Open(std::vector<uint8_t> bytes);
+  /// \brief Parses the header and decodes the whole payload.
+  static Result<TdfReader> Open(const std::vector<uint8_t>& bytes);
 
   const std::vector<TdfColumn>& schema() const { return schema_; }
-  size_t row_count() const { return nrows_; }
-  /// True when the payload is columnar (TDF2).
-  bool is_columnar() const { return columnar_; }
-
-  /// \brief Decodes the payload into a ColumnBatch (both formats).
-  Result<std::shared_ptr<const vdb::ColumnBatch>> ReadBatch() const;
-
-  /// \brief Decodes all rows.
-  /// \deprecated Row-at-a-time shim over ReadBatch(); batch-path consumers
-  /// should keep the columnar form.
-  Result<std::vector<std::vector<Datum>>> ReadAll() const;
+  size_t row_count() const { return batch_->rows; }
+  const std::shared_ptr<const vdb::ColumnBatch>& batch() const {
+    return batch_;
+  }
 
  private:
   TdfReader() = default;
-  std::vector<uint8_t> bytes_;
   std::vector<TdfColumn> schema_;
-  size_t nrows_ = 0;
-  size_t rows_offset_ = 0;
-  bool columnar_ = false;
+  std::shared_ptr<const vdb::ColumnBatch> batch_;
 };
 
-/// \brief Serializes rows [offset, offset+rows) of `batch` as one TDF2
+/// \brief Serializes rows [offset, offset+rows) of `batch` as one TDF
 /// batch. The batch should be canonical for `schema` (see
 /// CanonicalizeBatch); kDatum columns are encoded boxed.
 std::vector<uint8_t> EncodeTdfBatch(const std::vector<TdfColumn>& schema,
                                     const vdb::ColumnBatch& batch,
                                     size_t offset, size_t rows);
 
-/// \brief Coerces a batch to the declared schema types, replicating
-/// TdfWriter::AddRow's per-value CastTo semantics column-at-a-time. Returns
-/// the input pointer unchanged when every column already stores exactly the
-/// schema's physical form (the common zero-copy case); otherwise rebuilds
-/// only the non-conforming columns.
+/// \brief Coerces a batch to the declared schema types: every non-NULL value
+/// is CastTo its column's type (expression typing and runtime kinds can
+/// legitimately diverge, e.g. an integer-valued CASE branch in a
+/// DECIMAL-typed column). Returns the input pointer unchanged when every
+/// column already stores exactly the schema's physical form (the common
+/// zero-copy case); otherwise rebuilds only the non-conforming columns.
 Result<std::shared_ptr<const vdb::ColumnBatch>> CanonicalizeBatch(
     const std::vector<TdfColumn>& schema,
     std::shared_ptr<const vdb::ColumnBatch> chunk);
 
-constexpr uint32_t kTdfMagic = 0x31464454;   // "TDF1" (row payload)
 constexpr uint32_t kTdfMagic2 = 0x32464454;  // "TDF2" (columnar payload)
 
 }  // namespace hyperq::backend

@@ -49,6 +49,14 @@ struct WorkloadReport {
 
 class ChaosWorkload {
  public:
+  /// Longest a session waits on the server for one response. Chaos
+  /// latencies are tens of milliseconds and a soak request completes well
+  /// under a second even under sanitizers, so an expiry means the request
+  /// was never answered: it is recorded as a typed kDeadlineExceeded
+  /// failure and the session reconnects, instead of parking the session
+  /// thread forever.
+  static constexpr int kRecvDeadlineMs = 5000;
+
   /// \brief Creates and populates CHAOS_T over a clean connection. Run
   /// this BEFORE installing chaos: seeding is fixture setup, not part of
   /// the experiment.

@@ -140,10 +140,6 @@ ResultConverter::ResultConverter(ConverterOptions options)
   options_.rows_per_batch = std::max<size_t>(1, options_.rows_per_batch);
 }
 
-ResultConverter::ResultConverter(int parallelism, size_t rows_per_batch)
-    : ResultConverter(ConverterOptions{parallelism, rows_per_batch, nullptr}) {
-}
-
 Result<ConversionResult> ResultConverter::Convert(
     const backend::BackendResult& result, QueryContext* ctx) const {
   ConversionResult out;
@@ -170,9 +166,9 @@ Result<ConversionResult> ResultConverter::Convert(
   }
   out.total_rows = total;
 
-  // Carve the global row range into wire batches (identical segmentation to
-  // the historical row path: batch b covers rows [b*N, (b+1)*N)), then
-  // encode batches in parallel. A wire batch may straddle span boundaries.
+  // Carve the global row range into wire batches (batch b covers rows
+  // [b*N, (b+1)*N)), then encode batches in parallel. A wire batch may
+  // straddle span boundaries.
   const size_t rows_per_batch = options_.rows_per_batch;
   size_t nbatches = (total + rows_per_batch - 1) / rows_per_batch;
   out.batches.resize(nbatches);

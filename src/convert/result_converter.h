@@ -49,11 +49,7 @@ struct ConverterOptions {
 
 class ResultConverter {
  public:
-  explicit ResultConverter(ConverterOptions options);
-
-  /// \deprecated Positional-argument constructor kept for legacy call
-  /// sites; prefer ConverterOptions.
-  explicit ResultConverter(int parallelism = 2, size_t rows_per_batch = 2048);
+  explicit ResultConverter(ConverterOptions options = {});
 
   /// \brief Converts a backend (TDF) result into wire batches. `ctx`
   /// (optional) is polled at every batch boundary by each encode worker,

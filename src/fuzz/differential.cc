@@ -47,10 +47,7 @@ std::vector<std::string> CanonicalRows(const vdb::QueryResult& result) {
     }
     out.push_back(std::move(line));
   };
-  // Results arrive either as legacy datum rows or as columnar chunks
-  // (DESIGN.md §15); canonicalize both without forcing a materialization
-  // of the whole relation.
-  for (const auto& row : result.rows) emit(row);
+  // Canonicalize chunk by chunk without materializing the whole relation.
   std::vector<Datum> scratch;
   for (const auto& chunk : result.chunks) {
     for (size_t r = 0; r < chunk->rows; ++r) {

@@ -31,6 +31,10 @@ class TdwpClient {
   TdwpClient() = default;
 
   Status Connect(uint16_t port);
+  /// \brief Bounds every wait for a response byte (SO_RCVTIMEO) after
+  /// Connect(); an expiry fails the pending call with kDeadlineExceeded.
+  /// 0 = wait forever (the default).
+  Status SetRecvTimeoutMs(int ms) { return sock_.SetRecvTimeoutMs(ms); }
   Status Logon(const std::string& user, const std::string& password,
                const std::string& default_database = "");
   Result<ClientResult> Run(const std::string& sql);

@@ -386,7 +386,7 @@ Result<std::string> Serializer::RenderFromItem(const Op& op,
       HQ_ASSIGN_OR_RETURN(
           std::string right,
           RenderFromItem(*op.children[1], outer, scope, state));
-      const char* kw;
+      const char* kw = " INNER JOIN ";
       switch (op.join_kind) {
         case xtra::JoinKind::kInner:
           kw = " INNER JOIN ";

@@ -6,25 +6,6 @@
 
 namespace hyperq::vdb {
 
-void QueryResult::EnsureRows() {
-  if (chunks.empty()) return;
-  rows.clear();
-  rows.reserve(row_count());
-  for (const auto& chunk : chunks) {
-    AppendRowsFromBatch(*chunk, 0, chunk->rows, &rows);
-  }
-  chunks.clear();
-}
-
-void QueryResult::EnsureChunks() {
-  if (!chunks.empty() || rows.empty()) return;
-  std::vector<SqlType> types;
-  types.reserve(columns.size());
-  for (const auto& c : columns) types.push_back(c.type);
-  chunks.push_back(BatchFromRows(types, rows, 0, rows.size()));
-  rows.clear();
-}
-
 Engine::Engine() : dialect_(sql::Dialect::Ansi()) {}
 
 Result<QueryResult> Engine::Execute(const std::string& sql) {
@@ -97,7 +78,6 @@ Result<QueryResult> Engine::ExecuteParsed(const sql::Statement& stmt) {
         for (const auto& col : rel.cols) {
           result.columns.push_back({col.name, col.type});
         }
-        rel.EnsureColumnar();
         result.chunks = std::move(rel.chunks);
         result.command_tag = "SELECT";
         return result;

@@ -2,10 +2,12 @@
 //
 // Engine accepts SQL-B text (the ANSI-ish dialect Hyper-Q's serializer
 // emits), parses it with the shared ANSI parser, binds it with the shared
-// binder (vendor features disabled), and interprets the resulting XTRA plan
-// against in-memory storage. It plays the role of the commercial target
-// systems in the paper's evaluation; see DESIGN.md for the substitution
-// rationale.
+// binder (vendor features disabled), and runs the resulting XTRA plan on
+// the column-at-a-time executor over in-memory storage. SELECT results
+// leave as ColumnBatch chunks, the one batch format the result path uses
+// up to the wire (DESIGN.md §15). It plays the role of the commercial
+// target systems in the paper's evaluation; see DESIGN.md for the
+// substitution rationale.
 
 #pragma once
 
@@ -28,21 +30,15 @@ struct ResultColumn {
   SqlType type;
 };
 
-/// \brief A fully materialized statement result.
-///
-/// SELECT results arrive as columnar `chunks` (shared, immutable
-/// ColumnBatch); `rows` is the deprecated row-at-a-time shim, populated
-/// only by EnsureRows() or by legacy producers (emulation). Exactly one of
-/// the two forms is authoritative; consumers on the batch path should call
-/// EnsureChunks() and iterate `chunks`.
+/// \brief A fully materialized statement result. SELECT results arrive as
+/// columnar `chunks` (shared, immutable ColumnBatch).
 struct QueryResult {
   std::vector<ResultColumn> columns;
 
-  /// \deprecated Row shim; call EnsureRows() before reading, or better,
-  /// consume `chunks` directly.
+  /// No producer fills this field: results travel as `chunks`. It stays
+  /// because the benchmark harness (tdwpbench/) still reads it.
   std::vector<Row> rows;
 
-  /// Columnar result payload (authoritative when non-empty).
   std::vector<std::shared_ptr<const ColumnBatch>> chunks;
 
   int64_t affected_rows = 0;
@@ -50,21 +46,12 @@ struct QueryResult {
 
   bool is_rowset() const { return !columns.empty(); }
 
-  /// Total result rows across whichever representation is live.
+  /// Total result rows across `chunks`.
   size_t row_count() const {
-    if (!chunks.empty()) {
-      size_t n = 0;
-      for (const auto& c : chunks) n += c->rows;
-      return n;
-    }
-    return rows.size();
+    size_t n = 0;
+    for (const auto& c : chunks) n += c->rows;
+    return n;
   }
-
-  /// \brief Materializes `rows` from `chunks` (legacy consumers).
-  void EnsureRows();
-  /// \brief Builds one chunk from `rows` (legacy producers feeding the
-  /// batch data plane); requires `columns` to be populated.
-  void EnsureChunks();
 };
 
 /// \brief The target database engine. Thread-safe: one internal lock

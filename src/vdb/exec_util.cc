@@ -4,6 +4,37 @@
 
 namespace hyperq::vdb::exec {
 
+void SplitConjuncts(const xtra::Expr* e, std::vector<const xtra::Expr*>* out) {
+  if (e->kind == xtra::ExprKind::kBool &&
+      e->boolk == xtra::BoolKind::kAnd) {
+    for (const auto& c : e->children) SplitConjuncts(c.get(), out);
+    return;
+  }
+  out->push_back(e);
+}
+
+bool ExprRefsOnly(const xtra::Expr& e, const std::function<bool(int)>& allowed,
+                  bool* any_ref) {
+  if (e.kind == xtra::ExprKind::kColRef) {
+    *any_ref = true;
+    return allowed(e.col_id);
+  }
+  if (e.subplan) return false;  // keep it simple: no nested subqueries
+  for (const auto& c : e.children) {
+    if (c && !ExprRefsOnly(*c, allowed, any_ref)) return false;
+  }
+  for (const auto& [w, t] : e.when_then) {
+    if (!ExprRefsOnly(*w, allowed, any_ref) ||
+        !ExprRefsOnly(*t, allowed, any_ref)) {
+      return false;
+    }
+  }
+  if (e.else_expr && !ExprRefsOnly(*e.else_expr, allowed, any_ref)) {
+    return false;
+  }
+  return true;
+}
+
 bool LikeMatch(std::string_view value, std::string_view pattern,
                char escape, bool has_escape) {
   // Recursive matcher with backtracking on '%'.

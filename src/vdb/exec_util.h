@@ -1,8 +1,10 @@
-// Internal helpers shared by the row-oriented (executor.cc) and vectorized
-// (executor_vec.cc) halves of the vdb executor. Not part of the public API.
+// Internal helpers shared by the vdb executor's scalar interpreter
+// (executor.cc) and its column-at-a-time operators (executor_vec.cc). Not
+// part of the public API.
 
 #pragma once
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -41,6 +43,14 @@ struct DatumEq {
     return Datum::GroupEquals(a, b);
   }
 };
+
+/// \brief Appends the AND-conjuncts of `e` (itself when not an AND).
+void SplitConjuncts(const xtra::Expr* e, std::vector<const xtra::Expr*>* out);
+
+/// \brief True when every column `e` references satisfies `allowed` and
+/// `e` holds no subquery; sets `*any_ref` when it references any column.
+bool ExprRefsOnly(const xtra::Expr& e, const std::function<bool(int)>& allowed,
+                  bool* any_ref);
 
 /// \brief SQL LIKE matcher with optional escape character.
 bool LikeMatch(std::string_view value, std::string_view pattern,

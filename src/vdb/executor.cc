@@ -17,41 +17,16 @@ using xtra::ExprKind;
 using xtra::Op;
 using xtra::OpKind;
 
-using exec::Accumulator;
 using exec::LikeMatch;
-using exec::RowEq;
-using exec::RowHash;
 
 // ---------------------------------------------------------------------------
-// Relation row/columnar conversion shims
+// Relation
 // ---------------------------------------------------------------------------
 
 size_t Relation::RowCount() const {
-  if (!columnar) return rows.size();
   size_t n = 0;
   for (const auto& c : chunks) n += c->rows;
   return n;
-}
-
-void Relation::EnsureRows() {
-  if (!columnar) return;
-  rows.clear();
-  rows.reserve(RowCount());
-  for (const auto& chunk : chunks) {
-    AppendRowsFromBatch(*chunk, 0, chunk->rows, &rows);
-  }
-  chunks.clear();
-  columnar = false;
-}
-
-void Relation::EnsureColumnar() {
-  if (columnar) return;
-  std::vector<SqlType> types;
-  types.reserve(cols.size());
-  for (const auto& c : cols) types.push_back(c.type);
-  chunks = {BatchFromRows(types, rows, 0, rows.size())};
-  rows.clear();
-  columnar = true;
 }
 
 std::shared_ptr<const ColumnBatch> Relation::SingleChunk() const {
@@ -138,29 +113,20 @@ bool Executor::IsCorrelationFree(const xtra::Op& op) {
 Result<Relation> Executor::Execute(const xtra::Op& op) { return Exec(op); }
 
 Result<Relation> Executor::Exec(const Op& op) {
-  // Correlation-free subtrees re-executed inside subqueries are cached.
-  // Invariant: whenever `outer_` is non-empty the returned relation is
-  // row-materialized — correlated machinery (subquery memo, select indexes)
-  // keeps pointers into `rows`, so vectorized results are converted here.
-  if (!outer_.empty()) {
-    auto hit = relation_cache_.find(&op);
-    if (hit != relation_cache_.end()) return *hit->second;
-    auto cf = correlation_free_.find(&op);
-    bool free = cf != correlation_free_.end() ? cf->second
-                                              : IsCorrelationFree(op);
-    if (cf == correlation_free_.end()) correlation_free_[&op] = free;
-    if (free && op.kind != OpKind::kGet) {
-      HQ_ASSIGN_OR_RETURN(Relation rel, ExecDispatch(op));
-      rel.EnsureRows();
-      auto shared = std::make_shared<Relation>(std::move(rel));
-      relation_cache_[&op] = shared;
-      return *shared;
-    }
-    HQ_ASSIGN_OR_RETURN(Relation rel, ExecDispatch(op));
-    rel.EnsureRows();
-    return rel;
-  }
-  return ExecDispatch(op);
+  // Inside a correlated subquery, a correlation-free subtree returns the
+  // same relation on every re-execution: run it once and share its chunks.
+  if (outer_.empty()) return ExecDispatch(op);
+  auto hit = relation_cache_.find(&op);
+  if (hit != relation_cache_.end()) return *hit->second;
+  auto cf = correlation_free_.find(&op);
+  bool free = cf != correlation_free_.end() ? cf->second
+                                            : IsCorrelationFree(op);
+  if (cf == correlation_free_.end()) correlation_free_[&op] = free;
+  if (!free || op.kind == OpKind::kGet) return ExecDispatch(op);
+  HQ_ASSIGN_OR_RETURN(Relation rel, ExecDispatch(op));
+  auto shared = std::make_shared<Relation>(std::move(rel));
+  relation_cache_[&op] = shared;
+  return *shared;
 }
 
 Result<Relation> Executor::ExecDispatch(const Op& op) {
@@ -197,24 +163,27 @@ Result<Relation> Executor::ExecDispatch(const Op& op) {
   return Status::Internal("unknown operator kind");
 }
 
+namespace {
+Status CheckTableArity(const Table& table, const Op& get) {
+  if (table.columns.size() == get.output.size()) return Status::OK();
+  return Status::ExecutionError("table '", get.table_name, "' has ",
+                                table.columns.size(),
+                                " columns but the plan expects ",
+                                get.output.size());
+}
+
+const std::map<int, int> kEmptyLayout;
+const Row kEmptyRow;
+}  // namespace
+
 Result<Relation> Executor::ExecGet(const Op& op) {
   HQ_ASSIGN_OR_RETURN(const Table* table, storage_->GetTable(op.table_name));
-  if (table->columns.size() != op.output.size()) {
-    return Status::ExecutionError("table '", op.table_name, "' has ",
-                                  table->columns.size(),
-                                  " columns but the plan expects ",
-                                  op.output.size());
-  }
+  HQ_RETURN_IF_ERROR(CheckTableArity(*table, op));
   Relation rel;
   rel.cols = op.output;
   rel.BuildLayout();
-  if (outer_.empty()) {
-    // Zero-copy scan: share the table's cached columnar snapshot.
-    rel.chunks = {table->ColumnarSnapshot()};
-    rel.columnar = true;
-  } else {
-    rel.rows = table->rows;  // snapshot copy (correlated paths index rows)
-  }
+  // Zero-copy scan: share the table's cached columnar snapshot.
+  rel.chunks = {table->ColumnarSnapshot()};
   return rel;
 }
 
@@ -222,625 +191,85 @@ Result<Relation> Executor::ExecValues(const Op& op) {
   Relation rel;
   rel.cols = op.output;
   rel.BuildLayout();
-  Relation empty;
-  Row empty_row;
+  std::vector<SqlType> types;
+  types.reserve(rel.cols.size());
+  for (const auto& c : rel.cols) types.push_back(c.type);
+  BatchBuilder builder(types);
+  Row out;
   for (const auto& row : op.rows) {
-    Row out;
+    out.clear();
     for (const auto& e : row) {
-      HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*e, empty.layout, empty_row));
+      HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*e, kEmptyLayout, kEmptyRow));
       out.push_back(std::move(v));
     }
-    rel.rows.push_back(std::move(out));
+    HQ_RETURN_IF_ERROR(builder.AppendRow(out));
   }
+  rel.chunks = {builder.Finish()};
   return rel;
 }
 
-namespace {
-void SplitConjuncts(const xtra::Expr* e, std::vector<const xtra::Expr*>* out) {
-  if (e->kind == xtra::ExprKind::kBool &&
-      e->boolk == xtra::BoolKind::kAnd) {
-    for (const auto& c : e->children) SplitConjuncts(c.get(), out);
-    return;
-  }
-  out->push_back(e);
-}
-
-bool ExprRefsOnly(const xtra::Expr& e,
-                  const std::function<bool(int)>& allowed, bool* any_ref) {
-  if (e.kind == xtra::ExprKind::kColRef) {
-    *any_ref = true;
-    return allowed(e.col_id);
-  }
-  if (e.subplan) return false;  // keep it simple: no nested subqueries
-  for (const auto& c : e.children) {
-    if (c && !ExprRefsOnly(*c, allowed, any_ref)) return false;
-  }
-  for (const auto& [w, t] : e.when_then) {
-    if (!ExprRefsOnly(*w, allowed, any_ref) ||
-        !ExprRefsOnly(*t, allowed, any_ref)) {
-      return false;
-    }
-  }
-  if (e.else_expr && !ExprRefsOnly(*e.else_expr, allowed, any_ref)) {
+Result<bool> Executor::ProbeSelectIndex(const Op& op, Relation* out) {
+  if (outer_.empty() || op.children[0]->kind != OpKind::kGet ||
+      op.predicate == nullptr) {
     return false;
   }
-  return true;
-}
-}  // namespace
-
-Result<Relation> Executor::ExecSelect(const Op& op) {
-  // Correlated fast path: Select over Get with an equality between a table
-  // column and an outer-only expression uses a (cached) hash index instead
-  // of scanning the whole table per outer row.
-  if (!outer_.empty() && op.children[0]->kind == OpKind::kGet &&
-      op.predicate != nullptr) {
-    auto it = select_indexes_.find(&op);
-    if (it == select_indexes_.end()) {
-      auto idx = std::make_unique<SelectIndex>();
-      // Borrow the table's row storage instead of snapshotting it: the
-      // query executor never mutates storage (DML is rejected upstream),
-      // so the rows are stable for this executor's lifetime and copying a
-      // whole table per indexed subquery would dominate the plan.
-      const Op& get_op = *op.children[0];
-      HQ_ASSIGN_OR_RETURN(const Table* table,
-                          storage_->GetTable(get_op.table_name));
-      if (table->columns.size() != get_op.output.size()) {
-        return Status::ExecutionError("table '", get_op.table_name, "' has ",
-                                      table->columns.size(),
-                                      " columns but the plan expects ",
-                                      get_op.output.size());
-      }
-      auto base = std::make_shared<Relation>();
-      base->cols = get_op.output;
-      base->BuildLayout();
-      idx->base = std::move(base);
-      idx->rows = &table->rows;
-      std::vector<const Expr*> conjuncts;
-      SplitConjuncts(op.predicate.get(), &conjuncts);
-      for (const Expr* c : conjuncts) {
-        if (c->kind != ExprKind::kComp || c->comp != xtra::CompKind::kEq) {
-          continue;
-        }
-        for (int side = 0; side < 2 && idx->key_slot < 0; ++side) {
-          const Expr& a = *c->children[side];
-          const Expr& b = *c->children[1 - side];
-          if (a.kind != ExprKind::kColRef) continue;
-          auto slot = idx->base->layout.find(a.col_id);
-          if (slot == idx->base->layout.end()) continue;
-          bool any_ref = false;
-          bool outer_only = ExprRefsOnly(
-              b, [&](int id) { return !idx->base->layout.count(id); },
-              &any_ref);
-          if (outer_only && any_ref) {
-            idx->key_slot = slot->second;
-            idx->outer_key = &b;
-          }
-        }
-        if (idx->key_slot >= 0) break;
-      }
-      if (idx->key_slot >= 0) {
-        for (const Row& row : *idx->rows) {
-          const Datum& key = row[idx->key_slot];
-          if (!key.is_null()) idx->buckets[key].push_back(&row);
-        }
-      }
-      it = select_indexes_.emplace(&op, std::move(idx)).first;
+  const Op& get_op = *op.children[0];
+  auto it = select_indexes_.find(&op);
+  if (it == select_indexes_.end()) {
+    auto idx = std::make_unique<SelectIndex>();
+    HQ_ASSIGN_OR_RETURN(const Table* table,
+                        storage_->GetTable(get_op.table_name));
+    HQ_RETURN_IF_ERROR(CheckTableArity(*table, get_op));
+    std::map<int, int> layout;
+    for (size_t i = 0; i < get_op.output.size(); ++i) {
+      layout[get_op.output[i].id] = static_cast<int>(i);
     }
-    SelectIndex& idx = *it->second;
-    if (idx.key_slot >= 0) {
-      Relation rel;
-      rel.cols = idx.base->cols;
-      rel.layout = idx.base->layout;
-      static const std::map<int, int> kEmptyLayout;
-      static const Row kEmptyRow;
-      HQ_ASSIGN_OR_RETURN(Datum key,
-                          EvalExpr(*idx.outer_key, kEmptyLayout, kEmptyRow));
-      if (!key.is_null()) {
-        auto bucket = idx.buckets.find(key);
-        if (bucket != idx.buckets.end()) {
-          for (const Row* row : bucket->second) {
-            HQ_ASSIGN_OR_RETURN(
-                bool keep, EvalPredicate(*op.predicate, rel.layout, *row));
-            if (keep) rel.rows.push_back(*row);
-          }
-        }
-      }
-      return rel;
-    }
-  }
-  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
-  if (child.columnar && outer_.empty()) {
-    return SelectVec(op, std::move(child));
-  }
-  child.EnsureRows();
-  Relation rel;
-  rel.cols = child.cols;
-  rel.layout = child.layout;
-  for (auto& row : child.rows) {
-    HQ_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*op.predicate, child.layout,
-                                                 row));
-    if (keep) rel.rows.push_back(std::move(row));
-  }
-  return rel;
-}
-
-Result<Relation> Executor::ExecProject(const Op& op) {
-  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
-  if (child.columnar && outer_.empty() && !op.project_distinct) {
-    return ProjectVec(op, std::move(child));
-  }
-  child.EnsureRows();
-  Relation rel;
-  rel.cols = op.output;
-  rel.BuildLayout();
-  for (const auto& row : child.rows) {
-    Row out;
-    out.reserve(op.projections.size());
-    for (const auto& item : op.projections) {
-      HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*item.expr, child.layout, row));
-      out.push_back(std::move(v));
-    }
-    rel.rows.push_back(std::move(out));
-  }
-  if (op.project_distinct) {
-    std::unordered_set<Row, RowHash, RowEq> seen;
-    std::vector<Row> dedup;
-    for (auto& row : rel.rows) {
-      if (seen.insert(row).second) dedup.push_back(std::move(row));
-    }
-    rel.rows = std::move(dedup);
-  }
-  return rel;
-}
-
-Result<Relation> Executor::ExecWindow(const Op& op) {
-  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
-  child.EnsureRows();  // window functions stay on the row path
-  Relation rel;
-  rel.cols = op.output;
-  rel.BuildLayout();
-  size_t n = child.rows.size();
-
-  // Start from child rows; append one column per window item.
-  std::vector<Row> rows = std::move(child.rows);
-  for (const auto& item : op.windows) {
-    // Partition.
-    std::unordered_map<Row, std::vector<size_t>, RowHash, RowEq> parts;
-    for (size_t i = 0; i < n; ++i) {
-      Row key;
-      for (const auto& p : item.partition_by) {
-        HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*p, child.layout, rows[i]));
-        key.push_back(std::move(v));
-      }
-      parts[key].push_back(i);
-    }
-    std::vector<Datum> results(n);
-    for (auto& [key, idxs] : parts) {
-      // Order within the partition.
-      std::vector<std::vector<Datum>> sort_keys(idxs.size());
-      if (!item.order_by.empty()) {
-        for (size_t k = 0; k < idxs.size(); ++k) {
-          for (const auto& o : item.order_by) {
-            HQ_ASSIGN_OR_RETURN(Datum v,
-                                EvalExpr(*o.expr, child.layout,
-                                         rows[idxs[k]]));
-            sort_keys[k].push_back(std::move(v));
-          }
-        }
-        std::vector<size_t> order(idxs.size());
-        for (size_t k = 0; k < order.size(); ++k) order[k] = k;
-        std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-          for (size_t j = 0; j < item.order_by.size(); ++j) {
-            bool nf = item.order_by[j].nulls_first.value_or(
-                item.order_by[j].descending);  // vdb default: NULLs high
-            int c = CompareForSort(sort_keys[a][j], sort_keys[b][j],
-                                   item.order_by[j].descending, nf);
-            if (c != 0) return c < 0;
-          }
-          return false;
-        });
-        std::vector<size_t> reordered(idxs.size());
-        std::vector<std::vector<Datum>> rk(idxs.size());
-        for (size_t k = 0; k < order.size(); ++k) {
-          reordered[k] = idxs[order[k]];
-          rk[k] = std::move(sort_keys[order[k]]);
-        }
-        idxs = std::move(reordered);
-        sort_keys = std::move(rk);
-      }
-
-      auto peers_equal = [&](size_t a, size_t b) {
-        for (size_t j = 0; j < item.order_by.size(); ++j) {
-          if (!Datum::GroupEquals(sort_keys[a][j], sort_keys[b][j])) {
-            return false;
-          }
-        }
-        return true;
-      };
-
-      if (item.func == "ROW_NUMBER") {
-        for (size_t k = 0; k < idxs.size(); ++k) {
-          results[idxs[k]] = Datum::Int(static_cast<int64_t>(k) + 1);
-        }
-      } else if (item.func == "RANK" || item.func == "DENSE_RANK") {
-        int64_t rank = 0, dense = 0;
-        for (size_t k = 0; k < idxs.size(); ++k) {
-          if (k == 0 || !peers_equal(k, k - 1)) {
-            rank = static_cast<int64_t>(k) + 1;
-            ++dense;
-          }
-          results[idxs[k]] =
-              Datum::Int(item.func == "RANK" ? rank : dense);
-        }
-      } else {
-        // Aggregate window function.
-        if (item.order_by.empty()) {
-          // Whole-partition aggregate.
-          Accumulator acc(item.func, false);
-          for (size_t k = 0; k < idxs.size(); ++k) {
-            if (item.args.empty()) {
-              HQ_RETURN_IF_ERROR(acc.AddCountRow());
-            } else {
-              HQ_ASSIGN_OR_RETURN(
-                  Datum v, EvalExpr(*item.args[0], child.layout,
-                                    rows[idxs[k]]));
-              HQ_RETURN_IF_ERROR(acc.Add(v));
-            }
-          }
-          Datum v = acc.Finish();
-          for (size_t k = 0; k < idxs.size(); ++k) results[idxs[k]] = v;
-        } else {
-          // Running aggregate over peer groups (RANGE UNBOUNDED PRECEDING).
-          Accumulator acc(item.func, false);
-          size_t k = 0;
-          while (k < idxs.size()) {
-            size_t peer_end = k;
-            while (peer_end < idxs.size() && peers_equal(peer_end, k)) {
-              ++peer_end;
-            }
-            for (size_t j = k; j < peer_end; ++j) {
-              if (item.args.empty()) {
-                HQ_RETURN_IF_ERROR(acc.AddCountRow());
-              } else {
-                HQ_ASSIGN_OR_RETURN(
-                    Datum v, EvalExpr(*item.args[0], child.layout,
-                                      rows[idxs[j]]));
-                HQ_RETURN_IF_ERROR(acc.Add(v));
-              }
-            }
-            Datum v = acc.Finish();
-            for (size_t j = k; j < peer_end; ++j) results[idxs[j]] = v;
-            k = peer_end;
-          }
-        }
-      }
-    }
-    for (size_t i = 0; i < n; ++i) rows[i].push_back(std::move(results[i]));
-    // The next item may reference this one positionally via layout; extend
-    // the child layout accordingly.
-    child.layout[item.out_id] = static_cast<int>(rows.empty()
-                                                     ? child.cols.size()
-                                                     : rows[0].size() - 1);
-    child.cols.push_back({item.out_id, item.name, item.type});
-  }
-  rel.rows = std::move(rows);
-  return rel;
-}
-
-Result<Relation> Executor::ExecAggregate(const Op& op) {
-  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
-  if (child.columnar && outer_.empty()) {
-    return AggregateVec(op, std::move(child));
-  }
-  child.EnsureRows();
-  Relation rel;
-  rel.cols = op.output;
-  rel.BuildLayout();
-
-  struct GroupState {
-    Row key;
-    std::vector<Accumulator> accs;
-  };
-  std::unordered_map<Row, GroupState, RowHash, RowEq> groups;
-  std::vector<const Row*> group_order;  // deterministic output order
-
-  std::vector<Row> key_storage;
-  for (const auto& row : child.rows) {
-    Row key;
-    for (const auto& g : op.group_by) {
-      HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*g, child.layout, row));
-      key.push_back(std::move(v));
-    }
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      GroupState state;
-      state.key = key;
-      for (const auto& a : op.aggregates) {
-        state.accs.emplace_back(a.func, a.distinct);
-      }
-      it = groups.emplace(std::move(key), std::move(state)).first;
-      group_order.push_back(&it->first);
-    }
-    for (size_t i = 0; i < op.aggregates.size(); ++i) {
-      const auto& a = op.aggregates[i];
-      if (a.arg == nullptr) {
-        HQ_RETURN_IF_ERROR(it->second.accs[i].AddCountRow());
-      } else {
-        HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*a.arg, child.layout, row));
-        HQ_RETURN_IF_ERROR(it->second.accs[i].Add(v));
-      }
-    }
-  }
-
-  if (groups.empty() && op.group_by.empty()) {
-    // Global aggregate over empty input: one row of neutral values.
-    Row out;
-    for (const auto& a : op.aggregates) {
-      out.push_back(a.func == "COUNT" ? Datum::Int(0) : Datum::Null());
-    }
-    rel.rows.push_back(std::move(out));
-    return rel;
-  }
-
-  for (const Row* key : group_order) {
-    auto& state = groups.find(*key)->second;
-    Row out;
-    out.reserve(op.output.size());
-    for (const Datum& k : state.key) out.push_back(k);
-    for (const auto& acc : state.accs) out.push_back(acc.Finish());
-    rel.rows.push_back(std::move(out));
-  }
-  return rel;
-}
-
-Result<Relation> Executor::ExecJoin(const Op& op) {
-  HQ_ASSIGN_OR_RETURN(Relation left, Exec(*op.children[0]));
-  HQ_ASSIGN_OR_RETURN(Relation right, Exec(*op.children[1]));
-
-  // Hash-join fast path: extract equi-conjuncts whose sides bind entirely
-  // to one input each.
-  std::vector<const Expr*> left_keys, right_keys;
-  if (op.join_kind != xtra::JoinKind::kCross && op.predicate != nullptr) {
     std::vector<const Expr*> conjuncts;
-    SplitConjuncts(op.predicate.get(), &conjuncts);
+    exec::SplitConjuncts(op.predicate.get(), &conjuncts);
     for (const Expr* c : conjuncts) {
       if (c->kind != ExprKind::kComp || c->comp != xtra::CompKind::kEq) {
         continue;
       }
-      for (int side = 0; side < 2; ++side) {
+      for (int side = 0; side < 2 && idx->key_slot < 0; ++side) {
         const Expr& a = *c->children[side];
         const Expr& b = *c->children[1 - side];
-        bool a_ref = false, b_ref = false;
-        bool a_left = ExprRefsOnly(
-            a, [&](int id) { return left.layout.count(id) > 0; }, &a_ref);
-        bool b_right = ExprRefsOnly(
-            b, [&](int id) { return right.layout.count(id) > 0; }, &b_ref);
-        if (a_left && b_right && a_ref && b_ref) {
-          left_keys.push_back(&a);
-          right_keys.push_back(&b);
-          break;
+        if (a.kind != ExprKind::kColRef) continue;
+        auto slot = layout.find(a.col_id);
+        if (slot == layout.end()) continue;
+        bool any_ref = false;
+        bool outer_only = exec::ExprRefsOnly(
+            b, [&](int id) { return !layout.count(id); }, &any_ref);
+        if (outer_only && any_ref) {
+          idx->key_slot = slot->second;
+          idx->outer_key = &b;
+        }
+      }
+      if (idx->key_slot >= 0) break;
+    }
+    if (idx->key_slot >= 0) {
+      idx->snapshot = table->ColumnarSnapshot();
+      const ColumnVec& keys = *idx->snapshot->columns[idx->key_slot];
+      for (size_t r = 0; r < keys.size; ++r) {
+        if (!keys.IsNull(r)) {
+          idx->buckets[keys.GetDatum(r)].push_back(static_cast<uint32_t>(r));
         }
       }
     }
+    it = select_indexes_.emplace(&op, std::move(idx)).first;
   }
-
-  if (!left_keys.empty() && left.columnar && right.columnar &&
-      outer_.empty()) {
-    return JoinVec(op, std::move(left), std::move(right), left_keys,
-                   right_keys);
+  const SelectIndex& idx = *it->second;
+  if (idx.key_slot < 0) return false;
+  out->cols = get_op.output;
+  out->BuildLayout();
+  out->chunks.clear();
+  HQ_ASSIGN_OR_RETURN(Datum key,
+                      EvalExpr(*idx.outer_key, kEmptyLayout, kEmptyRow));
+  if (key.is_null()) return true;
+  auto bucket = idx.buckets.find(key);
+  if (bucket != idx.buckets.end()) {
+    out->chunks.push_back(GatherBatch(*idx.snapshot, bucket->second));
   }
-  left.EnsureRows();
-  right.EnsureRows();
-
-  Relation rel;
-  rel.cols = op.output;
-  rel.BuildLayout();
-
-  // Combined layout for the predicate.
-  std::map<int, int> combined = left.layout;
-  for (const auto& [id, idx] : right.layout) {
-    combined[id] = idx + static_cast<int>(left.cols.size());
-  }
-
-  auto combine = [&](const Row& l, const Row& r) {
-    Row out;
-    out.reserve(l.size() + r.size());
-    out.insert(out.end(), l.begin(), l.end());
-    out.insert(out.end(), r.begin(), r.end());
-    return out;
-  };
-  Row null_left(left.cols.size());
-  Row null_right(right.cols.size());
-
-  bool need_right_match = op.join_kind == xtra::JoinKind::kRight ||
-                          op.join_kind == xtra::JoinKind::kFull;
-  std::vector<bool> right_matched(right.rows.size(), false);
-
-  if (!left_keys.empty()) {
-    std::unordered_map<std::vector<Datum>, std::vector<size_t>, VecHashT,
-                       VecEqT>
-        table;
-    for (size_t ri = 0; ri < right.rows.size(); ++ri) {
-      std::vector<Datum> key;
-      bool null_key = false;
-      for (const Expr* k : right_keys) {
-        HQ_ASSIGN_OR_RETURN(Datum v,
-                            EvalExpr(*k, right.layout, right.rows[ri]));
-        if (v.is_null()) null_key = true;
-        key.push_back(std::move(v));
-      }
-      if (!null_key) table[std::move(key)].push_back(ri);
-    }
-    for (const auto& lrow : left.rows) {
-      bool matched = false;
-      std::vector<Datum> key;
-      bool null_key = false;
-      for (const Expr* k : left_keys) {
-        HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*k, left.layout, lrow));
-        if (v.is_null()) null_key = true;
-        key.push_back(std::move(v));
-      }
-      if (!null_key) {
-        auto bucket = table.find(key);
-        if (bucket != table.end()) {
-          for (size_t ri : bucket->second) {
-            Row candidate = combine(lrow, right.rows[ri]);
-            HQ_ASSIGN_OR_RETURN(
-                bool keep, EvalPredicate(*op.predicate, combined, candidate));
-            if (keep) {
-              matched = true;
-              if (need_right_match) right_matched[ri] = true;
-              rel.rows.push_back(std::move(candidate));
-            }
-          }
-        }
-      }
-      if (!matched && (op.join_kind == xtra::JoinKind::kLeft ||
-                       op.join_kind == xtra::JoinKind::kFull)) {
-        rel.rows.push_back(combine(lrow, null_right));
-      }
-    }
-    if (need_right_match) {
-      for (size_t ri = 0; ri < right.rows.size(); ++ri) {
-        if (!right_matched[ri]) {
-          rel.rows.push_back(combine(null_left, right.rows[ri]));
-        }
-      }
-    }
-    return rel;
-  }
-
-  for (const auto& lrow : left.rows) {
-    bool matched = false;
-    for (size_t ri = 0; ri < right.rows.size(); ++ri) {
-      Row candidate = combine(lrow, right.rows[ri]);
-      bool keep = true;
-      if (op.join_kind != xtra::JoinKind::kCross && op.predicate) {
-        HQ_ASSIGN_OR_RETURN(keep,
-                            EvalPredicate(*op.predicate, combined, candidate));
-      }
-      if (keep) {
-        matched = true;
-        if (need_right_match) right_matched[ri] = true;
-        rel.rows.push_back(std::move(candidate));
-      }
-    }
-    if (!matched && (op.join_kind == xtra::JoinKind::kLeft ||
-                     op.join_kind == xtra::JoinKind::kFull)) {
-      rel.rows.push_back(combine(lrow, null_right));
-    }
-  }
-  if (need_right_match) {
-    for (size_t ri = 0; ri < right.rows.size(); ++ri) {
-      if (!right_matched[ri]) {
-        rel.rows.push_back(combine(null_left, right.rows[ri]));
-      }
-    }
-  }
-  return rel;
-}
-
-Result<Relation> Executor::ExecSetOp(const Op& op) {
-  HQ_ASSIGN_OR_RETURN(Relation left, Exec(*op.children[0]));
-  HQ_ASSIGN_OR_RETURN(Relation right, Exec(*op.children[1]));
-  if (left.cols.size() != right.cols.size()) {
-    return Status::ExecutionError("set operation column count mismatch");
-  }
-  Relation rel;
-  rel.cols = op.output;
-  rel.BuildLayout();
-  if (op.setop_kind == xtra::SetOpKind::kUnionAll && left.columnar &&
-      right.columnar) {
-    rel.chunks = std::move(left.chunks);
-    for (auto& c : right.chunks) rel.chunks.push_back(std::move(c));
-    rel.columnar = true;
-    return rel;
-  }
-  left.EnsureRows();
-  right.EnsureRows();
-  switch (op.setop_kind) {
-    case xtra::SetOpKind::kUnionAll:
-      rel.rows = std::move(left.rows);
-      for (auto& r : right.rows) rel.rows.push_back(std::move(r));
-      break;
-    case xtra::SetOpKind::kUnion: {
-      std::unordered_set<Row, RowHash, RowEq> seen;
-      for (auto* src : {&left.rows, &right.rows}) {
-        for (auto& r : *src) {
-          if (seen.insert(r).second) rel.rows.push_back(std::move(r));
-        }
-      }
-      break;
-    }
-    case xtra::SetOpKind::kIntersect: {
-      std::unordered_set<Row, RowHash, RowEq> right_set(right.rows.begin(),
-                                                        right.rows.end());
-      std::unordered_set<Row, RowHash, RowEq> emitted;
-      for (auto& r : left.rows) {
-        if (right_set.count(r) && emitted.insert(r).second) {
-          rel.rows.push_back(std::move(r));
-        }
-      }
-      break;
-    }
-    case xtra::SetOpKind::kExcept: {
-      std::unordered_set<Row, RowHash, RowEq> right_set(right.rows.begin(),
-                                                        right.rows.end());
-      std::unordered_set<Row, RowHash, RowEq> emitted;
-      for (auto& r : left.rows) {
-        if (!right_set.count(r) && emitted.insert(r).second) {
-          rel.rows.push_back(std::move(r));
-        }
-      }
-      break;
-    }
-  }
-  return rel;
-}
-
-Result<Relation> Executor::ExecSort(const Op& op) {
-  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
-  if (child.columnar && outer_.empty()) {
-    return SortVec(op, std::move(child));
-  }
-  child.EnsureRows();
-  // Precompute sort keys.
-  std::vector<std::pair<std::vector<Datum>, Row>> keyed;
-  keyed.reserve(child.rows.size());
-  for (auto& row : child.rows) {
-    std::vector<Datum> keys;
-    for (const auto& item : op.sort_items) {
-      HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*item.expr, child.layout, row));
-      keys.push_back(std::move(v));
-    }
-    keyed.emplace_back(std::move(keys), std::move(row));
-  }
-  std::stable_sort(keyed.begin(), keyed.end(), [&](const auto& a,
-                                                   const auto& b) {
-    for (size_t i = 0; i < op.sort_items.size(); ++i) {
-      bool nf = op.sort_items[i].nulls_first.value_or(
-          op.sort_items[i].descending);  // vdb default: NULLs high
-      int c = CompareForSort(a.first[i], b.first[i],
-                             op.sort_items[i].descending, nf);
-      if (c != 0) return c < 0;
-    }
-    return false;
-  });
-  Relation rel;
-  rel.cols = child.cols;
-  rel.layout = child.layout;
-  for (auto& [keys, row] : keyed) rel.rows.push_back(std::move(row));
-  return rel;
-}
-
-Result<Relation> Executor::ExecLimit(const Op& op) {
-  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
-  if (child.columnar) return LimitVec(op, std::move(child));
-  if (op.limit_count >= 0 &&
-      child.rows.size() > static_cast<size_t>(op.limit_count)) {
-    child.rows.resize(op.limit_count);
-  }
-  return child;
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -852,7 +281,6 @@ Result<int64_t> Executor::ExecuteDml(const Op& op) {
   switch (op.kind) {
     case OpKind::kInsert: {
       HQ_ASSIGN_OR_RETURN(Relation src, Exec(*op.children[0]));
-      src.EnsureRows();
       // Map insert columns to table slots.
       std::vector<int> slots;
       if (op.target_columns.empty()) {
@@ -870,26 +298,32 @@ Result<int64_t> Executor::ExecuteDml(const Op& op) {
           slots.push_back(idx);
         }
       }
-      if (!src.rows.empty() && src.rows[0].size() != slots.size()) {
+      const size_t n = src.RowCount();
+      if (n > 0 && src.cols.size() != slots.size()) {
         return Status::ExecutionError("INSERT source arity mismatch");
       }
-      for (const auto& in : src.rows) {
-        Row out(table->columns.size());
-        for (size_t i = 0; i < slots.size(); ++i) {
-          HQ_ASSIGN_OR_RETURN(Datum v,
-                              in[i].CastTo(table->columns[slots[i]].type));
-          out[slots[i]] = std::move(v);
-        }
-        for (size_t i = 0; i < table->columns.size(); ++i) {
-          if (table->columns[i].not_null && out[i].is_null()) {
-            return Status::ExecutionError("NULL value in NOT NULL column '",
-                                          table->columns[i].name, "'");
+      // Rows are materialized here, where they become vdb's row storage.
+      Row in;
+      for (const auto& chunk : src.chunks) {
+        for (size_t r = 0; r < chunk->rows; ++r) {
+          chunk->FillRow(r, &in);
+          Row out(table->columns.size());
+          for (size_t i = 0; i < slots.size(); ++i) {
+            HQ_ASSIGN_OR_RETURN(Datum v,
+                                in[i].CastTo(table->columns[slots[i]].type));
+            out[slots[i]] = std::move(v);
           }
+          for (size_t i = 0; i < table->columns.size(); ++i) {
+            if (table->columns[i].not_null && out[i].is_null()) {
+              return Status::ExecutionError("NULL value in NOT NULL column '",
+                                            table->columns[i].name, "'");
+            }
+          }
+          table->rows.push_back(std::move(out));
         }
-        table->rows.push_back(std::move(out));
       }
       ++table->version;  // invalidate the cached columnar snapshot
-      return static_cast<int64_t>(src.rows.size());
+      return static_cast<int64_t>(n);
     }
     case OpKind::kUpdate: {
       // Layout: target col ids map onto table slots.
@@ -956,11 +390,6 @@ Result<int64_t> Executor::ExecuteDml(const Op& op) {
 // ---------------------------------------------------------------------------
 // Scalar evaluation
 // ---------------------------------------------------------------------------
-
-Result<Datum> Executor::Eval(const Expr& e, const Relation& rel,
-                             const Row& row) {
-  return EvalExpr(e, rel.layout, row);
-}
 
 Result<bool> Executor::EvalPredicate(const Expr& e,
                                      const std::map<int, int>& layout,
@@ -1367,50 +796,47 @@ Result<Executor::PreparedSubq> Executor::PrepareSubquery(
   auto result = Exec(*e.subplan);
   outer_.pop_back();
   HQ_RETURN_IF_ERROR(result.status());
-  Relation& rel = result.value();
-  rel.EnsureRows();
 
   PreparedSubq prep;
-  prep.exists = !rel.rows.empty();
-  auto rows = std::make_shared<std::vector<Row>>(std::move(rel.rows));
+  prep.batch = result->SingleChunk();
+  prep.exists = prep.batch->rows > 0;
   if (build_index && e.kind == ExprKind::kSubqIn) {
+    const ColumnVec& first = *prep.batch->columns[0];
+    std::vector<Datum> values;
+    values.reserve(first.size);
     bool all_i64 = true, all_str = true;
-    for (const auto& r : *rows) {
-      if (r[0].is_null()) {
+    for (size_t r = 0; r < first.size; ++r) {
+      if (first.IsNull(r)) {
         prep.saw_null = true;
         continue;
       }
-      all_i64 = all_i64 && r[0].is_int();
-      all_str = all_str && r[0].is_string();
+      values.push_back(first.GetDatum(r));
+      all_i64 = all_i64 && values.back().is_int();
+      all_str = all_str && values.back().is_string();
     }
     if (all_i64) {
       prep.index = PreparedSubq::Index::kI64;
-      for (const auto& r : *rows) {
-        if (!r[0].is_null()) prep.i64s.insert(r[0].int_val());
-      }
+      for (const Datum& v : values) prep.i64s.insert(v.int_val());
     } else if (all_str) {
       prep.index = PreparedSubq::Index::kStr;
-      for (const auto& r : *rows) {
-        if (!r[0].is_null()) prep.strs.insert(r[0].string_val());
-      }
+      for (const Datum& v : values) prep.strs.insert(v.string_val());
     }
   }
-  prep.rows = std::move(rows);
   return prep;
 }
 
 Result<Datum> Executor::EvalSubqueryOverPrepared(
     const Expr& e, const PreparedSubq& prep, const std::map<int, int>& layout,
     const Row& row) {
-  const std::vector<Row>& rows = *prep.rows;
+  const ColumnBatch& result = *prep.batch;
   switch (e.kind) {
     case ExprKind::kSubqScalar: {
-      if (rows.empty()) return Datum::Null();
-      if (rows.size() > 1) {
+      if (result.rows == 0) return Datum::Null();
+      if (result.rows > 1) {
         return Status::ExecutionError(
             "scalar subquery returned more than one row");
       }
-      return rows[0][0];
+      return result.columns[0]->GetDatum(0);
     }
     case ExprKind::kSubqExists: {
       return Datum::Bool(e.negated ? !prep.exists : prep.exists);
@@ -1431,12 +857,13 @@ Result<Datum> Executor::EvalSubqueryOverPrepared(
         return Datum::Bool(e.negated);
       }
       bool saw_null = false;
-      for (const auto& r : rows) {
-        if (r[0].is_null()) {
+      const ColumnVec& first = *result.columns[0];
+      for (size_t r = 0; r < first.size; ++r) {
+        if (first.IsNull(r)) {
           saw_null = true;
           continue;
         }
-        HQ_ASSIGN_OR_RETURN(int c, Datum::Compare(v, r[0]));
+        HQ_ASSIGN_OR_RETURN(int c, Datum::Compare(v, first.GetDatum(r)));
         if (c == 0) return Datum::Bool(!e.negated);
       }
       if (saw_null) return Datum::Null();
@@ -1453,15 +880,16 @@ Result<Datum> Executor::EvalSubqueryOverPrepared(
       bool is_any = e.quantifier == xtra::Quantifier::kAny;
       bool saw_null = false;
       bool any_true = false, all_true = true;
-      for (const auto& r : rows) {
+      for (size_t r = 0; r < result.rows; ++r) {
         bool row_null = false;
         int cmp = 0;
         for (size_t i = 0; i < vals.size(); ++i) {
-          if (vals[i].is_null() || r[i].is_null()) {
+          const ColumnVec& col = *result.columns[i];
+          if (vals[i].is_null() || col.IsNull(r)) {
             row_null = true;
             break;
           }
-          HQ_ASSIGN_OR_RETURN(int c, Datum::Compare(vals[i], r[i]));
+          HQ_ASSIGN_OR_RETURN(int c, Datum::Compare(vals[i], col.GetDatum(r)));
           if (c != 0) {
             cmp = c;
             break;
@@ -1500,7 +928,7 @@ Result<Datum> Executor::EvalSubqueryOverPrepared(
         if (saw_null) return Datum::Null();
         return Datum::Bool(false);
       }
-      if (rows.empty()) return Datum::Bool(true);
+      if (result.rows == 0) return Datum::Bool(true);
       if (!all_true) return Datum::Bool(false);
       if (saw_null) return Datum::Null();
       return Datum::Bool(true);

@@ -1,9 +1,13 @@
-// Volcano-ish interpreter executing XTRA plans against vdb storage.
+// Column-at-a-time executor running XTRA plans against vdb storage
+// (DESIGN.md §15).
 //
-// Operators materialize their results (the evaluation workloads fit in
-// memory at benchmark scale); scalar evaluation is a tree-walking
-// interpreter over Datum with SQL three-valued logic. Correlated subqueries
-// execute their subplans per outer row through an outer-scope chain.
+// Every operator consumes and emits ColumnBatch chunks; there is one
+// implementation per operator. Operators materialize their results (the
+// evaluation workloads fit in memory at benchmark scale). Expressions are
+// evaluated a column at a time, with a tree-walking interpreter over Datum
+// (SQL three-valued logic) as the per-expression fallback. Correlated
+// subqueries run their subplans on the same operators, once per distinct
+// outer binding: an outer column a chunk does not carry is a constant.
 
 #pragma once
 
@@ -19,24 +23,12 @@
 
 namespace hyperq::vdb {
 
-/// \brief A materialized intermediate result.
-///
-/// Since the columnar data-plane redesign (DESIGN.md §15) a relation carries
-/// its data either as `chunks` (a list of shared ColumnBatch, the fast path)
-/// or as `rows` (the legacy row-at-a-time shim). `columnar` says which form
-/// is authoritative; `EnsureRows()` / `EnsureColumnar()` convert on demand.
+/// \brief A materialized intermediate result: shared, immutable chunks
+/// that operators alias instead of copying.
 struct Relation {
   std::vector<xtra::ColumnInfo> cols;
   std::map<int, int> layout;  // col id -> slot index
-
-  /// \deprecated Row-oriented shim. New code should consume `chunks`; call
-  /// EnsureRows() before touching this member.
-  std::vector<Row> rows;
-
-  /// Columnar payload (authoritative when `columnar` is true). Chunks are
-  /// shared and immutable; operators alias them instead of copying.
   std::vector<std::shared_ptr<const ColumnBatch>> chunks;
-  bool columnar = false;
 
   void BuildLayout() {
     layout.clear();
@@ -46,11 +38,8 @@ struct Relation {
   }
 
   size_t RowCount() const;
-  /// \brief Materializes `rows` from `chunks` (no-op when already rows).
-  void EnsureRows();
-  /// \brief Builds one chunk from `rows` (no-op when already columnar).
-  void EnsureColumnar();
-  /// \brief Concatenates `chunks` to a single batch (requires columnar).
+  /// \brief Concatenates `chunks` to a single batch (one empty column per
+  /// slot when there are none).
   std::shared_ptr<const ColumnBatch> SingleChunk() const;
 };
 
@@ -65,11 +54,6 @@ class Executor {
 
   /// \brief Runs a DML plan; returns the number of affected rows.
   Result<int64_t> ExecuteDml(const xtra::Op& op);
-
-  /// \brief Evaluates a scalar expression against one row (exposed for
-  /// tests and the emulation layer's constant evaluation).
-  Result<Datum> Eval(const xtra::Expr& e, const Relation& rel,
-                     const Row& row);
 
   /// One evaluated expression over a chunk: either a column of the chunk's
   /// row count or a broadcast scalar constant. Public so executor_vec.cc's
@@ -90,6 +74,8 @@ class Executor {
   Result<Relation> ExecDispatch(const xtra::Op& op);
   Result<Relation> ExecGet(const xtra::Op& op);
   Result<Relation> ExecValues(const xtra::Op& op);
+
+  // --- Operators (executor_vec.cc) ---------------------------------------
   Result<Relation> ExecSelect(const xtra::Op& op);
   Result<Relation> ExecProject(const xtra::Op& op);
   Result<Relation> ExecWindow(const xtra::Op& op);
@@ -98,10 +84,6 @@ class Executor {
   Result<Relation> ExecSetOp(const xtra::Op& op);
   Result<Relation> ExecSort(const xtra::Op& op);
   Result<Relation> ExecLimit(const xtra::Op& op);
-
-  // --- Vectorized operator paths (executor_vec.cc) ----------------------
-  // Entered only when `outer_` is empty (no correlation in flight) and the
-  // child relation is columnar; they consume and emit batches.
 
   /// Evaluation context for one chunk; caches lazily materialized rows for
   /// expression shapes that fall back to the tree-walking interpreter. Rows
@@ -121,15 +103,11 @@ class Executor {
   Result<VecVal> EvalExprVecFallback(const xtra::Expr& e, VecCtx& ctx);
   Result<std::shared_ptr<const ColumnVec>> MaterializeVec(const VecVal& v,
                                                           size_t n);
-
-  Result<Relation> SelectVec(const xtra::Op& op, Relation child);
-  Result<Relation> ProjectVec(const xtra::Op& op, Relation child);
-  Result<Relation> AggregateVec(const xtra::Op& op, Relation child);
-  Result<Relation> JoinVec(const xtra::Op& op, Relation left, Relation right,
-                           const std::vector<const xtra::Expr*>& left_keys,
-                           const std::vector<const xtra::Expr*>& right_keys);
-  Result<Relation> SortVec(const xtra::Op& op, Relation child);
-  Result<Relation> LimitVec(const xtra::Op& op, Relation child);
+  /// Indices of the rows of `batch` for which `pred` is true (NULL counts
+  /// as false).
+  Result<std::vector<uint32_t>> FilterIndices(const xtra::Expr& pred,
+                                              const ColumnBatch& batch,
+                                              const std::map<int, int>& layout);
 
   Result<Datum> EvalExpr(const xtra::Expr& e, const std::map<int, int>& layout,
                          const Row& row);
@@ -144,7 +122,7 @@ class Executor {
   /// the index can never change the answer; mixed or approximate kinds
   /// keep the loop.
   struct PreparedSubq {
-    std::shared_ptr<const std::vector<Row>> rows;
+    std::shared_ptr<const ColumnBatch> batch;  // the subplan's result
     bool exists = false;
     bool saw_null = false;  // NULL among the first-column values
     enum class Index { kNone, kI64, kStr } index = Index::kNone;
@@ -210,13 +188,20 @@ class Executor {
   struct SelectIndex {
     int key_slot = -1;                      // slot in the Get output
     const xtra::Expr* outer_key = nullptr;  // outer-only key expression
-    std::unordered_map<Datum, std::vector<const Row*>, DatumHashT, DatumEqT>
+    /// The table's columnar snapshot and its non-NULL key buckets (row
+    /// indices into it). The query executor never mutates storage, so the
+    /// snapshot is the table for this executor's lifetime.
+    std::shared_ptr<const ColumnBatch> snapshot;
+    std::unordered_map<Datum, std::vector<uint32_t>, DatumHashT, DatumEqT>
         buckets;
-    std::shared_ptr<Relation> base;  // schema (cols + layout) only
-    /// Indexed rows, borrowed from the Table (stable for this executor's
-    /// lifetime: the query executor never mutates storage).
-    const std::vector<Row>* rows = nullptr;
   };
+
+  /// Inside a correlated subquery, a Select over a Get with an equality
+  /// between a table column and an outer-only expression probes a cached
+  /// hash index instead of scanning the table per outer binding. Fills
+  /// `out` with the Get rows of the probed key and returns true, or returns
+  /// false when `op` does not have that shape.
+  Result<bool> ProbeSelectIndex(const xtra::Op& op, Relation* out);
 
   Result<Datum> ResolveColRef(int col_id, const std::map<int, int>& layout,
                               const Row& row, const std::string& name);

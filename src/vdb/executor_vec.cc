@@ -1,14 +1,21 @@
-// Vectorized operator paths of the vdb executor (DESIGN.md §15).
+// The operators of the vdb executor (DESIGN.md §15), one implementation
+// each.
 //
-// These methods run only when no correlation is in flight (`outer_` empty):
-// they evaluate expressions column-at-a-time over ColumnBatch chunks and
-// fall back, per expression, to the tree-walking interpreter for shapes the
-// vector evaluator does not cover (functions, CASE, subqueries). Operators
-// that stay row-oriented (window, DISTINCT dedup, non-UNION-ALL set ops)
-// materialize rows up front in executor.cc.
+// Every operator consumes and emits ColumnBatch chunks. Expressions are
+// evaluated column-at-a-time; shapes the vector evaluator does not cover
+// (functions, CASE, subqueries) fall back, per expression, to the
+// tree-walking interpreter over lazily boxed rows. The operators run the
+// same way inside a correlated subquery: a column reference the chunk does
+// not carry resolves through the outer scope as a broadcast constant.
 
 #include <algorithm>
 #include <cstring>
+#include <map>
+#include <memory>
+#include <optional>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "vdb/exec_util.h"
 #include "vdb/executor.h"
@@ -25,6 +32,9 @@ using exec::RowEq;
 using exec::RowHash;
 
 namespace {
+
+const std::map<int, int> kEmptyLayout;
+const Row kEmptyRow;
 
 // Columns are immutable once their batch is published; sharing one into a
 // new batch is safe, the const qualifier is only dropped to satisfy the
@@ -216,9 +226,8 @@ Result<Executor::VecVal> Executor::EvalExprVecFallback(const Expr& e,
     // Row-independent expression (e.g. DATE '...' + INTERVAL '3' MONTH):
     // every scalar function in this engine is deterministic, so evaluate
     // once and broadcast instead of once per row. Zero-row batches keep the
-    // loop below (which never evaluates), matching row-path semantics where
-    // an erroring constant over an empty input does not surface.
-    static const Row kEmptyRow;
+    // loop below (which never evaluates), so an erroring constant over an
+    // empty input does not surface, as in the scalar interpreter.
     HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(e, *ctx.layout, kEmptyRow));
     VecVal out;
     out.is_const = true;
@@ -278,12 +287,18 @@ Result<Executor::VecVal> Executor::EvalExprVec(const Expr& e, VecCtx& ctx) {
   switch (e.kind) {
     case ExprKind::kColRef: {
       auto it = ctx.layout->find(e.col_id);
-      if (it == ctx.layout->end() ||
-          static_cast<size_t>(it->second) >= ctx.batch->columns.size()) {
+      VecVal out;
+      if (it == ctx.layout->end()) {
+        // A correlated reference: one value for the whole chunk.
+        HQ_ASSIGN_OR_RETURN(out.scalar, ResolveColRef(e.col_id, kEmptyLayout,
+                                                      kEmptyRow, e.col_name));
+        out.is_const = true;
+        return out;
+      }
+      if (static_cast<size_t>(it->second) >= ctx.batch->columns.size()) {
         return Status::ExecutionError("unresolved column id ", e.col_id,
                                       " ('", e.col_name, "') at execution");
       }
-      VecVal out;
       out.col = ctx.batch->columns[it->second];
       return out;
     }
@@ -371,14 +386,37 @@ Result<Executor::VecVal> Executor::EvalExprVec(const Expr& e, VecCtx& ctx) {
       return out;
     }
     case ExprKind::kBool: {
-      // Kleene AND/OR. Children are evaluated eagerly; if any child errors,
-      // fall back to row-at-a-time evaluation so per-row short-circuiting
-      // keeps errors in unreached conjuncts invisible, as on the row path.
+      // Kleene AND/OR. Children are evaluated over the whole chunk, except
+      // that a child holding a subquery runs only on the rows the earlier
+      // children left undecided, as per-row short-circuiting would: its
+      // subplan costs per row. If any child errors, fall back to the scalar
+      // interpreter, whose short-circuiting keeps errors in unreached
+      // operands invisible.
       bool is_and = e.boolk == xtra::BoolKind::kAnd;
+      const uint8_t decided = is_and ? 0 : 1;  // no later child changes it
       // 0 = false, 1 = true, 2 = NULL.
       std::vector<uint8_t> acc(n, is_and ? 1 : 0);
+      std::vector<uint32_t> live;  // undecided rows, for a subquery child
+      std::vector<int> slots;
       for (const auto& c : e.children) {
-        auto cv = EvalExprVec(*c, ctx);
+        live.clear();
+        slots.clear();
+        bool all_rows = true;
+        if (!CollectSlots(*c, *ctx.layout, &slots)) {  // holds a subquery
+          for (size_t r = 0; r < n; ++r) {
+            if (acc[r] != decided) live.push_back(static_cast<uint32_t>(r));
+          }
+          if (live.empty()) break;
+          all_rows = live.size() == n;
+        }
+        std::shared_ptr<ColumnBatch> subset;
+        VecCtx subset_ctx;
+        if (!all_rows) {
+          subset = GatherBatch(*ctx.batch, live);
+          subset_ctx.batch = subset.get();
+          subset_ctx.layout = ctx.layout;
+        }
+        auto cv = EvalExprVec(*c, all_rows ? ctx : subset_ctx);
         if (!cv.ok()) return EvalExprVecFallback(e, ctx);
         uint8_t const_state = 0;
         const ColumnVec* ccol = nullptr;
@@ -389,19 +427,20 @@ Result<Executor::VecVal> Executor::EvalExprVec(const Expr& e, VecCtx& ctx) {
         } else {
           ccol = cv->col.get();
         }
-        for (size_t r = 0; r < n; ++r) {
+        const size_t m = all_rows ? n : live.size();
+        for (size_t i = 0; i < m; ++i) {
           uint8_t s = const_state;
           if (ccol) {
-            if (ccol->IsNull(r)) {
+            if (ccol->IsNull(i)) {
               s = 2;
             } else if (ccol->kind == PhysKind::kBool) {
-              s = ccol->b8[r] != 0 ? 1 : 0;
+              s = ccol->b8[i] != 0 ? 1 : 0;
             } else {
-              Datum d = ccol->GetDatum(r);
+              Datum d = ccol->GetDatum(i);
               s = d.is_bool() && d.bool_val() ? 1 : 0;
             }
           }
-          uint8_t& a = acc[r];
+          uint8_t& a = acc[all_rows ? i : live[i]];
           if (is_and) {
             if (s == 0) {
               a = 0;
@@ -554,7 +593,7 @@ Result<Executor::VecVal> Executor::EvalExprVec(const Expr& e, VecCtx& ctx) {
             continue;
           }
           // kI64/kI64 is handled above, so at least one side is double and
-          // the row path would also produce a double here.
+          // the scalar interpreter would also produce a double here.
           col->Append(Datum::MakeDouble(e.arith == AK::kAdd   ? a + b
                                         : e.arith == AK::kSub ? a - b
                                                               : a * b));
@@ -691,46 +730,87 @@ Result<Executor::VecVal> Executor::EvalExprVec(const Expr& e, VecCtx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized operators
+// Operators
 // ---------------------------------------------------------------------------
 
-Result<Relation> Executor::SelectVec(const Op& op, Relation child) {
+namespace {
+
+using RowSet = std::unordered_set<Row, RowHash, RowEq>;
+
+// Indices of the rows of `batch` whose value tuple is not yet in `seen`
+// (the first occurrence wins); adds them to `seen`.
+std::vector<uint32_t> FirstOccurrences(const ColumnBatch& batch,
+                                       RowSet* seen) {
+  std::vector<uint32_t> keep;
+  Row row;
+  for (size_t r = 0; r < batch.rows; ++r) {
+    batch.FillRow(r, &row);
+    if (seen->insert(row).second) keep.push_back(static_cast<uint32_t>(r));
+  }
+  return keep;
+}
+
+// The rows `idx` (ascending) of `batch`; shares the batch when they are
+// all of its rows.
+std::shared_ptr<const ColumnBatch> KeepRows(
+    std::shared_ptr<const ColumnBatch> batch,
+    const std::vector<uint32_t>& idx) {
+  if (idx.size() == batch->rows) return batch;
+  return GatherBatch(*batch, idx);
+}
+
+// Candidate pairs a join rechecks against its full predicate per block.
+constexpr size_t kJoinBlock = 4096;
+
+}  // namespace
+
+Result<std::vector<uint32_t>> Executor::FilterIndices(
+    const Expr& pred, const ColumnBatch& batch,
+    const std::map<int, int>& layout) {
+  VecCtx ctx;
+  ctx.batch = &batch;
+  ctx.layout = &layout;
+  HQ_ASSIGN_OR_RETURN(VecVal mask, EvalExprVec(pred, ctx));
+  const size_t n = batch.rows;
+  std::vector<uint32_t> idx;
+  if (mask.is_const) {
+    if (!mask.scalar.is_null() && mask.scalar.is_bool() &&
+        mask.scalar.bool_val()) {
+      idx.resize(n);
+      for (size_t r = 0; r < n; ++r) idx[r] = static_cast<uint32_t>(r);
+    }
+    return idx;
+  }
+  idx.reserve(n);
+  for (size_t r = 0; r < n; ++r) {
+    if (MaskTrueAt(*mask.col, r)) idx.push_back(static_cast<uint32_t>(r));
+  }
+  return idx;
+}
+
+Result<Relation> Executor::ExecSelect(const Op& op) {
+  Relation child;
+  HQ_ASSIGN_OR_RETURN(bool probed, ProbeSelectIndex(op, &child));
+  if (!probed) {
+    HQ_ASSIGN_OR_RETURN(child, Exec(*op.children[0]));
+  }
   Relation rel;
   rel.cols = child.cols;
   rel.layout = child.layout;
-  rel.columnar = true;
   for (const auto& chunk : child.chunks) {
-    const size_t n = chunk->rows;
-    if (n == 0) continue;
-    VecCtx ctx;
-    ctx.batch = chunk.get();
-    ctx.layout = &child.layout;
-    HQ_ASSIGN_OR_RETURN(VecVal mask, EvalExprVec(*op.predicate, ctx));
-    if (mask.is_const) {
-      bool keep = !mask.scalar.is_null() && mask.scalar.is_bool() &&
-                  mask.scalar.bool_val();
-      if (keep) rel.chunks.push_back(chunk);
-      continue;
-    }
-    std::vector<uint32_t> idx;
-    idx.reserve(n);
-    for (size_t r = 0; r < n; ++r) {
-      if (MaskTrueAt(*mask.col, r)) idx.push_back(static_cast<uint32_t>(r));
-    }
-    if (idx.size() == n) {
-      rel.chunks.push_back(chunk);
-    } else if (!idx.empty()) {
-      rel.chunks.push_back(GatherBatch(*chunk, idx));
-    }
+    if (chunk->rows == 0) continue;
+    HQ_ASSIGN_OR_RETURN(std::vector<uint32_t> idx,
+                        FilterIndices(*op.predicate, *chunk, child.layout));
+    if (!idx.empty()) rel.chunks.push_back(KeepRows(chunk, idx));
   }
   return rel;
 }
 
-Result<Relation> Executor::ProjectVec(const Op& op, Relation child) {
+Result<Relation> Executor::ExecProject(const Op& op) {
+  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
   Relation rel;
   rel.cols = op.output;
   rel.BuildLayout();
-  rel.columnar = true;
   for (const auto& chunk : child.chunks) {
     const size_t n = chunk->rows;
     VecCtx ctx;
@@ -747,10 +827,136 @@ Result<Relation> Executor::ProjectVec(const Op& op, Relation child) {
     }
     rel.chunks.push_back(std::move(out));
   }
+  if (!op.project_distinct) return rel;
+  // DISTINCT keeps the first occurrence of each output tuple, in order.
+  std::shared_ptr<const ColumnBatch> all = rel.SingleChunk();
+  RowSet seen;
+  rel.chunks = {KeepRows(all, FirstOccurrences(*all, &seen))};
   return rel;
 }
 
-Result<Relation> Executor::AggregateVec(const Op& op, Relation child) {
+Result<Relation> Executor::ExecWindow(const Op& op) {
+  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
+  // Each window item appends one column; later items may read earlier ones.
+  auto batch = std::make_shared<ColumnBatch>(*child.SingleChunk());
+  std::map<int, int> layout = child.layout;
+  const size_t n = batch->rows;
+  for (const auto& item : op.windows) {
+    auto col = std::make_shared<ColumnVec>(PhysKindFor(item.type));
+    col->Reserve(n);
+    if (n > 0) {
+      VecCtx ctx;
+      ctx.batch = batch.get();
+      ctx.layout = &layout;
+      // Inputs column-at-a-time: partition keys, order keys, argument.
+      std::vector<VecVal> part_vals, order_vals;
+      for (const auto& p : item.partition_by) {
+        HQ_ASSIGN_OR_RETURN(VecVal v, EvalExprVec(*p, ctx));
+        part_vals.push_back(std::move(v));
+      }
+      for (const auto& o : item.order_by) {
+        HQ_ASSIGN_OR_RETURN(VecVal v, EvalExprVec(*o.expr, ctx));
+        order_vals.push_back(std::move(v));
+      }
+      const bool ranking = item.func == "ROW_NUMBER" || item.func == "RANK" ||
+                           item.func == "DENSE_RANK";
+      std::optional<SideView> arg;
+      VecVal arg_val;
+      if (!ranking && !item.args.empty()) {
+        HQ_ASSIGN_OR_RETURN(arg_val, EvalExprVec(*item.args[0], ctx));
+        arg = MakeSide(arg_val);
+      }
+      // Sort keys, one Datum vector per ORDER BY item.
+      std::vector<std::vector<Datum>> okeys(order_vals.size());
+      for (size_t j = 0; j < order_vals.size(); ++j) {
+        SideView side = MakeSide(order_vals[j]);
+        okeys[j].reserve(n);
+        for (size_t r = 0; r < n; ++r) okeys[j].push_back(side.At(r));
+      }
+      std::vector<SideView> part_sides;
+      for (const auto& v : part_vals) part_sides.push_back(MakeSide(v));
+      std::unordered_map<Row, std::vector<uint32_t>, RowHash, RowEq> parts;
+      Row key(part_sides.size());
+      for (size_t r = 0; r < n; ++r) {
+        for (size_t k = 0; k < part_sides.size(); ++k) {
+          key[k] = part_sides[k].At(r);
+        }
+        parts[key].push_back(static_cast<uint32_t>(r));
+      }
+
+      std::vector<Datum> results(n);
+      for (auto& [pkey, idxs] : parts) {
+        std::stable_sort(idxs.begin(), idxs.end(), [&](uint32_t a, uint32_t b) {
+          for (size_t j = 0; j < item.order_by.size(); ++j) {
+            bool nf = item.order_by[j].nulls_first.value_or(
+                item.order_by[j].descending);  // vdb default: NULLs high
+            int c = CompareForSort(okeys[j][a], okeys[j][b],
+                                   item.order_by[j].descending, nf);
+            if (c != 0) return c < 0;
+          }
+          return false;
+        });
+        auto peers = [&](size_t a, size_t b) {
+          for (const auto& keys : okeys) {
+            if (!Datum::GroupEquals(keys[idxs[a]], keys[idxs[b]])) {
+              return false;
+            }
+          }
+          return true;
+        };
+        auto add = [&](Accumulator* acc, uint32_t r) -> Status {
+          if (!arg) return acc->AddCountRow();
+          return acc->Add(arg->At(r));
+        };
+        if (item.func == "ROW_NUMBER") {
+          for (size_t k = 0; k < idxs.size(); ++k) {
+            results[idxs[k]] = Datum::Int(static_cast<int64_t>(k) + 1);
+          }
+        } else if (ranking) {  // RANK / DENSE_RANK
+          int64_t rank = 0, dense = 0;
+          for (size_t k = 0; k < idxs.size(); ++k) {
+            if (k == 0 || !peers(k, k - 1)) {
+              rank = static_cast<int64_t>(k) + 1;
+              ++dense;
+            }
+            results[idxs[k]] = Datum::Int(item.func == "RANK" ? rank : dense);
+          }
+        } else if (item.order_by.empty()) {
+          // Whole-partition aggregate.
+          Accumulator acc(item.func, false);
+          for (uint32_t r : idxs) HQ_RETURN_IF_ERROR(add(&acc, r));
+          Datum v = acc.Finish();
+          for (uint32_t r : idxs) results[r] = v;
+        } else {
+          // Running aggregate over peer groups (RANGE UNBOUNDED PRECEDING).
+          Accumulator acc(item.func, false);
+          size_t k = 0;
+          while (k < idxs.size()) {
+            size_t peer_end = k;
+            while (peer_end < idxs.size() && peers(peer_end, k)) ++peer_end;
+            for (size_t j = k; j < peer_end; ++j) {
+              HQ_RETURN_IF_ERROR(add(&acc, idxs[j]));
+            }
+            Datum v = acc.Finish();
+            for (size_t j = k; j < peer_end; ++j) results[idxs[j]] = v;
+            k = peer_end;
+          }
+        }
+      }
+      for (const Datum& v : results) AppendOrDemote(&col, v);
+    }
+    batch->columns.push_back(std::move(col));
+    layout[item.out_id] = static_cast<int>(batch->columns.size() - 1);
+  }
+  Relation rel;
+  rel.cols = op.output;
+  rel.BuildLayout();
+  rel.chunks = {std::move(batch)};
+  return rel;
+}
+
+Result<Relation> Executor::ExecAggregate(const Op& op) {
+  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
   Relation rel;
   rel.cols = op.output;
   rel.BuildLayout();
@@ -831,35 +1037,70 @@ Result<Relation> Executor::AggregateVec(const Op& op, Relation child) {
     }
   }
 
+  std::vector<SqlType> types;
+  types.reserve(op.output.size());
+  for (const auto& c : op.output) types.push_back(c.type);
+  BatchBuilder builder(types);
   if (groups.empty() && op.group_by.empty()) {
     // Global aggregate over empty input: one row of neutral values.
     Row out;
     for (const auto& a : op.aggregates) {
       out.push_back(a.func == "COUNT" ? Datum::Int(0) : Datum::Null());
     }
-    rel.rows.push_back(std::move(out));
-    return rel;
+    HQ_RETURN_IF_ERROR(builder.AppendRow(out));
   }
-
+  builder.Reserve(group_order.size());
+  Row out;
   for (const Row* key : group_order) {
     auto& state = groups.find(*key)->second;
-    Row out;
-    out.reserve(op.output.size());
+    out.clear();
     for (const Datum& k : state.key) out.push_back(k);
     for (const auto& acc : state.accs) out.push_back(acc.Finish());
-    rel.rows.push_back(std::move(out));
+    HQ_RETURN_IF_ERROR(builder.AppendRow(out));
   }
+  rel.chunks = {builder.Finish()};
   return rel;
 }
 
-Result<Relation> Executor::JoinVec(
-    const Op& op, Relation left, Relation right,
-    const std::vector<const Expr*>& left_keys,
-    const std::vector<const Expr*>& right_keys) {
+Result<Relation> Executor::ExecJoin(const Op& op) {
+  HQ_ASSIGN_OR_RETURN(Relation left, Exec(*op.children[0]));
+  HQ_ASSIGN_OR_RETURN(Relation right, Exec(*op.children[1]));
+
+  // Hash-join keys: equi-conjuncts whose sides bind entirely to one input
+  // each. A cross join ignores its predicate.
+  const bool filtered =
+      op.join_kind != xtra::JoinKind::kCross && op.predicate != nullptr;
+  std::vector<const Expr*> left_keys, right_keys;
+  std::vector<const Expr*> conjuncts;
+  if (filtered) {
+    exec::SplitConjuncts(op.predicate.get(), &conjuncts);
+    for (const Expr* c : conjuncts) {
+      if (c->kind != ExprKind::kComp || c->comp != xtra::CompKind::kEq) {
+        continue;
+      }
+      for (int side = 0; side < 2; ++side) {
+        const Expr& a = *c->children[side];
+        const Expr& b = *c->children[1 - side];
+        bool a_ref = false, b_ref = false;
+        bool a_left = exec::ExprRefsOnly(
+            a, [&](int id) { return left.layout.count(id) > 0; }, &a_ref);
+        bool b_right = exec::ExprRefsOnly(
+            b, [&](int id) { return right.layout.count(id) > 0; }, &b_ref);
+        if (a_left && b_right && a_ref && b_ref) {
+          left_keys.push_back(&a);
+          right_keys.push_back(&b);
+          break;
+        }
+      }
+    }
+  }
+  // Pairs that match on the keys (or every pair, without keys) are
+  // rechecked against the full predicate unless it is just the keys.
+  const bool need_recheck = filtered && conjuncts.size() != left_keys.size();
+
   Relation rel;
   rel.cols = op.output;
   rel.BuildLayout();
-  rel.columnar = true;
 
   std::shared_ptr<const ColumnBatch> lbatch = left.SingleChunk();
   std::shared_ptr<const ColumnBatch> rbatch = right.SingleChunk();
@@ -884,29 +1125,6 @@ Result<Relation> Executor::JoinVec(
     rkeys.push_back(MakeSide(rkey_vals.back()));
   }
 
-  // Does the predicate consist solely of the extracted equi-conjuncts? If
-  // not, every candidate pair is rechecked against the full predicate on a
-  // combined scratch row (same as the row path).
-  size_t conjunct_count = 0;
-  {
-    std::vector<const Expr*> conjuncts;
-    std::function<void(const Expr*)> split = [&](const Expr* e) {
-      if (e->kind == ExprKind::kBool && e->boolk == xtra::BoolKind::kAnd) {
-        for (const auto& c : e->children) split(c.get());
-        return;
-      }
-      conjuncts.push_back(e);
-    };
-    split(op.predicate.get());
-    conjunct_count = conjuncts.size();
-  }
-  bool need_recheck = conjunct_count != left_keys.size();
-
-  std::map<int, int> combined = left.layout;
-  for (const auto& [id, idx] : right.layout) {
-    combined[id] = idx + static_cast<int>(left.cols.size());
-  }
-
   // Build the hash table over the right side keys. Single-key joins where
   // both sides are physically int64 (the common TPC-H shape: orderkey,
   // custkey, ...) hash the raw values — no Datum boxing per row; raw
@@ -925,7 +1143,7 @@ Result<Relation> Executor::JoinVec(
         i64_table[rkeys[0].I64At(ri)].push_back(static_cast<uint32_t>(ri));
       }
     }
-  } else {
+  } else if (!lkeys.empty()) {
     table.reserve(rn);
     std::vector<Datum> key(rkeys.size());
     for (size_t ri = 0; ri < rn; ++ri) {
@@ -938,18 +1156,56 @@ Result<Relation> Executor::JoinVec(
     }
   }
 
-  bool pad_left = op.join_kind == xtra::JoinKind::kLeft ||
-                  op.join_kind == xtra::JoinKind::kFull;
-  bool need_right_match = op.join_kind == xtra::JoinKind::kRight ||
-                          op.join_kind == xtra::JoinKind::kFull;
-  std::vector<bool> right_matched(rn, false);
+  std::map<int, int> combined = left.layout;
+  for (const auto& [id, idx] : right.layout) {
+    combined[id] = idx + static_cast<int>(left.cols.size());
+  }
 
-  std::vector<uint32_t> li_idx, ri_idx;
-  Row scratch;
+  // Matching pairs, left-major; `cand_*` buffer a block awaiting recheck.
+  std::vector<uint32_t> out_l, out_r, cand_l, cand_r;
+  std::vector<uint8_t> left_matched(ln, 0), right_matched(rn, 0);
+  auto keep_pair = [&](uint32_t li, uint32_t ri) {
+    out_l.push_back(li);
+    out_r.push_back(ri);
+    left_matched[li] = 1;
+    right_matched[ri] = 1;
+  };
+  auto recheck = [&]() -> Status {
+    if (cand_l.empty()) return Status::OK();
+    ColumnBatch pairs;
+    pairs.rows = cand_l.size();
+    for (const auto& col : lbatch->columns) {
+      pairs.columns.push_back(GatherColumn(*col, cand_l));
+    }
+    for (const auto& col : rbatch->columns) {
+      pairs.columns.push_back(GatherColumn(*col, cand_r));
+    }
+    HQ_ASSIGN_OR_RETURN(std::vector<uint32_t> keep,
+                        FilterIndices(*op.predicate, pairs, combined));
+    for (uint32_t i : keep) keep_pair(cand_l[i], cand_r[i]);
+    cand_l.clear();
+    cand_r.clear();
+    return Status::OK();
+  };
+  auto candidate = [&](uint32_t li, uint32_t ri) -> Status {
+    if (!need_recheck) {
+      keep_pair(li, ri);
+      return Status::OK();
+    }
+    cand_l.push_back(li);
+    cand_r.push_back(ri);
+    return cand_l.size() >= kJoinBlock ? recheck() : Status::OK();
+  };
+
   std::vector<Datum> key(lkeys.size());
-  Row lrow, rrow;
   for (size_t li = 0; li < ln; ++li) {
-    bool matched = false;
+    const auto l32 = static_cast<uint32_t>(li);
+    if (lkeys.empty()) {
+      for (size_t ri = 0; ri < rn; ++ri) {
+        HQ_RETURN_IF_ERROR(candidate(l32, static_cast<uint32_t>(ri)));
+      }
+      continue;
+    }
     const std::vector<uint32_t>* hits = nullptr;
     if (i64_fast) {
       if (!lkeys[0].IsNullAt(li)) {
@@ -967,33 +1223,33 @@ Result<Relation> Executor::JoinVec(
         if (bucket != table.end()) hits = &bucket->second;
       }
     }
-    if (hits) {
-      for (uint32_t ri : *hits) {
-        bool keep = true;
-        if (need_recheck) {
-          lbatch->FillRow(li, &lrow);
-          rbatch->FillRow(ri, &rrow);
-          scratch.clear();
-          scratch.reserve(lrow.size() + rrow.size());
-          scratch.insert(scratch.end(), lrow.begin(), lrow.end());
-          scratch.insert(scratch.end(), rrow.begin(), rrow.end());
-          HQ_ASSIGN_OR_RETURN(
-              keep, EvalPredicate(*op.predicate, combined, scratch));
-        }
-        if (keep) {
-          matched = true;
-          if (need_right_match) right_matched[ri] = true;
-          li_idx.push_back(static_cast<uint32_t>(li));
-          ri_idx.push_back(ri);
-        }
+    if (hits == nullptr) continue;
+    for (uint32_t ri : *hits) HQ_RETURN_IF_ERROR(candidate(l32, ri));
+  }
+  HQ_RETURN_IF_ERROR(recheck());
+
+  // Outer joins pad unmatched rows with NULLs: a left row right after its
+  // own matches, right rows at the end.
+  std::vector<uint32_t> li_idx, ri_idx;
+  if (op.join_kind == xtra::JoinKind::kLeft ||
+      op.join_kind == xtra::JoinKind::kFull) {
+    size_t k = 0;
+    for (size_t li = 0; li < ln; ++li) {
+      for (; k < out_l.size() && out_l[k] == li; ++k) {
+        li_idx.push_back(out_l[k]);
+        ri_idx.push_back(out_r[k]);
+      }
+      if (!left_matched[li]) {
+        li_idx.push_back(static_cast<uint32_t>(li));
+        ri_idx.push_back(kNullRow);
       }
     }
-    if (!matched && pad_left) {
-      li_idx.push_back(static_cast<uint32_t>(li));
-      ri_idx.push_back(kNullRow);
-    }
+  } else {
+    li_idx = std::move(out_l);
+    ri_idx = std::move(out_r);
   }
-  if (need_right_match) {
+  if (op.join_kind == xtra::JoinKind::kRight ||
+      op.join_kind == xtra::JoinKind::kFull) {
     for (size_t ri = 0; ri < rn; ++ri) {
       if (!right_matched[ri]) {
         li_idx.push_back(kNullRow);
@@ -1015,7 +1271,49 @@ Result<Relation> Executor::JoinVec(
   return rel;
 }
 
-Result<Relation> Executor::SortVec(const Op& op, Relation child) {
+Result<Relation> Executor::ExecSetOp(const Op& op) {
+  HQ_ASSIGN_OR_RETURN(Relation left, Exec(*op.children[0]));
+  HQ_ASSIGN_OR_RETURN(Relation right, Exec(*op.children[1]));
+  if (left.cols.size() != right.cols.size()) {
+    return Status::ExecutionError("set operation column count mismatch");
+  }
+  Relation rel;
+  rel.cols = op.output;
+  rel.BuildLayout();
+  if (op.setop_kind == xtra::SetOpKind::kUnionAll) {
+    rel.chunks = std::move(left.chunks);
+    for (auto& c : right.chunks) rel.chunks.push_back(std::move(c));
+    return rel;
+  }
+  std::shared_ptr<const ColumnBatch> lbatch = left.SingleChunk();
+  std::shared_ptr<const ColumnBatch> rbatch = right.SingleChunk();
+  RowSet seen;
+  if (op.setop_kind == xtra::SetOpKind::kUnion) {
+    // Left rows, then right rows; the first occurrence of a tuple wins.
+    for (const auto& batch : {lbatch, rbatch}) {
+      std::vector<uint32_t> keep = FirstOccurrences(*batch, &seen);
+      if (!keep.empty()) rel.chunks.push_back(KeepRows(batch, keep));
+    }
+    return rel;
+  }
+  // INTERSECT / EXCEPT: distinct left rows that are (not) on the right.
+  RowSet right_rows;
+  FirstOccurrences(*rbatch, &right_rows);
+  const bool want = op.setop_kind == xtra::SetOpKind::kIntersect;
+  std::vector<uint32_t> keep;
+  Row row;
+  for (size_t r = 0; r < lbatch->rows; ++r) {
+    lbatch->FillRow(r, &row);
+    if ((right_rows.count(row) > 0) == want && seen.insert(row).second) {
+      keep.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  if (!keep.empty()) rel.chunks.push_back(KeepRows(lbatch, keep));
+  return rel;
+}
+
+Result<Relation> Executor::ExecSort(const Op& op) {
+  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
   std::shared_ptr<const ColumnBatch> batch = child.SingleChunk();
   const size_t n = batch->rows;
   VecCtx ctx;
@@ -1045,7 +1343,6 @@ Result<Relation> Executor::SortVec(const Op& op, Relation child) {
   Relation rel;
   rel.cols = child.cols;
   rel.layout = child.layout;
-  rel.columnar = true;
   bool already_sorted = true;
   for (size_t r = 0; r < n; ++r) {
     if (idx[r] != r) {
@@ -1061,7 +1358,8 @@ Result<Relation> Executor::SortVec(const Op& op, Relation child) {
   return rel;
 }
 
-Result<Relation> Executor::LimitVec(const Op& op, Relation child) {
+Result<Relation> Executor::ExecLimit(const Op& op) {
+  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
   if (op.limit_count < 0 ||
       child.RowCount() <= static_cast<size_t>(op.limit_count)) {
     return child;
@@ -1069,7 +1367,6 @@ Result<Relation> Executor::LimitVec(const Op& op, Relation child) {
   Relation rel;
   rel.cols = std::move(child.cols);
   rel.layout = std::move(child.layout);
-  rel.columnar = true;
   size_t remaining = static_cast<size_t>(op.limit_count);
   for (const auto& chunk : child.chunks) {
     if (remaining == 0) break;
@@ -1085,5 +1382,6 @@ Result<Relation> Executor::LimitVec(const Op& op, Relation child) {
   }
   return rel;
 }
+
 
 }  // namespace hyperq::vdb

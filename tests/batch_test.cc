@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "backend/connector.h"
@@ -60,12 +61,17 @@ std::vector<std::vector<uint8_t>> OracleBatches(const BackendResult& result,
   for (size_t b = 0; b * rows_per_batch < rows->size(); ++b) {
     size_t begin = b * rows_per_batch;
     size_t end = std::min(rows->size(), begin + rows_per_batch);
-    BufferWriter w;
-    w.PutU32(static_cast<uint32_t>(end - begin));
+    BufferWriter records;
     for (size_t r = begin; r < end; ++r) {
-      EXPECT_TRUE(protocol::EncodeRecord(cols, (*rows)[r], &w).ok());
+      EXPECT_TRUE(protocol::EncodeRecord(cols, (*rows)[r], &records).ok());
     }
-    out.push_back(w.Take());
+    // Payload: u32 row count, then the records.
+    std::vector<uint8_t> payload(4);
+    uint32_t count = static_cast<uint32_t>(end - begin);
+    std::memcpy(payload.data(), &count, sizeof(count));
+    payload.insert(payload.end(), records.bytes().begin(),
+                   records.bytes().end());
+    out.push_back(std::move(payload));
   }
   return out;
 }
@@ -142,13 +148,11 @@ TEST(Tdf2Test, RoundTripsEveryPhysicalKind) {
   auto encoded = backend::EncodeTdfBatch(schema, *batch, 0, batch->rows);
   auto reader = backend::TdfReader::Open(encoded);
   ASSERT_TRUE(reader.ok()) << reader.status();
-  EXPECT_TRUE(reader->is_columnar());
   EXPECT_EQ(reader->row_count(), rows.size());
-  auto decoded = reader->ReadBatch();
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  ASSERT_EQ((*decoded)->rows, rows.size());
+  const auto& decoded = reader->batch();
+  ASSERT_EQ(decoded->rows, rows.size());
   for (size_t r = 0; r < rows.size(); ++r) {
-    vdb::Row got = (*decoded)->RowAt(r);
+    vdb::Row got = decoded->RowAt(r);
     ASSERT_EQ(got.size(), rows[r].size());
     for (size_t c = 0; c < got.size(); ++c) {
       EXPECT_TRUE(Datum::GroupEquals(got[c], rows[r][c]))
@@ -169,12 +173,11 @@ TEST(Tdf2Test, AllNullPresenceRunRoundTrips) {
   auto encoded = backend::EncodeTdfBatch(schema, *batch, 0, batch->rows);
   auto reader = backend::TdfReader::Open(encoded);
   ASSERT_TRUE(reader.ok()) << reader.status();
-  auto decoded = reader->ReadBatch();
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  ASSERT_EQ((*decoded)->rows, 17u);
+  const auto& decoded = reader->batch();
+  ASSERT_EQ(decoded->rows, 17u);
   for (size_t r = 0; r < 17; ++r) {
-    EXPECT_TRUE((*decoded)->columns[0]->IsNull(r));
-    EXPECT_TRUE((*decoded)->columns[1]->IsNull(r));
+    EXPECT_TRUE(decoded->columns[0]->IsNull(r));
+    EXPECT_TRUE(decoded->columns[1]->IsNull(r));
   }
 }
 
@@ -192,10 +195,8 @@ TEST(Tdf2Test, OffsetSliceEncodesOnlyItsRows) {
   auto reader = backend::TdfReader::Open(encoded);
   ASSERT_TRUE(reader.ok()) << reader.status();
   ASSERT_EQ(reader->row_count(), 3u);
-  auto decoded = reader->ReadBatch();
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
   for (size_t r = 0; r < 3; ++r) {
-    EXPECT_EQ((*decoded)->RowAt(r)[0].string_val(),
+    EXPECT_EQ(reader->batch()->RowAt(r)[0].string_val(),
               "value-" + std::to_string(r + 2));
   }
 }

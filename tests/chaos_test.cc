@@ -484,7 +484,9 @@ TEST_F(ChaosTest, OneSendPerResponseAndOneRecvPerRequest) {
       EXPECT_EQ(kinds.front(), MessageKind::kResultHeader);
       EXPECT_EQ(kinds.size(), batches + 2);
       EXPECT_EQ(rows, shape.rows);
-      if (shape.rows > 2048) EXPECT_GE(batches, 2u);
+      if (shape.rows > 2048) {
+        EXPECT_GE(batches, 2u);
+      }
     } else {
       EXPECT_EQ(kinds.size(), 1u);
     }
@@ -672,6 +674,51 @@ TEST_F(ChaosTest, FdAndThreadCountersTrackResources) {
   EXPECT_TRUE(WaitFor([&] {
     return InvariantAuditor::CountOpenFds() <= fds;
   }));
+}
+
+TEST_F(ChaosTest, WorkloadTimesOutOnASilentServer) {
+  // A listener that accepts and never answers: without a receive deadline
+  // the session's logon would wait forever.
+  auto listener = protocol::ListenSocket::BindLocal(0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  std::atomic<bool> stop{false};
+  std::thread acceptor([&] {
+    auto held = listener->Accept();  // hold the connection, say nothing
+    while (!stop.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+
+  ClientLedger ledger;
+  chaos::WorkloadOptions w;
+  w.port = listener->port();
+  w.sessions = 1;
+  w.duration_ms = 1;  // one query
+  w.max_attempts = 1;
+  auto start = std::chrono::steady_clock::now();
+  chaos::WorkloadReport report = ChaosWorkload::Run(w, &ledger);
+  auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  stop.store(true);
+  listener->Interrupt();
+  acceptor.join();
+
+  EXPECT_GE(elapsed_ms, ChaosWorkload::kRecvDeadlineMs - 100);
+  EXPECT_LT(elapsed_ms, ChaosWorkload::kRecvDeadlineMs + 2000);
+  EXPECT_EQ(report.issued, 1);
+  EXPECT_EQ(report.failed, 1);
+  auto entries = ledger.Entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_TRUE(entries[0].finished);
+  EXPECT_EQ(entries[0].io_failures, 0);
+  EXPECT_EQ(entries[0].error_codes,
+            std::vector<int>{static_cast<int>(StatusCode::kDeadlineExceeded)});
+  // The typed failure is an attributed terminal state, not a violation.
+  chaos::AuditorOptions opt;
+  opt.settle_ms = 50;
+  auto violations = InvariantAuditor(opt).Audit(ledger);
+  EXPECT_TRUE(violations.empty()) << "violation: " << violations.front();
 }
 
 // --- Backend partition + failover --------------------------------------------

@@ -14,21 +14,29 @@ backend::BackendResult MakeBackendResult(int64_t rows) {
   backend::BackendResult result;
   result.columns = {{"A", SqlType::Int()}, {"S", SqlType::Varchar(16)}};
   result.store = std::make_shared<backend::ResultStore>();
-  backend::TdfWriter writer(result.columns);
+  result.store->set_schema(result.columns);
+  vdb::BatchBuilder builder({SqlType::Int(), SqlType::Varchar(16)});
   for (int64_t i = 0; i < rows; ++i) {
     EXPECT_TRUE(
-        writer
-            .AddRow({Datum::Int(i), Datum::String("s" + std::to_string(i))})
+        builder
+            .AppendRow({Datum::Int(i), Datum::String("s" + std::to_string(i))})
             .ok());
   }
-  size_t n = writer.row_count();
-  EXPECT_TRUE(result.store->Append(writer.Finish(), n).ok());
+  auto batch = builder.Finish();
+  EXPECT_TRUE(result.store->AppendBatch(batch, 0, batch->rows).ok());
   result.command_tag = "SELECT";
   return result;
 }
 
+ConverterOptions Options(int parallelism, size_t rows_per_batch = 2048) {
+  ConverterOptions options;
+  options.parallelism = parallelism;
+  options.rows_per_batch = rows_per_batch;
+  return options;
+}
+
 TEST(ConvertTest, AnnouncesTotalRowsBeforeBatches) {
-  ResultConverter converter(2, /*rows_per_batch=*/100);
+  ResultConverter converter(Options(2, 100));
   auto converted = converter.Convert(MakeBackendResult(250));
   ASSERT_TRUE(converted.ok()) << converted.status();
   // Buffered conversion: the total is known up front (WP-A requirement).
@@ -40,7 +48,7 @@ TEST(ConvertTest, AnnouncesTotalRowsBeforeBatches) {
 }
 
 TEST(ConvertTest, EmptyRowsetStillCarriesSchema) {
-  ResultConverter converter(1);
+  ResultConverter converter(Options(1));
   auto converted = converter.Convert(MakeBackendResult(0));
   ASSERT_TRUE(converted.ok());
   EXPECT_EQ(converted->total_rows, 0u);
@@ -53,7 +61,7 @@ TEST(ConvertTest, CommandResultsConvertToNothing) {
   backend::BackendResult cmd;
   cmd.command_tag = "INSERT";
   cmd.affected_rows = 3;
-  ResultConverter converter(2);
+  ResultConverter converter(Options(2));
   auto converted = converter.Convert(cmd);
   ASSERT_TRUE(converted.ok());
   EXPECT_TRUE(converted->columns.empty());
@@ -62,8 +70,8 @@ TEST(ConvertTest, CommandResultsConvertToNothing) {
 
 TEST(ConvertTest, ParallelismDoesNotChangeBytes) {
   auto result = MakeBackendResult(997);  // odd size across batch boundaries
-  ResultConverter serial(1, 128);
-  ResultConverter parallel(4, 128);
+  ResultConverter serial(Options(1, 128));
+  ResultConverter parallel(Options(4, 128));
   auto a = serial.Convert(result);
   auto b = parallel.Convert(result);
   ASSERT_TRUE(a.ok() && b.ok());
@@ -74,7 +82,7 @@ TEST(ConvertTest, ParallelismDoesNotChangeBytes) {
 }
 
 TEST(ConvertTest, DecodesBackOnTheClientSide) {
-  ResultConverter converter(2, 64);
+  ResultConverter converter(Options(2, 64));
   auto converted = converter.Convert(MakeBackendResult(100));
   ASSERT_TRUE(converted.ok());
   size_t decoded = 0;

@@ -91,12 +91,15 @@ TEST(QueryGenTest, CloneIsDeepAndCountsClauses) {
 TEST(DifferentialTest, CanonicalRowsNormalizeDoublesAndNulls) {
   vdb::QueryResult r;
   r.columns = {{"a", SqlType::Int()}, {"b", SqlType::Varchar(10)}};
-  r.rows.push_back({Datum::MakeDouble(1.0000000001), Datum::Null()});
-  r.rows.push_back({Datum::Int(2), Datum::String("x")});
-  auto rows = fuzz::CanonicalRows(r);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0], "1|<null>");
-  EXPECT_EQ(rows[1], "2|x");
+  std::vector<vdb::Row> rows = {
+      {Datum::MakeDouble(1.0000000001), Datum::Null()},
+      {Datum::Int(2), Datum::String("x")}};
+  r.chunks = {vdb::BatchFromRows({SqlType::Int(), SqlType::Varchar(10)},
+                                 rows, 0, rows.size())};
+  auto canonical = fuzz::CanonicalRows(r);
+  ASSERT_EQ(canonical.size(), 2u);
+  EXPECT_EQ(canonical[0], "1|<null>");
+  EXPECT_EQ(canonical[1], "2|x");
 }
 
 // The tier-1 smoke bar: 500 fixed-seed queries, every registered dialect,

@@ -82,6 +82,17 @@ size_t DirFileCount(const std::string& dir) {
   return n;
 }
 
+/// `n` result rows (A INT = i, S VARCHAR(8) = "s<i>") in one batch.
+std::shared_ptr<const vdb::ColumnBatch> StoreBatch(int n) {
+  vdb::BatchBuilder b({SqlType::Int(), SqlType::Varchar(8)});
+  for (int i = 0; i < n; ++i) {
+    EXPECT_TRUE(
+        b.AppendRow({Datum::Int(i), Datum::String("s" + std::to_string(i))})
+            .ok());
+  }
+  return b.Finish();
+}
+
 FaultSpec Latency(int ms, int max_fires = -1) {
   FaultSpec spec;
   spec.kind = FaultKind::kLatency;
@@ -197,8 +208,10 @@ TEST_F(LifecycleTest, StoreSpillsWhenGovernorDeniesMemory) {
   {
     backend::ResultStore store(/*memory_budget_bytes=*/1 << 20, dir, gov,
                                /*session_tag=*/7);
-    std::vector<uint8_t> batch(100, 0xAB);
-    ASSERT_TRUE(store.Append(batch, 1).ok());
+    store.set_schema({{"A", SqlType::Int()}, {"S", SqlType::Varchar(8)}});
+    auto batch = StoreBatch(12);
+    ASSERT_TRUE(store.AppendBatch(batch, 0, batch->rows).ok());
+    EXPECT_EQ(store.spilled_batches(), 1u);
     EXPECT_GT(store.spilled_bytes(), 0);
 
     auto stats = gov->stats();
@@ -207,15 +220,20 @@ TEST_F(LifecycleTest, StoreSpillsWhenGovernorDeniesMemory) {
     EXPECT_GT(stats.total_spill_bytes, 0);
 
     // The spilled batch reads back intact.
-    size_t seen = 0;
+    std::vector<vdb::Row> seen;
     ASSERT_TRUE(store
-                    .Scan([&](const std::vector<uint8_t>& data) {
-                      seen += data.size();
-                      EXPECT_EQ(data, batch);
+                    .ScanSpans([&](const backend::BatchSpan& span) {
+                      vdb::AppendRowsFromBatch(*span.batch, span.offset,
+                                               span.offset + span.rows,
+                                               &seen);
                       return Status::OK();
                     })
                     .ok());
-    EXPECT_EQ(seen, batch.size());
+    ASSERT_EQ(seen.size(), batch->rows);
+    for (size_t r = 0; r < seen.size(); ++r) {
+      EXPECT_EQ(seen[r][0].int_val(), static_cast<int64_t>(r));
+      EXPECT_EQ(seen[r][1].string_val(), "s" + std::to_string(r));
+    }
   }
   // Store destroyed: spill budget returned, spill file removed.
   EXPECT_EQ(gov->stats().spill_bytes, 0);
@@ -231,8 +249,9 @@ TEST_F(LifecycleTest, StoreShedsWhenSpillBudgetExhausted) {
   std::string dir = MakeTempDir("shed");
   {
     backend::ResultStore store(1 << 20, dir, gov, 7);
-    std::vector<uint8_t> batch(100, 0xCD);
-    auto shed = store.Append(batch, 1);
+    store.set_schema({{"A", SqlType::Int()}, {"S", SqlType::Varchar(8)}});
+    auto batch = StoreBatch(12);  // encodes well past the 64-byte budget
+    auto shed = store.AppendBatch(batch, 0, batch->rows);
     ASSERT_FALSE(shed.ok());
     EXPECT_TRUE(shed.IsResourceExhausted());
     EXPECT_NE(shed.message().find("shed"), std::string::npos);

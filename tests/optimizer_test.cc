@@ -6,6 +6,7 @@
 #include "binder/binder.h"
 #include "vdb/optimizer.h"
 #include "vdb/engine.h"
+#include "result_rows.h"
 
 namespace hyperq::vdb {
 namespace {
@@ -79,11 +80,11 @@ TEST_F(OptimizerTest, ResultsUnchangedByOptimization) {
   auto r = engine_.Execute(
       "SELECT AV, BV, CV FROM A, B, C WHERE A.K = B.K AND B.K = C.K");
   ASSERT_TRUE(r.ok()) << r.status();
-  r->EnsureRows();
-  ASSERT_EQ(r->rows.size(), 1u);  // only K=2 matches all three
-  EXPECT_EQ(r->rows[0][0].int_val(), 20);
-  EXPECT_EQ(r->rows[0][1].int_val(), 200);
-  EXPECT_EQ(r->rows[0][2].int_val(), 1000);
+  auto rows = ResultRows(*r);
+  ASSERT_EQ(rows.size(), 1u);  // only K=2 matches all three
+  EXPECT_EQ(rows[0][0].int_val(), 20);
+  EXPECT_EQ(rows[0][1].int_val(), 200);
+  EXPECT_EQ(rows[0][2].int_val(), 1000);
 }
 
 TEST_F(OptimizerTest, DisconnectedTablesKeepCrossJoin) {
@@ -93,8 +94,8 @@ TEST_F(OptimizerTest, DisconnectedTablesKeepCrossJoin) {
   auto r = engine_.Execute(
       "SELECT COUNT(*) FROM A, B WHERE AV > 0 AND BV > 0");
   ASSERT_TRUE(r.ok());
-  r->EnsureRows();
-  EXPECT_EQ(r->rows[0][0].int_val(), 6);
+  auto rows = ResultRows(*r);
+  EXPECT_EQ(rows[0][0].int_val(), 6);
 }
 
 TEST_F(OptimizerTest, OrCommonConjunctsFactorIntoJoin) {
@@ -113,9 +114,9 @@ TEST_F(OptimizerTest, OrCommonConjunctsFactorIntoJoin) {
       "(A.K = B.K AND AV > 25 AND BV > 150) OR "
       "(A.K = B.K AND AV = -1 AND BV = -1) ORDER BY AV");
   ASSERT_TRUE(r.ok());
-  r->EnsureRows();
-  ASSERT_EQ(r->rows.size(), 1u);  // (1,100) matches branch one
-  EXPECT_EQ(r->rows[0][0].int_val(), 10);
+  auto rows = ResultRows(*r);
+  ASSERT_EQ(rows.size(), 1u);  // (1,100) matches branch one
+  EXPECT_EQ(rows[0][0].int_val(), 10);
 }
 
 TEST_F(OptimizerTest, SubqueryConjunctsStayAboveJoins) {
@@ -148,8 +149,8 @@ TEST_F(OptimizerTest, CorrelatedConjunctLandsOnItsLeaf) {
       "SELECT AV FROM A WHERE EXISTS "
       "(SELECT 1 FROM B, C WHERE B.K = C.K AND B.K = A.K)");
   ASSERT_TRUE(r.ok()) << r.status();
-  r->EnsureRows();
-  EXPECT_EQ(r->rows.size(), 1u);  // only K=2 is in both B and C
+  auto rows = ResultRows(*r);
+  EXPECT_EQ(rows.size(), 1u);  // only K=2 is in both B and C
 }
 
 }  // namespace

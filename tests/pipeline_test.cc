@@ -10,6 +10,7 @@
 #include "transform/transformer.h"
 #include "vdb/engine.h"
 #include "xtra/xtra.h"
+#include "result_rows.h"
 
 namespace hyperq {
 namespace {
@@ -99,11 +100,11 @@ TEST_F(PipelineTest, Example2ExecutesOnVdb) {
   ASSERT_TRUE(sql.ok()) << sql.status();
   auto result = engine.Execute(*sql);
   ASSERT_TRUE(result.ok()) << result.status() << "\nSQL: " << *sql;
-  result->EnsureRows();
+  auto rows = ResultRows(*result);
   // Row 1 (100.00, date 2014) qualifies: date > 2014-01-01 and 100 > 60.
   // Row 2 (50.00) fails the subquery; row 3 fails the date filter.
-  ASSERT_EQ(result->rows.size(), 1u);
-  EXPECT_EQ(result->rows[0][0].ToString(), "100.00");
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0].ToString(), "100.00");
 }
 
 TEST_F(PipelineTest, QualifyWithWindowSum) {

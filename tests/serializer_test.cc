@@ -14,6 +14,7 @@
 #include "types/date.h"
 #include "transform/transformer.h"
 #include "vdb/engine.h"
+#include "result_rows.h"
 
 namespace hyperq::serializer {
 namespace {
@@ -234,8 +235,7 @@ TEST_F(SerializerTest, FromlessSelect) {
   vdb::Engine engine;
   auto r = engine.Execute(*sql);
   ASSERT_TRUE(r.ok());
-  r->EnsureRows();
-  EXPECT_EQ(r->rows[0][0].int_val(), 2);
+  EXPECT_EQ(ResultRows(*r)[0][0].int_val(), 2);
 }
 
 TEST_F(SerializerTest, WindowSpecRendering) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "result_rows.h"
 #include "vdb/engine.h"
 
 namespace hyperq::vdb {
@@ -10,14 +11,18 @@ namespace {
 
 class VdbTest : public ::testing::Test {
  protected:
-  QueryResult Must(const std::string& sql) {
+  // A statement result with its chunks read into datum rows.
+  struct Rowset {
+    std::vector<ResultColumn> columns;
+    std::vector<Row> rows;
+    int64_t affected_rows = 0;
+  };
+
+  Rowset Must(const std::string& sql) {
     auto r = engine_.Execute(sql);
     EXPECT_TRUE(r.ok()) << sql << "\n" << r.status();
-    QueryResult result = r.ok() ? std::move(r).value() : QueryResult{};
-    // These tests assert on datum rows; rowsets now arrive as columnar
-    // chunks (DESIGN.md §15), so materialize via the row shim.
-    result.EnsureRows();
-    return result;
+    if (!r.ok()) return {};
+    return {r->columns, ResultRows(*r), r->affected_rows};
   }
   Status Fails(const std::string& sql) {
     auto r = engine_.Execute(sql);
@@ -206,6 +211,78 @@ TEST_F(VdbTest, CorrelatedSubqueries) {
                  "WHERE sal > 150)")
                 .rows.size(),
             2u);
+}
+
+// Every operator shape inside a correlated subquery (the subplan runs once
+// per outer binding, on the same column-at-a-time operators as a top-level
+// query). Outer o(k, g); inner i(k, v) holds 1:{5,7,7}, 2:{4,9}, 3:{1}.
+class VdbCorrelatedTest : public VdbTest {
+ protected:
+  void SetUp() override {
+    Must("CREATE TABLE o (k INTEGER, g INTEGER)");
+    Must("INSERT INTO o VALUES (1, 10), (2, 20), (3, 30)");
+    Must("CREATE TABLE i (k INTEGER, v INTEGER)");
+    Must("INSERT INTO i VALUES (1, 5), (1, 7), (1, 7), (2, 4), (2, 9), "
+         "(3, 1)");
+  }
+  // "k=value" per outer row of `SELECT k, <expr> FROM o ORDER BY k`.
+  std::vector<std::string> PerOuterRow(const std::string& expr) {
+    auto r = Must("SELECT k, " + expr + " FROM o ORDER BY k");
+    std::vector<std::string> out;
+    for (const auto& row : r.rows) {
+      out.push_back(row[0].ToString() + "=" + row[1].ToString());
+    }
+    return out;
+  }
+  using Rows = std::vector<std::string>;
+};
+
+TEST_F(VdbCorrelatedTest, WindowFunction) {
+  // Running SUM over peer groups: 1 -> 5, 19, 19; 2 -> 4, 13; 3 -> 1.
+  EXPECT_EQ(PerOuterRow("(SELECT MAX(s) FROM (SELECT SUM(v) OVER (ORDER BY "
+                        "v) AS s FROM i WHERE i.k = o.k) t)"),
+            (Rows{"1=19", "2=13", "3=1"}));
+  EXPECT_EQ(PerOuterRow("(SELECT COUNT(*) FROM (SELECT RANK() OVER (ORDER BY "
+                        "v DESC) AS r FROM i WHERE i.k = o.k) t WHERE r = 1)"),
+            (Rows{"1=2", "2=1", "3=1"}));
+}
+
+TEST_F(VdbCorrelatedTest, SelectDistinct) {
+  EXPECT_EQ(PerOuterRow("(SELECT COUNT(*) FROM (SELECT DISTINCT v FROM i "
+                        "WHERE i.k = o.k) t)"),
+            (Rows{"1=2", "2=2", "3=1"}));
+}
+
+TEST_F(VdbCorrelatedTest, SetOperations) {
+  EXPECT_EQ(PerOuterRow("(SELECT COUNT(*) FROM (SELECT v FROM i WHERE i.k = "
+                        "o.k UNION SELECT g FROM o o2 WHERE o2.k = o.k) t)"),
+            (Rows{"1=3", "2=3", "3=2"}));
+  EXPECT_EQ(PerOuterRow("(SELECT COUNT(*) FROM (SELECT v FROM i WHERE i.k = "
+                        "o.k EXCEPT SELECT v FROM i WHERE v < 5) t)"),
+            (Rows{"1=2", "2=1", "3=0"}));
+  EXPECT_EQ(PerOuterRow("(SELECT COUNT(*) FROM (SELECT v FROM i WHERE i.k = "
+                        "o.k INTERSECT SELECT v FROM i WHERE v >= 5) t)"),
+            (Rows{"1=2", "2=1", "3=0"}));
+}
+
+TEST_F(VdbCorrelatedTest, KeylessAndLeftOuterJoins) {
+  // Non-equi join: ordered pairs with a.v < b.v within one key.
+  EXPECT_EQ(PerOuterRow("(SELECT COUNT(*) FROM i a, i b WHERE a.k = o.k AND "
+                        "b.k = o.k AND a.v < b.v)"),
+            (Rows{"1=2", "2=1", "3=0"}));
+  // Each a row keeps its larger-v partners, or one NULL-padded row.
+  EXPECT_EQ(PerOuterRow("(SELECT COUNT(*) FROM i a LEFT JOIN i b ON b.k = a.k "
+                        "AND b.v > a.v WHERE a.k = o.k)"),
+            (Rows{"1=4", "2=2", "3=1"}));
+  EXPECT_EQ(PerOuterRow("(SELECT COUNT(b.v) FROM i a LEFT JOIN i b ON b.k = "
+                        "a.k AND b.v > a.v WHERE a.k = o.k)"),
+            (Rows{"1=2", "2=1", "3=0"}));
+}
+
+TEST_F(VdbCorrelatedTest, ProjectionReadsOuterColumn) {
+  EXPECT_EQ(PerOuterRow("(SELECT v * 100 + o.g FROM i WHERE i.k = o.k AND "
+                        "v < 6)"),
+            (Rows{"1=510", "2=420", "3=130"}));
 }
 
 TEST_F(VdbTest, ScalarSubqueryCardinalityError) {

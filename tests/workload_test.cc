@@ -7,6 +7,7 @@
 #include "vdb/engine.h"
 #include "workload/customer.h"
 #include "workload/tpch.h"
+#include "result_rows.h"
 
 namespace hyperq::workload {
 namespace {
@@ -35,11 +36,11 @@ TEST(TpchGenTest, LoadIsDeterministic) {
   auto ra = a.Execute("SELECT SUM(L_ORDERKEY), COUNT(*) FROM LINEITEM");
   auto rb = b.Execute("SELECT SUM(L_ORDERKEY), COUNT(*) FROM LINEITEM");
   ASSERT_TRUE(ra.ok() && rb.ok());
-  ra->EnsureRows();
-  rb->EnsureRows();
-  EXPECT_EQ(ra->rows[0][0].int_val(), rb->rows[0][0].int_val());
-  EXPECT_EQ(ra->rows[0][1].int_val(), rb->rows[0][1].int_val());
-  EXPECT_GT(ra->rows[0][1].int_val(), 0);
+  auto rows_a = ResultRows(*ra);
+  auto rows_b = ResultRows(*rb);
+  EXPECT_EQ(rows_a[0][0].int_val(), rows_b[0][0].int_val());
+  EXPECT_EQ(rows_a[0][1].int_val(), rows_b[0][1].int_val());
+  EXPECT_GT(rows_a[0][1].int_val(), 0);
 }
 
 TEST(TpchGenTest, SchemaFlowsThroughDdlTranslation) {
@@ -68,14 +69,12 @@ TEST(TpchGenTest, ReferentialIntegrityHolds) {
       "SELECT COUNT(*) FROM LINEITEM WHERE L_ORDERKEY NOT IN "
       "(SELECT O_ORDERKEY FROM ORDERS)");
   ASSERT_TRUE(orphans.ok()) << orphans.status();
-  orphans->EnsureRows();
-  EXPECT_EQ(orphans->rows[0][0].int_val(), 0);
+  EXPECT_EQ(ResultRows(*orphans)[0][0].int_val(), 0);
   auto cust = engine.Execute(
       "SELECT COUNT(*) FROM ORDERS WHERE O_CUSTKEY NOT IN "
       "(SELECT C_CUSTKEY FROM CUSTOMER)");
   ASSERT_TRUE(cust.ok());
-  cust->EnsureRows();
-  EXPECT_EQ(cust->rows[0][0].int_val(), 0);
+  EXPECT_EQ(ResultRows(*cust)[0][0].int_val(), 0);
 }
 
 TEST(CustomerWorkloadTest, ProfilesMatchTable1) {
