@@ -30,12 +30,23 @@ struct PipelineInput {
   std::vector<std::shared_ptr<const vdb::ColumnBatch>> chunks;
 };
 
+// A lineitem-like result: ten columns (a two-byte presence bitmap), CHAR
+// columns stored unpadded as vdb stores TPC-H's L_SHIPMODE and
+// O_ORDERPRIORITY, and a sparse-NULL column (every 7th row NULL).
 PipelineInput MakeInput(int64_t rows) {
+  static const char* const kModes[] = {"MAIL", "SHIP", "TRUCK", "AIR"};
+  static const char* const kPriorities[] = {"1-URGENT", "2-HIGH", "5-LOW"};
   PipelineInput in;
   in.schema = {{"ID", SqlType::Int()},
                {"NAME", SqlType::Varchar(32)},
                {"AMOUNT", SqlType::Decimal(12, 2)},
-               {"WHEN_D", SqlType::Date()}};
+               {"WHEN_D", SqlType::Date()},
+               {"FLAG", SqlType::Char(1)},
+               {"MODE", SqlType::Char(10)},
+               {"PRIORITY", SqlType::Char(15)},
+               {"QTY", SqlType::BigInt()},
+               {"DISCOUNT", SqlType::Double()},
+               {"NOTE", SqlType::Varchar(44)}};
   std::vector<SqlType> types;
   for (const auto& c : in.schema) types.push_back(c.type);
   for (int64_t begin = 0; begin < rows;
@@ -47,22 +58,33 @@ PipelineInput MakeInput(int64_t rows) {
       (void)builder.AppendRow(
           {Datum::Int(i), Datum::String("row_" + std::to_string(i % 997)),
            Datum::MakeDecimal(Decimal{i * 37, 2}),
-           Datum::Date(static_cast<int32_t>(8000 + i % 365))});
+           Datum::Date(static_cast<int32_t>(8000 + i % 365)),
+           Datum::String(i % 2 == 0 ? "N" : "R"),
+           Datum::String(kModes[i % 4]), Datum::String(kPriorities[i % 3]),
+           Datum::Int(i % 50), Datum::MakeDouble(0.01 * (i % 11)),
+           i % 7 == 0 ? Datum::Null()
+                      : Datum::String("note " + std::to_string(i % 89))});
     }
     in.chunks.push_back(builder.Finish());
   }
   return in;
 }
 
-// Packages `in` into a fresh store in connector-sized spans.
+// Packages `in` into a fresh store in connector-sized spans. With
+// `canonicalize` each chunk first goes through CanonicalizeBatch, as in
+// BackendConnector::Package.
 Result<backend::BackendResult> Package(const PipelineInput& in,
-                                       const backend::ConnectorOptions& opts) {
+                                       const backend::ConnectorOptions& opts,
+                                       bool canonicalize = false) {
   backend::BackendResult out;
   out.columns = in.schema;
   out.store = std::make_shared<backend::ResultStore>(opts.store_memory_budget,
                                                      opts.spill_dir);
   out.store->set_schema(out.columns);
-  for (const auto& chunk : in.chunks) {
+  for (auto chunk : in.chunks) {
+    if (canonicalize) {
+      HQ_ASSIGN_OR_RETURN(chunk, backend::CanonicalizeBatch(in.schema, chunk));
+    }
     for (size_t i = 0; i < chunk->rows; i += opts.batch_rows) {
       size_t n = std::min(opts.batch_rows, chunk->rows - i);
       HQ_RETURN_IF_ERROR(out.store->AppendBatch(chunk, i, n));
@@ -101,6 +123,24 @@ BENCHMARK(BM_StorePackage)
     ->Args({100000, 0})
     ->Args({100000, 1});
 
+// The connector's whole packaging step: CanonicalizeBatch per executor
+// chunk, then spans into an in-memory store.
+void BM_CanonicalizePackage(benchmark::State& state) {
+  int64_t rows = state.range(0);
+  PipelineInput in = MakeInput(rows);
+  backend::ConnectorOptions opts;
+  for (auto _ : state) {
+    auto packaged = Package(in, opts, /*canonicalize=*/true);
+    if (!packaged.ok()) {
+      state.SkipWithError(packaged.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(packaged);
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_CanonicalizePackage)->Arg(1000)->Arg(20000);
+
 // Result conversion: buffered spans -> frontend binary records across
 // parallelism.
 void BM_ResultConvert(benchmark::State& state) {
@@ -125,10 +165,12 @@ void BM_ResultConvert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows);
 }
 BENCHMARK(BM_ResultConvert)
+    ->Args({1000, 1})
     ->Args({20000, 1})
     ->Args({20000, 2})
     ->Args({20000, 4})
     ->Args({100000, 1})
+    ->Args({100000, 2})
     ->Args({100000, 4});
 
 // Round trip including the client-side decode (bit-identical check path).

@@ -50,7 +50,8 @@ struct BackendResult {
 
   /// \brief Decodes all batches back into datum rows: the in-process read
   /// API for examples and tests. The wire path iterates
-  /// `store->ScanSpans()` instead.
+  /// `store->ScanSpans()` instead. CHAR(n) values come back as stored, which
+  /// may be shorter than n: blank padding happens in the wire encoders.
   Result<std::vector<std::vector<Datum>>> DecodeRows() const;
 };
 

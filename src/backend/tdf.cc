@@ -314,18 +314,10 @@ Result<std::shared_ptr<const ColumnBatch>> CanonicalizeBatch(
         }
         return true;
       }
-      case TypeKind::kChar: {
-        if (col.kind != PhysKind::kString) return false;
-        if (t.length <= 0) return true;
-        for (size_t r = 0; r < n; ++r) {
-          if (col.IsNull(r)) continue;
-          if (col.offsets[r + 1] - col.offsets[r] !=
-              static_cast<uint32_t>(t.length)) {
-            return false;
-          }
-        }
-        return true;
-      }
+      case TypeKind::kChar:
+        // A short CHAR(n) value conforms: the wire encoders blank-pad it to
+        // n, so padding here would only copy the column. An over-long one
+        // is truncated by the rebuild.
       case TypeKind::kVarchar: {
         if (col.kind != PhysKind::kString) return false;
         if (t.length <= 0) return true;

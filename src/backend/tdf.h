@@ -78,8 +78,13 @@ std::vector<uint8_t> EncodeTdfBatch(const std::vector<TdfColumn>& schema,
 /// is CastTo its column's type (expression typing and runtime kinds can
 /// legitimately diverge, e.g. an integer-valued CASE branch in a
 /// DECIMAL-typed column). Returns the input pointer unchanged when every
-/// column already stores exactly the schema's physical form (the common
-/// zero-copy case); otherwise rebuilds only the non-conforming columns.
+/// column already stores the schema's physical form (the common zero-copy
+/// case); otherwise rebuilds only the non-conforming columns. A column
+/// conforms when its physical kind matches, every DECIMAL value carries the
+/// schema scale, and no CHAR(n)/VARCHAR(n) value is longer than n. CHAR
+/// values shorter than n conform unpadded: blank padding is the wire
+/// encoder's job (convert::ResultConverter, protocol::EncodeRecord), so
+/// canonical batches and spilled TDF hold CHAR values as stored.
 Result<std::shared_ptr<const vdb::ColumnBatch>> CanonicalizeBatch(
     const std::vector<TdfColumn>& schema,
     std::shared_ptr<const vdb::ColumnBatch> chunk);

@@ -47,6 +47,16 @@ class BufferWriter {
     std::memcpy(bytes_.data() + offset, &v, 4);
   }
 
+  void Reserve(size_t n) { bytes_.reserve(n); }
+  /// \brief Appends `n` zero bytes and returns where they start, for
+  /// encoders that fill a region out of order. The pointer is valid until
+  /// the next append.
+  uint8_t* Extend(size_t n) {
+    size_t at = bytes_.size();
+    bytes_.resize(at + n);
+    return bytes_.data() + at;
+  }
+
   size_t size() const { return bytes_.size(); }
   const uint8_t* data() const { return bytes_.data(); }
   std::vector<uint8_t> Take() { return std::move(bytes_); }

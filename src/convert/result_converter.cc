@@ -1,6 +1,7 @@
 #include "convert/result_converter.h"
 
 #include <algorithm>
+#include <cstring>
 #include <thread>
 
 #include "common/fault.h"
@@ -20,9 +21,8 @@ using vdb::PhysKind;
 
 /// Physical column form the typed wire encoder can consume for a wire type.
 /// Columns arriving from the batch data plane are canonicalized against the
-/// TDF schema, so this holds in the common case; any mismatch (boxed kDatum
-/// columns, all-NULL placeholder kinds) routes the batch to the row-encode
-/// fallback instead.
+/// result schema, so this holds in the common case; a mismatch (a boxed
+/// kDatum column) routes the span to the row-encode fallback instead.
 bool ColumnMatchesWire(const ColumnVec& col, const WireColumn& wc) {
   switch (wc.type) {
     case WireType::kSmallInt:  // also carries BOOL as 0/1
@@ -49,8 +49,21 @@ bool ColumnMatchesWire(const ColumnVec& col, const WireColumn& wc) {
   return false;
 }
 
-/// Encoded payload bytes of one non-NULL field.
-size_t FieldWidth(const ColumnVec& col, size_t r, const WireColumn& wc) {
+/// Records encoded per column pass. It bounds the per-record scratch, which
+/// lives on the stack, so converting a one-row result allocates nothing
+/// beyond its wire batch.
+constexpr size_t kBlockRows = 256;
+
+/// Wire batches each encode worker must get before Convert starts another
+/// thread. A thread start and join costs ~25-50 us; four batches of the
+/// narrowest result (one INTEGER column) take about that long to encode,
+/// and a wide result's single batch ~200 us (BM_ResultConvert, DESIGN.md
+/// §15).
+constexpr size_t kMinBatchesPerWorker = 4;
+
+/// Payload bytes of one non-NULL field of a fixed-width wire type; 0 for
+/// VARCHAR, whose width is per value.
+size_t FixedWidth(const WireColumn& wc) {
   switch (wc.type) {
     case WireType::kSmallInt:
       return 2;
@@ -66,70 +79,184 @@ size_t FieldWidth(const ColumnVec& col, size_t r, const WireColumn& wc) {
       return 8;
     case WireType::kChar:
       return static_cast<size_t>(wc.length);
-    case WireType::kVarchar: {
-      size_t len = col.offsets[r + 1] - col.offsets[r];
-      return 2 + std::min<size_t>(len, 0xFFFF);
-    }
+    case WireType::kVarchar:
+      return 0;
   }
   return 0;
 }
 
-void EncodeField(const ColumnVec& col, size_t r, const WireColumn& wc,
-                 BufferWriter* rec) {
-  switch (wc.type) {
-    case WireType::kSmallInt:
-      rec->PutI16(static_cast<int16_t>(col.kind == PhysKind::kBool
-                                           ? (col.b8[r] != 0 ? 1 : 0)
-                                           : col.i64[r]));
-      break;
-    case WireType::kInteger:
-      rec->PutI32(static_cast<int32_t>(col.i64[r]));
-      break;
-    case WireType::kBigInt:
-      rec->PutI64(col.i64[r]);
-      break;
-    case WireType::kDecimal: {
-      // Canonical batches already carry the schema scale; rescale defends
-      // against hand-built batches without changing the wire bytes.
-      if (col.i32b[r] == wc.scale) {
-        rec->PutI64(col.i64[r]);
-      } else {
-        rec->PutI64(Decimal{col.i64[r], col.i32b[r]}.Rescale(wc.scale).value);
-      }
-      break;
+/// Upper bound of the record bytes rows [begin, end) of `span` encode to.
+size_t RecordBytesBound(const BatchSpan& span, size_t begin, size_t end,
+                        const std::vector<WireColumn>& wire) {
+  const size_t n = end - begin;
+  size_t bytes = n * (2 + (wire.size() + 7) / 8);
+  for (size_t c = 0; c < wire.size(); ++c) {
+    const ColumnVec& col = *span.batch->columns[c];
+    if (wire[c].type != WireType::kVarchar) {
+      bytes += n * FixedWidth(wire[c]);
+    } else if (col.kind == PhysKind::kString) {
+      size_t row = span.offset + begin;
+      bytes += 2 * n + (col.offsets[row + n] - col.offsets[row]);
     }
-    case WireType::kFloat:
-      rec->PutF64(col.f64[r]);
-      break;
-    case WireType::kChar: {
-      // Fixed width, blank padded; over-long values truncate — exactly
-      // std::string::resize(length, ' ') in the record oracle.
-      std::string_view s = col.StringAt(r);
-      size_t wire_len = static_cast<size_t>(wc.length);
-      size_t copy = std::min(s.size(), wire_len);
-      rec->PutBytes(s.data(), copy);
-      for (size_t p = copy; p < wire_len; ++p) rec->PutU8(' ');
-      break;
-    }
-    case WireType::kVarchar: {
-      std::string_view s = col.StringAt(r);
-      if (s.size() > 0xFFFF) s = s.substr(0, 0xFFFF);
-      rec->PutU16(static_cast<uint16_t>(s.size()));
-      rec->PutBytes(s.data(), s.size());
-      break;
-    }
-    case WireType::kDate:
-      rec->PutI32(static_cast<int32_t>(DateToTeradataInt(col.i32[r])));
-      break;
-    case WireType::kTime:
-    case WireType::kTimestamp:
-      rec->PutI64(col.i64[r]);
-      break;
-    case WireType::kPeriodDate:
-      rec->PutI32(static_cast<int32_t>(DateToTeradataInt(col.i32[r])));
-      rec->PutI32(static_cast<int32_t>(DateToTeradataInt(col.i32b[r])));
-      break;
   }
+  return bytes;
+}
+
+/// Calls fn(i, row) for each non-NULL row = row0 + i, i < n.
+template <typename Fn>
+void ForEachValid(const ColumnVec& col, size_t row0, size_t n, Fn&& fn) {
+  if (col.nulls == 0) {
+    for (size_t i = 0; i < n; ++i) fn(i, row0 + i);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!col.IsNull(row0 + i)) fn(i, row0 + i);
+  }
+}
+
+template <typename T>
+void Store(uint8_t* p, T v) {
+  std::memcpy(p, &v, sizeof(T));
+}
+
+/// Encodes records for rows [row0, row0 + n) of `cols`, n <= kBlockRows,
+/// onto `w` column by column: one pass per column sums the record lengths,
+/// the block is sized once, then each column writes its fields at per-record
+/// cursors with the wire-type switch outside the row loop. Every column must
+/// satisfy ColumnMatchesWire or be all-NULL.
+Status EncodeBlock(const std::vector<std::shared_ptr<ColumnVec>>& cols,
+                   const std::vector<WireColumn>& wire, size_t row0, size_t n,
+                   BufferWriter* w) {
+  const size_t ncols = wire.size();
+  const size_t bitmap_bytes = (ncols + 7) / 8;
+  // len[i]: record i's length, then the offset of its presence bitmap.
+  // at[i]: where record i's next field goes.
+  size_t len[kBlockRows] = {};
+  size_t at[kBlockRows] = {};
+  std::fill_n(len, n, bitmap_bytes);
+  for (size_t c = 0; c < ncols; ++c) {
+    const ColumnVec& col = *cols[c];
+    if (col.nulls == col.size) continue;
+    if (wire[c].type == WireType::kVarchar) {
+      ForEachValid(col, row0, n, [&](size_t i, size_t row) {
+        len[i] += 2 + std::min<size_t>(col.offsets[row + 1] - col.offsets[row],
+                                       0xFFFF);
+      });
+    } else {
+      const size_t width = FixedWidth(wire[c]);
+      ForEachValid(col, row0, n, [&](size_t i, size_t) { len[i] += width; });
+    }
+  }
+  size_t total = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (len[i] > 0xFFFF) {
+      return Status::ProtocolError("record exceeds the 64KiB tdwp row limit");
+    }
+    total += 2 + len[i];
+  }
+  // Zero-filled, so every presence bit starts clear (NULL).
+  uint8_t* base = w->Extend(total);
+  size_t pos = 0;
+  for (size_t i = 0; i < n; ++i) {
+    Store(base + pos, static_cast<uint16_t>(len[i]));
+    size_t next = pos + 2 + len[i];
+    len[i] = pos + 2;
+    at[i] = pos + 2 + bitmap_bytes;
+    pos = next;
+  }
+
+  for (size_t c = 0; c < ncols; ++c) {
+    const ColumnVec& col = *cols[c];
+    if (col.nulls == col.size) continue;
+    const WireColumn& wc = wire[c];
+    const size_t bit_byte = c / 8;
+    const uint8_t bit = static_cast<uint8_t>(1u << (c % 8));
+    // Marks record i's field present and claims `width` bytes for it.
+    auto claim = [&](size_t i, size_t width) {
+      base[len[i] + bit_byte] |= bit;
+      uint8_t* p = base + at[i];
+      at[i] += width;
+      return p;
+    };
+    switch (wc.type) {
+      case WireType::kSmallInt:  // also carries BOOL as 0/1
+        if (col.kind == PhysKind::kBool) {
+          ForEachValid(col, row0, n, [&](size_t i, size_t row) {
+            Store(claim(i, 2), static_cast<int16_t>(col.b8[row] != 0));
+          });
+        } else {
+          ForEachValid(col, row0, n, [&](size_t i, size_t row) {
+            Store(claim(i, 2), static_cast<int16_t>(col.i64[row]));
+          });
+        }
+        break;
+      case WireType::kInteger:
+        ForEachValid(col, row0, n, [&](size_t i, size_t row) {
+          Store(claim(i, 4), static_cast<int32_t>(col.i64[row]));
+        });
+        break;
+      case WireType::kBigInt:
+      case WireType::kTime:
+      case WireType::kTimestamp:
+        ForEachValid(col, row0, n, [&](size_t i, size_t row) {
+          Store(claim(i, 8), col.i64[row]);
+        });
+        break;
+      case WireType::kDecimal:
+        // Canonical batches already carry the schema scale; rescale defends
+        // against hand-built batches without changing the wire bytes.
+        ForEachValid(col, row0, n, [&](size_t i, size_t row) {
+          int64_t v = col.i32b[row] == wc.scale
+                          ? col.i64[row]
+                          : Decimal{col.i64[row], col.i32b[row]}
+                                .Rescale(wc.scale)
+                                .value;
+          Store(claim(i, 8), v);
+        });
+        break;
+      case WireType::kFloat:
+        ForEachValid(col, row0, n, [&](size_t i, size_t row) {
+          Store(claim(i, 8), col.f64[row]);
+        });
+        break;
+      case WireType::kChar: {
+        // Fixed width, blank padded; over-long values truncate — exactly
+        // std::string::resize(length, ' ') in the record oracle.
+        const size_t width = static_cast<size_t>(wc.length);
+        ForEachValid(col, row0, n, [&](size_t i, size_t row) {
+          std::string_view s = col.StringAt(row);
+          size_t copy = std::min(s.size(), width);
+          uint8_t* p = claim(i, width);
+          std::memcpy(p, s.data(), copy);
+          std::memset(p + copy, ' ', width - copy);
+        });
+        break;
+      }
+      case WireType::kVarchar:
+        ForEachValid(col, row0, n, [&](size_t i, size_t row) {
+          std::string_view s = col.StringAt(row);
+          size_t size = std::min<size_t>(s.size(), 0xFFFF);
+          uint8_t* p = claim(i, 2 + size);
+          Store(p, static_cast<uint16_t>(size));
+          std::memcpy(p + 2, s.data(), size);
+        });
+        break;
+      case WireType::kDate:
+        ForEachValid(col, row0, n, [&](size_t i, size_t row) {
+          Store(claim(i, 4),
+                static_cast<int32_t>(DateToTeradataInt(col.i32[row])));
+        });
+        break;
+      case WireType::kPeriodDate:
+        ForEachValid(col, row0, n, [&](size_t i, size_t row) {
+          uint8_t* p = claim(i, 8);
+          Store(p, static_cast<int32_t>(DateToTeradataInt(col.i32[row])));
+          Store(p + 4, static_cast<int32_t>(DateToTeradataInt(col.i32b[row])));
+        });
+        break;
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -151,8 +278,8 @@ Result<ConversionResult> ResultConverter::Convert(
     out.columns.push_back(std::move(wc));
   }
 
-  // Unwrap TDF spans (buffered: the header must announce the full row
-  // count). Spans share their batches with the store — no row copy here.
+  // Collect the store's spans (buffered: the header must announce the full
+  // row count). Spans share their batches with the store — no row copy.
   std::vector<BatchSpan> spans;
   std::vector<size_t> span_start;  // global row index of each span
   size_t total = 0;
@@ -174,42 +301,26 @@ Result<ConversionResult> ResultConverter::Convert(
   out.batches.resize(nbatches);
   if (nbatches == 0) return out;
 
-  const size_t ncols = out.columns.size();
-  const size_t bitmap_bytes = (ncols + 7) / 8;
-
-  // Per-record encode straight from the columns; returns false when a
-  // column's physical form requires the row-oriented oracle.
+  // Column-at-a-time encode of one span's rows [begin, end); returns false
+  // when a column's physical form requires the row-oriented oracle.
   auto encode_span_rows = [&](const BatchSpan& span, size_t begin, size_t end,
                               BufferWriter* w) -> Result<bool> {
     const auto& cols = span.batch->columns;
-    for (size_t c = 0; c < ncols; ++c) {
+    for (size_t c = 0; c < out.columns.size(); ++c) {
       if (!ColumnMatchesWire(*cols[c], out.columns[c]) &&
           !(cols[c]->nulls == cols[c]->size)) {
         return false;
       }
     }
-    std::vector<uint8_t> bitmap(bitmap_bytes);
-    for (size_t r = begin; r < end; ++r) {
+    for (size_t r = begin; r < end; r += kBlockRows) {
+      size_t n = std::min(kBlockRows, end - r);
+      // The fault point stays per record, so `every=N` counts rows.
+      for (size_t i = 0; i < n; ++i) {
+        HQ_RETURN_IF_ERROR(
+            FaultInjector::Global().Check(faultpoints::kConvertEncodeRow));
+      }
       HQ_RETURN_IF_ERROR(
-          FaultInjector::Global().Check(faultpoints::kConvertEncodeRow));
-      size_t row = span.offset + r;
-      std::fill(bitmap.begin(), bitmap.end(), 0);
-      size_t rec_len = bitmap_bytes;
-      for (size_t c = 0; c < ncols; ++c) {
-        if (cols[c]->IsNull(row)) continue;
-        bitmap[c / 8] |= (1u << (c % 8));
-        rec_len += FieldWidth(*cols[c], row, out.columns[c]);
-      }
-      if (rec_len > 0xFFFF) {
-        return Status::ProtocolError("record exceeds the 64KiB tdwp row "
-                                     "limit");
-      }
-      w->PutU16(static_cast<uint16_t>(rec_len));
-      w->PutBytes(bitmap.data(), bitmap.size());
-      for (size_t c = 0; c < ncols; ++c) {
-        if (cols[c]->IsNull(row)) continue;
-        EncodeField(*cols[c], row, out.columns[c], w);
-      }
+          EncodeBlock(cols, out.columns, span.offset + r, n, w));
     }
     return true;
   };
@@ -240,50 +351,59 @@ Result<ConversionResult> ResultConverter::Convert(
       }
       size_t row_begin = b * rows_per_batch;
       size_t row_end = std::min(total, row_begin + rows_per_batch);
+      // Calls fn(span, begin, end) for each span overlapping this wire
+      // batch, with the span-local row range the batch covers.
+      auto for_each_span = [&](auto&& fn) -> Status {
+        size_t s = static_cast<size_t>(
+            std::upper_bound(span_start.begin(), span_start.end(),
+                             row_begin) -
+            span_start.begin() - 1);
+        for (size_t row = row_begin; row < row_end; ++s) {
+          size_t local_begin = row - span_start[s];
+          size_t local_end = std::min(spans[s].rows, row_end - span_start[s]);
+          HQ_RETURN_IF_ERROR(fn(spans[s], local_begin, local_end));
+          row = span_start[s] + local_end;
+        }
+        return Status::OK();
+      };
+      size_t bound = 4;
+      (void)for_each_span([&](const BatchSpan& span, size_t begin,
+                              size_t end) {
+        bound += RecordBytesBound(span, begin, end, out.columns);
+        return Status::OK();
+      });
       BufferWriter w;
-      w.PutU32(static_cast<uint32_t>(row_end - row_begin));
-      // Walk the spans overlapping this wire batch.
-      size_t s = static_cast<size_t>(
-          std::upper_bound(span_start.begin(), span_start.end(), row_begin) -
-          span_start.begin() - 1);
-      size_t row = row_begin;
-      while (row < row_end) {
-        const BatchSpan& span = spans[s];
-        size_t local_begin = row - span_start[s];
-        size_t local_end = std::min(span.rows, row_end - span_start[s]);
-        auto fast = encode_span_rows(span, local_begin, local_end, &w);
-        if (!fast.ok()) {
-          statuses[b] = fast.status();
-          return;
-        }
-        if (!*fast) {
-          Status st =
-              encode_span_rows_fallback(span, local_begin, local_end, &w);
-          if (!st.ok()) {
-            statuses[b] = st;
-            return;
-          }
-        }
-        row = span_start[s] + local_end;
-        ++s;
+      w.Reserve(bound);
+      // The row count goes in through Extend: PutU32 right after Reserve
+      // draws a GCC -Wstringop-overflow false positive.
+      Store(w.Extend(4), static_cast<uint32_t>(row_end - row_begin));
+      Status st = for_each_span([&](const BatchSpan& span, size_t begin,
+                                    size_t end) -> Status {
+        HQ_ASSIGN_OR_RETURN(bool fast, encode_span_rows(span, begin, end, &w));
+        if (fast) return Status::OK();
+        return encode_span_rows_fallback(span, begin, end, &w);
+      });
+      if (!st.ok()) {
+        statuses[b] = std::move(st);
+        return;
       }
       out.batches[b] = w.Take();
     }
   };
 
-  int workers = std::min<int>(options_.parallelism, static_cast<int>(nbatches));
-  if (workers <= 1) {
-    encode_range(0, nbatches);
-  } else {
-    std::vector<std::thread> threads;
-    size_t per = (nbatches + workers - 1) / workers;
-    for (int t = 0; t < workers; ++t) {
-      size_t begin = t * per;
-      size_t end = std::min(nbatches, begin + per);
-      if (begin >= end) break;
-      threads.emplace_back(encode_range, begin, end);
+  // The calling thread encodes the first run of batches; each further run
+  // gets a thread, joined when `helpers` goes out of scope.
+  const size_t workers = std::max<size_t>(
+      1, std::min<size_t>(options_.parallelism,
+                          nbatches / kMinBatchesPerWorker));
+  const size_t per = (nbatches + workers - 1) / workers;
+  {
+    std::vector<std::jthread> helpers;
+    for (size_t begin = per; begin < nbatches; begin += per) {
+      helpers.emplace_back(encode_range, begin,
+                           std::min(nbatches, begin + per));
     }
-    for (auto& th : threads) th.join();
+    encode_range(0, std::min(nbatches, per));
   }
   for (const Status& s : statuses) {
     HQ_RETURN_IF_ERROR(s);

@@ -1,20 +1,21 @@
-// Result Converter (paper §4.6): unwraps TDF batches and converts them into
-// the original database's binary record format. Conversion fans out over a
-// configurable number of worker threads, each handling a subset of the
-// rows, exactly as the paper describes.
+// Result Converter (paper §4.6): converts a backend result's ColumnBatch
+// spans, read from the ResultStore (memory, or decoded back from spilled
+// TDF), into the original database's binary record format. Conversion fans
+// out over up to `parallelism` threads, the caller included, each encoding a
+// run of wire batches, as the paper describes; a thread is started only when
+// it gets enough wire batches to pay for its start.
 //
-// Since the columnar data-plane redesign (DESIGN.md §15) the converter
-// consumes the ResultStore's batch spans directly: wire records are encoded
-// straight from the typed column vectors — bitmap transpose plus bulk field
-// writes — without materializing a Datum row per record. A per-batch
-// row-oriented fallback (protocol::EncodeRecord) covers columns whose
-// physical form diverges from the wire schema; its output is byte-identical
-// by construction, so the fast path is an optimization, never a format fork.
+// Wire records are encoded straight from the typed column vectors, column
+// at a time, without materializing a Datum per value (DESIGN.md §15). The
+// converter owns each value's wire form: CHAR(n) is blank-padded here, not
+// in the batch. A per-span row-oriented fallback (protocol::EncodeRecord)
+// covers columns whose physical form diverges from the wire schema; its
+// output is byte-identical by construction, so the fast path is an
+// optimization, never a format fork.
 //
 // tdwp requires the total row count before the first record (see
-// protocol/tdwp.h), so conversion is a buffered operation: the full TDF
-// result (possibly spilled to disk by the ResultStore) is consumed before
-// the first wire batch is released.
+// protocol/tdwp.h), so conversion is a buffered operation: the whole
+// result is consumed before the first wire batch is released.
 
 #pragma once
 
@@ -36,7 +37,7 @@ struct ConversionResult {
 };
 
 struct ConverterOptions {
-  /// Worker threads for record encoding (>= 1).
+  /// Threads encoding records, the calling thread included (>= 1).
   int parallelism = 2;
   /// Records per wire batch.
   size_t rows_per_batch = 2048;
@@ -51,7 +52,7 @@ class ResultConverter {
  public:
   explicit ResultConverter(ConverterOptions options = {});
 
-  /// \brief Converts a backend (TDF) result into wire batches. `ctx`
+  /// \brief Converts a backend result into wire batches. `ctx`
   /// (optional) is polled at every batch boundary by each encode worker,
   /// so a cancellation stops conversion within one batch.
   Result<ConversionResult> Convert(const backend::BackendResult& result,

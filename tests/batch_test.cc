@@ -2,8 +2,9 @@
 // ColumnBatch contract end to end — builder demotion, TDF2 round trips
 // (including all-NULL presence runs and varlen spill straddling span
 // boundaries), zero-row results, cancellation mid-batch with zero governor
-// residue, and byte-identical wire output of the typed batch converter
-// against the per-row EncodeRecord oracle across every registered dialect.
+// residue, CanonicalizeBatch's zero-copy contract, and byte-identical wire
+// output of the column-at-a-time converter against the per-row EncodeRecord
+// oracle across every wire type and every registered dialect.
 
 #include <gtest/gtest.h>
 
@@ -89,6 +90,27 @@ void ExpectConverterMatchesOracle(const BackendResult& result,
   for (size_t i = 0; i < oracle.size(); ++i) {
     EXPECT_EQ(converted->batches[i], oracle[i]) << "wire batch " << i;
   }
+}
+
+/// A result whose store holds exactly `spans` in memory, uncanonicalized:
+/// the converter sees the physical forms the spans were built with.
+BackendResult StoreOf(const std::vector<TdfColumn>& schema,
+                      const std::vector<BatchSpan>& spans) {
+  BackendResult result;
+  result.columns = schema;
+  result.store = std::make_shared<backend::ResultStore>();
+  result.store->set_schema(schema);
+  for (const BatchSpan& span : spans) {
+    EXPECT_TRUE(
+        result.store->AppendBatch(span.batch, span.offset, span.rows).ok());
+  }
+  return result;
+}
+
+std::vector<SqlType> TypesOf(const std::vector<TdfColumn>& schema) {
+  std::vector<SqlType> types;
+  for (const auto& c : schema) types.push_back(c.type);
+  return types;
 }
 
 // --- ColumnBatch contract ----------------------------------------------------
@@ -199,6 +221,51 @@ TEST(Tdf2Test, OffsetSliceEncodesOnlyItsRows) {
     EXPECT_EQ(reader->batch()->RowAt(r)[0].string_val(),
               "value-" + std::to_string(r + 2));
   }
+}
+
+// --- CanonicalizeBatch -------------------------------------------------------
+
+TEST(CanonicalizeTest, ShortCharConformsWithoutACopy) {
+  // CHAR(n) values shorter than n stay as stored: the wire encoders pad.
+  std::vector<TdfColumn> schema = {{"C", SqlType::Char(5)},
+                                   {"V", SqlType::Varchar(5)}};
+  BatchBuilder b(TypesOf(schema));
+  ASSERT_TRUE(b.AppendRow({Datum::String("ab"), Datum::String("x")}).ok());
+  ASSERT_TRUE(b.AppendRow({Datum::String(""), Datum::Null()}).ok());
+  ASSERT_TRUE(b.AppendRow({Datum::String("abcde"), Datum::String("")}).ok());
+  ASSERT_TRUE(b.AppendRow({Datum::Null(), Datum::String("vwxyz")}).ok());
+  std::shared_ptr<const ColumnBatch> batch = b.Finish();
+  auto canon = backend::CanonicalizeBatch(schema, batch);
+  ASSERT_TRUE(canon.ok()) << canon.status();
+  EXPECT_EQ(canon->get(), batch.get());
+  EXPECT_EQ((*canon)->columns[0]->StringAt(0), "ab");
+}
+
+TEST(CanonicalizeTest, RebuildsOverLongCharAndScaleMismatchedDecimal) {
+  std::vector<TdfColumn> schema = {{"C", SqlType::Char(3)},
+                                   {"N", SqlType::Decimal(9, 2)},
+                                   {"K", SqlType::Int()}};
+  BatchBuilder b(TypesOf(schema));
+  ASSERT_TRUE(b.AppendRow({Datum::String("toolong"),
+                           Datum::MakeDecimal(Decimal{15, 1}), Datum::Int(1)})
+                  .ok());
+  ASSERT_TRUE(b.AppendRow({Datum::String("ab"),
+                           Datum::MakeDecimal(Decimal{250, 2}), Datum::Int(2)})
+                  .ok());
+  std::shared_ptr<const ColumnBatch> batch = b.Finish();
+  auto canon = backend::CanonicalizeBatch(schema, batch);
+  ASSERT_TRUE(canon.ok()) << canon.status();
+  ASSERT_NE(canon->get(), batch.get());
+  const ColumnBatch& out = **canon;
+  // The over-long column is cast to CHAR(3): truncated, and padded.
+  EXPECT_EQ(out.columns[0]->StringAt(0), "too");
+  EXPECT_EQ(out.columns[0]->StringAt(1), "ab ");
+  // The decimal column carries the schema scale on every row.
+  EXPECT_EQ(out.columns[1]->i64[0], 150);
+  EXPECT_EQ(out.columns[1]->i32b[0], 2);
+  EXPECT_EQ(out.columns[1]->i64[1], 250);
+  // A conforming column is shared, not copied.
+  EXPECT_EQ(out.columns[2].get(), batch->columns[2].get());
 }
 
 // --- ResultStore spans -------------------------------------------------------
@@ -372,6 +439,127 @@ TEST(BatchWireTest, ConverterMatchesOracleOnEdgeShapes) {
   for (size_t rows_per_batch : {1u, 3u, 4u, 100u}) {
     ExpectConverterMatchesOracle(*result, rows_per_batch);
   }
+}
+
+// Fourteen columns (a two-byte presence bitmap) of every wire type, with
+// short, exact and over-long CHAR values, a DECIMAL off the schema scale, an
+// all-NULL column and a sparse-NULL one, straight into the store without
+// canonicalization. 600 rows cross the encoder's 256-row block boundary.
+TEST(BatchWireTest, WideSparseColumnsMatchOracle) {
+  std::vector<TdfColumn> schema = {
+      {"I", SqlType::Int()},          {"S", SqlType::SmallInt()},
+      {"B", SqlType::Bool()},         {"BI", SqlType::BigInt()},
+      {"N", SqlType::Decimal(9, 2)},  {"F", SqlType::Double()},
+      {"C", SqlType::Char(4)},        {"V", SqlType::Varchar(16)},
+      {"D", SqlType::Date()},         {"T", SqlType::Time()},
+      {"TS", SqlType::Timestamp()},   {"P", SqlType::PeriodDate()},
+      {"AN", SqlType::Int()},         {"SN", SqlType::Varchar(8)},
+  };
+  const char* const chars[] = {"", "ab", "abcd", "abcdefg"};
+  BatchBuilder b(TypesOf(schema));
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(
+        b.AppendRow(
+             {Datum::Int(i - 300), Datum::Int(i % 200 - 100),
+              Datum::Bool(i % 3 == 0), Datum::Int(int64_t{1} << (i % 63)),
+              Datum::MakeDecimal(Decimal{i * 7, i % 5 == 0 ? 1 : 2}),
+              Datum::MakeDouble(i * 0.25), Datum::String(chars[i % 4]),
+              Datum::String(std::string(i % 17, 'v')),
+              Datum::Date(i * 31 - 9000), Datum::Time(i * 1000003),
+              Datum::Timestamp(int64_t{i} * 86400000001),
+              Datum::Period(i, i + 30), Datum::Null(),
+              i % 9 == 4 ? Datum::String("s" + std::to_string(i))
+                         : Datum::Null()})
+            .ok());
+  }
+  std::shared_ptr<const ColumnBatch> batch = b.Finish();
+  ASSERT_EQ(batch->columns[12]->nulls, 600u);
+  BackendResult result =
+      StoreOf(schema, {{batch, 0, 300}, {batch, 300, 290}, {batch, 590, 10}});
+  for (size_t rows_per_batch : {1u, 7u, 256u, 1000u}) {
+    ExpectConverterMatchesOracle(result, rows_per_batch);
+  }
+}
+
+// A span whose column is boxed (kDatum) takes the EncodeRecord fallback;
+// it shares one wire batch with typed spans on either side.
+TEST(BatchWireTest, FallbackSpanBetweenFastSpansMatchesOracle) {
+  std::vector<TdfColumn> schema = {{"A", SqlType::Int()},
+                                   {"S", SqlType::Char(3)}};
+  BatchBuilder typed(TypesOf(schema));
+  BatchBuilder boxed({PhysKind::kDatum, PhysKind::kString});
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(
+        typed.AppendRow({Datum::Int(i), Datum::String(std::string(i, 't'))})
+            .ok());
+    ASSERT_TRUE(boxed
+                    .AppendRow({i % 2 == 0 ? Datum::Int(100 + i)
+                                           : Datum::Null(),
+                                Datum::String("b")})
+                    .ok());
+  }
+  std::shared_ptr<const ColumnBatch> fast = typed.Finish();
+  std::shared_ptr<const ColumnBatch> slow = boxed.Finish();
+  ASSERT_EQ(slow->columns[0]->kind, PhysKind::kDatum);
+  BackendResult result =
+      StoreOf(schema, {{fast, 0, 5}, {slow, 1, 4}, {fast, 2, 3}});
+  for (size_t rows_per_batch : {3u, 100u}) {
+    ExpectConverterMatchesOracle(result, rows_per_batch);
+  }
+}
+
+TEST(BatchWireTest, RecordOver64KiBIsAProtocolError) {
+  std::vector<TdfColumn> schema = {{"V1", SqlType::Varchar(40000)},
+                                   {"V2", SqlType::Varchar(40000)}};
+  BatchBuilder b(TypesOf(schema));
+  ASSERT_TRUE(b.AppendRow({Datum::String("short"), Datum::String("row")}).ok());
+  ASSERT_TRUE(b.AppendRow({Datum::String(std::string(40000, 'x')),
+                           Datum::String(std::string(40000, 'y'))})
+                  .ok());
+  BackendResult result = StoreOf(schema, {{b.Finish(), 0, 2}});
+  convert::ResultConverter converter(convert::ConverterOptions{});
+  auto converted = converter.Convert(result);
+  ASSERT_FALSE(converted.ok());
+  EXPECT_TRUE(converted.status().IsProtocolError()) << converted.status();
+}
+
+TEST(BatchWireTest, EncodeRowFaultPointCountsRows) {
+  std::vector<TdfColumn> schema = {{"A", SqlType::Int()}};
+  BatchBuilder typed(TypesOf(schema));
+  BatchBuilder boxed({PhysKind::kDatum});
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(typed.AppendRow({Datum::Int(i)}).ok());
+  }
+  ASSERT_TRUE(boxed.AppendRow({Datum::Int(-1)}).ok());
+  // 599 typed rows around one boxed row: both encode paths fire per row.
+  std::shared_ptr<const ColumnBatch> fast = typed.Finish();
+  BackendResult result = StoreOf(
+      schema, {{fast, 0, 300}, {boxed.Finish(), 0, 1}, {fast, 300, 299}});
+
+  FaultSpec spec;
+  spec.kind = FaultKind::kLatency;  // latency 0: counts, never fails
+  spec.every = 7;
+  FaultInjector::Global().Arm(faultpoints::kConvertEncodeRow, spec);
+  convert::ResultConverter converter(convert::ConverterOptions{});
+  auto converted = converter.Convert(result);
+  int64_t hits = FaultInjector::Global().hits(faultpoints::kConvertEncodeRow);
+  int64_t fires =
+      FaultInjector::Global().fires(faultpoints::kConvertEncodeRow);
+
+  spec.kind = FaultKind::kTransient;
+  spec.first_hit = 420;
+  spec.every = 1;
+  FaultInjector::Global().Arm(faultpoints::kConvertEncodeRow, spec);
+  auto failed = converter.Convert(result);
+  int64_t hits_to_failure =
+      FaultInjector::Global().hits(faultpoints::kConvertEncodeRow);
+  FaultInjector::Global().Reset();
+
+  ASSERT_TRUE(converted.ok()) << converted.status();
+  EXPECT_EQ(hits, 600);
+  EXPECT_EQ(fires, 86);  // hits 1, 8, ..., 596
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(hits_to_failure, 420);
 }
 
 // The golden equivalence bar re-run under the batch path: a query zoo is
