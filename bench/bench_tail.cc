@@ -23,8 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "backend/adaptive_limit.h"
-#include "common/brownout.h"
 #include "common/fault.h"
 #include "common/retry_budget.h"
 #include "observability/metric_names.h"
@@ -249,31 +247,6 @@ void BM_RetryBudgetDepositWithdraw(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RetryBudgetDepositWithdraw);
-
-void BM_BrownoutAdmit(benchmark::State& state) {
-  static BrownoutController* brownout = new BrownoutController([] {
-    BrownoutOptions o;
-    o.enabled = true;
-    return o;
-  }());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(brownout->Admit("library"));
-  }
-}
-BENCHMARK(BM_BrownoutAdmit);
-
-void BM_AdaptiveLimitOnComplete(benchmark::State& state) {
-  static backend::AdaptiveLimit* limit = new backend::AdaptiveLimit([] {
-    backend::AdaptiveLimitOptions o;
-    o.enabled = true;
-    o.latency_factor = 2.0;
-    return o;
-  }());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(limit->OnComplete(false, 500.0));
-  }
-}
-BENCHMARK(BM_AdaptiveLimitOnComplete);
 
 }  // namespace
 

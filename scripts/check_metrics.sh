@@ -8,10 +8,9 @@
 # src/backend/pool.h must have a kHealthStateMetrics row named
 # hyperq.backend.health.<state>. And for the tail-tolerance layer
 # (DESIGN.md §11) and the chaos layer (DESIGN.md §13): every
-# hyperq.hedge.* / hyperq.retry_budget.* / hyperq.limit.* /
-# hyperq.brownout.* / hyperq.chaos.* series must be declared as a named
-# constant in metric_names.h (no ad-hoc string literals in src/), and every
-# declared constant must actually be emitted somewhere.
+# hyperq.hedge.* / hyperq.retry_budget.* / hyperq.chaos.* series must be
+# declared as a named constant in metric_names.h (no ad-hoc string literals
+# in src/), and every declared constant must actually be emitted somewhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -146,10 +145,9 @@ lint_family() {
   echo "$declared_fam" | wc -l
 }
 
-# Tail tolerance (DESIGN.md §11): the hedge/retry-budget/adaptive-limit/
-# brownout control-loop families.
+# Tail tolerance (DESIGN.md §11): the hedge and retry-budget families.
 tail_count=$(lint_family "tail" \
-    'hyperq\.(hedge|retry_budget|limit|brownout)\.[a-z_.]*') || status=1
+    'hyperq\.(hedge|retry_budget)\.[a-z_.]*') || status=1
 
 # Chaos (DESIGN.md §13): scenario/orchestrator progress, per-fault link
 # injection counts, and the invariant-audit verdict series.

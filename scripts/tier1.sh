@@ -76,9 +76,10 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # The fleet is cross-thread end to end: the prober scores health while
   # workers route, acquire slots, and fail over between replicas.
   ctest --test-dir build-tsan --output-on-failure -L fleet -j "$jobs"
-  # Hedged execution races two legs across threads by design (first
-  # completion wins, loser cancelled mid-flight, stragglers parked and
-  # reaped) — the tail suite must be TSan-clean, not just ASan-clean.
+  # The tail suite covers hedged reads and the retry budget. Hedged
+  # execution races two legs across threads by design (first completion
+  # wins, loser cancelled mid-flight, stragglers parked and reaped) — it
+  # must be TSan-clean, not just ASan-clean.
   ctest --test-dir build-tsan --output-on-failure -L tail -j "$jobs"
   # The chaos layer is all cross-thread: the orchestrator mutates link
   # faults while 8 workload sessions and the server's workers run through

@@ -38,8 +38,8 @@ BackendPool::BackendPool(vdb::Engine* default_engine,
   auto now = std::chrono::steady_clock::now();
   instances_.reserve(specs.size());
   for (auto& spec : specs) {
-    auto inst = std::make_unique<Instance>(
-        std::move(spec), options_.connector.breaker, options_.adaptive_limit);
+    auto inst =
+        std::make_unique<Instance>(std::move(spec), options_.connector.breaker);
     inst->engine =
         inst->spec.engine != nullptr ? inst->spec.engine : default_engine;
     inst->last_decay = now;
@@ -53,10 +53,6 @@ BackendPool::BackendPool(vdb::Engine* default_engine,
     probes_counter_ = options_.metrics->counter(obs::names::kPoolProbes);
     probe_failures_counter_ =
         options_.metrics->counter(obs::names::kPoolProbeFailures);
-    limit_denials_counter_ =
-        options_.metrics->counter(obs::names::kLimitDenials);
-    limit_backoffs_counter_ =
-        options_.metrics->counter(obs::names::kLimitBackoffs);
     hedge_loser_counter_ =
         options_.metrics->counter(obs::names::kHedgeLoserReleases);
   }
@@ -155,16 +151,6 @@ Status BackendPool::Acquire(size_t i) {
     return Status::Unavailable("backend ", inst.spec.name, " is down")
         .WithDetail(StatusDetail::kBackendDown);
   }
-  // The learned AIMD limit gates before the static governor cap: a
-  // browning-out replica sheds load here long before its breaker trips.
-  if (inst.limiter.enabled() &&
-      inst.in_flight.load(std::memory_order_relaxed) >= inst.limiter.limit()) {
-    limit_denials_.fetch_add(1, std::memory_order_relaxed);
-    if (limit_denials_counter_ != nullptr) limit_denials_counter_->Inc();
-    return Status::ResourceExhausted("backend ", inst.spec.name,
-                                     " at adaptive concurrency limit ",
-                                     inst.limiter.limit());
-  }
   if (options_.governor != nullptr) {
     HQ_RETURN_IF_ERROR(
         options_.governor->ReserveBackendSlot(BackendTag(i),
@@ -176,7 +162,7 @@ Status BackendPool::Acquire(size_t i) {
 }
 
 void BackendPool::Release(size_t i, const Status& outcome,
-                          double latency_micros, ReleaseKind kind) {
+                          ReleaseKind kind) {
   Instance& inst = *instances_[i];
   inst.in_flight.fetch_sub(1, std::memory_order_relaxed);
   if (options_.governor != nullptr) {
@@ -184,21 +170,16 @@ void BackendPool::Release(size_t i, const Status& outcome,
   }
   if (kind == ReleaseKind::kHedgeLoser) {
     // The cancelled leg of a hedged read: deliberately stopped, so its
-    // outcome must not feed the scorer or the limiter — hedging on a slow
-    // replica would otherwise eject its healthy peer via cancel noise.
+    // outcome must not feed the scorer — hedging on a slow replica would
+    // otherwise eject its healthy peer via cancel noise.
     hedge_loser_releases_.fetch_add(1, std::memory_order_relaxed);
     if (hedge_loser_counter_ != nullptr) hedge_loser_counter_->Inc();
     return;
   }
-  bool liveness_failure = outcome.IsUnavailable() || outcome.IsSessionLost() ||
-                          outcome.IsIoError() || outcome.IsDeadlineExceeded();
-  if (inst.limiter.OnComplete(liveness_failure, latency_micros) &&
-      limit_backoffs_counter_ != nullptr) {
-    limit_backoffs_counter_->Inc();
-  }
   // Passive scoring: only liveness-flavored outcomes indict the replica.
   // A syntax/bind/execution error means the backend answered.
-  if (liveness_failure) {
+  if (outcome.IsUnavailable() || outcome.IsSessionLost() ||
+      outcome.IsIoError() || outcome.IsDeadlineExceeded()) {
     NoteLivenessFailure(inst);
   } else {
     std::lock_guard<std::mutex> lock(inst.mutex);
@@ -331,12 +312,8 @@ BackendPoolStats BackendPool::stats() const {
   s.readmissions = readmissions_.load(std::memory_order_relaxed);
   s.probes = probes_.load(std::memory_order_relaxed);
   s.probe_failures = probe_failures_.load(std::memory_order_relaxed);
-  s.limit_denials = limit_denials_.load(std::memory_order_relaxed);
   s.hedge_loser_releases =
       hedge_loser_releases_.load(std::memory_order_relaxed);
-  for (const auto& inst : instances_) {
-    s.limit_backoffs += inst->limiter.stats().backoffs;
-  }
   return s;
 }
 
@@ -355,12 +332,6 @@ void BackendPool::MirrorGauges() {
         ->gauge(obs::LabeledName(obs::names::kBackendInFlight,
                                  {{"backend", name}}))
         ->Set(in_flight(i));
-    if (instances_[i]->limiter.enabled()) {
-      options_.metrics
-          ->gauge(obs::LabeledName(obs::names::kLimitCurrent,
-                                   {{"backend", name}}))
-          ->Set(instances_[i]->limiter.limit());
-    }
   }
   for (size_t s = 0; s < obs::names::kHealthStateMetricCount; ++s) {
     options_.metrics->gauge(obs::names::kHealthStateMetrics[s].metric)

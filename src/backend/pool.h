@@ -40,7 +40,6 @@
 #include <thread>
 #include <vector>
 
-#include "backend/adaptive_limit.h"
 #include "backend/connector.h"
 #include "common/resource_governor.h"
 #include "common/retry.h"
@@ -87,9 +86,6 @@ struct PoolOptions {
   ConnectorOptions connector;
   std::shared_ptr<ResourceGovernor> governor;
   observability::MetricsRegistry* metrics = nullptr;
-  /// AIMD per-backend concurrency limiter (DESIGN.md §11). Disabled by
-  /// default: only the static max_in_flight caps apply.
-  AdaptiveLimitOptions adaptive_limit;
 };
 
 struct BackendPoolStats {
@@ -97,8 +93,6 @@ struct BackendPoolStats {
   int64_t readmissions = 0;
   int64_t probes = 0;
   int64_t probe_failures = 0;
-  int64_t limit_denials = 0;        // Acquire rejections by the AIMD limit
-  int64_t limit_backoffs = 0;       // multiplicative decreases applied
   int64_t hedge_loser_releases = 0; // releases that bypassed the scorer
 };
 
@@ -139,32 +133,21 @@ class BackendPool {
 
   /// \brief Claims an in-flight slot on backend `i` before a query runs
   /// there. Fails with kUnavailable{kBackendDown} when the instance is
-  /// killed, or kResourceExhausted when its in-flight cap (static governor
-  /// cap, or the learned AIMD limit when enabled) is hit.
+  /// killed, or kResourceExhausted when its in-flight cap (the spec's
+  /// max_in_flight, else the governor's default) is hit. The cap is kept
+  /// in the governor's slot table: without a governor nothing is capped.
   Status Acquire(size_t i);
   /// \brief How a finished attempt releases its slot (DESIGN.md §11).
   /// kHedgeLoser marks the cancelled leg of a hedged read: its slot is
-  /// returned but its outcome feeds NEITHER the passive health scorer NOR
-  /// the AIMD limiter — a deliberately-cancelled attempt says nothing
-  /// about replica health, and must not eject a healthy backend.
+  /// returned but its outcome does not feed the passive health scorer — a
+  /// deliberately-cancelled attempt says nothing about replica health, and
+  /// must not eject a healthy backend.
   enum class ReleaseKind { kNormal, kHedgeLoser };
   /// \brief Returns the slot and feeds `outcome` into the passive health
   /// score (only liveness-flavored failures count; a syntax error says
-  /// nothing about the replica). `latency_micros` >= 0 additionally feeds
-  /// the AIMD limiter's congestion test; pass -1 when no useful timing
-  /// exists (the historical two-argument shape).
-  void Release(size_t i, const Status& outcome, double latency_micros = -1,
+  /// nothing about the replica).
+  void Release(size_t i, const Status& outcome,
                ReleaseKind kind = ReleaseKind::kNormal);
-
-  /// \brief Learned AIMD limit for backend `i` (max_limit+1-ish large
-  /// value semantics do not exist: disabled limiter reports its initial
-  /// configuration but never gates).
-  int adaptive_limit(size_t i) const {
-    return instances_[i]->limiter.limit();
-  }
-  AdaptiveLimitStats adaptive_limit_stats(size_t i) const {
-    return instances_[i]->limiter.stats();
-  }
 
   /// \brief Builds a session connector bound to backend `i`: the instance's
   /// engine, shared breaker, liveness hook, and name, plus the pool's
@@ -180,9 +163,9 @@ class BackendPool {
   void ReviveBackend(size_t i);
   /// \brief Chaos hook: makes instance `i` artificially *slow* (not dead) —
   /// every connector attempt against it stalls `delay_ms` in the liveness
-  /// hook before proceeding. 0 restores full speed. This is the
-  /// brownout/tail scenario: the replica still answers correctly, just
-  /// late, so nothing trips the breaker or the health scorer.
+  /// hook before proceeding. 0 restores full speed. This is the tail
+  /// scenario: the replica still answers correctly, just late, so nothing
+  /// trips the breaker or the health scorer.
   void SlowBackend(size_t i, int delay_ms);
   int slow_ms(size_t i) const {
     return instances_[i]->slow_ms.load(std::memory_order_relaxed);
@@ -214,7 +197,6 @@ class BackendPool {
     std::atomic<bool> killed{false};
     std::atomic<int> slow_ms{0};  // chaos: per-attempt stall, 0 = none
     std::atomic<int> in_flight{0};
-    AdaptiveLimit limiter;
     // Health state below is guarded by `mutex` (per-instance, so scoring
     // one backend never contends with routing reads of another).
     mutable std::mutex mutex;
@@ -224,12 +206,10 @@ class BackendPool {
     std::chrono::steady_clock::time_point readmit_at{};
     int eject_count = 0;
 
-    Instance(BackendSpec s, const CircuitBreakerOptions& breaker_options,
-             const AdaptiveLimitOptions& limit_options)
+    Instance(BackendSpec s, const CircuitBreakerOptions& breaker_options)
         : spec(std::move(s)),
           digest(spec.profile.CacheKeyDigest()),
-          breaker(breaker_options),
-          limiter(limit_options) {}
+          breaker(breaker_options) {}
   };
 
   /// Decays the score, applies `add_score`, and runs the state transitions
@@ -247,15 +227,12 @@ class BackendPool {
   observability::Counter* readmissions_counter_ = nullptr;
   observability::Counter* probes_counter_ = nullptr;
   observability::Counter* probe_failures_counter_ = nullptr;
-  observability::Counter* limit_denials_counter_ = nullptr;
-  observability::Counter* limit_backoffs_counter_ = nullptr;
   observability::Counter* hedge_loser_counter_ = nullptr;
 
   std::atomic<int64_t> ejections_{0};
   std::atomic<int64_t> readmissions_{0};
   std::atomic<int64_t> probes_{0};
   std::atomic<int64_t> probe_failures_{0};
-  std::atomic<int64_t> limit_denials_{0};
   std::atomic<int64_t> hedge_loser_releases_{0};
 
   // Prober thread.

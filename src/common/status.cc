@@ -52,8 +52,6 @@ const char* StatusDetailName(StatusDetail detail) {
       return "failover_incompatible";
     case StatusDetail::kRetryBudgetExhausted:
       return "retry_budget_exhausted";
-    case StatusDetail::kBrownoutShed:
-      return "brownout_shed";
     case StatusDetail::kFrameStall:
       return "frame_stall";
   }

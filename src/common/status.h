@@ -58,11 +58,10 @@ enum class StatusDetail : int {
   kBreakerOpen,  // circuit breaker rejected the call without trying
   kBackendDown,  // the backend instance itself is down/killed/ejected
   kFailoverIncompatible,  // no replica can honor the session's journal
-  // Tail-tolerance taxonomy (DESIGN.md §11). Both deliberately stop the
-  // retry/failover amplification chain: neither maps to a re-routable
+  // Tail-tolerance taxonomy (DESIGN.md §11). Deliberately stops the
+  // retry/failover amplification chain: it maps to no re-routable
   // condition, so the error surfaces to the client as-is.
   kRetryBudgetExhausted,  // global retry budget denied another attempt
-  kBrownoutShed,  // brownout mode shed this session class under overload
   // Robustness taxonomy (DESIGN.md §13). A kDeadlineExceeded with this
   // detail means a peer started a tdwp frame but failed to complete it
   // within the server's per-frame budget (the slowloris guard): the

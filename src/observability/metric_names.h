@@ -107,10 +107,9 @@ inline constexpr const char* kFailoverIncompatible =
 inline constexpr const char* kGovernorBackendSlotDenials =
     "hyperq.governor.backend_slot_denials";
 
-// --- Tail tolerance (DESIGN.md §11): hedged reads, the global retry
-// budget, per-backend adaptive concurrency limits, and brownout mode.
-// Counters live where the events happen; the budget/brownout/limit levels
-// are mirrored into gauges at snapshot time. ---------------------------------
+// --- Tail tolerance (DESIGN.md §11): hedged reads and the global retry
+// budget. Counters live where the events happen; the budget levels and the
+// hedge trigger are mirrored into gauges at snapshot time. ------------------
 inline constexpr const char* kHedgeLaunched = "hyperq.hedge.launched";
 inline constexpr const char* kHedgeWins = "hyperq.hedge.wins";
 inline constexpr const char* kHedgeLosses = "hyperq.hedge.losses";
@@ -134,16 +133,6 @@ inline constexpr const char* kRetryBudgetWithdrawals =
     "hyperq.retry_budget.withdrawals";
 inline constexpr const char* kRetryBudgetDenials =
     "hyperq.retry_budget.denials";
-inline constexpr const char* kLimitCurrent = "hyperq.limit.current";
-inline constexpr const char* kLimitDenials = "hyperq.limit.denials";
-inline constexpr const char* kLimitBackoffs = "hyperq.limit.backoffs";
-inline constexpr const char* kBrownoutActive = "hyperq.brownout.active";
-inline constexpr const char* kBrownoutEntries = "hyperq.brownout.entries";
-inline constexpr const char* kBrownoutExits = "hyperq.brownout.exits";
-inline constexpr const char* kBrownoutShedRequests =
-    "hyperq.brownout.shed_requests";
-inline constexpr const char* kBrownoutQueueDepth =
-    "hyperq.brownout.queue_depth";
 
 // --- Resource governor (mirrored into gauges at snapshot time; the
 // governor lives in common/ below the observability layer) ------------------

@@ -187,17 +187,6 @@ size_t TdwpServer::EffectiveLowWatermark() const {
                   options_.admission_queue_depth);
 }
 
-void TdwpServer::NoteBrownoutQueueDepthLocked() {
-  if (options_.brownout == nullptr) return;
-  size_t cap = options_.max_connections;
-  size_t active = active_.load();
-  size_t free_slots = cap == 0 ? SIZE_MAX : (active < cap ? cap - active : 0);
-  size_t waiting = (free_slots == SIZE_MAX || pending_.size() <= free_slots)
-                       ? 0
-                       : pending_.size() - free_slots;
-  options_.brownout->NoteQueueDepth(static_cast<int64_t>(waiting));
-}
-
 void TdwpServer::ReapFinishedWorkers() {
   std::lock_guard<std::mutex> lock(workers_mutex_);
   for (auto it = workers_.begin(); it != workers_.end();) {
@@ -267,7 +256,6 @@ void TdwpServer::AcceptLoop() {
           if (waiting >= options_.admission_queue_depth) shedding_ = true;
         }
       }
-      NoteBrownoutQueueDepthLocked();
     }
     if (shed) {
       ShedConnection(std::move(conn), reason);
@@ -292,7 +280,6 @@ void TdwpServer::DispatchLoop() {
     if (shedding_ && pending_.size() <= EffectiveLowWatermark()) {
       shedding_ = false;
     }
-    NoteBrownoutQueueDepthLocked();
     admitted_counter_->Inc();
     active_.fetch_add(1);
     lock.unlock();

@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/brownout.h"
 #include "common/query_context.h"
 #include "common/result.h"
 #include "observability/metrics.h"
@@ -109,11 +108,6 @@ struct TdwpServerOptions {
   /// Mint a QueryTrace per wire request (wire.read/wire.write spans) and
   /// deliver it to RequestHandler::OnQueryTraceFinished.
   bool tracing = true;
-  /// Brownout controller fed with the admission-queue depth signal
-  /// (DESIGN.md §11); the service's submit path consults the same
-  /// controller to shed low-priority session classes. Null = no brownout.
-  /// Must outlive the server.
-  BrownoutController* brownout = nullptr;
 };
 
 /// \brief Admission/overload counters (observability/tests). A typed view
@@ -194,9 +188,6 @@ class TdwpServer {
   void ShedConnection(Socket conn, const Status& reason);
   void ReleaseUserSlot(const std::string& user);
   size_t EffectiveLowWatermark() const;
-  /// Reports the current waiting-connection count to the brownout
-  /// controller. Caller holds admit_mutex_.
-  void NoteBrownoutQueueDepthLocked();
 
   RequestHandler* handler_;
   TdwpServerOptions options_;

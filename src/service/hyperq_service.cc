@@ -25,6 +25,9 @@ TranslationCacheOptions CacheOptionsFor(TranslationCacheOptions cache,
   if (cache.metrics == nullptr) cache.metrics = metrics;
   return cache;
 }
+
+// Finished traces kept for trace_ring().
+constexpr size_t kTraceRingCapacity = 128;
 }  // namespace
 
 HyperQService::HyperQService(vdb::Engine* engine, ServiceOptions options)
@@ -38,7 +41,7 @@ HyperQService::HyperQService(vdb::Engine* engine, ServiceOptions options)
                          : nullptr),
       metrics_(options_.metrics != nullptr ? options_.metrics
                                            : owned_metrics_.get()),
-      trace_ring_(std::max<size_t>(1, options_.trace_ring_capacity)),
+      trace_ring_(kTraceRingCapacity),
       translation_cache_(CacheOptionsFor(options_.translation_cache,
                                          options_.governor, metrics_)),
       profile_digest_(options_.profile.CacheKeyDigest()),
@@ -88,12 +91,10 @@ HyperQService::HyperQService(vdb::Engine* engine, ServiceOptions options)
       metrics_->counter(names::kHedgeDeniedNoReplica);
   h_hedge_execute_ = metrics_->histogram(names::kHedgeExecuteMicros);
 
-  // Tail tolerance (DESIGN.md §11): the budget and brownout controllers are
-  // always constructed — both are inert no-ops while disabled — and must
-  // exist before the pool, whose connector options carry the budget.
+  // Tail tolerance (DESIGN.md §11): the retry budget is always constructed
+  // — an inert no-op while disabled — and must exist before the pool,
+  // whose connector options carry it.
   retry_budget_ = std::make_unique<RetryBudget>(options_.tail.retry_budget);
-  brownout_ = std::make_unique<BrownoutController>(options_.tail.brownout,
-                                                   options_.governor.get());
 
   // The fleet (DESIGN.md §10): sessions are placed by the router over a
   // pool of backends. Without registered backends the pool holds one
@@ -103,7 +104,6 @@ HyperQService::HyperQService(vdb::Engine* engine, ServiceOptions options)
   pool_options.health = options_.fleet.health;
   pool_options.connector = options_.connector;
   pool_options.connector.retry_budget = retry_budget_.get();
-  pool_options.adaptive_limit = options_.tail.adaptive_limit;
   pool_options.governor = options_.governor;
   pool_options.metrics = metrics_;
   std::vector<backend::BackendSpec> backends = options_.fleet.backends;
@@ -116,8 +116,7 @@ HyperQService::HyperQService(vdb::Engine* engine, ServiceOptions options)
   }
   pool_ = std::make_unique<backend::BackendPool>(engine_, std::move(backends),
                                                  std::move(pool_options));
-  router_ = std::make_unique<backend::Router>(pool_.get(),
-                                              options_.fleet.route_seed);
+  router_ = std::make_unique<backend::Router>(pool_.get());
   for (size_t i = 0; i < pool_->size(); ++i) {
     for (const char* reason : backend::kRouteReasons) {
       c_routes_.push_back(metrics_->counter(obs::LabeledName(
@@ -172,8 +171,8 @@ void HyperQService::MirrorExternalGauges() const {
   // Per-backend health/in-flight levels and the per-state backend counts
   // (the lint-checked kHealthStateMetrics table).
   pool_->MirrorGauges();
-  // Tail-tolerance levels (DESIGN.md §11): budget tokens and brownout
-  // state, mirrored so one scrape shows the whole control loop.
+  // Tail-tolerance levels (DESIGN.md §11): budget tokens and the hedge
+  // trigger, mirrored so one scrape shows the whole control loop.
   {
     RetryBudgetStats b = retry_budget_->stats();
     metrics_->gauge(names::kRetryBudgetTokens)
@@ -181,12 +180,6 @@ void HyperQService::MirrorExternalGauges() const {
     metrics_->gauge(names::kRetryBudgetDeposits)->Set(b.deposits);
     metrics_->gauge(names::kRetryBudgetWithdrawals)->Set(b.withdrawals);
     metrics_->gauge(names::kRetryBudgetDenials)->Set(b.denials);
-    BrownoutStats br = brownout_->stats();
-    metrics_->gauge(names::kBrownoutActive)->Set(br.active ? 1 : 0);
-    metrics_->gauge(names::kBrownoutEntries)->Set(br.entries);
-    metrics_->gauge(names::kBrownoutExits)->Set(br.exits);
-    metrics_->gauge(names::kBrownoutShedRequests)->Set(br.shed_requests);
-    metrics_->gauge(names::kBrownoutQueueDepth)->Set(br.queue_depth);
     // Effective trigger: the adaptive percentile once observations exist,
     // else the configured floor (0 when hedging is off entirely).
     int64_t threshold = hedge_threshold_micros_.load(std::memory_order_relaxed);
@@ -378,14 +371,8 @@ Result<QueryOutcome> HyperQService::Submit(const QueryRequest& request) {
 
 Result<QueryOutcome> HyperQService::SubmitStatements(
     const QueryRequest& request, bool script) {
-  // Tail tolerance (DESIGN.md §11): each request tops up the retry budget,
-  // and under brownout the low-priority session classes are shed before
-  // any work — no trace, no session lookup, one typed error frame.
+  // Tail tolerance (DESIGN.md §11): each request tops up the retry budget.
   retry_budget_->NoteRequest();
-  if (Status shed = brownout_->Admit(request.session_class); !shed.ok()) {
-    RecordQueryOutcome(shed);
-    return shed;
-  }
   // Library callers without a context still get governance: the service
   // mints one so KillQuery and the default deadline apply uniformly.
   QueryContext local_ctx;

@@ -34,7 +34,6 @@
 #include "backend/router.h"
 #include "binder/binder.h"
 #include "catalog/catalog.h"
-#include "common/brownout.h"
 #include "common/retry_budget.h"
 #include "common/features.h"
 #include "common/result.h"
@@ -134,11 +133,6 @@ struct FleetOptions {
   /// Scoring/probing/re-admission knobs; probe_interval_ms > 0 starts the
   /// background prober with the service.
   backend::HealthOptions health;
-  /// Placement attempts per query, same-replica retries after a session
-  /// loss included (1 = no retry).
-  int max_failover_attempts = 3;
-  /// Seed of the router's deterministic power-of-two-choices PRNG.
-  uint64_t route_seed = 0x5EEDULL;
 };
 
 /// \brief Hedged-execution knobs (DESIGN.md §11). Hedging launches a second
@@ -148,39 +142,27 @@ struct FleetOptions {
 /// replica to race.
 struct HedgeOptions {
   bool enabled = false;
-  /// The latency percentile of recent backend executions at which a hedge
-  /// fires; p95 hedges ~5% of eligible traffic in steady state.
-  double percentile = 0.95;
   /// Floor for the hedge trigger so a fast fleet does not hedge noise (and
   /// a cold histogram, whose quantile is 0, never hedges instantly).
   double min_threshold_micros = 2000;
   /// Hedges in flight may not exceed this fraction of the pool's total
   /// in-flight load (admission gate against hedge storms).
   double max_hedge_fraction = 0.25;
-  /// Primary-completion poll granularity while waiting out the threshold.
-  int poll_interval_ms = 1;
 };
 
-/// \brief The tail-tolerance layer (DESIGN.md §11): hedged reads, the
-/// process-wide retry budget, adaptive per-backend concurrency limits, and
-/// brownout load shedding. Every sub-feature defaults to off.
+/// \brief The tail-tolerance layer (DESIGN.md §11): hedged reads and the
+/// process-wide retry budget. Both default to off.
 struct TailOptions {
   HedgeOptions hedge;
   /// Global token bucket shared by connector retries, fleet failover
   /// re-routes, and hedge launches.
   RetryBudgetOptions retry_budget;
-  /// AIMD concurrency limiter per pool backend (fed by observed latency
-  /// and error outcomes in BackendPool::Release).
-  backend::AdaptiveLimitOptions adaptive_limit;
-  /// Overload shedding of low-priority session classes with hysteresis.
-  BrownoutOptions brownout;
 };
 
 struct ServiceOptions {
   transform::BackendProfile profile = transform::BackendProfile::Vdb();
   backend::ConnectorOptions connector;
   int convert_parallelism = 2;
-  bool batch_single_row_dml = true;  // §4.3 performance transformation
   FailoverOptions failover;
   FleetOptions fleet;
   /// Translation cache knobs (DESIGN.md §7): repeated query shapes skip
@@ -207,8 +189,6 @@ struct ServiceOptions {
   /// Per-query span trees (wire.read → ... → wire.write). Off = no trace
   /// is ever minted or attached; SpanScope sites degrade to no-ops.
   bool tracing = true;
-  /// Finished traces retained for inspection (trace_ring()).
-  size_t trace_ring_capacity = 128;
   /// Queries whose end-to-end time reaches this threshold emit one JSON
   /// line (QueryTrace::ToJson) through slow_query_sink. 0 = disabled.
   double slow_query_micros = 0;
@@ -334,13 +314,9 @@ class HyperQService : public protocol::RequestHandler {
   /// bench (KillBackend/ProbeNow).
   backend::BackendPool* backend_pool() { return pool_.get(); }
   backend::Router* router() { return router_.get(); }
-  /// \brief The tail-tolerance controllers (DESIGN.md §11). Always
-  /// constructed (no-ops while their option blocks are disabled); the
-  /// brownout controller is what TdwpServerOptions::brownout should point
-  /// at so the admission queue feeds the same state machine the submit
-  /// path sheds from.
+  /// \brief The process-wide retry budget (DESIGN.md §11). Always
+  /// constructed (a no-op while its option block is disabled).
   RetryBudget* retry_budget() { return retry_budget_.get(); }
-  BrownoutController* brownout() { return brownout_.get(); }
   /// \brief Pool index of the backend a session is bound to (-1 for an
   /// unknown session).
   int session_backend(uint32_t session_id) const;
@@ -356,7 +332,7 @@ class HyperQService : public protocol::RequestHandler {
     return metrics_;
   }
 
-  /// \brief The most recently finished query traces (ring buffer).
+  /// \brief The 128 most recently finished query traces (ring buffer).
   const observability::TraceRing& trace_ring() const { return trace_ring_; }
 
   /// Aggregated per-query feature statistics (Figure 8).
@@ -477,8 +453,8 @@ class HyperQService : public protocol::RequestHandler {
   /// preferred) -> replay the journal if the backend lost the session ->
   /// acquire slot -> run -> score. A same-replica session loss retries in
   /// place; any other failover-eligible failure excludes the replica and
-  /// re-routes (rebinding the session) — bounded by max_failover_attempts
-  /// and the QueryContext deadline.
+  /// re-routes (rebinding the session) — at most three placements per
+  /// query, and bounded by the QueryContext deadline.
   Result<QueryOutcome> SubmitWithFailover(Session* session,
                                           const std::string& sql_a,
                                           QueryContext* ctx);
@@ -504,7 +480,7 @@ class HyperQService : public protocol::RequestHandler {
   /// transaction, no session-scoped (volatile) backend state. Per-site
   /// statement checks (SELECT only) are applied by the callers.
   bool HedgeEligible(const Session* session) const;
-  /// Current hedge trigger in microseconds: the configured percentile of
+  /// Current hedge trigger in microseconds: the p95 of
   /// the hedge-eligible execution histogram, floored at the configured
   /// minimum. Cached; refreshed every few observations.
   int64_t HedgeThresholdMicros();
@@ -615,7 +591,6 @@ class HyperQService : public protocol::RequestHandler {
   // the pool's connector options point at the retry budget, so it must
   // outlive every connector during destruction.
   std::unique_ptr<RetryBudget> retry_budget_;
-  std::unique_ptr<BrownoutController> brownout_;
 
   // Fleet (DESIGN.md §10). Declared before sessions_ so the pool — whose
   // breakers and liveness hooks session connectors borrow — outlives every

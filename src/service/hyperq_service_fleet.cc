@@ -30,6 +30,17 @@ bool FailoverEligible(const Status& s) {
   return s.IsUnavailable() && (s.detail() == StatusDetail::kBreakerOpen ||
                                s.detail() == StatusDetail::kBackendDown);
 }
+
+// Placements per query, same-replica retries after a session loss
+// included.
+constexpr int kMaxPlacementAttempts = 3;
+// The hedge fires at this percentile of recent primary executions: ~5% of
+// eligible traffic in steady state.
+constexpr double kHedgePercentile = 0.95;
+// Wait slice while the primary runs. The condition variable wakes on the
+// primary's completion; the slice also bounds how late a cancellation of
+// the caller's context (which does not notify it) is noticed.
+constexpr auto kHedgeWaitSlice = std::chrono::milliseconds(1);
 }  // namespace
 
 bool HyperQService::JournalRequiresProfile(const Session* session) {
@@ -69,13 +80,12 @@ Status HyperQService::RebindSession(Session* session, int target) {
 
 Result<QueryOutcome> HyperQService::SubmitWithFailover(
     Session* session, const std::string& sql_a, QueryContext* ctx) {
-  const int max_attempts = std::max(1, options_.fleet.max_failover_attempts);
   std::vector<int> failed;  // backends that failed this query
   int failovers = 0;
   int total_replayed = 0;
   Status last_error;
 
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxPlacementAttempts; ++attempt) {
     backend::RouteConstraints constraints;
     constraints.emitted = &options_.profile;
     constraints.sticky = session->backend_index;
@@ -159,14 +169,11 @@ Result<QueryOutcome> HyperQService::SubmitWithFailover(
     }
     auto outcome = SubmitInternal(session, sql_a, 0, ctx);
     // When a hedge replica produced the result, the primary's slot is the
-    // losing leg: release it without feeding the scorer or the limiter
-    // (the hedge path already released the winner with real timing).
+    // losing leg: release it without feeding the scorer (the hedge path
+    // already released the winner).
     bool hedge_won = outcome.ok() && outcome->result.hedge_won;
     pool_->Release(route->backend,
                    outcome.ok() ? Status::OK() : outcome.status(),
-                   outcome.ok() && !hedge_won
-                       ? outcome->timing.execution_micros
-                       : -1,
                    hedge_won ? backend::BackendPool::ReleaseKind::kHedgeLoser
                              : backend::BackendPool::ReleaseKind::kNormal);
     if (outcome.ok()) {
@@ -229,7 +236,7 @@ void HyperQService::ObserveHedgeLatency(double micros) {
     return;
   }
   obs::HistogramSnapshot snap = h_hedge_execute_->snapshot();
-  double q = snap.Quantile(options_.tail.hedge.percentile);
+  double q = snap.Quantile(kHedgePercentile);
   auto threshold = static_cast<int64_t>(
       std::max(q, options_.tail.hedge.min_threshold_micros));
   hedge_threshold_micros_.store(threshold, std::memory_order_relaxed);
@@ -340,14 +347,12 @@ Result<BackendResult> HyperQService::HedgedExecute(Session* session,
 
   // Phase 1: give the primary the adaptive threshold to answer.
   const int64_t threshold = HedgeThresholdMicros();
-  const auto slice = std::chrono::milliseconds(
-      std::max(1, options_.tail.hedge.poll_interval_ms));
   Stopwatch waited;
   {
     std::unique_lock<std::mutex> lock(shared->mutex);
     while (!shared->primary_done &&
            waited.ElapsedMicros() < static_cast<double>(threshold)) {
-      shared->cv.wait_for(lock, slice);
+      shared->cv.wait_for(lock, kHedgeWaitSlice);
       if (ctx != nullptr && ctx->cancelled()) break;
     }
     if (shared->primary_done) {
@@ -371,7 +376,7 @@ Result<BackendResult> HyperQService::HedgedExecute(Session* session,
   auto wait_out_primary = [&]() -> Result<BackendResult> {
     std::unique_lock<std::mutex> lock(shared->mutex);
     while (!shared->primary_done) {
-      shared->cv.wait_for(lock, slice);
+      shared->cv.wait_for(lock, kHedgeWaitSlice);
       if (ctx != nullptr) {
         Status alive = ctx->CheckAlive();
         if (!alive.ok()) {
@@ -433,7 +438,7 @@ Result<BackendResult> HyperQService::HedgedExecute(Session* session,
     std::lock_guard<std::mutex> lock(shared->mutex);
     if (shared->primary_done) {
       // The primary answered while we were routing: no race to run.
-      pool_->Release(hedge_backend, Status::OK(), -1,
+      pool_->Release(hedge_backend, Status::OK(),
                      backend::BackendPool::ReleaseKind::kHedgeLoser);
       return harvest_primary(waited.ElapsedMicros());
     }
@@ -450,7 +455,6 @@ Result<BackendResult> HyperQService::HedgedExecute(Session* session,
     return hedge_conn->Execute(sql_b, hedge_ctx.get());
   }();
   hedges_in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  double hedge_latency = waited.ElapsedMicros();
 
   bool primary_done_now;
   bool primary_won;
@@ -474,8 +478,7 @@ Result<BackendResult> HyperQService::HedgedExecute(Session* session,
     } else {
       primary_thread.join();
     }
-    pool_->Release(hedge_backend, Status::OK(), hedge_latency,
-                   backend::BackendPool::ReleaseKind::kNormal);
+    pool_->Release(hedge_backend, Status::OK());
     hedge_result->hedges = 1;
     hedge_result->hedge_won = true;
     hedge_result->hedge_backend = hedge_backend;
@@ -484,14 +487,13 @@ Result<BackendResult> HyperQService::HedgedExecute(Session* session,
 
   // Hedge lost: either the primary beat it (and cancelled it), or the
   // hedge itself failed. A cancelled/failed-by-cancel leg must not feed the
-  // scorer or the limiter; a genuine hedge error scores normally.
+  // scorer; a genuine hedge error scores normally.
   bool hedge_cancelled = !hedge_result.ok() &&
                          (hedge_result.status().IsCancelled() ||
                           hedge_result.status().IsDeadlineExceeded());
   if (hedge_cancelled) c_hedge_cancelled_->Inc();
   pool_->Release(hedge_backend,
                  hedge_result.ok() ? Status::OK() : hedge_result.status(),
-                 -1,
                  hedge_result.ok() || hedge_cancelled
                      ? backend::BackendPool::ReleaseKind::kHedgeLoser
                      : backend::BackendPool::ReleaseKind::kNormal);

@@ -468,7 +468,7 @@ std::vector<std::string> HyperQService::BatchSingleRowInserts(
     const std::string& stmt = statements[i];
     auto parsed = sql::ParseStatement(stmt, frontend_dialect_);
     bool single_row_insert =
-        options_.batch_single_row_dml && parsed.ok() &&
+        parsed.ok() &&
         (*parsed)->kind == StmtKind::kInsert &&
         (*parsed)->As<sql::InsertStatement>()->values_rows.size() == 1 &&
         (*parsed)->As<sql::InsertStatement>()->source == nullptr;

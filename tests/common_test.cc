@@ -44,12 +44,6 @@ TEST(StatusTest, WithContextPreservesDetail) {
   EXPECT_NE(budget.ToString().find("[retry_budget_exhausted]"),
             std::string::npos)
       << budget.ToString();
-
-  Status shed = Status::ResourceExhausted("overloaded")
-                    .WithDetail(StatusDetail::kBrownoutShed)
-                    .WithContext("admitting 'script'");
-  EXPECT_EQ(shed.detail(), StatusDetail::kBrownoutShed);
-  EXPECT_NE(shed.ToString().find("[brownout_shed]"), std::string::npos);
 }
 
 TEST(StatusTest, CopyAndMove) {

@@ -565,6 +565,51 @@ TEST_F(FleetTest, PermanentErrorsAreNotReRouted) {
             0);
 }
 
+// The static per-replica in-flight cap is the overload defense of the
+// placement loop: a replica at its cap re-places the query on a peer, and
+// only a fleet with every replica at its cap refuses it — as overload
+// (kResourceExhausted), not as an outage (kBackendDown).
+TEST_F(FleetTest, CappedReplicaReplacesOnPeerAndFullFleetIsExhausted) {
+  vdb::Engine engine;
+  auto options = FleetServiceOptions(2);
+  for (auto& spec : options.fleet.backends) spec.max_in_flight = 1;
+  auto governor = std::make_shared<ResourceGovernor>();
+  options.governor = governor;
+  service::HyperQService service(&engine, options);
+  BackendPool* pool = service.backend_pool();
+  auto sid = service.OpenSession("tester");
+  ASSERT_TRUE(sid.ok());
+  const int bound = service.session_backend(*sid);
+  const int peer = 1 - bound;
+
+  // The bound replica's only slot is held: the query runs on the peer.
+  ASSERT_TRUE(pool->Acquire(bound).ok());
+  auto served = service.Submit(*sid, "SEL 1");
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(service.session_backend(*sid), peer);
+  EXPECT_EQ(governor->stats().backend_slot_denials, 1);
+  EXPECT_EQ(service.metrics_registry()
+                ->counter(observability::LabeledName(
+                    names::kBackendRoute,
+                    {{"backend", pool->spec(peer).name}, {"reason", "only"}}))
+                ->value(),
+            1);
+  EXPECT_EQ(pool->in_flight(peer), 0) << "the peer's slot is released";
+
+  // Both replicas at their cap: the fleet is overloaded, not down.
+  ASSERT_TRUE(pool->Acquire(peer).ok());
+  auto refused = service.Submit(*sid, "SEL 1");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsResourceExhausted()) << refused.status();
+  EXPECT_NE(refused.status().detail(), StatusDetail::kBackendDown);
+  EXPECT_EQ(governor->stats().backend_slot_denials, 3);
+
+  pool->Release(bound, Status::OK());
+  pool->Release(peer, Status::OK());
+  auto recovered = service.Submit(*sid, "SEL 1");
+  EXPECT_TRUE(recovered.ok()) << recovered.status();
+}
+
 TEST_F(FleetTest, RouteMetricsAndHealthGaugesAreMirrored) {
   vdb::Engine engine;
   auto options = FleetServiceOptions(3);

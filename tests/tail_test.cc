@@ -1,9 +1,7 @@
 // Tail-tolerance suite (ctest label: tail, DESIGN.md §11): the global
-// retry budget (token-bucket bounding of retry amplification), hedged
+// retry budget (token-bucket bounding of retry amplification) and hedged
 // reads for idempotent SELECTs (adaptive trigger, first-completion-wins,
-// loser cancellation), per-backend AIMD adaptive concurrency limits, and
-// brownout mode (declared degradation shedding low-priority session
-// classes with hysteresis exit). Everything here is deterministic apart
+// loser cancellation). Everything here is deterministic apart
 // from coarse latency ordering (a replica slowed by tens of milliseconds
 // vs. sub-millisecond fast paths), so the suite is stable under ASan/TSan.
 
@@ -15,12 +13,9 @@
 #include <thread>
 #include <vector>
 
-#include "backend/adaptive_limit.h"
 #include "backend/pool.h"
 #include "backend/router.h"
-#include "common/brownout.h"
 #include "common/fault.h"
-#include "common/resource_governor.h"
 #include "common/retry.h"
 #include "common/retry_budget.h"
 #include "common/status.h"
@@ -33,8 +28,6 @@ namespace hyperq {
 namespace {
 
 namespace names = observability::names;
-using backend::AdaptiveLimit;
-using backend::AdaptiveLimitOptions;
 using backend::BackendHealth;
 using backend::BackendPool;
 using backend::BackendSpec;
@@ -174,264 +167,30 @@ TEST_F(TailTest, WithContextPreservesTailDetails) {
   EXPECT_NE(budget.ToString().find("[retry_budget_exhausted]"),
             std::string::npos)
       << budget.ToString();
-
-  Status shed = Status::ResourceExhausted("browning out")
-                    .WithDetail(StatusDetail::kBrownoutShed)
-                    .WithContext("session class 'script'");
-  EXPECT_EQ(shed.detail(), StatusDetail::kBrownoutShed);
-  EXPECT_NE(shed.ToString().find("[brownout_shed]"), std::string::npos);
-}
-
-// --- Adaptive concurrency limits --------------------------------------------
-
-TEST_F(TailTest, AdaptiveLimitAimdConvergesAndRecovers) {
-  AdaptiveLimitOptions options;
-  options.enabled = true;
-  options.min_limit = 1;
-  options.max_limit = 8;
-  options.initial_limit = 8;
-  options.increase_per_success = 0.5;
-  options.backoff_ratio = 0.5;
-  AdaptiveLimit limit(options);
-  ASSERT_EQ(limit.limit(), 8);
-
-  // Multiplicative decrease: congestion halves the limit down to the floor.
-  EXPECT_TRUE(limit.OnComplete(/*congested_error=*/true, -1));  // 8 -> 4
-  EXPECT_EQ(limit.limit(), 4);
-  EXPECT_TRUE(limit.OnComplete(true, -1));  // 4 -> 2
-  EXPECT_TRUE(limit.OnComplete(true, -1));  // 2 -> 1
-  EXPECT_TRUE(limit.OnComplete(true, -1));  // floor holds
-  EXPECT_EQ(limit.limit(), 1);
-  EXPECT_GE(limit.stats().backoffs, 4);
-
-  // Additive increase: clean completions climb back to the ceiling.
-  for (int i = 0; i < 40; ++i) {
-    EXPECT_FALSE(limit.OnComplete(false, 500.0));
-  }
-  EXPECT_EQ(limit.limit(), 8) << "growth is capped at max_limit";
-}
-
-TEST_F(TailTest, AdaptiveLimitPunishesDivergenceNotStableSlowness) {
-  AdaptiveLimitOptions options;
-  options.enabled = true;
-  options.min_limit = 1;
-  options.max_limit = 16;
-  options.initial_limit = 8;
-  options.latency_factor = 2.0;
-  options.ewma_alpha = 0.5;
-  options.warmup_samples = 5;
-  AdaptiveLimit limit(options);
-
-  // A uniformly slow but stable replica is never cut...
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_FALSE(limit.OnComplete(false, 5000.0));
-  }
-  EXPECT_EQ(limit.stats().backoffs, 0);
-  const int grown = limit.limit();  // additive growth from the clean run
-
-  // ...only one whose latency diverges from its own recent norm.
-  EXPECT_TRUE(limit.OnComplete(false, 50000.0));
-  EXPECT_EQ(limit.stats().backoffs, 1);
-  EXPECT_LT(limit.limit(), grown);
-}
-
-TEST_F(TailTest, PoolAcquireGatedByAdaptiveLimit) {
-  vdb::Engine engine;
-  PoolOptions options;
-  options.health = TestHealth();
-  options.adaptive_limit.enabled = true;
-  options.adaptive_limit.min_limit = 1;
-  options.adaptive_limit.max_limit = 4;
-  options.adaptive_limit.initial_limit = 1;
-  options.adaptive_limit.increase_per_success = 0.5;
-  options.adaptive_limit.backoff_ratio = 0.5;
-  BackendPool pool(&engine, Replicas(1), options);
-  ASSERT_EQ(pool.adaptive_limit(0), 1);
-
-  // The learned limit gates Acquire with a typed denial.
-  ASSERT_TRUE(pool.Acquire(0).ok());
-  Status denied = pool.Acquire(0);
-  ASSERT_FALSE(denied.ok());
-  EXPECT_TRUE(denied.IsResourceExhausted()) << denied;
-  EXPECT_EQ(pool.stats().limit_denials, 1);
-
-  // Clean completions grow the limit additively (0.5/success -> 2 after
-  // two), so both slots are admitted...
-  pool.Release(0, Status::OK(), 500.0);
-  ASSERT_TRUE(pool.Acquire(0).ok());
-  pool.Release(0, Status::OK(), 500.0);
-  ASSERT_EQ(pool.adaptive_limit(0), 2);
-  ASSERT_TRUE(pool.Acquire(0).ok());
-  ASSERT_TRUE(pool.Acquire(0).ok());
-
-  // ...and one liveness-flavored failure cuts it multiplicatively.
-  pool.Release(0, Status::Unavailable("brownout"), -1);
-  pool.Release(0, Status::OK(), 500.0);
-  EXPECT_EQ(pool.adaptive_limit(0), 1);
-  EXPECT_GE(pool.stats().limit_backoffs, 1);
-  EXPECT_GE(pool.adaptive_limit_stats(0).backoffs, 1);
 }
 
 // Satellite: hedge losers are cancelled, not sick — their releases must
-// not move the health score, the router's view, or the AIMD limiter.
+// not move the health score or the router's view.
 TEST_F(TailTest, HedgeLoserReleaseBypassesScorerAndLimiter) {
   vdb::Engine engine;
   PoolOptions options;
   options.health = TestHealth();
-  options.adaptive_limit.enabled = true;
-  options.adaptive_limit.initial_limit = 4;
   BackendPool pool(&engine, Replicas(1), options);
 
   ASSERT_TRUE(pool.Acquire(0).ok());
   pool.Release(0, Status::Cancelled("hedge lost: primary completed first"),
-               -1, BackendPool::ReleaseKind::kHedgeLoser);
+               BackendPool::ReleaseKind::kHedgeLoser);
   // Even a liveness-flavored loser outcome (the leg died mid-cancel) must
   // not poison the replica's score.
   ASSERT_TRUE(pool.Acquire(0).ok());
-  pool.Release(0, Status::Unavailable("cancelled mid-fetch"), -1,
+  pool.Release(0, Status::Unavailable("cancelled mid-fetch"),
                BackendPool::ReleaseKind::kHedgeLoser);
 
   EXPECT_EQ(pool.health(0), BackendHealth::kHealthy);
   EXPECT_EQ(pool.health_score(0), 0.0);
-  EXPECT_EQ(pool.adaptive_limit_stats(0).samples, 0)
-      << "loser releases must not feed the AIMD limiter";
   EXPECT_EQ(pool.stats().hedge_loser_releases, 2);
   EXPECT_EQ(pool.in_flight(0), 0) << "the slot itself is still released";
 }
-
-// --- Brownout ----------------------------------------------------------------
-
-TEST_F(TailTest, BrownoutShedsOnlyListedClassesWhileActive) {
-  BrownoutOptions options;
-  options.enabled = true;
-  options.queue_high_watermark = 4;
-  options.queue_low_watermark = 1;
-  options.min_dwell_ms = 1000;  // hold the state for the whole test
-  BrownoutController brownout(options);
-
-  EXPECT_TRUE(brownout.Admit("script").ok()) << "no pressure, no shedding";
-  brownout.NoteQueueDepth(5);  // above the high watermark
-  ASSERT_TRUE(brownout.active());
-
-  Status shed = brownout.Admit("script");
-  ASSERT_FALSE(shed.ok());
-  EXPECT_TRUE(shed.IsResourceExhausted()) << shed;
-  EXPECT_EQ(shed.detail(), StatusDetail::kBrownoutShed);
-  EXPECT_FALSE(brownout.Admit("batch").ok());
-  EXPECT_FALSE(brownout.Admit("bench").ok());
-  // Interactive traffic (and the library default) is protected.
-  EXPECT_TRUE(brownout.Admit("wire").ok());
-  EXPECT_TRUE(brownout.Admit("library").ok());
-
-  BrownoutStats stats = brownout.stats();
-  EXPECT_EQ(stats.entries, 1);
-  EXPECT_EQ(stats.shed_requests, 3);
-  EXPECT_EQ(stats.queue_depth, 5);
-}
-
-TEST_F(TailTest, BrownoutExitNeedsLowWatermarkAndDwell) {
-  BrownoutOptions options;
-  options.enabled = true;
-  options.queue_high_watermark = 4;
-  options.queue_low_watermark = 1;
-  options.min_dwell_ms = 30;
-  BrownoutController brownout(options);
-
-  brownout.NoteQueueDepth(5);
-  ASSERT_TRUE(brownout.active());
-
-  // Between the watermarks: hysteresis holds the state.
-  brownout.NoteQueueDepth(3);
-  EXPECT_TRUE(brownout.active());
-  // At the low watermark but before the dwell: still held.
-  brownout.NoteQueueDepth(0);
-  EXPECT_TRUE(brownout.active());
-
-  // Low watermark AND dwell elapsed: clean exit, counted once.
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  brownout.NoteQueueDepth(0);
-  EXPECT_FALSE(brownout.active());
-  EXPECT_TRUE(brownout.Admit("script").ok());
-  BrownoutStats stats = brownout.stats();
-  EXPECT_EQ(stats.entries, 1);
-  EXPECT_EQ(stats.exits, 1);
-}
-
-TEST_F(TailTest, BrownoutEntersOnGovernorMemoryPressure) {
-  ResourceGovernorOptions governor_options;
-  governor_options.global_memory_bytes = 1000;
-  ResourceGovernor governor(governor_options);
-
-  BrownoutOptions options;
-  options.enabled = true;
-  options.memory_high_fraction = 0.8;
-  options.memory_low_fraction = 0.5;
-  options.min_dwell_ms = 1;
-  BrownoutController brownout(options, &governor);
-
-  ASSERT_TRUE(governor.ReserveMemory(/*session_tag=*/7, 900).ok());
-  // Admit() re-evaluates pressure: 90% of budget crosses the high mark.
-  EXPECT_FALSE(brownout.Admit("script").ok());
-  EXPECT_TRUE(brownout.active());
-
-  governor.ReleaseMemory(7, 900);
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_TRUE(brownout.Admit("script").ok());
-  EXPECT_FALSE(brownout.active());
-  EXPECT_EQ(brownout.stats().exits, 1);
-}
-
-TEST_F(TailTest, DisabledBrownoutNeverChangesState) {
-  BrownoutController brownout;  // default: disabled
-  brownout.NoteQueueDepth(1000);
-  EXPECT_FALSE(brownout.active());
-  EXPECT_TRUE(brownout.Admit("script").ok());
-  EXPECT_EQ(brownout.stats().entries, 0);
-}
-
-TEST_F(TailTest, ServiceShedsLowPriorityClassesDuringBrownout) {
-  vdb::Engine engine;
-  service::ServiceOptions options;
-  options.tail.brownout.enabled = true;
-  options.tail.brownout.queue_high_watermark = 4;
-  options.tail.brownout.queue_low_watermark = 0;
-  options.tail.brownout.min_dwell_ms = 5;
-  service::HyperQService service(&engine, options);
-  auto sid = service.OpenSession("tester");
-  ASSERT_TRUE(sid.ok());
-
-  // Overload declared (the wire server feeds this same signal).
-  service.brownout()->NoteQueueDepth(10);
-
-  service::QueryRequest script;
-  script.session_id = *sid;
-  script.sql = "SEL 1";
-  script.session_class = "script";
-  auto shed = service.Submit(script);
-  ASSERT_FALSE(shed.ok());
-  EXPECT_TRUE(shed.status().IsResourceExhausted()) << shed.status();
-  EXPECT_EQ(shed.status().detail(), StatusDetail::kBrownoutShed);
-  // The script path sheds at the same gate.
-  EXPECT_FALSE(service.SubmitScript(script).ok());
-
-  // Interactive traffic keeps flowing through the same brownout.
-  service::QueryRequest interactive = script;
-  interactive.session_class = "library";
-  EXPECT_TRUE(service.Submit(interactive).ok());
-
-  // Pressure gone + dwell elapsed: scripts are admitted again.
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  service.brownout()->NoteQueueDepth(0);
-  EXPECT_TRUE(service.Submit(script).ok());
-
-  auto snapshot = service.StatsSnapshot().metrics;
-  EXPECT_EQ(snapshot.GaugeOr(names::kBrownoutEntries), 1);
-  EXPECT_EQ(snapshot.GaugeOr(names::kBrownoutExits), 1);
-  EXPECT_GE(snapshot.GaugeOr(names::kBrownoutShedRequests), 2);
-  EXPECT_EQ(snapshot.GaugeOr(names::kBrownoutActive), 0);
-}
-
-// --- Hedged reads ------------------------------------------------------------
 
 TEST_F(TailTest, HedgedReadWinsOnSlowPrimary) {
   vdb::Engine engine;
@@ -629,8 +388,8 @@ TEST_F(TailTest, RetryStormStaysWithinBudgetRatio) {
 // --- Compatibility -----------------------------------------------------------
 
 // Acceptance: with the tail layer left at defaults (everything off), a
-// single-backend service behaves exactly as before — nothing is hedged,
-// budgeted, limited, or shed, and the new series all read zero.
+// single-backend service behaves exactly as before — nothing is hedged or
+// budgeted, and the tail series all read zero.
 TEST_F(TailTest, DisabledTailLayerIsInertOnSingleBackend) {
   vdb::Engine engine;
   service::HyperQService service(&engine);
@@ -644,15 +403,11 @@ TEST_F(TailTest, DisabledTailLayerIsInertOnSingleBackend) {
   EXPECT_FALSE(out->timing.hedge_won);
 
   EXPECT_FALSE(service.retry_budget()->enabled());
-  EXPECT_FALSE(service.brownout()->active());
-  EXPECT_TRUE(service.brownout()->Admit("script").ok());
 
   auto snapshot = service.StatsSnapshot().metrics;
   EXPECT_EQ(snapshot.CounterOr(names::kHedgeLaunched), 0);
   EXPECT_EQ(snapshot.CounterOr(names::kHedgeWins), 0);
   EXPECT_EQ(snapshot.GaugeOr(names::kRetryBudgetDenials), 0);
-  EXPECT_EQ(snapshot.GaugeOr(names::kBrownoutEntries), 0);
-  EXPECT_EQ(snapshot.CounterOr(names::kLimitDenials, 0), 0);
   service.CloseSession(*sid);
   EXPECT_EQ(service.open_sessions(), 0u);
 }
