@@ -7,10 +7,12 @@
 # contract holds for the fleet (DESIGN.md §10): every BackendHealth state in
 # src/backend/pool.h must have a kHealthStateMetrics row named
 # hyperq.backend.health.<state>. And for the tail-tolerance layer
-# (DESIGN.md §11) and the chaos layer (DESIGN.md §13): every
-# hyperq.hedge.* / hyperq.retry_budget.* / hyperq.chaos.* series must be
-# declared as a named constant in metric_names.h (no ad-hoc string literals
-# in src/), and every declared constant must actually be emitted somewhere.
+# (DESIGN.md §11), the chaos layer (DESIGN.md §13) and the backend layer
+# (DESIGN.md §6, §10): every hyperq.hedge.* / hyperq.retry_budget.* /
+# hyperq.chaos.* / hyperq.backend.* / hyperq.governor.* / hyperq.pool.*
+# series must be declared as a named constant in metric_names.h (no ad-hoc
+# string literals in src/), and every declared constant must actually be
+# emitted somewhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -157,9 +159,15 @@ chaos_count=$(lint_family "chaos" 'hyperq\.chaos\.[a-z_.]*') || status=1
 # the columnar data plane.
 convert_count=$(lint_family "convert" 'hyperq\.convert\.[a-z_.]*') || status=1
 
+# Backend (DESIGN.md §6, §10): connector retries and breaker, the fleet
+# pool's routing, health, probes and slot cap, and the governor's mirrored
+# budget levels.
+backend_count=$(lint_family "backend" \
+    'hyperq\.(backend|governor|pool)\.[a-z_.]*') || status=1
+
 if [[ $status -eq 0 ]]; then
   count=$(echo "$declared" | wc -l)
   state_count=$(echo "$states" | wc -l)
-  echo "check_metrics: OK ($count fault points, $state_count health states, $tail_count tail series, $chaos_count chaos series, $convert_count convert series all mirrored)"
+  echo "check_metrics: OK ($count fault points, $state_count health states, $tail_count tail series, $chaos_count chaos series, $convert_count convert series, $backend_count backend series all mirrored)"
 fi
 exit $status

@@ -55,16 +55,12 @@ BackendPool::BackendPool(vdb::Engine* default_engine,
         options_.metrics->counter(obs::names::kPoolProbeFailures);
     hedge_loser_counter_ =
         options_.metrics->counter(obs::names::kHedgeLoserReleases);
+    slot_denials_counter_ =
+        options_.metrics->counter(obs::names::kBackendSlotDenials);
   }
 }
 
 BackendPool::~BackendPool() { Stop(); }
-
-void BackendPool::SetProfile(size_t i, transform::BackendProfile profile) {
-  Instance& inst = *instances_[i];
-  inst.spec.profile = std::move(profile);
-  inst.digest = inst.spec.profile.CacheKeyDigest();
-}
 
 void BackendPool::EvaluateLocked(Instance& inst,
                                  std::chrono::steady_clock::time_point now,
@@ -151,13 +147,18 @@ Status BackendPool::Acquire(size_t i) {
     return Status::Unavailable("backend ", inst.spec.name, " is down")
         .WithDetail(StatusDetail::kBackendDown);
   }
-  if (options_.governor != nullptr) {
-    HQ_RETURN_IF_ERROR(
-        options_.governor->ReserveBackendSlot(BackendTag(i),
-                                              inst.spec.max_in_flight)
-            .WithContext("backend " + inst.spec.name));
-  }
-  inst.in_flight.fetch_add(1, std::memory_order_relaxed);
+  const int cap = inst.spec.max_in_flight;  // 0 = unlimited
+  int held = inst.in_flight.load(std::memory_order_relaxed);
+  do {
+    if (cap > 0 && held >= cap) {
+      slot_denials_.fetch_add(1, std::memory_order_relaxed);
+      if (slot_denials_counter_ != nullptr) slot_denials_counter_->Inc();
+      return Status::ResourceExhausted("backend ", inst.spec.name,
+                                       " at in-flight cap (", held, " >= ",
+                                       cap, ")");
+    }
+  } while (!inst.in_flight.compare_exchange_weak(held, held + 1,
+                                                 std::memory_order_relaxed));
   return Status::OK();
 }
 
@@ -165,9 +166,6 @@ void BackendPool::Release(size_t i, const Status& outcome,
                           ReleaseKind kind) {
   Instance& inst = *instances_[i];
   inst.in_flight.fetch_sub(1, std::memory_order_relaxed);
-  if (options_.governor != nullptr) {
-    options_.governor->ReleaseBackendSlot(BackendTag(i));
-  }
   if (kind == ReleaseKind::kHedgeLoser) {
     // The cancelled leg of a hedged read: deliberately stopped, so its
     // outcome must not feed the scorer — hedging on a slow replica would
@@ -314,6 +312,7 @@ BackendPoolStats BackendPool::stats() const {
   s.probe_failures = probe_failures_.load(std::memory_order_relaxed);
   s.hedge_loser_releases =
       hedge_loser_releases_.load(std::memory_order_relaxed);
+  s.slot_denials = slot_denials_.load(std::memory_order_relaxed);
   return s;
 }
 

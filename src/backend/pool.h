@@ -62,7 +62,7 @@ struct BackendSpec {
   /// Target engine; null = the pool's default (shared-storage replica).
   vdb::Engine* engine = nullptr;
   transform::BackendProfile profile;
-  /// Per-backend in-flight cap; 0 = the governor's default.
+  /// Per-backend in-flight cap, kept by the pool; 0 = unlimited.
   int max_in_flight = 0;
 };
 
@@ -94,6 +94,7 @@ struct BackendPoolStats {
   int64_t probes = 0;
   int64_t probe_failures = 0;
   int64_t hedge_loser_releases = 0; // releases that bypassed the scorer
+  int64_t slot_denials = 0;         // Acquire calls refused at the cap
 };
 
 /// \brief The fleet registry. Thread-safe. Connectors created by
@@ -113,10 +114,6 @@ class BackendPool {
     return instances_[i]->digest;
   }
   vdb::Engine* engine(size_t i) const { return instances_[i]->engine; }
-  /// \brief Replaces backend `i`'s capability profile (and digest). Not
-  /// synchronized with routing: callers switch profiles only while no
-  /// query is in flight.
-  void SetProfile(size_t i, transform::BackendProfile profile);
   CircuitBreaker* breaker(size_t i) { return &instances_[i]->breaker; }
 
   /// \brief Current health of backend `i`. Evaluation is lazy: the score
@@ -133,9 +130,8 @@ class BackendPool {
 
   /// \brief Claims an in-flight slot on backend `i` before a query runs
   /// there. Fails with kUnavailable{kBackendDown} when the instance is
-  /// killed, or kResourceExhausted when its in-flight cap (the spec's
-  /// max_in_flight, else the governor's default) is hit. The cap is kept
-  /// in the governor's slot table: without a governor nothing is capped.
+  /// killed, or kResourceExhausted when its spec's max_in_flight slots
+  /// are all held (counted in stats().slot_denials).
   Status Acquire(size_t i);
   /// \brief How a finished attempt releases its slot (DESIGN.md §11).
   /// kHedgeLoser marks the cancelled leg of a hedged read: its slot is
@@ -218,7 +214,6 @@ class BackendPool {
   void EvaluateLocked(Instance& inst, std::chrono::steady_clock::time_point now,
                       double add_score);
   void NoteLivenessFailure(Instance& inst);
-  uint64_t BackendTag(size_t i) const { return static_cast<uint64_t>(i) + 1; }
 
   std::vector<std::unique_ptr<Instance>> instances_;
   PoolOptions options_;
@@ -228,12 +223,14 @@ class BackendPool {
   observability::Counter* probes_counter_ = nullptr;
   observability::Counter* probe_failures_counter_ = nullptr;
   observability::Counter* hedge_loser_counter_ = nullptr;
+  observability::Counter* slot_denials_counter_ = nullptr;
 
   std::atomic<int64_t> ejections_{0};
   std::atomic<int64_t> readmissions_{0};
   std::atomic<int64_t> probes_{0};
   std::atomic<int64_t> probe_failures_{0};
   std::atomic<int64_t> hedge_loser_releases_{0};
+  std::atomic<int64_t> slot_denials_{0};
 
   // Prober thread.
   std::thread prober_;

@@ -70,27 +70,6 @@ void ResourceGovernor::ReleaseSpill(int64_t bytes) {
   if (spill_bytes_ < 0) spill_bytes_ = 0;
 }
 
-Status ResourceGovernor::ReserveBackendSlot(uint64_t backend_tag, int cap) {
-  if (cap <= 0) cap = options_.backend_max_in_flight;
-  std::lock_guard<std::mutex> lock(mutex_);
-  int& in_flight = backend_in_flight_[backend_tag];
-  if (cap > 0 && in_flight >= cap) {
-    ++backend_slot_denials_;
-    return Status::ResourceExhausted("governor: backend ", backend_tag,
-                                     " at in-flight cap (", in_flight, " >= ",
-                                     cap, ")");
-  }
-  ++in_flight;
-  return Status::OK();
-}
-
-void ResourceGovernor::ReleaseBackendSlot(uint64_t backend_tag) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = backend_in_flight_.find(backend_tag);
-  if (it == backend_in_flight_.end()) return;
-  if (--it->second <= 0) backend_in_flight_.erase(it);
-}
-
 void ResourceGovernor::NoteShed() {
   std::lock_guard<std::mutex> lock(mutex_);
   ++shed_queries_;
@@ -106,7 +85,6 @@ ResourceGovernorStats ResourceGovernor::stats() const {
   s.memory_denials = memory_denials_;
   s.spill_denials = spill_denials_;
   s.shed_queries = shed_queries_;
-  s.backend_slot_denials = backend_slot_denials_;
   return s;
 }
 

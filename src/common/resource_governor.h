@@ -33,9 +33,6 @@ struct ResourceGovernorOptions {
   // Process-wide ceiling on bytes concurrently spilled to disk.
   // 0 = unlimited.
   int64_t spill_disk_bytes = 0;
-  // Default per-backend in-flight query cap for fleet routing (DESIGN.md
-  // §10); a BackendSpec may override it per replica. 0 = unlimited.
-  int backend_max_in_flight = 0;
 };
 
 /// \brief Point-in-time governor accounting, surfaced via ServiceStats.
@@ -47,7 +44,6 @@ struct ResourceGovernorStats {
   int64_t memory_denials = 0;      // reservations denied (-> spill attempts)
   int64_t spill_denials = 0;       // spill reservations denied (-> sheds)
   int64_t shed_queries = 0;        // queries shed by policy (NoteShed)
-  int64_t backend_slot_denials = 0;  // per-backend in-flight caps hit
 };
 
 /// \brief Shared budget arbiter. Thread-safe; all methods are cheap
@@ -75,14 +71,6 @@ class ResourceGovernor {
   /// \brief Records a query shed by the spill-denied policy.
   void NoteShed();
 
-  /// \brief Reserves one in-flight slot on backend `backend_tag`. `cap` is
-  /// the effective ceiling for that backend (its spec's override, or the
-  /// option default); cap <= 0 means unlimited. Denial is
-  /// kResourceExhausted — the router treats it as "pick someone else", not
-  /// "backend down".
-  Status ReserveBackendSlot(uint64_t backend_tag, int cap);
-  void ReleaseBackendSlot(uint64_t backend_tag);
-
   ResourceGovernorStats stats() const;
   const ResourceGovernorOptions& options() const { return options_; }
 
@@ -96,9 +84,7 @@ class ResourceGovernor {
   int64_t memory_denials_ = 0;
   int64_t spill_denials_ = 0;
   int64_t shed_queries_ = 0;
-  int64_t backend_slot_denials_ = 0;
   std::map<uint64_t, int64_t> session_memory_;
-  std::map<uint64_t, int> backend_in_flight_;
 };
 
 }  // namespace hyperq

@@ -113,7 +113,7 @@ DifferentialOutcome DifferentialHarness::Run(const std::string& sql_a) {
   for (auto& t : targets_) {
     DialectRun run;
     run.dialect = t.dialect;
-    auto sql_b = t.service->Translate(sql_a, nullptr, nullptr);
+    auto sql_b = t.service->Translate(sql_a, nullptr);
     if (!sql_b.ok()) {
       run.error = sql_b.status().message();
       out.runs.push_back(std::move(run));

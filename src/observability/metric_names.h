@@ -97,6 +97,8 @@ inline constexpr const char* kBackendEjections =
     "hyperq.backend.ejections";
 inline constexpr const char* kBackendReadmissions =
     "hyperq.backend.readmissions";
+inline constexpr const char* kBackendSlotDenials =
+    "hyperq.backend.slot_denials";
 inline constexpr const char* kPoolProbes = "hyperq.pool.probes";
 inline constexpr const char* kPoolProbeFailures =
     "hyperq.pool.probe_failures";
@@ -104,8 +106,6 @@ inline constexpr const char* kFailoverCrossReplica =
     "hyperq.failover.cross_replica";
 inline constexpr const char* kFailoverIncompatible =
     "hyperq.failover.incompatible";
-inline constexpr const char* kGovernorBackendSlotDenials =
-    "hyperq.governor.backend_slot_denials";
 
 // --- Tail tolerance (DESIGN.md §11): hedged reads and the global retry
 // budget. Counters live where the events happen; the budget levels and the

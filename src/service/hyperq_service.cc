@@ -165,8 +165,6 @@ void HyperQService::MirrorExternalGauges() const {
     metrics_->gauge(names::kGovernorMemoryDenials)->Set(g.memory_denials);
     metrics_->gauge(names::kGovernorSpillDenials)->Set(g.spill_denials);
     metrics_->gauge(names::kGovernorShedQueries)->Set(g.shed_queries);
-    metrics_->gauge(names::kGovernorBackendSlotDenials)
-        ->Set(g.backend_slot_denials);
   }
   // Per-backend health/in-flight levels and the per-state backend counts
   // (the lint-checked kHealthStateMetrics table).
@@ -444,36 +442,6 @@ Result<QueryOutcome> HyperQService::SubmitStatements(
   finish(Status::OK());
   if (minted != nullptr) last.trace = minted;
   return last;
-}
-
-Status HyperQService::SwitchBackendDialect(const std::string& dialect_name) {
-  const serializer::SQLDialectGenerator* gen =
-      serializer::FindDialect(dialect_name);
-  if (gen == nullptr) {
-    return Status::InvalidArgument("unknown SQL-B dialect '", dialect_name,
-                                   "'");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!options_.fleet.backends.empty()) {
-    return Status::InvalidArgument(
-        "cannot switch dialect with registered fleet backends: they were "
-        "validated against the configured profile");
-  }
-  if (!active_queries_.empty()) {
-    return Status::InvalidArgument(
-        "cannot switch dialect with queries in flight");
-  }
-  // Adopt the generator's capability matrix wholesale: the dialect decides
-  // which serialization-stage rewrites fire, not just the surface syntax.
-  options_.profile = gen->Profile();
-  pool_->SetProfile(0, options_.profile);  // the implicit replica
-  transformer_ = transform::Transformer(options_.profile);
-  serializer_ = serializer::Serializer(options_.profile);
-  // Re-keying the cache is automatic: the profile digest embeds the
-  // dialect, so entries of the previous dialect can no longer be looked up
-  // (they age out of the LRU; no flush required for correctness).
-  profile_digest_ = options_.profile.CacheKeyDigest();
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

@@ -160,6 +160,8 @@ struct TailOptions {
 };
 
 struct ServiceOptions {
+  /// The SQL-B target (dialect and capability matrix), fixed for the
+  /// service's lifetime.
   transform::BackendProfile profile = transform::BackendProfile::Vdb();
   backend::ConnectorOptions connector;
   int convert_parallelism = 2;
@@ -288,21 +290,18 @@ class HyperQService : public protocol::RequestHandler {
   bool KillQuery(uint32_t session_id);
 
   /// \brief Translation without execution: returns the SQL-B text(s) the
-  /// statement would produce. Used by the workload study and tests. When
-  /// `timing` is non-null it receives the translation time and the active
-  /// SQL-B dialect, so differential runs can attribute every translation
-  /// to its generator.
+  /// statement would produce. Used by the workload study, the golden corpus
+  /// and the differential fuzzer. It runs Submit's cache probe (keyed on
+  /// the default session settings) and Submit's lowering, so a query or DML
+  /// statement, each MERGE part and each macro body statement translate to
+  /// exactly the SQL-B Submit sends. Translation never executes, which
+  /// makes two exceptions: DDL, SET SESSION, HELP, COLLECT STATISTICS and
+  /// transaction commands return no text (and leave the catalog and the
+  /// session state alone), and a recursive query returns the marker
+  /// "-- recursive query: emulated via temp tables" in place of the
+  /// temp-table loop Submit drives.
   Result<std::vector<std::string>> Translate(const std::string& sql_a,
-                                             FeatureSet* features,
-                                             TimingBreakdown* timing = nullptr);
-
-  /// \brief Re-targets this service to another registered SQL-B dialect:
-  /// adopts the dialect's capability matrix, rebuilds the transformer and
-  /// serializer, and re-keys the translation cache via the profile digest
-  /// (entries of the old dialect become unreachable; no flush needed).
-  /// The implicit replica of a fleet of one takes the new profile. Fails
-  /// with registered `fleet.backends` and while queries are in flight.
-  Status SwitchBackendDialect(const std::string& dialect_name);
+                                             FeatureSet* features);
 
   Catalog* catalog() { return &catalog_; }
   const transform::BackendProfile& profile() const {
@@ -519,6 +518,22 @@ class HyperQService : public protocol::RequestHandler {
                                         PipelineArtifacts* artifacts);
 
   // --- Translation cache (DESIGN.md §7) ---------------------------------
+  /// What the cache probe found for one statement.
+  struct CacheProbe {
+    sql::NormalizedStatement norm;
+    /// The lookup missed: a cold translation may be admitted under `key`.
+    bool candidate = false;
+    std::string key;
+    int64_t catalog_version = 0;
+    /// A hit: the spliced SQL-B and the cold run's feature footprint.
+    bool hit = false;
+    std::string sql_b;
+    FeatureSet features;
+  };
+  /// The one probe of both entry points: normalize, bypass classes, key,
+  /// lookup, negative marker, splice. Counts the hit or bypass.
+  Result<CacheProbe> ProbeTranslationCache(const std::string& sql_a,
+                                           uint64_t settings_digest);
   /// Statement kinds eligible for caching (single-statement query/DML
   /// pipeline, no placeholders). Everything else bypasses.
   static bool IsCacheableShape(const sql::NormalizedStatement& norm);
@@ -531,7 +546,7 @@ class HyperQService : public protocol::RequestHandler {
   /// Executes a cache hit: splice already done, pipeline fully skipped.
   /// `select_shape` marks a cached SELECT, the hedge-eligible shape.
   Result<QueryOutcome> ExecuteCachedStatement(
-      Session* session, const CachedTranslation& entry, std::string sql_b,
+      Session* session, const FeatureSet& features, std::string sql_b,
       const Stopwatch& translation, QueryContext* ctx, bool select_shape);
   /// Cold-path insertion; counts a bypass when the statement turns out
   /// not to be safely parameterizable. `sites` is the literal provenance
@@ -551,11 +566,26 @@ class HyperQService : public protocol::RequestHandler {
   void RecordTranslationActivity(bool translate_path, bool cache_hit,
                                  double micros);
 
-  Result<std::vector<std::string>> TranslateInternal(const std::string& sql_a,
-                                                     FeatureSet* features,
-                                                     int depth);
+  /// Translate's statement switch; merges the statement's footprint into
+  /// `caller_features` (may be null) on success.
+  Result<std::vector<std::string>> TranslateInternal(
+      const std::string& sql_a, FeatureSet* caller_features, int depth);
 
-  // Query/DML path: bind -> transform -> serialize -> execute.
+  /// Binds a query/DML statement against the catalog (under mutex_) and
+  /// merges the binder's features; `ctx` carries the bind span.
+  Result<xtra::OpPtr> Bind(const sql::Statement& stmt, FeatureSet* features,
+                           QueryContext* ctx);
+  /// The one lowering from a bound plan to SQL-B, shared by the pipeline,
+  /// Translate and CREATE TABLE AS: binding-stage rules, serialization-
+  /// stage rules, PERIOD insert expansion, then the serializer (reporting
+  /// literal `sites` when non-null). A recursive CTE is not serialized: it
+  /// returns "" and leaves `*plan` for the RecursionDriver. `ctx` carries
+  /// the transform/serialize spans (null = none).
+  Result<std::string> LowerToSqlB(xtra::OpPtr* plan, FeatureSet* features,
+                                  QueryContext* ctx,
+                                  std::vector<serializer::LiteralSite>* sites);
+
+  // Query/DML path: bind -> lower -> execute.
   Result<QueryOutcome> RunPipeline(Session* session,
                                    const sql::Statement& stmt,
                                    FeatureSet features, QueryContext* ctx,
@@ -583,8 +613,9 @@ class HyperQService : public protocol::RequestHandler {
   vdb::Engine* engine_;
   ServiceOptions options_;
   Catalog catalog_;
-  transform::Transformer transformer_;
-  serializer::Serializer serializer_;
+  // The translation target, fixed at construction (options_.profile).
+  const transform::Transformer transformer_;
+  const serializer::Serializer serializer_;
   sql::Dialect frontend_dialect_;
 
   // Tail tolerance (DESIGN.md §11). Declared before pool_ and sessions_:
@@ -663,7 +694,7 @@ class HyperQService : public protocol::RequestHandler {
   observability::Histogram* h_hedge_execute_;
 
   TranslationCache translation_cache_;
-  std::string profile_digest_;       // options_.profile.CacheKeyDigest()
+  const std::string profile_digest_;  // options_.profile.CacheKeyDigest()
   uint64_t default_settings_digest_; // digest of a fresh SessionInfo
   std::map<std::string, int> volatile_names_;   // guarded by mutex_
   /// KillQuery registry: the context of each session's in-flight query.

@@ -274,6 +274,18 @@ Result<QueryOutcome> HyperQService::HandleCreateTable(
       def.columns.push_back(std::move(col));
     }
     ddl += ")";
+    // Lower the data query before any side effect: a query that cannot be
+    // lowered leaves no table behind.
+    std::string select_sql;
+    if (ct.with_data) {
+      HQ_ASSIGN_OR_RETURN(select_sql,
+                          LowerToSqlB(&plan, &features, ctx, nullptr));
+      if (plan->kind == xtra::OpKind::kRecursiveCte) {
+        return Status::NotSupported(
+            "CREATE TABLE AS over a recursive query is not supported; "
+            "recursion requires mid-tier emulation");
+      }
+    }
     {
       std::lock_guard<std::mutex> lock(mutex_);
       HQ_RETURN_IF_ERROR(catalog_.CreateTable(def));
@@ -292,13 +304,6 @@ Result<QueryOutcome> HyperQService::HandleCreateTable(
     }
     out.backend_sql.push_back(ddl);
     if (ct.with_data) {
-      binder::ColIdGenerator ids(binder::kFirstRewriteColId);
-      HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kBinding, &plan,
-                                          &ids, &features, &catalog_));
-      HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kSerialization,
-                                          &plan, &ids, &features, &catalog_));
-      HQ_ASSIGN_OR_RETURN(std::string select_sql,
-                          serializer_.Serialize(*plan));
       std::string insert_sql =
           "INSERT INTO " + def.name + " " + select_sql;
       out.backend_sql.push_back(insert_sql);

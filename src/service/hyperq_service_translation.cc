@@ -36,6 +36,43 @@ bool CanTagLiterals(const std::string& sql_a) {
 // Translation cache (DESIGN.md §7)
 // ---------------------------------------------------------------------------
 
+Result<HyperQService::CacheProbe> HyperQService::ProbeTranslationCache(
+    const std::string& sql_a, uint64_t settings_digest) {
+  CacheProbe probe;
+  HQ_ASSIGN_OR_RETURN(probe.norm, sql::NormalizeStatement(sql_a));
+  if (!options_.translation_cache.enabled) return probe;
+  if (!IsCacheableShape(probe.norm) ||
+      TouchesVolatileName(probe.norm.identifiers)) {
+    translation_cache_.RecordBypass();
+    return probe;
+  }
+  probe.catalog_version = catalog_.version();
+  probe.key = MakeCacheKey(settings_digest, probe.norm, probe.catalog_version);
+  auto entry = translation_cache_.Lookup(probe.key);
+  if (entry == nullptr) {
+    probe.candidate = true;
+    return probe;
+  }
+  // A negative marker (the shape was proven non-parameterizable) and
+  // literals that cannot be safely spliced into the incumbent template
+  // (e.g. the temporal-coercion guard) both translate cold without
+  // replacing the entry.
+  if (entry->uncacheable) {
+    translation_cache_.RecordBypass();
+    return probe;
+  }
+  auto spliced = SpliceTranslationTemplate(*entry, probe.norm);
+  if (!spliced.ok()) {
+    translation_cache_.RecordBypass();
+    return probe;
+  }
+  translation_cache_.RecordHit();
+  probe.hit = true;
+  probe.sql_b = std::move(*spliced);
+  probe.features = entry->features;
+  return probe;
+}
+
 bool HyperQService::IsCacheableShape(const sql::NormalizedStatement& norm) {
   if (norm.has_parameters) return false;
   const std::string& k = norm.first_keyword;
@@ -144,11 +181,10 @@ void HyperQService::RecordTranslationActivity(bool translate_path,
 }
 
 Result<QueryOutcome> HyperQService::ExecuteCachedStatement(
-    Session* session, const CachedTranslation& entry, std::string sql_b,
+    Session* session, const FeatureSet& features, std::string sql_b,
     const Stopwatch& translation, QueryContext* ctx, bool select_shape) {
-  translation_cache_.RecordHit();
   QueryOutcome out;
-  out.features = entry.features;
+  out.features = features;
   out.timing.cache_hits = 1;
   // The whole parse→bind→transform→serialize pipeline was skipped;
   // translation cost is normalize + lookup + splice. The cached template
@@ -184,59 +220,26 @@ Result<QueryOutcome> HyperQService::SubmitInternal(Session* session,
   }
   Stopwatch translation;
   // The normalize+lookup probe is one stage span; a hit then proceeds to
-  // backend.execute as a sibling (never nested under the lookup).
+  // backend.execute as a sibling (never nested under the lookup). A hit
+  // skips the whole parse→bind→transform→serialize pipeline (and the
+  // feature scan — the cached entry carries the cold run's footprint).
   obs::SpanScope cache_span(ctx, "cache.lookup");
-  HQ_ASSIGN_OR_RETURN(sql::NormalizedStatement norm,
-                      sql::NormalizeStatement(sql_a));
-
-  // Translation cache fast path: a repeat shape skips the whole
-  // parse→bind→transform→serialize pipeline (and the feature scan — the
-  // cached entry carries the cold run's feature footprint).
-  bool cache_candidate = false;
-  std::string cache_key;
-  int64_t catalog_version = 0;
-  if (options_.translation_cache.enabled) {
-    if (!IsCacheableShape(norm) ||
-        TouchesVolatileName(norm.identifiers)) {
-      translation_cache_.RecordBypass();
-    } else {
-      cache_candidate = true;
-      catalog_version = catalog_.version();
-      cache_key =
-          MakeCacheKey(session->settings_digest, norm, catalog_version);
-      if (auto entry = translation_cache_.Lookup(cache_key)) {
-        if (entry->uncacheable) {
-          // Negative marker: this shape was probed before and proven
-          // non-parameterizable. Translate cold, don't re-probe.
-          translation_cache_.RecordBypass();
-          cache_candidate = false;
-        } else if (auto spliced = SpliceTranslationTemplate(*entry, norm);
-                   spliced.ok()) {
-          cache_span.End();
-          bool select_shape = norm.first_keyword == "SEL" ||
-                              norm.first_keyword == "SELECT";
-          auto outcome = ExecuteCachedStatement(session, *entry,
-                                                std::move(*spliced),
-                                                translation, ctx,
-                                                select_shape);
-          if (outcome.ok()) {
-            RecordTranslationActivity(/*translate_path=*/false,
-                                      /*cache_hit=*/true,
-                                      outcome->timing.translation_micros);
-          }
-          return outcome;
-        } else {
-          // This statement's literals cannot be safely spliced into the
-          // incumbent template (e.g. temporal-coercion guard); take the
-          // cold path without replacing the entry.
-          translation_cache_.RecordBypass();
-          cache_candidate = false;
-        }
-      }
+  HQ_ASSIGN_OR_RETURN(CacheProbe probe,
+                      ProbeTranslationCache(sql_a, session->settings_digest));
+  cache_span.End();
+  if (probe.hit) {
+    bool select_shape = probe.norm.first_keyword == "SEL" ||
+                        probe.norm.first_keyword == "SELECT";
+    auto outcome =
+        ExecuteCachedStatement(session, probe.features, std::move(probe.sql_b),
+                               translation, ctx, select_shape);
+    if (outcome.ok()) {
+      RecordTranslationActivity(/*translate_path=*/false, /*cache_hit=*/true,
+                                outcome->timing.translation_micros);
     }
+    return outcome;
   }
 
-  cache_span.End();
   FeatureSet features;
   obs::SpanScope parse_span(ctx, "parse");
   HQ_RETURN_IF_ERROR(
@@ -250,27 +253,28 @@ Result<QueryOutcome> HyperQService::SubmitInternal(Session* session,
                        stmt->kind == StmtKind::kUpdate ||
                        stmt->kind == StmtKind::kDelete;
   PipelineArtifacts artifacts;
-  artifacts.want_sites =
-      cache_candidate && pipeline_kind && CanTagLiterals(sql_a);
+  const bool cache_candidate = probe.candidate && pipeline_kind;
+  artifacts.want_sites = cache_candidate && CanTagLiterals(sql_a);
   auto executed = ExecuteStatement(session, *stmt, sql_a, std::move(features),
                                    depth, ctx, &artifacts);
   if (!executed.ok()) {
     // Cancellation that struck after serialization does not impugn the
     // translation itself: admit the template so the inevitable retry of
     // this shape hits the cache instead of re-translating (DESIGN.md §8).
-    if (cache_candidate && pipeline_kind && artifacts.serialized &&
+    if (cache_candidate && artifacts.serialized &&
         IsLifecycleStatus(executed.status())) {
-      MaybeCacheTranslation(cache_key, norm, artifacts.sql_b, artifacts.sites,
-                            artifacts.features, catalog_version, ctx);
+      MaybeCacheTranslation(probe.key, probe.norm, artifacts.sql_b,
+                            artifacts.sites, artifacts.features,
+                            probe.catalog_version, ctx);
     }
     return executed.status();
   }
   QueryOutcome outcome = std::move(*executed);
   outcome.timing.translation_micros += parse_micros;
-  if (cache_candidate && pipeline_kind && outcome.backend_sql.size() == 1) {
-    MaybeCacheTranslation(cache_key, norm, outcome.backend_sql[0],
-                          artifacts.sites, outcome.features, catalog_version,
-                          ctx);
+  if (cache_candidate && outcome.backend_sql.size() == 1) {
+    MaybeCacheTranslation(probe.key, probe.norm, outcome.backend_sql[0],
+                          artifacts.sites, outcome.features,
+                          probe.catalog_version, ctx);
   }
   RecordTranslationActivity(/*translate_path=*/false, /*cache_hit=*/false,
                             outcome.timing.translation_micros);
@@ -281,6 +285,41 @@ Result<QueryOutcome> HyperQService::SubmitInternal(Session* session,
 // Query/DML pipeline
 // ---------------------------------------------------------------------------
 
+Result<xtra::OpPtr> HyperQService::Bind(const sql::Statement& stmt,
+                                        FeatureSet* features,
+                                        QueryContext* ctx) {
+  binder::Binder binder(&catalog_, frontend_dialect_);
+  xtra::OpPtr plan;
+  {
+    obs::SpanScope bind_span(ctx, "bind");
+    std::lock_guard<std::mutex> lock(mutex_);  // catalog reads
+    HQ_ASSIGN_OR_RETURN(plan, binder.BindStatement(stmt));
+  }
+  features->Merge(binder.features());
+  return plan;
+}
+
+Result<std::string> HyperQService::LowerToSqlB(
+    xtra::OpPtr* plan, FeatureSet* features, QueryContext* ctx,
+    std::vector<serializer::LiteralSite>* sites) {
+  binder::ColIdGenerator ids(binder::kFirstRewriteColId);
+  obs::SpanScope transform_span(ctx, "transform");
+  HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kBinding, plan, &ids,
+                                      features, &catalog_));
+  // Recursive queries need mid-tier emulation rather than serialization.
+  const bool recursive = (*plan)->kind == xtra::OpKind::kRecursiveCte;
+  HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kSerialization, plan,
+                                      &ids, features, &catalog_));
+  if (recursive) return std::string();
+  if ((*plan)->kind == xtra::OpKind::kInsert) {
+    HQ_RETURN_IF_ERROR(ExpandPeriodInsert(plan->get(), features));
+  }
+  transform_span.End();
+  obs::SpanScope serialize_span(ctx, "serialize");
+  serialize_span.Annotate("dialect", serializer_.dialect().Name());
+  return serializer_.Serialize(**plan, sites);
+}
+
 Result<QueryOutcome> HyperQService::RunPipeline(Session* session,
                                                 const sql::Statement& stmt,
                                                 FeatureSet features,
@@ -290,29 +329,18 @@ Result<QueryOutcome> HyperQService::RunPipeline(Session* session,
     HQ_RETURN_IF_ERROR(ctx->CheckAlive());
   }
   Stopwatch translation;
-  xtra::OpPtr plan;
-  binder::Binder binder(&catalog_, frontend_dialect_);
-  {
-    obs::SpanScope bind_span(ctx, "bind");
-    std::lock_guard<std::mutex> lock(mutex_);  // catalog reads
-    HQ_ASSIGN_OR_RETURN(plan, binder.BindStatement(stmt));
-  }
-  features.Merge(binder.features());
-
-  binder::ColIdGenerator ids(binder::kFirstRewriteColId);
-  obs::SpanScope transform_span(ctx, "transform");
-  HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kBinding, &plan,
-                                      &ids, &features, &catalog_));
-
+  HQ_ASSIGN_OR_RETURN(xtra::OpPtr plan, Bind(stmt, &features, ctx));
+  HQ_ASSIGN_OR_RETURN(
+      std::string sql_b,
+      LowerToSqlB(&plan, &features, ctx,
+                  artifacts != nullptr && artifacts->want_sites
+                      ? &artifacts->sites
+                      : nullptr));
   QueryOutcome out;
+  out.timing.translation_micros += translation.ElapsedMicros();
+  out.timing.dialect = serializer_.dialect().Name();
 
-  // Recursive queries need mid-tier emulation rather than serialization.
   if (plan->kind == xtra::OpKind::kRecursiveCte) {
-    HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kSerialization,
-                                        &plan, &ids, &features, &catalog_));
-    transform_span.End();
-    out.timing.translation_micros += translation.ElapsedMicros();
-    out.timing.dialect = serializer_.dialect().Name();
     Stopwatch execution;
     obs::SpanScope exec_span(ctx, "backend.execute");
     emulation::RecursionDriver driver(&serializer_,
@@ -325,22 +353,6 @@ Result<QueryOutcome> HyperQService::RunPipeline(Session* session,
     return out;
   }
 
-  HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kSerialization,
-                                      &plan, &ids, &features, &catalog_));
-  if (plan->kind == xtra::OpKind::kInsert) {
-    HQ_RETURN_IF_ERROR(ExpandPeriodInsert(plan.get(), &features));
-  }
-  transform_span.End();
-  obs::SpanScope serialize_span(ctx, "serialize");
-  serialize_span.Annotate("dialect", serializer_.dialect().Name());
-  HQ_ASSIGN_OR_RETURN(
-      std::string sql_b,
-      serializer_.Serialize(*plan, artifacts != nullptr && artifacts->want_sites
-                                       ? &artifacts->sites
-                                       : nullptr));
-  serialize_span.End();
-  out.timing.translation_micros += translation.ElapsedMicros();
-  out.timing.dialect = serializer_.dialect().Name();
   out.backend_sql.push_back(sql_b);
   if (artifacts != nullptr) {
     // Translation is complete; record it so a cancellation during the
@@ -437,140 +449,75 @@ Status HyperQService::ExpandPeriodInsert(xtra::Op* insert_op,
 }
 
 Result<std::vector<std::string>> HyperQService::Translate(
-    const std::string& sql_a, FeatureSet* features,
-    TimingBreakdown* timing) {
-  Stopwatch translation;
-  auto out = TranslateInternal(sql_a, features, 0);
-  if (timing != nullptr) {
-    // Attribute the translation to the dialect it serialized under, so
-    // differential-run traces are attributable even on cache hits (the
-    // cached template was emitted under this same dialect — it keys on
-    // the profile digest, which includes the dialect).
-    timing->translation_micros += translation.ElapsedMicros();
-    timing->dialect = serializer_.dialect().Name();
-  }
-  return out;
+    const std::string& sql_a, FeatureSet* features) {
+  return TranslateInternal(sql_a, features, 0);
 }
 
 Result<std::vector<std::string>> HyperQService::TranslateInternal(
-    const std::string& sql_a, FeatureSet* features, int depth) {
+    const std::string& sql_a, FeatureSet* caller_features, int depth) {
   if (depth > 8) {
     return Status::ExecutionError("statement expansion too deep (macro "
                                   "recursion?)");
   }
   Stopwatch translation;
-  FeatureSet local;
-  FeatureSet* fs = features != nullptr ? features : &local;
-  HQ_ASSIGN_OR_RETURN(sql::NormalizedStatement norm,
-                      sql::NormalizeStatement(sql_a));
-
-  // Same cache protocol as the execute path (both entry points
-  // account translation uniformly). Translation-only requests carry no
-  // session, so they key on the default session settings.
-  bool cache_candidate = false;
-  std::string cache_key;
-  int64_t catalog_version = 0;
-  if (options_.translation_cache.enabled) {
-    if (!IsCacheableShape(norm) ||
-        TouchesVolatileName(norm.identifiers)) {
-      translation_cache_.RecordBypass();
-    } else {
-      cache_candidate = true;
-      catalog_version = catalog_.version();
-      cache_key =
-          MakeCacheKey(default_settings_digest_, norm, catalog_version);
-      if (auto entry = translation_cache_.Lookup(cache_key)) {
-        if (entry->uncacheable) {
-          // Negative marker: proven non-parameterizable, translate cold.
-          translation_cache_.RecordBypass();
-          cache_candidate = false;
-        } else if (auto spliced = SpliceTranslationTemplate(*entry, norm);
-                   spliced.ok()) {
-          translation_cache_.RecordHit();
-          fs->Merge(entry->features);
-          RecordTranslationActivity(/*translate_path=*/true,
-                                    /*cache_hit=*/true,
-                                    translation.ElapsedMicros());
-          return std::vector<std::string>{std::move(*spliced)};
-        } else {
-          translation_cache_.RecordBypass();
-          cache_candidate = false;
-        }
-      }
-    }
+  // Translation-only requests carry no session, so they key on the
+  // default session settings.
+  HQ_ASSIGN_OR_RETURN(CacheProbe probe,
+                      ProbeTranslationCache(sql_a, default_settings_digest_));
+  if (probe.hit) {
+    if (caller_features != nullptr) caller_features->Merge(probe.features);
+    RecordTranslationActivity(/*translate_path=*/true, /*cache_hit=*/true,
+                              translation.ElapsedMicros());
+    return std::vector<std::string>{std::move(probe.sql_b)};
   }
 
-  HQ_RETURN_IF_ERROR(frontend::ScanTranslationFeatures(sql_a, fs));
+  // This statement's own footprint, as under Submit: it is what a cache
+  // entry built from it carries.
+  FeatureSet features;
+  HQ_RETURN_IF_ERROR(frontend::ScanTranslationFeatures(sql_a, &features));
   HQ_ASSIGN_OR_RETURN(sql::StatementPtr stmt,
                       sql::ParseStatement(sql_a, frontend_dialect_));
-  std::vector<serializer::LiteralSite> sites;
-  auto finish = [&](std::vector<std::string> out)
-      -> Result<std::vector<std::string>> {
-    if (cache_candidate && out.size() == 1) {
-      MaybeCacheTranslation(cache_key, norm, out[0], sites, *fs,
-                            catalog_version, /*ctx=*/nullptr);
+  // A query/DML statement or MERGE part: the pipeline's bind and lowering.
+  auto lower = [&](const sql::Statement& part,
+                   std::vector<serializer::LiteralSite>* sites)
+      -> Result<std::string> {
+    HQ_ASSIGN_OR_RETURN(xtra::OpPtr plan, Bind(part, &features, nullptr));
+    HQ_ASSIGN_OR_RETURN(std::string sql_b,
+                        LowerToSqlB(&plan, &features, nullptr, sites));
+    if (plan->kind == xtra::OpKind::kRecursiveCte) {
+      return std::string("-- recursive query: emulated via temp tables");
     }
-    RecordTranslationActivity(/*translate_path=*/true, /*cache_hit=*/false,
-                              translation.ElapsedMicros());
-    return out;
+    return sql_b;
   };
   std::vector<std::string> out;
+  std::vector<serializer::LiteralSite> sites;
   switch (stmt->kind) {
     case StmtKind::kSelect:
     case StmtKind::kInsert:
     case StmtKind::kUpdate:
     case StmtKind::kDelete: {
-      binder::Binder binder(&catalog_, frontend_dialect_);
-      xtra::OpPtr plan;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        HQ_ASSIGN_OR_RETURN(plan, binder.BindStatement(*stmt));
-      }
-      fs->Merge(binder.features());
-      binder::ColIdGenerator ids(binder::kFirstRewriteColId);
-      HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kBinding, &plan,
-                                          &ids, fs, &catalog_));
-      if (plan->kind == xtra::OpKind::kRecursiveCte) {
-        out.push_back("-- recursive query: emulated via temp tables");
-        return finish(std::move(out));
-      }
-      HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kSerialization,
-                                          &plan, &ids, fs, &catalog_));
       HQ_ASSIGN_OR_RETURN(
           std::string sql_b,
-          serializer_.Serialize(
-              *plan,
-              cache_candidate && CanTagLiterals(sql_a) ? &sites : nullptr));
+          lower(*stmt,
+                probe.candidate && CanTagLiterals(sql_a) ? &sites : nullptr));
       out.push_back(std::move(sql_b));
-      return finish(std::move(out));
+      break;
     }
     case StmtKind::kMerge: {
-      fs->Record(Feature::kMerge);
+      features.Record(Feature::kMerge);
       HQ_ASSIGN_OR_RETURN(
           std::vector<sql::StatementPtr> parts,
           emulation::LowerMerge(*stmt->As<sql::MergeStatement>()));
       for (const auto& part : parts) {
-        binder::Binder binder(&catalog_, frontend_dialect_);
-        xtra::OpPtr plan;
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          HQ_ASSIGN_OR_RETURN(plan, binder.BindStatement(*part));
-        }
-        fs->Merge(binder.features());
-        binder::ColIdGenerator ids(binder::kFirstRewriteColId);
-        HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kBinding,
-                                            &plan, &ids, fs, &catalog_));
-        HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kSerialization,
-                                            &plan, &ids, fs, &catalog_));
-        HQ_ASSIGN_OR_RETURN(std::string sql_b, serializer_.Serialize(*plan));
+        HQ_ASSIGN_OR_RETURN(std::string sql_b, lower(*part, nullptr));
         out.push_back(std::move(sql_b));
       }
-      return finish(std::move(out));
+      break;
     }
     case StmtKind::kExecMacro: {
       // Expand the macro body and translate each statement; body
       // statements are themselves cacheable even though EXEC is not.
-      fs->Record(Feature::kMacros);
+      features.Record(Feature::kMacros);
       const auto* exec = stmt->As<sql::ExecMacroStatement>();
       const MacroDef* macro;
       {
@@ -580,22 +527,31 @@ Result<std::vector<std::string>> HyperQService::TranslateInternal(
       HQ_ASSIGN_OR_RETURN(std::vector<std::string> statements,
                           emulation::ExpandMacro(*macro, *exec));
       for (const std::string& body_sql : statements) {
-        HQ_ASSIGN_OR_RETURN(std::vector<std::string> sub,
-                            TranslateInternal(body_sql, fs, depth + 1));
+        HQ_ASSIGN_OR_RETURN(
+            std::vector<std::string> sub,
+            TranslateInternal(body_sql, &features, depth + 1));
         out.insert(out.end(), sub.begin(), sub.end());
       }
-      return finish(std::move(out));
+      break;
     }
     case StmtKind::kHelp:
     case StmtKind::kSetSession:
-      fs->Record(Feature::kSessionCommands);
-      return finish(std::move(out));
+      features.Record(Feature::kSessionCommands);
+      break;
     case StmtKind::kCollectStats:
-      fs->Record(Feature::kStatsElimination);
-      return finish(std::move(out));
+      features.Record(Feature::kStatsElimination);
+      break;
     default:
-      return finish(std::move(out));
+      break;
   }
+  if (probe.candidate && out.size() == 1) {
+    MaybeCacheTranslation(probe.key, probe.norm, out[0], sites, features,
+                          probe.catalog_version, /*ctx=*/nullptr);
+  }
+  if (caller_features != nullptr) caller_features->Merge(features);
+  RecordTranslationActivity(/*translate_path=*/true, /*cache_hit=*/false,
+                            translation.ElapsedMicros());
+  return out;
 }
 
 }  // namespace hyperq::service

@@ -213,10 +213,52 @@ TEST_F(FleetTest, PerBackendInFlightCapDeniesWithResourceExhausted) {
   Status denied = pool.Acquire(0);
   ASSERT_FALSE(denied.ok());
   EXPECT_TRUE(denied.IsResourceExhausted()) << denied;
-  EXPECT_EQ(options.governor->stats().backend_slot_denials, 1);
+  EXPECT_EQ(pool.stats().slot_denials, 1);
   pool.Release(0, Status::OK());
   EXPECT_TRUE(pool.Acquire(0).ok());
   pool.Release(0, Status::OK());
+}
+
+// The pool keeps the cap itself: a fleet configured without a
+// ResourceGovernor is capped too, and concurrent claims never overshoot.
+TEST_F(FleetTest, InFlightCapHoldsWithoutAGovernor) {
+  vdb::Engine engine;
+  observability::MetricsRegistry registry;
+  PoolOptions options;
+  options.health = TestHealth();
+  options.metrics = &registry;
+  auto specs = Replicas(1);
+  specs[0].max_in_flight = 2;
+  BackendPool pool(&engine, specs, options);
+
+  ASSERT_TRUE(pool.Acquire(0).ok());
+  ASSERT_TRUE(pool.Acquire(0).ok());
+  Status denied = pool.Acquire(0);
+  ASSERT_FALSE(denied.ok());
+  EXPECT_TRUE(denied.IsResourceExhausted()) << denied;
+  EXPECT_EQ(pool.in_flight(0), 2);
+  EXPECT_EQ(pool.stats().slot_denials, 1);
+  EXPECT_EQ(registry.counter(names::kBackendSlotDenials)->value(), 1);
+  pool.Release(0, Status::OK());
+  pool.Release(0, Status::OK());
+
+  std::atomic<int> peak{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 200; ++i) {
+        if (!pool.Acquire(0).ok()) continue;
+        int now = pool.in_flight(0);
+        int seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        pool.Release(0, Status::OK());
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_LE(peak.load(), 2);
+  EXPECT_EQ(pool.in_flight(0), 0);
 }
 
 // Satellite: the breaker's fail-fast rejection carries a distinct
@@ -433,20 +475,6 @@ TEST_F(FleetTest, DefaultServiceIsAFleetOfOne) {
   auto other = service.OpenSession("other");
   ASSERT_TRUE(other.ok()) << other.status();
   EXPECT_EQ(service.session_backend(*other), 0);
-
-  // The implicit replica takes the switched dialect's profile.
-  ASSERT_TRUE(service.SwitchBackendDialect("sierra").ok());
-  EXPECT_EQ(service.backend_pool()->spec(0).profile.dialect, "sierra");
-  auto switched = service.Submit(*sid, "SEL * FROM T");
-  ASSERT_TRUE(switched.ok()) << switched.status();
-  EXPECT_EQ(switched->timing.dialect, "sierra");
-}
-
-TEST_F(FleetTest, DialectSwitchIsRefusedWithRegisteredBackends) {
-  vdb::Engine engine;
-  service::HyperQService service(&engine, FleetServiceOptions(2));
-  EXPECT_FALSE(service.SwitchBackendDialect("sierra").ok());
-  EXPECT_EQ(service.profile().dialect, "ansi");
 }
 
 // Tentpole acceptance: a session with volatile-table + SET SESSION state
@@ -573,8 +601,6 @@ TEST_F(FleetTest, CappedReplicaReplacesOnPeerAndFullFleetIsExhausted) {
   vdb::Engine engine;
   auto options = FleetServiceOptions(2);
   for (auto& spec : options.fleet.backends) spec.max_in_flight = 1;
-  auto governor = std::make_shared<ResourceGovernor>();
-  options.governor = governor;
   service::HyperQService service(&engine, options);
   BackendPool* pool = service.backend_pool();
   auto sid = service.OpenSession("tester");
@@ -587,7 +613,7 @@ TEST_F(FleetTest, CappedReplicaReplacesOnPeerAndFullFleetIsExhausted) {
   auto served = service.Submit(*sid, "SEL 1");
   ASSERT_TRUE(served.ok()) << served.status();
   EXPECT_EQ(service.session_backend(*sid), peer);
-  EXPECT_EQ(governor->stats().backend_slot_denials, 1);
+  EXPECT_EQ(pool->stats().slot_denials, 1);
   EXPECT_EQ(service.metrics_registry()
                 ->counter(observability::LabeledName(
                     names::kBackendRoute,
@@ -602,7 +628,7 @@ TEST_F(FleetTest, CappedReplicaReplacesOnPeerAndFullFleetIsExhausted) {
   ASSERT_FALSE(refused.ok());
   EXPECT_TRUE(refused.status().IsResourceExhausted()) << refused.status();
   EXPECT_NE(refused.status().detail(), StatusDetail::kBackendDown);
-  EXPECT_EQ(governor->stats().backend_slot_denials, 3);
+  EXPECT_EQ(pool->stats().slot_denials, 3);
 
   pool->Release(bound, Status::OK());
   pool->Release(peer, Status::OK());

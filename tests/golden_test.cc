@@ -288,6 +288,34 @@ TEST_F(GoldenCorpusTest, SerializedSqlReparsesUnderTargetGrammar) {
   }
 }
 
+// A service over its own engine that serializes to `dialect`, with the
+// corpus schema created through one open session.
+struct CorpusService {
+  explicit CorpusService(const std::string& dialect) {
+    service::ServiceOptions options;
+    options.profile = serializer::FindDialect(dialect)->Profile();
+    service = std::make_unique<service::HyperQService>(&engine, options);
+  }
+  void LoadSchema() {
+    auto opened = service->OpenSession("golden");
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    sid = *opened;
+    for (const std::string& stmt : golden::SchemaStatements()) {
+      auto r = service->Submit(sid, stmt);
+      ASSERT_TRUE(r.ok()) << stmt << "\n" << r.status();
+    }
+  }
+  vdb::Engine engine;
+  std::unique_ptr<service::HyperQService> service;
+  uint32_t sid = 0;
+};
+
+bool IsRecursiveQuery(const std::string& sql_a) {
+  auto stmt = sql::ParseStatement(sql_a, sql::Dialect::Teradata());
+  return stmt.ok() && (*stmt)->kind == sql::StmtKind::kSelect &&
+         (*stmt)->As<sql::SelectStatement>()->query->with_recursive;
+}
+
 // Per-dialect sub-corpora (DESIGN.md §12): every root corpus case also has
 // a checked-in translation under tests/golden/<dialect>/ for each non-root
 // SQL-B dialect, produced by a service running that dialect's profile.
@@ -297,23 +325,12 @@ TEST_F(GoldenCorpusTest, DialectSubCorporaMatchExpected) {
   namespace fs = std::filesystem;
   for (const std::string& dialect : serializer::DialectNames()) {
     if (dialect == serializer::DefaultDialect().Name()) continue;
-    const serializer::SQLDialectGenerator* gen =
-        serializer::FindDialect(dialect);
-    ASSERT_NE(gen, nullptr) << dialect;
-    vdb::Engine engine;
-    service::ServiceOptions options;
-    options.profile = gen->Profile();
-    service::HyperQService service(&engine, options);
-    auto sid = service.OpenSession("golden-" + dialect);
-    ASSERT_TRUE(sid.ok()) << sid.status();
-    for (const std::string& stmt : golden::SchemaStatements()) {
-      auto r = service.Submit(*sid, stmt);
-      ASSERT_TRUE(r.ok()) << dialect << ": " << stmt << "\n" << r.status();
-    }
+    CorpusService corpus(dialect);
+    ASSERT_NO_FATAL_FAILURE(corpus.LoadSchema()) << dialect;
     std::string subdir = golden::GoldenDir() + "/" + dialect;
     if (regen) fs::create_directories(subdir);
     for (const auto& c : cases_) {
-      auto translated = service.Translate(c.sql, nullptr);
+      auto translated = corpus.service->Translate(c.sql, nullptr);
       ASSERT_TRUE(translated.ok())
           << dialect << "/" << c.name << "\n" << translated.status();
       std::string joined = golden::JoinTranslations(*translated);
@@ -366,6 +383,54 @@ TEST_F(GoldenCorpusTest, NormalizationIsIdempotent) {
     EXPECT_TRUE(again->literals.empty())
         << c.name << ": literals must not survive normalization";
   }
+}
+
+// One translation path (DESIGN.md §7): Translate() returns exactly the
+// SQL-B that Submit() sends, for every corpus case in every dialect. Each
+// side runs on a fresh service, so neither reads a template the other
+// cached. A recursive query is exempt by its kind: Submit emulates it
+// through temp tables, Translate returns the emulation marker.
+TEST_F(GoldenCorpusTest, TranslateReturnsWhatSubmitSendsInEveryDialect) {
+  for (const std::string& dialect : serializer::DialectNames()) {
+    for (const auto& c : cases_) {
+      if (IsRecursiveQuery(c.sql)) continue;
+      CorpusService translator(dialect);
+      CorpusService submitter(dialect);
+      ASSERT_NO_FATAL_FAILURE(translator.LoadSchema());
+      ASSERT_NO_FATAL_FAILURE(submitter.LoadSchema());
+      auto translated = translator.service->Translate(c.sql, nullptr);
+      ASSERT_TRUE(translated.ok())
+          << dialect << "/" << c.name << "\n" << translated.status();
+      auto submitted = submitter.service->Submit(submitter.sid, c.sql);
+      ASSERT_TRUE(submitted.ok())
+          << dialect << "/" << c.name << "\n" << submitted.status();
+      EXPECT_EQ(*translated, submitted->backend_sql)
+          << dialect << "/" << c.name;
+    }
+  }
+}
+
+// Translate() admits its template under the key a default-settings session
+// computes, so a later Submit of the same shape with other literals is
+// served from that entry: it must be the template Submit would have built,
+// with the PERIOD column expanded to its _BEGIN/_END pair.
+TEST_F(GoldenCorpusTest, TranslatedPeriodInsertServesLaterSubmitFromCache) {
+  auto translated = service_->Translate(
+      "INS INTO PROMO (NAME, SPAN) VALUES ('SPRING', "
+      "PERIOD(DATE '2014-03-01', DATE '2014-05-31'))",
+      nullptr);
+  ASSERT_TRUE(translated.ok()) << translated.status();
+  auto submitted = service_->Submit(
+      sid_,
+      "INS INTO PROMO (NAME, SPAN) VALUES ('AUTUMN', "
+      "PERIOD(DATE '2014-09-01', DATE '2014-11-30'))");
+  ASSERT_TRUE(submitted.ok()) << submitted.status();
+  EXPECT_EQ(submitted->timing.cache_hits, 1);
+  ASSERT_EQ(submitted->backend_sql.size(), 1u);
+  const std::string& sql_b = submitted->backend_sql[0];
+  EXPECT_NE(sql_b.find("SPAN_BEGIN, SPAN_END"), std::string::npos) << sql_b;
+  EXPECT_NE(sql_b.find("'AUTUMN'"), std::string::npos) << sql_b;
+  EXPECT_NE(sql_b.find("2014-11-30"), std::string::npos) << sql_b;
 }
 
 }  // namespace

@@ -89,6 +89,23 @@ TEST_F(ServiceExtraTest, CreateTableAsSelect) {
             0);
 }
 
+// A data query the proxy cannot lower fails the CREATE TABLE AS before it
+// creates anything: neither the catalog nor the target keeps the table.
+TEST_F(ServiceExtraTest, CreateTableAsThatCannotLowerLeavesNoTable) {
+  Must("CREATE TABLE EMP (EMPNO INTEGER, MGRNO INTEGER)");
+  auto failed = service_->Submit(
+      sid_,
+      "CREATE TABLE REPORTS AS (WITH RECURSIVE R (EMPNO) AS "
+      "(SELECT EMPNO FROM EMP WHERE MGRNO = 10 UNION ALL "
+      "SELECT EMP.EMPNO FROM EMP, R WHERE R.EMPNO = EMP.MGRNO) "
+      "SELECT EMPNO FROM R) WITH DATA");
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsNotSupported()) << failed.status();
+  EXPECT_FALSE(service_->catalog()->HasTable("REPORTS"));
+  EXPECT_FALSE(engine_.storage()->HasTable("REPORTS"));
+  Must("CREATE TABLE REPORTS AS (SEL EMPNO FROM EMP) WITH DATA");
+}
+
 TEST_F(ServiceExtraTest, StatsAggregatePerQueryFeatures) {
   service_->ResetStats();
   Must("CREATE TABLE T (A INTEGER, D DATE)");

@@ -18,6 +18,7 @@
 #include "common/str_util.h"
 #include "fuzz/query_gen.h"
 #include "golden_corpus.h"
+#include "serializer/dialect.h"
 #include "service/hyperq_service.h"
 #include "service/translation_cache.h"
 #include "sql/normalizer.h"
@@ -795,52 +796,55 @@ TEST(DialectCacheKeyTest, ProfilesDifferingOnlyInDialectNeverShareEntries) {
   EXPECT_TRUE(ansi.CanServe(ansi));
 }
 
-// Switching the service's dialect mid-session re-keys the cache cleanly:
-// the same SQL-A shape is a miss under the new dialect (no stale template
-// is spliced), produces that dialect's SQL-B, and switching back makes the
-// original entries reachable again — hits resume, byte-identical.
-TEST_F(TranslationCacheTest, DialectSwitchMidSessionReKeysCache) {
+// The translation target is fixed per service. Two services over one
+// engine, one emitting ansi and one sierra, translate the same SQL-A shape
+// to their own dialect's SQL-B, each hits its own cache entry, and both
+// read the same rows.
+TEST_F(TranslationCacheTest, DialectServicesOverOneEngineKeepTheirOwnEntries) {
   Init();
+  ServiceOptions sierra_options;
+  sierra_options.profile = serializer::FindDialect("sierra")->Profile();
+  HyperQService sierra(&engine_, sierra_options);
+  // SALES already exists on the shared engine: only the second service's
+  // catalog needs to learn it.
+  auto sales = service_->catalog()->GetTable("SALES");
+  ASSERT_TRUE(sales.ok()) << sales.status();
+  ASSERT_TRUE(sierra.catalog()->CreateTable(**sales).ok());
+  auto sierra_sid = sierra.OpenSession("tester");
+  ASSERT_TRUE(sierra_sid.ok()) << sierra_sid.status();
+  auto must_sierra = [&](const std::string& sql) {
+    auto r = sierra.Submit(*sierra_sid, sql);
+    EXPECT_TRUE(r.ok()) << sql << "\n" << r.status();
+    return r.ok() ? std::move(r).value() : QueryOutcome{};
+  };
   const std::string q1 = "SEL REGION FROM SALES WHERE AMOUNT > 100";
   const std::string q2 = "SEL REGION FROM SALES WHERE AMOUNT > 200";
 
-  auto cold = Must(q1);
-  auto warm = Must(q2);
-  EXPECT_EQ(warm.timing.cache_hits, 1);
-  EXPECT_EQ(cold.timing.dialect, "ansi");
-  ASSERT_EQ(warm.backend_sql.size(), 1u);
-  const std::string ansi_sql = cold.backend_sql[0];
+  auto ansi_cold = Must(q1);
+  auto ansi_warm = Must(q2);
+  EXPECT_EQ(ansi_cold.timing.cache_hits, 0);
+  EXPECT_EQ(ansi_warm.timing.cache_hits, 1);
+  EXPECT_EQ(ansi_warm.timing.dialect, "ansi");
+  ASSERT_EQ(ansi_cold.backend_sql.size(), 1u);
 
-  ASSERT_TRUE(service_->SwitchBackendDialect("sierra").ok());
-  auto sierra_cold = Must(q1);
-  // Same shape, new dialect: MUST be a miss (a hit would splice the ansi
-  // template into a sierra session).
+  auto sierra_cold = must_sierra(q1);
+  auto sierra_warm = must_sierra(q2);
   EXPECT_EQ(sierra_cold.timing.cache_hits, 0);
-  EXPECT_EQ(sierra_cold.timing.dialect, "sierra");
+  EXPECT_EQ(sierra_warm.timing.cache_hits, 1);
+  EXPECT_EQ(sierra_warm.timing.dialect, "sierra");
   ASSERT_EQ(sierra_cold.backend_sql.size(), 1u);
-  EXPECT_NE(sierra_cold.backend_sql[0], ansi_sql);
+  EXPECT_NE(sierra_cold.backend_sql[0], ansi_cold.backend_sql[0]);
   // Sierra's generator backtick-quotes every identifier.
   EXPECT_NE(sierra_cold.backend_sql[0].find('`'), std::string::npos)
       << sierra_cold.backend_sql[0];
-  auto sierra_warm = Must(q2);
-  EXPECT_EQ(sierra_warm.timing.cache_hits, 1);
-  EXPECT_EQ(sierra_warm.timing.dialect, "sierra");
+  EXPECT_EQ(Rows(sierra_cold), Rows(ansi_cold));
+  EXPECT_EQ(Rows(sierra_warm), Rows(ansi_warm));
 
-  // Switch back: the original dialect's entries are reachable again.
-  ASSERT_TRUE(service_->SwitchBackendDialect("ansi").ok());
-  auto back = Must(q1);
-  EXPECT_EQ(back.timing.cache_hits, 1);
-  EXPECT_EQ(back.timing.dialect, "ansi");
-  ASSERT_EQ(back.backend_sql.size(), 1u);
-  EXPECT_EQ(back.backend_sql[0], ansi_sql);
-}
-
-TEST_F(TranslationCacheTest, DialectSwitchRejectsUnknownName) {
-  Init();
-  EXPECT_FALSE(service_->SwitchBackendDialect("no-such-dialect").ok());
-  // The failed switch left the active dialect untouched.
-  auto out = Must("SEL REGION FROM SALES WHERE AMOUNT > 100");
-  EXPECT_EQ(out.timing.dialect, "ansi");
+  // The ansi service's entries are untouched by the sierra traffic.
+  auto ansi_again = Must(q1);
+  EXPECT_EQ(ansi_again.timing.cache_hits, 1);
+  ASSERT_EQ(ansi_again.backend_sql.size(), 1u);
+  EXPECT_EQ(ansi_again.backend_sql[0], ansi_cold.backend_sql[0]);
 }
 
 }  // namespace
