@@ -16,7 +16,10 @@
 #include "backend/tdf.h"
 #include "convert/result_converter.h"
 #include "protocol/tdwp.h"
+#include "service/hyperq_service.h"
 #include "vdb/column_batch.h"
+#include "vdb/engine.h"
+#include "workload/tpch.h"
 
 using namespace hyperq;
 
@@ -64,6 +67,30 @@ PipelineInput MakeInput(int64_t rows) {
            Datum::Int(i % 50), Datum::MakeDouble(0.01 * (i % 11)),
            i % 7 == 0 ? Datum::Null()
                       : Datum::String("note " + std::to_string(i % 89))});
+    }
+    in.chunks.push_back(builder.Finish());
+  }
+  return in;
+}
+
+// One column of `rows` values: DATE (shape 1) or INTEGER (shape 2), so
+// BM_ResultConvert can price one wire field of each kind.
+PipelineInput MakeOneColumnInput(int64_t rows, int shape) {
+  PipelineInput in;
+  const bool date = shape == 1;
+  in.schema = {{"V", date ? SqlType::Date() : SqlType::Int()}};
+  for (int64_t begin = 0; begin < rows;
+       begin += static_cast<int64_t>(kChunkRows)) {
+    int64_t end = std::min(rows, begin + static_cast<int64_t>(kChunkRows));
+    vdb::BatchBuilder builder(std::vector<SqlType>{in.schema[0].type});
+    builder.Reserve(static_cast<size_t>(end - begin));
+    for (int64_t i = begin; i < end; ++i) {
+      if (date) {
+        builder.Append(0,
+                       Datum::Date(static_cast<int32_t>(-25000 + i % 73000)));
+      } else {
+        builder.Append(0, Datum::Int(i));
+      }
     }
     in.chunks.push_back(builder.Finish());
   }
@@ -142,11 +169,17 @@ void BM_CanonicalizePackage(benchmark::State& state) {
 BENCHMARK(BM_CanonicalizePackage)->Arg(1000)->Arg(20000);
 
 // Result conversion: buffered spans -> frontend binary records across
-// parallelism.
+// parallelism. Args: rows, parallelism, shape (0 = the ten-column mix,
+// 1 = one DATE column, 2 = one INTEGER column); `s_per_field` prices one
+// encoded value (printed with an SI suffix: "3.1n" is 3.1 ns).
 void BM_ResultConvert(benchmark::State& state) {
   int64_t rows = state.range(0);
+  const int shape = static_cast<int>(state.range(2));
   backend::ConnectorOptions opts;
-  auto packaged = Package(MakeInput(rows), opts);
+  PipelineInput in =
+      shape == 0 ? MakeInput(rows) : MakeOneColumnInput(rows, shape);
+  const double fields = static_cast<double>(rows * in.schema.size());
+  auto packaged = Package(in, opts);
   if (!packaged.ok()) {
     state.SkipWithError(packaged.status().ToString().c_str());
     return;
@@ -163,15 +196,20 @@ void BM_ResultConvert(benchmark::State& state) {
     benchmark::DoNotOptimize(converted);
   }
   state.SetItemsProcessed(state.iterations() * rows);
+  state.counters["s_per_field"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * fields,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_ResultConvert)
-    ->Args({1000, 1})
-    ->Args({20000, 1})
-    ->Args({20000, 2})
-    ->Args({20000, 4})
-    ->Args({100000, 1})
-    ->Args({100000, 2})
-    ->Args({100000, 4});
+    ->Args({1000, 1, 0})
+    ->Args({20000, 1, 0})
+    ->Args({20000, 2, 0})
+    ->Args({20000, 4, 0})
+    ->Args({100000, 1, 0})
+    ->Args({100000, 2, 0})
+    ->Args({100000, 4, 0})
+    ->Args({100000, 1, 1})
+    ->Args({100000, 1, 2});
 
 // Round trip including the client-side decode (bit-identical check path).
 void BM_RecordRoundTrip(benchmark::State& state) {
@@ -199,6 +237,82 @@ void BM_RecordRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RecordRoundTrip);
+
+// TPC-H SF 0.01 in a vdb engine, loaded once per process.
+struct TpchEngine {
+  vdb::Engine engine;
+  service::HyperQService service{&engine};
+  Status status;
+  TpchEngine() {
+    auto sid = service.OpenSession("loader");
+    status = sid.ok() ? workload::LoadTpch(&service, *sid, &engine, {})
+                      : sid.status();
+  }
+};
+
+TpchEngine& Tpch() {
+  static TpchEngine* tpch = new TpchEngine();
+  return *tpch;
+}
+
+// vdb's filter on bulk_extract's lineitem extract: the whole statement
+// (parse, bind, predicate over every row, gather of the ~1,000 hits).
+// `s_per_table_row` divides by LINEITEM's row count ("13n" is 13 ns).
+void BM_FilterRange(benchmark::State& state) {
+  TpchEngine& tpch = Tpch();
+  if (!tpch.status.ok()) {
+    state.SkipWithError(tpch.status.ToString().c_str());
+    return;
+  }
+  auto table = tpch.engine.storage()->GetTable("LINEITEM");
+  const double table_rows = static_cast<double>((*table)->rows.size());
+  int64_t lo = 1;
+  size_t out_rows = 0;
+  for (auto _ : state) {
+    auto r = tpch.engine.Execute(
+        "SELECT * FROM LINEITEM WHERE L_ORDERKEY BETWEEN " +
+        std::to_string(lo) + " AND " + std::to_string(lo + 249));
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    out_rows = r->row_count();
+    benchmark::DoNotOptimize(r);
+    lo = lo % 14000 + 997;
+  }
+  state.counters["rows_out"] = static_cast<double>(out_rows);
+  state.counters["s_per_table_row"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * table_rows,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FilterRange)->Unit(benchmark::kMicrosecond);
+
+// point_lookup's write: a one-row UPDATE of CUSTOMER, then the next read
+// of CUSTOMER, which scans whatever snapshot the write left behind.
+void BM_UpdateOneRow(benchmark::State& state) {
+  TpchEngine& tpch = Tpch();
+  if (!tpch.status.ok()) {
+    state.SkipWithError(tpch.status.ToString().c_str());
+    return;
+  }
+  int64_t key = 1;
+  int64_t tag = 0;
+  for (auto _ : state) {
+    auto w = tpch.engine.Execute("UPDATE CUSTOMER SET C_COMMENT = 'bench " +
+                                 std::to_string(++tag) +
+                                 "' WHERE C_CUSTKEY = " + std::to_string(key));
+    auto r = tpch.engine.Execute(
+        "SELECT C_CUSTKEY, C_NAME, C_ACCTBAL FROM CUSTOMER WHERE C_CUSTKEY = " +
+        std::to_string(key % 1500 + 1));
+    if (!w.ok() || !r.ok() || w->affected_rows != 1 || r->row_count() != 1) {
+      state.SkipWithError("update or read failed");
+      return;
+    }
+    benchmark::DoNotOptimize(r);
+    key = key % 1500 + 1;
+  }
+}
+BENCHMARK(BM_UpdateOneRow)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

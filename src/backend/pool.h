@@ -127,6 +127,18 @@ class BackendPool {
   bool killed(size_t i) const {
     return instances_[i]->killed.load(std::memory_order_relaxed);
   }
+  /// \brief Sessions bound to backend `i`. The service attaches a session
+  /// where it is placed and detaches it when the session moves or closes;
+  /// the router breaks in-flight ties with it.
+  int sessions(size_t i) const {
+    return instances_[i]->sessions.load(std::memory_order_relaxed);
+  }
+  void AttachSession(size_t i) {
+    instances_[i]->sessions.fetch_add(1, std::memory_order_relaxed);
+  }
+  void DetachSession(size_t i) {
+    instances_[i]->sessions.fetch_sub(1, std::memory_order_relaxed);
+  }
 
   /// \brief Claims an in-flight slot on backend `i` before a query runs
   /// there. Fails with kUnavailable{kBackendDown} when the instance is
@@ -193,6 +205,7 @@ class BackendPool {
     std::atomic<bool> killed{false};
     std::atomic<int> slow_ms{0};  // chaos: per-attempt stall, 0 = none
     std::atomic<int> in_flight{0};
+    std::atomic<int> sessions{0};
     // Health state below is guarded by `mutex` (per-instance, so scoring
     // one backend never contends with routing reads of another).
     mutable std::mutex mutex;

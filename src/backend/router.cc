@@ -1,6 +1,7 @@
 #include "backend/router.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/fault.h"
 
@@ -124,9 +125,21 @@ Result<RouteDecision> Router::Pick(const RouteConstraints& constraints) {
   size_t b = static_cast<size_t>((r >> 32) % tier.size());
   int load_a = pool_->in_flight(tier[a].index);
   int load_b = pool_->in_flight(tier[b].index);
-  size_t pick = a;
-  if (load_b < load_a || (load_b == load_a && tier[b].index < tier[a].index)) {
-    pick = b;
+  size_t pick = load_b < load_a ? b : a;
+  if (load_a == load_b) {
+    // A tie (every pick on an idle fleet, so every logon) goes to the
+    // tier's replica, among those at no more than the tied load, with the
+    // fewest sessions, then the fewest in flight, then the lowest index:
+    // logons spread evenly instead of following the probes.
+    auto key = [&](size_t i) {
+      const int idx = tier[i].index;
+      return std::make_tuple(pool_->sessions(idx), pool_->in_flight(idx), idx);
+    };
+    for (size_t i = 0; i < tier.size(); ++i) {
+      if (pool_->in_flight(tier[i].index) <= load_a && key(i) < key(pick)) {
+        pick = i;
+      }
+    }
   }
   return RouteDecision{tier[pick].index, reason};
 }

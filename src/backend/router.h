@@ -11,8 +11,11 @@
 //     This is the common case and is decided without a candidate list.
 //  3. Load — among the healthiest eligible tier (HEALTHY preferred,
 //     DEGRADED as probation fallback), power-of-two-choices by in-flight
-//     count: two seeded picks, the less-loaded one wins. Deterministic —
-//     the PRNG is a pure function of (seed, pick ordinal).
+//     count: two seeded picks, the less-loaded one wins. A tie (always, on
+//     an idle fleet) goes to the tier's replica, among those at no more
+//     than that load, holding the fewest sessions (BackendPool::sessions),
+//     so logons spread evenly. Deterministic — the PRNG is a pure
+//     function of (seed, pick ordinal).
 //  4. Last-resort probation — when every live, capable candidate is
 //     EJECTED by passive scoring (none is killed), they are routed to as
 //     probation instead of failing: scores rank replicas, they never make

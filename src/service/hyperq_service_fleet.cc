@@ -74,6 +74,8 @@ Status HyperQService::RebindSession(Session* session, int target) {
   } else {
     session->connector = pool_->CreateConnector(target, session->id);
   }
+  pool_->DetachSession(session->backend_index);
+  pool_->AttachSession(target);
   session->backend_index = target;
   return Status::OK();
 }

@@ -29,6 +29,7 @@ Result<uint32_t> HyperQService::OpenSession(
                       router_->Pick(constraints));
   RecordRoute(route);
   session->backend_index = route.backend;
+  pool_->AttachSession(route.backend);
   session->connector = pool_->CreateConnector(route.backend, session->id);
   session->settings_digest = SettingsDigest(session->info);
   uint32_t id = session->id;
@@ -46,6 +47,7 @@ void HyperQService::CloseSession(uint32_t session_id) {
     session = std::move(it->second);
     sessions_.erase(it);
   }
+  pool_->DetachSession(session->backend_index);
   // Volatile tables are session-scoped: drop them on logoff.
   for (const std::string& table : session->volatile_tables) {
     (void)session->connector->Execute("DROP TABLE IF EXISTS " + table);

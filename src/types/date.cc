@@ -39,12 +39,6 @@ bool IsValidCivil(int year, int month, int day) {
   return day <= max_day;
 }
 
-int64_t DateToTeradataInt(int32_t days) {
-  int y, m, d;
-  CivilFromDays(days, &y, &m, &d);
-  return static_cast<int64_t>(y - 1900) * 10000 + m * 100 + d;
-}
-
 Result<int32_t> TeradataIntToDate(int64_t encoded) {
   int64_t ymd = encoded;
   int d = static_cast<int>(ymd % 100);

@@ -325,63 +325,10 @@ Result<int64_t> Executor::ExecuteDml(const Op& op) {
       ++table->version;  // invalidate the cached columnar snapshot
       return static_cast<int64_t>(n);
     }
-    case OpKind::kUpdate: {
-      // Layout: target col ids map onto table slots.
-      std::map<int, int> layout;
-      for (size_t i = 0; i < op.target_col_ids.size(); ++i) {
-        layout[op.target_col_ids[i]] = static_cast<int>(i);
-      }
-      std::vector<int> assign_slots;
-      for (const auto& [name, e] : op.assignments) {
-        int idx = table->FindColumn(name);
-        if (idx < 0) {
-          return Status::ExecutionError("column '", name, "' does not exist");
-        }
-        assign_slots.push_back(idx);
-      }
-      int64_t affected = 0;
-      for (auto& row : table->rows) {
-        bool hit = true;
-        if (op.predicate) {
-          HQ_ASSIGN_OR_RETURN(hit, EvalPredicate(*op.predicate, layout, row));
-        }
-        if (!hit) continue;
-        Row updated = row;
-        for (size_t i = 0; i < op.assignments.size(); ++i) {
-          HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*op.assignments[i].second,
-                                                layout, row));
-          HQ_ASSIGN_OR_RETURN(
-              Datum cast, v.CastTo(table->columns[assign_slots[i]].type));
-          updated[assign_slots[i]] = std::move(cast);
-        }
-        row = std::move(updated);
-        ++affected;
-      }
-      if (affected > 0) ++table->version;
-      return affected;
-    }
-    case OpKind::kDelete: {
-      std::map<int, int> layout;
-      for (size_t i = 0; i < op.target_col_ids.size(); ++i) {
-        layout[op.target_col_ids[i]] = static_cast<int>(i);
-      }
-      std::vector<Row> kept;
-      int64_t affected = 0;
-      for (auto& row : table->rows) {
-        bool hit = true;
-        if (op.predicate) {
-          HQ_ASSIGN_OR_RETURN(hit, EvalPredicate(*op.predicate, layout, row));
-        }
-        if (hit) {
-          ++affected;
-        } else {
-          kept.push_back(std::move(row));
-        }
-      }
-      table->rows = std::move(kept);
-      if (affected > 0) ++table->version;
-      return affected;
-    }
+    case OpKind::kUpdate:
+      return ExecUpdate(op, table);
+    case OpKind::kDelete:
+      return ExecDelete(op, table);
     default:
       return Status::Internal("not a DML operator");
   }
@@ -390,13 +337,6 @@ Result<int64_t> Executor::ExecuteDml(const Op& op) {
 // ---------------------------------------------------------------------------
 // Scalar evaluation
 // ---------------------------------------------------------------------------
-
-Result<bool> Executor::EvalPredicate(const Expr& e,
-                                     const std::map<int, int>& layout,
-                                     const Row& row) {
-  HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(e, layout, row));
-  return !v.is_null() && v.is_bool() && v.bool_val();
-}
 
 Result<Datum> Executor::EvalExpr(const Expr& e,
                                  const std::map<int, int>& layout,

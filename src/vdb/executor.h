@@ -85,6 +85,17 @@ class Executor {
   Result<Relation> ExecSort(const xtra::Op& op);
   Result<Relation> ExecLimit(const xtra::Op& op);
 
+  // --- UPDATE / DELETE (executor_vec.cc) ----------------------------------
+  // Both filter the table's columnar snapshot with FilterIndices and
+  // publish the successor snapshot themselves (Table::PublishSnapshot).
+  Result<int64_t> ExecUpdate(const xtra::Op& op, Table* table);
+  Result<int64_t> ExecDelete(const xtra::Op& op, Table* table);
+  /// Rows of `snapshot` the DML statement `op` targets: every row without
+  /// a predicate, else the rows its predicate is TRUE on.
+  Result<std::vector<uint32_t>> DmlTargetRows(const xtra::Op& op,
+                                              const ColumnBatch& snapshot,
+                                              const std::map<int, int>& layout);
+
   /// Evaluation context for one chunk; caches lazily materialized rows for
   /// expression shapes that fall back to the tree-walking interpreter. Rows
   /// are filled slot by slot: only the columns a fallback expression reads
@@ -142,10 +153,6 @@ class Executor {
                                          const PreparedSubq& prep,
                                          const std::map<int, int>& layout,
                                          const Row& row);
-
-  /// Truth test for predicates: NULL counts as false.
-  Result<bool> EvalPredicate(const xtra::Expr& e,
-                             const std::map<int, int>& layout, const Row& row);
 
   /// True when every column reference below `op` is produced inside it
   /// (no correlation) — such subtrees can be cached across re-executions.

@@ -9,7 +9,9 @@
 // not carry resolves through the outer scope as a broadcast constant.
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -101,12 +103,6 @@ struct SideView {
     return scalar.is_double() ? scalar.double_val()
                               : static_cast<double>(scalar.int_val());
   }
-  int32_t DateAt(size_t r) const {
-    return col ? col->i32[r] : scalar.date_val();
-  }
-  int64_t TimeAt(size_t r) const {
-    return col ? col->i64[r] : scalar.time_val();
-  }
   Decimal DecAt(size_t r) const {
     if (col) {
       if (col->kind == PhysKind::kDecimal) {
@@ -134,11 +130,14 @@ SideView MakeSide(const Executor::VecVal& v) {
   return s;
 }
 
+std::string_view RTrim(std::string_view s) {
+  while (!s.empty() && s.back() == ' ') s.remove_suffix(1);
+  return s;
+}
+
 // Blank-padded comparison used by Datum::Compare for strings.
 int TrimmedCompare(std::string_view a, std::string_view b) {
-  while (!a.empty() && a.back() == ' ') a.remove_suffix(1);
-  while (!b.empty() && b.back() == ' ') b.remove_suffix(1);
-  int c = a.compare(b);
+  int c = RTrim(a).compare(RTrim(b));
   return c < 0 ? -1 : c > 0 ? 1 : 0;
 }
 
@@ -168,12 +167,230 @@ bool IsDecimalableKind(PhysKind k) {
   return k == PhysKind::kI64 || k == PhysKind::kDecimal;
 }
 
-// Truthiness of one mask entry, mirroring EvalPredicate: non-NULL bool true.
-bool MaskTrueAt(const ColumnVec& mask, size_t r) {
-  if (mask.IsNull(r)) return false;
-  if (mask.kind == PhysKind::kBool) return mask.b8[r] != 0;
-  Datum d = mask.GetDatum(r);
-  return d.is_bool() && d.bool_val();
+// --- Mask kernels ------------------------------------------------------------
+//
+// A predicate evaluates to a kBool column allocated once at its final size:
+// b8 is 1 on TRUE rows and 0 on FALSE and NULL ones (the zero placeholder
+// every column keeps for a NULL row), and the validity bitmap marks the NULL
+// rows. Kernels write b8 and the bitmap directly; none appends a Datum per
+// row. Typed kernels compute every row, NULL or not, and SealMask then
+// zeroes the NULL rows' b8.
+
+void SetMaskNull(ColumnVec* m, size_t r) {
+  m->valid[r >> 3] &= static_cast<uint8_t>(~(1u << (r & 7)));
+}
+
+// A mask of `n` rows, every one non-NULL and FALSE.
+std::shared_ptr<ColumnVec> NewMask(size_t n) {
+  auto m = std::make_shared<ColumnVec>(PhysKind::kBool);
+  m->size = n;
+  m->b8.assign(n, 0);
+  m->valid.assign((n + 7) / 8, 0xFF);
+  if (n % 8 != 0) {
+    m->valid.back() = static_cast<uint8_t>((1u << (n % 8)) - 1);
+  }
+  return m;
+}
+
+// Makes the mask NULL wherever the operand is: a column's NULL rows, or
+// every row for a NULL constant.
+void NullWhere(ColumnVec* m, const SideView& s) {
+  if (s.col == nullptr) {
+    if (s.scalar.is_null()) std::fill(m->valid.begin(), m->valid.end(), 0);
+    return;
+  }
+  if (s.col->nulls == 0) return;
+  for (size_t b = 0; b < m->valid.size(); ++b) m->valid[b] &= s.col->valid[b];
+}
+
+// Counts the mask's NULL rows and zeroes their b8 entries.
+void SealMask(ColumnVec* m) {
+  size_t valid = 0;
+  for (uint8_t byte : m->valid) {
+    valid += static_cast<size_t>(std::popcount(byte));
+  }
+  m->nulls = m->size - valid;
+  if (m->nulls == 0) return;
+  for (size_t r = 0; r < m->size; ++r) {
+    m->b8[r] &= static_cast<uint8_t>((m->valid[r >> 3] >> (r & 7)) & 1);
+  }
+}
+
+// out[i] = op(l(i), r(i)) for every row. The CompKind switch runs once per
+// call, so each instantiation is a straight typed loop.
+template <typename L, typename R>
+void CompareLoop(xtra::CompKind k, size_t n, uint8_t* out, L l, R r) {
+  auto run = [&](auto op) {
+    for (size_t i = 0; i < n; ++i) out[i] = op(l(i), r(i)) ? 1 : 0;
+  };
+  switch (k) {
+    case xtra::CompKind::kEq:
+      return run(std::equal_to<>());
+    case xtra::CompKind::kNe:
+      return run(std::not_equal_to<>());
+    case xtra::CompKind::kLt:
+      return run(std::less<>());
+    case xtra::CompKind::kLe:
+      return run(std::less_equal<>());
+    case xtra::CompKind::kGt:
+      return run(std::greater<>());
+    case xtra::CompKind::kGe:
+      return run(std::greater_equal<>());
+  }
+}
+
+// CompareLoop over two sides that are each a value array or a broadcast
+// constant (`lp`/`rp` null). At most one side is a constant.
+template <typename T>
+void CompareArrays(xtra::CompKind k, size_t n, uint8_t* out, const T* lp,
+                   T lc, const T* rp, T rc) {
+  auto at = [](const T* p) { return [p](size_t i) { return p[i]; }; };
+  auto same = [](T c) { return [c](size_t) { return c; }; };
+  if (lp != nullptr && rp != nullptr) {
+    CompareLoop(k, n, out, at(lp), at(rp));
+  } else if (lp != nullptr) {
+    CompareLoop(k, n, out, at(lp), same(rc));
+  } else {
+    CompareLoop(k, n, out, same(lc), at(rp));
+  }
+}
+
+// A side's values as T: the column array `get(col)` or the constant
+// `value(scalar)`.
+template <typename T, typename Get, typename Value>
+std::pair<const T*, T> Operand(const SideView& s, Get get, Value value) {
+  if (s.col != nullptr) return {get(*s.col), T{}};
+  return {nullptr, value(s.scalar)};
+}
+
+// Writes `cmp3`'s three-way result through CompareLoop (DECIMAL and string
+// sides, whose order is not the raw payload's).
+template <typename Cmp3>
+void CompareThreeWay(xtra::CompKind k, size_t n, uint8_t* out, Cmp3 cmp3) {
+  CompareLoop(k, n, out, cmp3, [](size_t) { return 0; });
+}
+
+// Fills the comparison mask `m` of two non-NULL-constant sides of the typed
+// kind pairs; returns false when the kinds need the generic Datum compare.
+bool CompareTyped(xtra::CompKind k, const SideView& l, const SideView& r,
+                  ColumnVec* m) {
+  const size_t n = m->size;
+  uint8_t* out = m->b8.data();
+  if (IsI64Kind(l.kind) && IsI64Kind(r.kind)) {
+    auto get = [](const ColumnVec& c) { return c.i64.data(); };
+    auto value = [](const Datum& d) { return d.int_val(); };
+    auto [lp, lc] = Operand<int64_t>(l, get, value);
+    auto [rp, rc] = Operand<int64_t>(r, get, value);
+    CompareArrays(k, n, out, lp, lc, rp, rc);
+    return true;
+  }
+  if (IsFloatableKind(l.kind) && IsFloatableKind(r.kind)) {
+    // An INTEGER side against a DOUBLE one compares as double.
+    std::vector<double> widened[2];
+    auto doubles = [&](const SideView& s,
+                       int w) -> std::pair<const double*, double> {
+      if (s.col == nullptr) return {nullptr, s.F64At(0)};
+      if (s.col->kind == PhysKind::kF64) return {s.col->f64.data(), 0};
+      widened[w].assign(s.col->i64.begin(), s.col->i64.begin() + n);
+      return {widened[w].data(), 0};
+    };
+    auto [lp, lc] = doubles(l, 0);
+    auto [rp, rc] = doubles(r, 1);
+    CompareArrays(k, n, out, lp, lc, rp, rc);
+    return true;
+  }
+  if (IsDecimalableKind(l.kind) && IsDecimalableKind(r.kind)) {
+    if (l.col != nullptr && r.col == nullptr &&
+        l.col->kind == PhysKind::kDecimal) {
+      // DECIMAL column against a constant: rows stored at the constant's
+      // scale compare their unscaled values directly.
+      const int64_t* v = l.col->i64.data();
+      const int32_t* sc = l.col->i32b.data();
+      const Decimal c = r.DecAt(0);
+      CompareThreeWay(k, n, out, [=](size_t i) {
+        if (sc[i] == c.scale) {
+          return v[i] < c.value ? -1 : v[i] > c.value ? 1 : 0;
+        }
+        return Decimal::Compare(Decimal{v[i], sc[i]}, c);
+      });
+      return true;
+    }
+    CompareThreeWay(k, n, out, [&](size_t i) {
+      return Decimal::Compare(l.DecAt(i), r.DecAt(i));
+    });
+    return true;
+  }
+  if (l.kind == PhysKind::kString && r.kind == PhysKind::kString) {
+    CompareThreeWay(k, n, out, [&](size_t i) {
+      return TrimmedCompare(l.StrAt(i), r.StrAt(i));
+    });
+    return true;
+  }
+  if (l.kind == PhysKind::kDate && r.kind == PhysKind::kDate) {
+    auto get = [](const ColumnVec& c) { return c.i32.data(); };
+    auto value = [](const Datum& d) { return d.date_val(); };
+    auto [lp, lc] = Operand<int32_t>(l, get, value);
+    auto [rp, rc] = Operand<int32_t>(r, get, value);
+    CompareArrays(k, n, out, lp, lc, rp, rc);
+    return true;
+  }
+  if ((l.kind == PhysKind::kTime && r.kind == PhysKind::kTime) ||
+      (l.kind == PhysKind::kTimestamp && r.kind == PhysKind::kTimestamp)) {
+    auto get = [](const ColumnVec& c) { return c.i64.data(); };
+    auto value = [](const Datum& d) {
+      return d.is_time() ? d.time_val() : d.timestamp_val();
+    };
+    auto [lp, lc] = Operand<int64_t>(l, get, value);
+    auto [rp, rc] = Operand<int64_t>(r, get, value);
+    CompareArrays(k, n, out, lp, lc, rp, rc);
+    return true;
+  }
+  return false;
+}
+
+// Splits a boolean operand over `m` rows into a known-TRUE plane `t` and a
+// known-FALSE plane `f` (a row in neither is NULL).
+void TruthPlanes(const Executor::VecVal& v, size_t m, std::vector<uint8_t>* t,
+                 std::vector<uint8_t>* f) {
+  t->assign(m, 0);
+  f->assign(m, 0);
+  uint8_t* tp = t->data();
+  uint8_t* fp = f->data();
+  if (v.is_const) {
+    if (v.scalar.is_null()) return;
+    const bool b = v.scalar.is_bool() && v.scalar.bool_val();
+    std::fill(b ? tp : fp, (b ? tp : fp) + m, 1);
+    return;
+  }
+  const ColumnVec& c = *v.col;
+  if (c.kind == PhysKind::kBool) {
+    // b8 is already 0 on NULL rows.
+    const uint8_t* b8 = c.b8.data();
+    const uint8_t* valid = c.valid.data();
+    std::memcpy(tp, b8, m);
+    if (c.nulls == 0) {
+      for (size_t i = 0; i < m; ++i) fp[i] = b8[i] ^ 1;
+    } else {
+      for (size_t i = 0; i < m; ++i) {
+        fp[i] = static_cast<uint8_t>(((valid[i >> 3] >> (i & 7)) & 1) &
+                                     (b8[i] ^ 1));
+      }
+    }
+    return;
+  }
+  for (size_t i = 0; i < m; ++i) {
+    if (c.IsNull(i)) continue;
+    Datum d = c.GetDatum(i);
+    const bool b = d.is_bool() && d.bool_val();
+    tp[i] = b ? 1 : 0;
+    fp[i] = b ? 0 : 1;
+  }
+}
+
+// The kinds an IN-list of same-kind constants probes without boxing.
+bool IsInListTypedKind(PhysKind k) {
+  return k == PhysKind::kI64 || k == PhysKind::kDate ||
+         k == PhysKind::kString;
 }
 
 // GatherColumn treats UINT32_MAX as a NULL-row sentinel (outer join padding).
@@ -322,89 +539,51 @@ Result<Executor::VecVal> Executor::EvalExprVec(const Expr& e, VecCtx& ctx) {
         }
         return out;
       }
-      // A NULL constant side nulls the whole mask.
-      if ((lv.is_const && lv.scalar.is_null()) ||
-          (rv.is_const && rv.scalar.is_null())) {
-        auto col = std::make_shared<ColumnVec>(PhysKind::kBool);
-        col->Reserve(n);
-        for (size_t r = 0; r < n; ++r) col->AppendNull();
-        VecVal out;
-        out.col = std::move(col);
-        return out;
-      }
       SideView l = MakeSide(lv), r = MakeSide(rv);
-      auto col = std::make_shared<ColumnVec>(PhysKind::kBool);
-      col->Reserve(n);
-      auto loop = [&](auto&& cmp3) {
+      auto mask = NewMask(n);
+      NullWhere(mask.get(), l);
+      NullWhere(mask.get(), r);
+      const bool null_const = (lv.is_const && lv.scalar.is_null()) ||
+                              (rv.is_const && rv.scalar.is_null());
+      if (!null_const && !CompareTyped(e.comp, l, r, mask.get())) {
+        // Generic: Datum::Compare per non-NULL row (still no tree-walking).
         for (size_t i = 0; i < n; ++i) {
-          if (l.IsNullAt(i) || r.IsNullAt(i)) {
-            col->AppendNull();
-          } else {
-            col->Append(Datum::Bool(CompToBool(e.comp, cmp3(i))));
-          }
-        }
-      };
-      if (IsI64Kind(l.kind) && IsI64Kind(r.kind)) {
-        loop([&](size_t i) {
-          int64_t a = l.I64At(i), b = r.I64At(i);
-          return a < b ? -1 : a > b ? 1 : 0;
-        });
-      } else if (IsFloatableKind(l.kind) && IsFloatableKind(r.kind)) {
-        loop([&](size_t i) {
-          double a = l.F64At(i), b = r.F64At(i);
-          return a < b ? -1 : a > b ? 1 : 0;
-        });
-      } else if (IsDecimalableKind(l.kind) && IsDecimalableKind(r.kind)) {
-        loop([&](size_t i) { return Decimal::Compare(l.DecAt(i), r.DecAt(i)); });
-      } else if (l.kind == PhysKind::kString && r.kind == PhysKind::kString) {
-        loop([&](size_t i) { return TrimmedCompare(l.StrAt(i), r.StrAt(i)); });
-      } else if (l.kind == PhysKind::kDate && r.kind == PhysKind::kDate) {
-        loop([&](size_t i) {
-          int32_t a = l.DateAt(i), b = r.DateAt(i);
-          return a < b ? -1 : a > b ? 1 : 0;
-        });
-      } else if ((l.kind == PhysKind::kTime && r.kind == PhysKind::kTime) ||
-                 (l.kind == PhysKind::kTimestamp &&
-                  r.kind == PhysKind::kTimestamp)) {
-        loop([&](size_t i) {
-          int64_t a = l.TimeAt(i), b = r.TimeAt(i);
-          return a < b ? -1 : a > b ? 1 : 0;
-        });
-      } else {
-        // Generic: Datum::Compare per row (still no tree-walking).
-        for (size_t i = 0; i < n; ++i) {
-          if (l.IsNullAt(i) || r.IsNullAt(i)) {
-            col->AppendNull();
-            continue;
-          }
+          if (mask->IsNull(i)) continue;
           HQ_ASSIGN_OR_RETURN(int c, Datum::Compare(l.At(i), r.At(i)));
-          col->Append(Datum::Bool(CompToBool(e.comp, c)));
+          mask->b8[i] = CompToBool(e.comp, c) ? 1 : 0;
         }
       }
+      SealMask(mask.get());
       VecVal out;
-      out.col = std::move(col);
+      out.col = std::move(mask);
       return out;
     }
     case ExprKind::kBool: {
-      // Kleene AND/OR. Children are evaluated over the whole chunk, except
-      // that a child holding a subquery runs only on the rows the earlier
-      // children left undecided, as per-row short-circuiting would: its
-      // subplan costs per row. If any child errors, fall back to the scalar
-      // interpreter, whose short-circuiting keeps errors in unreached
-      // operands invisible.
-      bool is_and = e.boolk == xtra::BoolKind::kAnd;
-      const uint8_t decided = is_and ? 0 : 1;  // no later child changes it
-      // 0 = false, 1 = true, 2 = NULL.
-      std::vector<uint8_t> acc(n, is_and ? 1 : 0);
-      std::vector<uint32_t> live;  // undecided rows, for a subquery child
+      // Kleene AND/OR over a known-TRUE plane `t` and a known-FALSE plane
+      // `f` (a row in neither is NULL). While no operand has had a NULL row,
+      // `f` is implicitly !t and is not kept: each NULL-free mask then costs
+      // one pass. Children are evaluated over the whole chunk, except that a
+      // child holding a subquery runs only on the rows the earlier children
+      // left undecided, as per-row short-circuiting would: its subplan costs
+      // per row. If any child errors, fall back to the scalar interpreter,
+      // whose short-circuiting keeps errors in unreached operands invisible.
+      const bool is_and = e.boolk == xtra::BoolKind::kAnd;
+      std::vector<uint8_t> t(n, is_and ? 1 : 0), f;
+      bool planes = false;  // `f` is materialized
+      std::vector<uint8_t> ct, cf;  // a child's planes
+      std::vector<uint32_t> live;   // undecided rows, for a subquery child
       std::vector<int> slots;
       for (const auto& c : e.children) {
         live.clear();
         slots.clear();
         bool all_rows = true;
         if (!CollectSlots(*c, *ctx.layout, &slots)) {  // holds a subquery
+          // No later child changes a row AND has seen FALSE or OR has seen
+          // TRUE.
           for (size_t r = 0; r < n; ++r) {
-            if (acc[r] != decided) live.push_back(static_cast<uint32_t>(r));
+            const bool decided = is_and ? (planes ? f[r] != 0 : t[r] == 0)
+                                        : t[r] != 0;
+            if (!decided) live.push_back(static_cast<uint32_t>(r));
           }
           if (live.empty()) break;
           all_rows = live.size() == n;
@@ -418,55 +597,46 @@ Result<Executor::VecVal> Executor::EvalExprVec(const Expr& e, VecCtx& ctx) {
         }
         auto cv = EvalExprVec(*c, all_rows ? ctx : subset_ctx);
         if (!cv.ok()) return EvalExprVecFallback(e, ctx);
-        uint8_t const_state = 0;
-        const ColumnVec* ccol = nullptr;
-        if (cv->is_const) {
-          const_state = cv->scalar.is_null() ? 2
-                        : (cv->scalar.is_bool() && cv->scalar.bool_val()) ? 1
-                                                                          : 0;
-        } else {
-          ccol = cv->col.get();
+        uint8_t* tp = t.data();
+        if (all_rows && !planes && !cv->is_const &&
+            cv->col->kind == PhysKind::kBool && cv->col->nulls == 0) {
+          const uint8_t* b8 = cv->col->b8.data();
+          if (is_and) {
+            for (size_t r = 0; r < n; ++r) tp[r] &= b8[r];
+          } else {
+            for (size_t r = 0; r < n; ++r) tp[r] |= b8[r];
+          }
+          continue;
         }
         const size_t m = all_rows ? n : live.size();
+        TruthPlanes(*cv, m, &ct, &cf);
+        if (!planes) {
+          f.resize(n);
+          for (size_t r = 0; r < n; ++r) f[r] = t[r] ^ 1;
+          planes = true;
+        }
+        uint8_t* fp = f.data();
         for (size_t i = 0; i < m; ++i) {
-          uint8_t s = const_state;
-          if (ccol) {
-            if (ccol->IsNull(i)) {
-              s = 2;
-            } else if (ccol->kind == PhysKind::kBool) {
-              s = ccol->b8[i] != 0 ? 1 : 0;
-            } else {
-              Datum d = ccol->GetDatum(i);
-              s = d.is_bool() && d.bool_val() ? 1 : 0;
-            }
-          }
-          uint8_t& a = acc[all_rows ? i : live[i]];
-          if (is_and) {
-            if (s == 0) {
-              a = 0;
-            } else if (s == 2 && a == 1) {
-              a = 2;
-            }
-          } else {
-            if (s == 1) {
-              a = 1;
-            } else if (s == 2 && a == 0) {
-              a = 2;
-            }
-          }
+          const size_t r = all_rows ? i : live[i];
+          tp[r] = is_and ? tp[r] & ct[i] : tp[r] | ct[i];
+          fp[r] = is_and ? fp[r] | cf[i] : fp[r] & cf[i];
         }
       }
-      auto col = std::make_shared<ColumnVec>(PhysKind::kBool);
-      col->Reserve(n);
-      for (size_t r = 0; r < n; ++r) {
-        if (acc[r] == 2) {
-          col->AppendNull();
-        } else {
-          col->Append(Datum::Bool(acc[r] == 1));
+      std::shared_ptr<ColumnVec> mask = NewMask(n);
+      if (planes) {
+        for (size_t byte = 0; byte < mask->valid.size(); ++byte) {
+          uint8_t bits = 0;
+          const size_t end = std::min(n, byte * 8 + 8);
+          for (size_t r = byte * 8; r < end; ++r) {
+            bits |= static_cast<uint8_t>((t[r] | f[r]) << (r & 7));
+          }
+          mask->valid[byte] = bits;
         }
       }
+      mask->b8 = std::move(t);
+      SealMask(mask.get());
       VecVal out;
-      out.col = std::move(col);
+      out.col = std::move(mask);
       return out;
     }
     case ExprKind::kNot: {
@@ -478,20 +648,19 @@ Result<Executor::VecVal> Executor::EvalExprVec(const Expr& e, VecCtx& ctx) {
                                          : Datum::Bool(!cv.scalar.bool_val());
         return out;
       }
-      auto col = std::make_shared<ColumnVec>(PhysKind::kBool);
-      col->Reserve(n);
       const ColumnVec& src = *cv.col;
-      for (size_t r = 0; r < n; ++r) {
-        if (src.IsNull(r)) {
-          col->AppendNull();
-        } else if (src.kind == PhysKind::kBool) {
-          col->Append(Datum::Bool(src.b8[r] == 0));
-        } else {
-          col->Append(Datum::Bool(!src.GetDatum(r).bool_val()));
+      auto mask = NewMask(n);
+      NullWhere(mask.get(), MakeSide(cv));
+      if (src.kind == PhysKind::kBool) {
+        for (size_t r = 0; r < n; ++r) mask->b8[r] = src.b8[r] ^ 1;
+      } else {
+        for (size_t r = 0; r < n; ++r) {
+          if (!src.IsNull(r)) mask->b8[r] = !src.GetDatum(r).bool_val();
         }
       }
+      SealMask(mask.get());
       VecVal out;
-      out.col = std::move(col);
+      out.col = std::move(mask);
       return out;
     }
     case ExprKind::kIsNull: {
@@ -503,15 +672,13 @@ Result<Executor::VecVal> Executor::EvalExprVec(const Expr& e, VecCtx& ctx) {
                                            : cv.scalar.is_null());
         return out;
       }
-      auto col = std::make_shared<ColumnVec>(PhysKind::kBool);
-      col->Reserve(n);
       const ColumnVec& src = *cv.col;
+      auto mask = NewMask(n);
       for (size_t r = 0; r < n; ++r) {
-        bool is_null = src.IsNull(r);
-        col->Append(Datum::Bool(e.negated ? !is_null : is_null));
+        mask->b8[r] = src.IsNull(r) != e.negated ? 1 : 0;
       }
       VecVal out;
-      out.col = std::move(col);
+      out.col = std::move(mask);
       return out;
     }
     case ExprKind::kCast: {
@@ -657,18 +824,17 @@ Result<Executor::VecVal> Executor::EvalExprVec(const Expr& e, VecCtx& ctx) {
           (p.col && p.kind != PhysKind::kString)) {
         return EvalExprVecFallback(e, ctx);
       }
-      auto col = std::make_shared<ColumnVec>(PhysKind::kBool);
-      col->Reserve(n);
+      auto mask = NewMask(n);
+      NullWhere(mask.get(), v);
+      NullWhere(mask.get(), p);
       for (size_t i = 0; i < n; ++i) {
-        if (v.IsNullAt(i) || p.IsNullAt(i)) {
-          col->AppendNull();
-          continue;
-        }
+        if (mask->IsNull(i)) continue;
         bool m = LikeMatch(v.StrAt(i), p.StrAt(i), escape, has_escape);
-        col->Append(Datum::Bool(e.negated ? !m : m));
+        mask->b8[i] = m != e.negated ? 1 : 0;
       }
+      SealMask(mask.get());
       VecVal out;
-      out.col = std::move(col);
+      out.col = std::move(mask);
       return out;
     }
     case ExprKind::kInList: {
@@ -683,38 +849,64 @@ Result<Executor::VecVal> Executor::EvalExprVec(const Expr& e, VecCtx& ctx) {
       std::vector<SideView> sides;
       sides.reserve(items.size());
       for (const auto& iv : items) sides.push_back(MakeSide(iv));
-      auto col = std::make_shared<ColumnVec>(PhysKind::kBool);
-      col->Reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (v.IsNullAt(i)) {
-          col->AppendNull();
-          continue;
+      auto mask = NewMask(n);
+      NullWhere(mask.get(), v);
+      uint8_t* out = mask->b8.data();
+      const uint8_t on_hit = e.negated ? 0 : 1;
+      bool typed = v.col != nullptr && IsInListTypedKind(v.kind);
+      for (const SideView& s : sides) {
+        typed = typed && s.col == nullptr && s.kind == v.kind;
+      }
+      if (typed && v.kind == PhysKind::kString) {
+        // Strings compare blank-trimmed, as Datum::Compare does.
+        std::vector<std::string_view> keys;
+        for (const SideView& s : sides) keys.push_back(RTrim(s.StrAt(0)));
+        for (size_t i = 0; i < n; ++i) {
+          std::string_view x = RTrim(v.col->StringAt(i));
+          bool hit = std::find(keys.begin(), keys.end(), x) != keys.end();
+          out[i] = hit ? on_hit : on_hit ^ 1;
         }
-        Datum val = v.At(i);
-        bool saw_null = false;
-        bool hit = false;
-        for (const auto& s : sides) {
-          if (s.IsNullAt(i)) {
-            saw_null = true;
-            continue;
-          }
-          HQ_ASSIGN_OR_RETURN(int c, Datum::Compare(val, s.At(i)));
-          if (c == 0) {
-            hit = true;
-            break;
-          }
+      } else if (typed) {
+        const bool date = v.kind == PhysKind::kDate;
+        std::vector<int64_t> keys;
+        for (const SideView& s : sides) {
+          keys.push_back(date ? s.scalar.date_val() : s.scalar.int_val());
         }
-        if (hit) {
-          col->Append(Datum::Bool(!e.negated));
-        } else if (saw_null) {
-          col->AppendNull();
-        } else {
-          col->Append(Datum::Bool(e.negated));
+        for (size_t i = 0; i < n; ++i) {
+          int64_t x = date ? v.col->i32[i] : v.col->i64[i];
+          bool hit = std::find(keys.begin(), keys.end(), x) != keys.end();
+          out[i] = hit ? on_hit : on_hit ^ 1;
+        }
+      } else {
+        for (size_t i = 0; i < n; ++i) {
+          if (mask->IsNull(i)) continue;
+          Datum val = v.At(i);
+          bool saw_null = false;
+          bool hit = false;
+          for (const auto& s : sides) {
+            if (s.IsNullAt(i)) {
+              saw_null = true;
+              continue;
+            }
+            HQ_ASSIGN_OR_RETURN(int c, Datum::Compare(val, s.At(i)));
+            if (c == 0) {
+              hit = true;
+              break;
+            }
+          }
+          if (hit) {
+            out[i] = on_hit;
+          } else if (saw_null) {
+            SetMaskNull(mask.get(), i);
+          } else {
+            out[i] = on_hit ^ 1;
+          }
         }
       }
-      VecVal out;
-      out.col = std::move(col);
-      return out;
+      SealMask(mask.get());
+      VecVal out_val;
+      out_val.col = std::move(mask);
+      return out_val;
     }
     case ExprKind::kFunc:
     case ExprKind::kAgg:
@@ -781,9 +973,30 @@ Result<std::vector<uint32_t>> Executor::FilterIndices(
     }
     return idx;
   }
-  idx.reserve(n);
+  const ColumnVec& m = *mask.col;
+  if (m.kind == PhysKind::kBool) {
+    // b8 is 1 exactly on the TRUE rows; eight FALSE or NULL rows at a time
+    // are skipped with one load.
+    const uint8_t* b8 = m.b8.data();
+    idx.reserve(n);
+    size_t r = 0;
+    for (; r + 8 <= n; r += 8) {
+      uint64_t word;
+      std::memcpy(&word, b8 + r, sizeof(word));
+      if (word == 0) continue;
+      for (size_t j = r; j < r + 8; ++j) {
+        if (b8[j]) idx.push_back(static_cast<uint32_t>(j));
+      }
+    }
+    for (; r < n; ++r) {
+      if (b8[r]) idx.push_back(static_cast<uint32_t>(r));
+    }
+    return idx;
+  }
   for (size_t r = 0; r < n; ++r) {
-    if (MaskTrueAt(*mask.col, r)) idx.push_back(static_cast<uint32_t>(r));
+    if (m.IsNull(r)) continue;
+    Datum d = m.GetDatum(r);
+    if (d.is_bool() && d.bool_val()) idx.push_back(static_cast<uint32_t>(r));
   }
   return idx;
 }
@@ -1383,5 +1596,108 @@ Result<Relation> Executor::ExecLimit(const Op& op) {
   return rel;
 }
 
+// ---------------------------------------------------------------------------
+// UPDATE / DELETE
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Target column ids onto table slots: the snapshot's layout.
+std::map<int, int> DmlLayout(const Op& op) {
+  std::map<int, int> layout;
+  for (size_t i = 0; i < op.target_col_ids.size(); ++i) {
+    layout[op.target_col_ids[i]] = static_cast<int>(i);
+  }
+  return layout;
+}
+
+}  // namespace
+
+Result<std::vector<uint32_t>> Executor::DmlTargetRows(
+    const Op& op, const ColumnBatch& snapshot,
+    const std::map<int, int>& layout) {
+  if (op.predicate == nullptr) {
+    std::vector<uint32_t> all(snapshot.rows);
+    for (size_t r = 0; r < all.size(); ++r) all[r] = static_cast<uint32_t>(r);
+    return all;
+  }
+  // An empty table evaluates nothing, as a row-at-a-time loop would not.
+  if (snapshot.rows == 0) return std::vector<uint32_t>{};
+  return FilterIndices(*op.predicate, snapshot, layout);
+}
+
+Result<int64_t> Executor::ExecUpdate(const Op& op, Table* table) {
+  std::vector<int> assign_slots;
+  for (const auto& [name, e] : op.assignments) {
+    int idx = table->FindColumn(name);
+    if (idx < 0) {
+      return Status::ExecutionError("column '", name, "' does not exist");
+    }
+    assign_slots.push_back(idx);
+  }
+  std::shared_ptr<const ColumnBatch> snapshot = table->ColumnarSnapshot();
+  const std::map<int, int> layout = DmlLayout(op);
+  HQ_ASSIGN_OR_RETURN(std::vector<uint32_t> hits,
+                      DmlTargetRows(op, *snapshot, layout));
+  if (hits.empty()) return 0;
+  // Every assignment reads the matched rows' old values, so all new values
+  // are computed (and cast) before any row changes; an error leaves the
+  // table untouched.
+  std::shared_ptr<const ColumnBatch> matched = KeepRows(snapshot, hits);
+  VecCtx ctx;
+  ctx.batch = matched.get();
+  ctx.layout = &layout;
+  std::vector<std::vector<Datum>> values(op.assignments.size());
+  for (size_t a = 0; a < op.assignments.size(); ++a) {
+    HQ_ASSIGN_OR_RETURN(VecVal v, EvalExprVec(*op.assignments[a].second, ctx));
+    SideView side = MakeSide(v);
+    const SqlType& type = table->columns[assign_slots[a]].type;
+    values[a].reserve(hits.size());
+    for (size_t k = 0; k < hits.size(); ++k) {
+      HQ_ASSIGN_OR_RETURN(Datum cast, side.At(k).CastTo(type));
+      values[a].push_back(std::move(cast));
+    }
+  }
+  for (size_t a = 0; a < values.size(); ++a) {
+    for (size_t k = 0; k < hits.size(); ++k) {
+      table->rows[hits[k]][assign_slots[a]] = std::move(values[a][k]);
+    }
+  }
+  // The successor snapshot rebuilds the assigned columns from the updated
+  // rows and shares every other column with its predecessor.
+  auto next = std::make_shared<ColumnBatch>(*snapshot);
+  for (int slot : assign_slots) {
+    BatchBuilder column({table->columns[slot].type});
+    column.Reserve(table->rows.size());
+    for (const Row& row : table->rows) column.Append(0, row[slot]);
+    next->columns[slot] = column.Finish()->columns[0];
+  }
+  table->PublishSnapshot(std::move(next));
+  return static_cast<int64_t>(hits.size());
+}
+
+Result<int64_t> Executor::ExecDelete(const Op& op, Table* table) {
+  std::shared_ptr<const ColumnBatch> snapshot = table->ColumnarSnapshot();
+  HQ_ASSIGN_OR_RETURN(std::vector<uint32_t> hits,
+                      DmlTargetRows(op, *snapshot, DmlLayout(op)));
+  if (hits.empty()) return 0;
+  std::vector<uint32_t> kept;
+  kept.reserve(snapshot->rows - hits.size());
+  std::vector<Row> kept_rows;
+  kept_rows.reserve(snapshot->rows - hits.size());
+  size_t h = 0;
+  for (size_t r = 0; r < snapshot->rows; ++r) {
+    if (h < hits.size() && hits[h] == r) {
+      ++h;
+      continue;
+    }
+    kept.push_back(static_cast<uint32_t>(r));
+    kept_rows.push_back(std::move(table->rows[r]));
+  }
+  table->rows = std::move(kept_rows);
+  // The successor snapshot gathers the kept rows.
+  table->PublishSnapshot(KeepRows(snapshot, kept));
+  return static_cast<int64_t>(hits.size());
+}
 
 }  // namespace hyperq::vdb

@@ -17,6 +17,12 @@ std::shared_ptr<const ColumnBatch> Table::ColumnarSnapshot() const {
   return snapshot_;
 }
 
+void Table::PublishSnapshot(std::shared_ptr<const ColumnBatch> next) {
+  ++version;
+  snapshot_ = std::move(next);
+  snapshot_version_ = version;
+}
+
 int Table::FindColumn(const std::string& col_name) const {
   for (size_t i = 0; i < columns.size(); ++i) {
     if (EqualsIgnoreCase(columns[i].name, col_name)) {

@@ -1,9 +1,13 @@
-// In-memory storage of the vdb target engine: plain row-oriented tables.
+// In-memory storage of the vdb target engine: row-oriented tables, each
+// with a cached, immutable columnar snapshot that scans share.
 //
 // vdb stands in for the commercial cloud data warehouse of the paper's
-// evaluation (see DESIGN.md, substitution table). Its storage layer is
-// deliberately simple — correctness and a realistic execution-cost profile
-// matter here, not raw scan speed.
+// evaluation (see DESIGN.md, substitution table). Its scan and filter speed
+// sets the denominator of every "Hyper-Q share of execution" figure, so it
+// matters: a scan shares the snapshot without copying, and UPDATE and
+// DELETE publish a successor snapshot that shares every column they did
+// not change, instead of leaving the next scan to rebuild the table
+// (DESIGN.md §15).
 
 #pragma once
 
@@ -42,6 +46,13 @@ struct Table {
   /// shared: repeated scans of an unmodified table reuse one snapshot with
   /// no copying. Callers must hold the engine lock (same rule as `rows`).
   std::shared_ptr<const ColumnBatch> ColumnarSnapshot() const;
+
+  /// \brief Installs `next` as the columnar view of `rows` and bumps
+  /// `version`. For UPDATE and DELETE, which change `rows` and derive `next`
+  /// from the previous snapshot themselves (sharing its untouched columns),
+  /// so the next scan does not rebuild the table. Holders of the previous
+  /// snapshot keep reading it: published columns are never mutated.
+  void PublishSnapshot(std::shared_ptr<const ColumnBatch> next);
 
  private:
   mutable std::shared_ptr<const ColumnBatch> snapshot_;

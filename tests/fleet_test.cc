@@ -315,6 +315,31 @@ TEST_F(FleetTest, PlacementIsDeterministicUnderSeededLoad) {
   for (int i = 0; i < 4; ++i) pool.Release(0, Status::OK());
 }
 
+TEST_F(FleetTest, LogonsOnAnIdleFleetSpreadBySessionsHeld) {
+  vdb::Engine engine;
+  service::HyperQService service(&engine, FleetServiceOptions(3));
+  std::vector<uint32_t> sids;
+  int held[3] = {0, 0, 0};
+  for (int i = 0; i < 8; ++i) {
+    auto sid = service.OpenSession("s" + std::to_string(i));
+    ASSERT_TRUE(sid.ok()) << sid.status();
+    sids.push_back(*sid);
+    ++held[service.session_backend(*sid)];
+  }
+  // In-flight counts are all zero between logons, so only the sessions each
+  // replica already holds can spread them: 3/3/2 in some order.
+  const int most = *std::max_element(held, held + 3);
+  const int fewest = *std::min_element(held, held + 3);
+  EXPECT_LE(most - fewest, 1) << held[0] << "/" << held[1] << "/" << held[2];
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(service.backend_pool()->sessions(i), held[i]);
+  }
+  for (uint32_t sid : sids) service.CloseSession(sid);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(service.backend_pool()->sessions(i), 0);
+  }
+}
+
 TEST_F(FleetTest, StickyWinsWhileEligibleAndExclusionOverridesIt) {
   vdb::Engine engine;
   PoolOptions options;
@@ -761,9 +786,10 @@ TEST_F(FleetTest, HardKillMidWorkloadCompletesAtLeast99Percent) {
 
 // Tail soak (DESIGN.md §11): one replica is slow — not dead — so health
 // scoring, the breaker, and failover never fire; only hedged reads can
-// rescue the tail. The same workload runs hedged and unhedged: hedging
-// must cut the p99, deliver every result exactly once, and leak neither
-// sessions nor pool slots.
+// rescue the tail. The same workload runs hedged and unhedged, in three
+// pairs: hedging must cut the p99, deliver every result exactly once, and
+// leak neither sessions nor pool slots. It compares wall-clock tails, so
+// tests/CMakeLists.txt runs it alone (RUN_SERIAL).
 TEST_F(FleetTest, SlowReplicaSoakHedgingCutsTailWithoutDuplicates) {
   constexpr int kWorkers = 4;
   constexpr int kQueriesPerWorker = 25;
@@ -856,12 +882,33 @@ TEST_F(FleetTest, SlowReplicaSoakHedgingCutsTailWithoutDuplicates) {
     return all[(all.size() * 99) / 100 - 1];
   };
 
-  double unhedged_p99 = run_soak(false);
-  double hedged_p99 = run_soak(true);
-  EXPECT_LT(hedged_p99, unhedged_p99)
-      << "hedging must cut the slow-replica tail (hedged p99 "
-      << hedged_p99 / 1000 << "ms vs unhedged " << unhedged_p99 / 1000
-      << "ms)";
+  // Three interleaved pairs (which side runs first alternates); the bar
+  // applies to the median pair by margin, so one soak disturbed by a busy
+  // host cannot decide the outcome.
+  struct Pair {
+    double unhedged_p99;
+    double hedged_p99;
+  };
+  std::vector<Pair> pairs;
+  for (int i = 0; i < 3; ++i) {
+    Pair p{};
+    if (i % 2 == 0) {
+      p.unhedged_p99 = run_soak(false);
+      p.hedged_p99 = run_soak(true);
+    } else {
+      p.hedged_p99 = run_soak(true);
+      p.unhedged_p99 = run_soak(false);
+    }
+    pairs.push_back(p);
+  }
+  std::sort(pairs.begin(), pairs.end(), [](const Pair& a, const Pair& b) {
+    return a.unhedged_p99 - a.hedged_p99 < b.unhedged_p99 - b.hedged_p99;
+  });
+  const Pair& median = pairs[1];
+  EXPECT_LT(median.hedged_p99, median.unhedged_p99)
+      << "hedging must cut the slow-replica tail (median pair: hedged p99 "
+      << median.hedged_p99 / 1000 << "ms vs unhedged "
+      << median.unhedged_p99 / 1000 << "ms)";
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "types/datum.h"
 #include "types/date.h"
 #include "types/decimal.h"
@@ -224,6 +226,36 @@ TEST_P(DateEncodingProperty, RoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Decades, DateEncodingProperty,
                          ::testing::Range(0, 8));
+
+// The inline encoder against the decoder for every day of 1900-2100 (so
+// every pre-1970 day of the century too), and against CivilFromDays on
+// both sides of its fast path's range and out to the int32 limits.
+TEST(TypeTest, DateToTeradataIntRoundTripsEveryDayOf1900To2100) {
+  const int32_t first = DaysFromCivil(1900, 1, 1);
+  const int32_t last = DaysFromCivil(2100, 12, 31);
+  ASSERT_LT(first, 0);
+  for (int32_t days = first; days <= last; ++days) {
+    const int64_t encoded = DateToTeradataInt(days);
+    auto back = TeradataIntToDate(encoded);
+    ASSERT_TRUE(back.ok()) << days << " -> " << encoded;
+    ASSERT_EQ(*back, days) << encoded;
+  }
+  EXPECT_EQ(DateToTeradataInt(first), 101);
+  EXPECT_EQ(DateToTeradataInt(DaysFromCivil(1969, 12, 31)), 691231);
+  EXPECT_EQ(DateToTeradataInt(last), 2001231);
+  for (int64_t days : {int64_t{INT32_MIN}, int64_t{-12699423},
+                       int64_t{-12699422}, int64_t{1061042401},
+                       int64_t{1061042402}, int64_t{-1000000}, int64_t{-719469},
+                       int64_t{-719468}, int64_t{-25568}, int64_t{-1},
+                       int64_t{0}, int64_t{2932896},
+                       int64_t{INT32_MAX} - 719468}) {
+    int y, m, d;
+    CivilFromDays(static_cast<int32_t>(days), &y, &m, &d);
+    EXPECT_EQ(DateToTeradataInt(static_cast<int32_t>(days)),
+              static_cast<int64_t>(y - 1900) * 10000 + m * 100 + d)
+        << days;
+  }
+}
 
 }  // namespace
 }  // namespace hyperq

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "result_rows.h"
 #include "vdb/engine.h"
 
@@ -410,6 +415,246 @@ TEST_F(VdbTest, AmbiguousColumnRejected) {
   Must("CREATE TABLE x (k INTEGER)");
   Must("CREATE TABLE y (k INTEGER)");
   EXPECT_TRUE(Fails("SELECT k FROM x, y WHERE x.k = y.k").IsBindError());
+}
+
+// --- Predicate mask kernels against the scalar interpreter ------------------
+//
+// Every predicate below runs twice: as a WHERE clause, on the column mask
+// kernels, and wrapped as CASE WHEN p THEN 1 ELSE 0 END = 1, whose CASE the
+// vector evaluator hands to the row-at-a-time interpreter. The two must
+// select the same rows; so must NOT (p), which separates a NULL row from a
+// FALSE one.
+class VdbMaskOracleTest : public VdbTest {
+ protected:
+  // Column pairs per type: (first, second, a literal of the type).
+  struct Typed {
+    const char* a;
+    const char* b;
+    const char* lit;
+  };
+  static std::vector<Typed> Types() {
+    return {{"I", "I2", "2"},
+            {"D", "D2", "2.00"},
+            {"F", "F2", "2.0E0"},
+            {"DT", "DT2", "DATE '2014-01-02'"},
+            {"S", "S2", "'b'"},
+            {"C", "C2", "'b'"},
+            {"TS", "TS2", "TIMESTAMP '2014-01-02 10:00:00'"}};
+  }
+  static constexpr const char* kOps[] = {"=", "<>", "<", "<=", ">", ">="};
+
+  void SetUp() override {
+    const char* schema =
+        " (K INTEGER, I INTEGER, I2 INTEGER, D DECIMAL(9,2), D2 DECIMAL(9,2),"
+        " F DOUBLE PRECISION, F2 DOUBLE PRECISION, DT DATE, DT2 DATE,"
+        " S VARCHAR(10), S2 VARCHAR(10), C CHAR(5), C2 CHAR(5), TS TIMESTAMP,"
+        " TS2 TIMESTAMP, N INTEGER)";
+    Must(std::string("CREATE TABLE T") + schema);
+    Must(std::string("CREATE TABLE E") + schema);  // stays empty
+    const char* ints[] = {"1", "2", "3"};
+    const char* decs[] = {"1.50", "2.00", "2.50"};
+    const char* dbls[] = {"1.5E0", "2.0E0", "2.5E0"};
+    const char* dates[] = {"DATE '2014-01-01'", "DATE '2014-01-02'",
+                           "DATE '2014-01-03'"};
+    // 'b ' equals 'b' under blank-padded comparison.
+    const char* strs[] = {"'a'", "'b '", "'b'", "'c'"};
+    const char* stamps[] = {"TIMESTAMP '2014-01-02 09:00:00'",
+                            "TIMESTAMP '2014-01-02 10:00:00'",
+                            "TIMESTAMP '2014-01-02 11:00:00'"};
+    for (int k = 0; k < 24; ++k) {
+      // Column c of row k is NULL when (k + 3c) % 5 == 0: every column has
+      // NULLs, on different rows.
+      auto v = [&](int c, const char* const* dom, int size) -> std::string {
+        if ((k + 3 * c) % 5 == 0) return "NULL";
+        return dom[(k * (c + 1) + c) % size];
+      };
+      std::string row = "(" + std::to_string(k);
+      row += ", " + v(1, ints, 3) + ", " + v(2, ints, 3);
+      row += ", " + v(3, decs, 3) + ", " + v(4, decs, 3);
+      row += ", " + v(5, dbls, 3) + ", " + v(6, dbls, 3);
+      row += ", " + v(7, dates, 3) + ", " + v(8, dates, 3);
+      row += ", " + v(9, strs, 4) + ", " + v(10, strs, 4);
+      row += ", " + v(11, strs, 4) + ", " + v(12, strs, 4);
+      row += ", " + v(13, stamps, 3) + ", " + v(14, stamps, 3);
+      row += ", NULL)";
+      Must("INSERT INTO T VALUES " + row);
+    }
+  }
+
+  std::vector<int64_t> Keys(const std::string& sql) {
+    std::vector<int64_t> keys;
+    for (const Row& r : Must(sql).rows) keys.push_back(r[0].int_val());
+    return keys;
+  }
+
+  // `p` and NOT (p) select the same rows of `table` on the kernels as on
+  // the interpreter.
+  void ExpectOracle(const std::string& p, const char* table = "T") {
+    for (const std::string& q : {p, "NOT (" + p + ")"}) {
+      std::string from = std::string("SELECT K FROM ") + table + " WHERE ";
+      auto kernel = Keys(from + q + " ORDER BY K");
+      auto oracle =
+          Keys(from + "CASE WHEN " + q + " THEN 1 ELSE 0 END = 1 ORDER BY K");
+      EXPECT_EQ(kernel, oracle) << "WHERE " << q << " on " << table;
+    }
+  }
+
+  // Every CompKind over every type, as col-const, const-col and col-col.
+  std::vector<std::string> Atoms() {
+    std::vector<std::string> atoms;
+    for (const Typed& t : Types()) {
+      for (const char* op : kOps) {
+        atoms.push_back(std::string(t.a) + " " + op + " " + t.lit);
+        atoms.push_back(std::string(t.lit) + " " + op + " " + t.a);
+        atoms.push_back(std::string(t.a) + " " + op + " " + t.b);
+      }
+    }
+    return atoms;
+  }
+};
+
+TEST_F(VdbMaskOracleTest, EveryComparisonMatchesTheInterpreter) {
+  std::vector<std::string> atoms = Atoms();
+  ASSERT_EQ(atoms.size(), 7u * 6u * 3u);
+  for (const std::string& p : atoms) {
+    ExpectOracle(p);
+    ExpectOracle(p, "E");
+  }
+  // Mixed kinds: INTEGER against DECIMAL and DOUBLE, a DECIMAL column
+  // against an INTEGER constant of another scale, DATE against TIMESTAMP.
+  for (const char* op : kOps) {
+    for (const char* p : {"I %s D", "I %s F", "D %s 2", "2 %s D", "DT %s TS",
+                          "N %s 1", "N %s I", "I %s NULL"}) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), p, op);
+      ExpectOracle(buf);
+    }
+  }
+}
+
+TEST_F(VdbMaskOracleTest, AndOrNotNestsWithNullOperandsMatchTheInterpreter) {
+  const std::vector<std::string> atoms = {
+      "I >= 2", "D < 2.00", "S = 'b'", "DT <> DATE '2014-01-01'",
+      "TS > TS2", "F <= F2", "N = 1", "I = NULL", "C >= C2"};
+  for (size_t a = 0; a < atoms.size(); ++a) {
+    for (size_t b = 0; b < atoms.size(); ++b) {
+      const std::string& x = atoms[a];
+      const std::string& y = atoms[b];
+      const std::string& z = atoms[(a + b + 1) % atoms.size()];
+      ExpectOracle(x + " AND " + y);
+      ExpectOracle(x + " OR " + y);
+      ExpectOracle("NOT (" + x + ") AND " + y);
+      ExpectOracle(x + " AND (" + y + " OR " + z + ")");
+      ExpectOracle("(" + x + " OR " + y + ") AND NOT (" + z + ")");
+    }
+    ExpectOracle(atoms[a] + " AND " + atoms[a] + " AND " + atoms[a], "E");
+  }
+}
+
+TEST_F(VdbMaskOracleTest, IsNullLikeAndInListMatchTheInterpreter) {
+  for (const char* p :
+       {"I IS NULL", "I IS NOT NULL", "N IS NULL", "S LIKE 'b%'",
+        "S NOT LIKE 'b%'", "C LIKE '%b%'", "S LIKE S2", "N IS NOT NULL",
+        "I IN (1, 3)", "I NOT IN (1, 3)", "I IN (1, NULL)",
+        "I NOT IN (2, NULL)", "I IN (I2, 2)", "D IN (1.50, 2.50)",
+        "S IN ('a', 'b')", "S NOT IN ('b ', 'c')", "C IN ('b', 'c')",
+        "DT IN (DATE '2014-01-01', DATE '2014-01-03')",
+        "DT NOT IN (DATE '2014-01-02')", "N IN (1, 2)", "F IN (1.5E0, 2)",
+        "I IN (1, 2) AND S LIKE 'b%' OR N IS NULL"}) {
+    ExpectOracle(p);
+    ExpectOracle(p, "E");
+  }
+}
+
+// --- UPDATE / DELETE through the filter --------------------------------------
+
+TEST_F(VdbMaskOracleTest, UpdateSkipsRowsWherePredicateIsNull) {
+  auto before = Must("SELECT * FROM T ORDER BY K").rows;
+  auto hits = Keys("SELECT K FROM T WHERE CASE WHEN I > 1 THEN 1 ELSE 0 END "
+                   "= 1 ORDER BY K");
+  ASSERT_FALSE(hits.empty());
+  auto u = Must("UPDATE T SET I2 = 99 WHERE I > 1");
+  EXPECT_EQ(u.affected_rows, static_cast<int64_t>(hits.size()));
+  // The next read sees the assigned column on exactly the matched rows and
+  // every other column unchanged.
+  auto after = Must("SELECT * FROM T ORDER BY K").rows;
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t r = 0; r < after.size(); ++r) {
+    const bool hit = std::find(hits.begin(), hits.end(),
+                               before[r][0].int_val()) != hits.end();
+    for (size_t c = 0; c < after[r].size(); ++c) {
+      if (c == 2 && hit) {
+        EXPECT_EQ(after[r][c].ToString(), "99") << "row " << r;
+      } else {
+        EXPECT_EQ(after[r][c].ToString(), before[r][c].ToString())
+            << "row " << r << " column " << c;
+      }
+    }
+  }
+  // Later statements filter the published snapshot, including the new
+  // values.
+  EXPECT_EQ(Keys("SELECT K FROM T WHERE I2 = 99 ORDER BY K"), hits);
+}
+
+TEST_F(VdbMaskOracleTest, UpdateAssignmentsReadTheOldRow) {
+  auto before = Must("SELECT I, I2, K FROM T ORDER BY K").rows;
+  auto u = Must("UPDATE T SET I = I2, I2 = I WHERE K >= 0");
+  EXPECT_EQ(u.affected_rows, 24);
+  auto after = Must("SELECT I, I2, K FROM T ORDER BY K").rows;
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t r = 0; r < after.size(); ++r) {
+    EXPECT_EQ(after[r][0].ToString(), before[r][1].ToString());
+    EXPECT_EQ(after[r][1].ToString(), before[r][0].ToString());
+  }
+}
+
+TEST_F(VdbMaskOracleTest, FailedUpdateLeavesTheTableUntouched) {
+  auto before = Must("SELECT * FROM T ORDER BY K").rows;
+  EXPECT_FALSE(engine_.Execute("UPDATE T SET I2 = 0, I = 1 / (K - 5)").ok());
+  auto after = Must("SELECT * FROM T ORDER BY K").rows;
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t r = 0; r < after.size(); ++r) {
+    for (size_t c = 0; c < after[r].size(); ++c) {
+      EXPECT_EQ(after[r][c].ToString(), before[r][c].ToString());
+    }
+  }
+}
+
+TEST_F(VdbMaskOracleTest, DeleteThenReadKeepsRowsWherePredicateIsNotTrue) {
+  auto kept = Keys("SELECT K FROM T WHERE NOT (CASE WHEN D >= 2.00 THEN 1 "
+                   "ELSE 0 END = 1) ORDER BY K");
+  auto d = Must("DELETE FROM T WHERE D >= 2.00");
+  EXPECT_EQ(d.affected_rows, static_cast<int64_t>(24 - kept.size()));
+  EXPECT_EQ(Keys("SELECT K FROM T ORDER BY K"), kept);
+  // Rows with a NULL D survive and keep their other columns.
+  auto r = Must("SELECT K, S FROM T WHERE D IS NULL ORDER BY K").rows;
+  EXPECT_FALSE(r.empty());
+  // An INSERT after the DELETE is seen with every kept row.
+  Must("INSERT INTO T (K, D) VALUES (100, 9.99)");
+  kept.push_back(100);
+  EXPECT_EQ(Keys("SELECT K FROM T ORDER BY K"), kept);
+  EXPECT_EQ(Must("DELETE FROM T").affected_rows,
+            static_cast<int64_t>(kept.size()));
+  EXPECT_TRUE(Keys("SELECT K FROM T").empty());
+  EXPECT_EQ(Must("DELETE FROM T WHERE I = 1").affected_rows, 0);
+}
+
+TEST_F(VdbMaskOracleTest, ResultFetchedBeforeWritesKeepsOldValues) {
+  auto held = engine_.Execute("SELECT K, I2, S FROM T");
+  ASSERT_TRUE(held.ok()) << held.status();
+  const auto old_rows = ResultRows(*held);
+  Must("UPDATE T SET I2 = 7, S = 'new' WHERE K < 12");
+  Must("DELETE FROM T WHERE K >= 20");
+  // The held chunks alias the pre-write columns, which no write mutates.
+  const auto rows = ResultRows(*held);
+  ASSERT_EQ(rows.size(), old_rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t c = 0; c < rows[r].size(); ++c) {
+      EXPECT_EQ(rows[r][c].ToString(), old_rows[r][c].ToString());
+    }
+  }
+  EXPECT_EQ(Keys("SELECT K FROM T WHERE S = 'new' ORDER BY K").size(), 12u);
+  EXPECT_EQ(Keys("SELECT K FROM T").size(), 20u);
 }
 
 // Parameterized sweep: ORDER BY direction x NULLS placement over the same
