@@ -265,7 +265,7 @@ void BM_FilterRange(benchmark::State& state) {
     return;
   }
   auto table = tpch.engine.storage()->GetTable("LINEITEM");
-  const double table_rows = static_cast<double>((*table)->rows.size());
+  const double table_rows = static_cast<double>((*table)->data->rows);
   int64_t lo = 1;
   size_t out_rows = 0;
   for (auto _ : state) {

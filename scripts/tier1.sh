@@ -13,6 +13,9 @@
 #                               # `faults`, `failover`, `observability`,
 #                               # `fleet`, `tail`, `chaos`, `batch`,
 #                               # `cache`) under ThreadSanitizer
+#
+# Every mode ends by printing scripts/src_stats.sh (src/ lines, settable
+# option fields).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -97,3 +100,6 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # medians, and TSan neighbours on the other cores skew that ratio.
   ctest --test-dir build-tsan --output-on-failure -L cache
 fi
+
+# Size metrics tracked from change to change (src/ lines, option fields).
+scripts/src_stats.sh

@@ -83,14 +83,13 @@ void BackendPool::EvaluateLocked(Instance& inst,
       // (decay) restores HEALTHY and a single fresh failure re-ejects
       // quickly.
       inst.health = BackendHealth::kDegraded;
-      inst.score =
-          0.5 * (options_.health.degrade_score + options_.health.eject_score);
+      inst.score = 0.5 * (kDegradeScore + kEjectScore);
       readmissions_.fetch_add(1, std::memory_order_relaxed);
       if (readmissions_counter_ != nullptr) readmissions_counter_->Inc();
     }
     return;
   }
-  if (inst.score >= options_.health.eject_score) {
+  if (inst.score >= kEjectScore) {
     inst.health = BackendHealth::kEjected;
     ++inst.eject_count;
     // Deterministic jittered dwell: a pure function of (seed, backend,
@@ -114,9 +113,8 @@ void BackendPool::EvaluateLocked(Instance& inst,
     if (ejections_counter_ != nullptr) ejections_counter_->Inc();
     return;
   }
-  inst.health = inst.score >= options_.health.degrade_score
-                    ? BackendHealth::kDegraded
-                    : BackendHealth::kHealthy;
+  inst.health = inst.score >= kDegradeScore ? BackendHealth::kDegraded
+                                            : BackendHealth::kHealthy;
 }
 
 BackendHealth BackendPool::health(size_t i) {
@@ -235,8 +233,7 @@ void BackendPool::ReviveBackend(size_t i) {
   // the DEGRADED band, any lingering ejection cleared.
   std::lock_guard<std::mutex> lock(inst.mutex);
   inst.health = BackendHealth::kDegraded;
-  inst.score =
-      0.5 * (options_.health.degrade_score + options_.health.eject_score);
+  inst.score = 0.5 * (kDegradeScore + kEjectScore);
   inst.last_decay = std::chrono::steady_clock::now();
 }
 
@@ -256,7 +253,7 @@ Status BackendPool::ProbeBackend(size_t i) {
       probe = Status::Unavailable("backend ", inst.spec.name, " is down")
                   .WithDetail(StatusDetail::kBackendDown);
     } else {
-      auto result = inst.engine->Execute(options_.health.probe_sql);
+      auto result = inst.engine->Execute(kProbeSql);
       probe = result.status();
     }
   }

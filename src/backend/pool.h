@@ -66,14 +66,17 @@ struct BackendSpec {
   int max_in_flight = 0;
 };
 
+/// Health score thresholds: HEALTHY -> DEGRADED, DEGRADED -> EJECTED.
+inline constexpr double kDegradeScore = 1.0;
+inline constexpr double kEjectScore = 3.0;
+/// The statement an active probe runs against a replica.
+inline constexpr const char* kProbeSql = "SELECT 1";
+
 /// \brief Scoring, probing, and re-admission knobs.
 struct HealthOptions {
   double error_weight = 1.0;     // score added per liveness failure
-  double degrade_score = 1.0;    // HEALTHY -> DEGRADED threshold
-  double eject_score = 3.0;      // DEGRADED -> EJECTED threshold
   double decay_half_life_ms = 1000;
   int probe_interval_ms = 0;     // prober thread period; 0 = manual only
-  std::string probe_sql = "SELECT 1";
   int readmit_cooldown_ms = 200;  // EJECTED dwell time before probation
   double readmit_jitter = 0.5;    // extra dwell, as a fraction of cooldown
   uint64_t jitter_seed = 0x5EEDULL;
@@ -182,7 +185,7 @@ class BackendPool {
   /// \brief Probes every instance once (what the prober thread runs).
   void ProbeNow();
   /// \brief One active probe of backend `i`: the `pool.probe` fault point,
-  /// then `probe_sql` against the engine. Failures feed the health score;
+  /// then `kProbeSql` against the engine. Failures feed the health score;
   /// success past the re-admission time lifts an ejection early.
   Status ProbeBackend(size_t i);
 

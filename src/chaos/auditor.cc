@@ -280,19 +280,19 @@ void InvariantAuditor::AuditProcess(
     fds = CountOpenFds();
     threads = CountThreads();
     bool fds_ok = baseline_fds_ < 0 || fds < 0 ||
-                  fds <= baseline_fds_ + options_.fd_tolerance;
+                  fds <= baseline_fds_ + kFdTolerance;
     bool threads_ok = baseline_threads_ < 0 || threads < 0 ||
-                      threads <= baseline_threads_ + options_.thread_tolerance;
+                      threads <= baseline_threads_ + kThreadTolerance;
     if (fds_ok && threads_ok) return;
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
   } while (std::chrono::steady_clock::now() < deadline);
-  if (baseline_fds_ >= 0 && fds > baseline_fds_ + options_.fd_tolerance) {
+  if (baseline_fds_ >= 0 && fds > baseline_fds_ + kFdTolerance) {
     violations->push_back("I8 fd-leak: " + std::to_string(fds) +
                           " open fds vs baseline " +
                           std::to_string(baseline_fds_));
   }
   if (baseline_threads_ >= 0 &&
-      threads > baseline_threads_ + options_.thread_tolerance) {
+      threads > baseline_threads_ + kThreadTolerance) {
     violations->push_back("I9 thread-leak: " + std::to_string(threads) +
                           " threads vs baseline " +
                           std::to_string(baseline_threads_));

@@ -88,6 +88,10 @@ class ClientLedger {
   std::chrono::steady_clock::time_point epoch_;
 };
 
+/// Slack for the fd/thread conservation checks (I8, I9).
+inline constexpr int kFdTolerance = 2;
+inline constexpr int kThreadTolerance = 2;
+
 struct AuditorOptions {
   service::HyperQService* service = nullptr;  // required
   protocol::TdwpServer* server = nullptr;     // null = skip server checks
@@ -96,11 +100,9 @@ struct AuditorOptions {
   ResourceGovernor* governor = nullptr;
   /// Registry for hyperq.chaos.audit.{runs,violations}; null = no metrics.
   observability::MetricsRegistry* metrics = nullptr;
-  /// Slack for the fd/thread conservation checks: connection teardown and
-  /// worker reaping finish asynchronously, so the auditor retries for up
-  /// to settle_ms before calling a residue a leak.
-  int fd_tolerance = 2;
-  int thread_tolerance = 2;
+  /// Connection teardown and worker reaping finish asynchronously, so the
+  /// fd/thread conservation checks retry for up to settle_ms before calling
+  /// a residue past their slack (kFdTolerance, kThreadTolerance) a leak.
   int settle_ms = 3000;
 };
 

@@ -106,9 +106,6 @@ void SessionLoop(int session_index, const WorkloadOptions& options,
       s.connected = false;
     }
     ledger->Finish(id, delivered);
-    if (options.think_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(options.think_ms));
-    }
   }
   if (s.connected) s.client.Goodbye();
 }

@@ -29,8 +29,6 @@ struct WorkloadOptions {
   int max_attempts = 4;
   /// Row count seeded into CHAOS_T; queries select prefixes of it.
   int rows = 64;
-  /// Optional pause between queries per session (0 = back to back).
-  int think_ms = 0;
   std::string user = "alice";
   std::string password = "pw";
 };

@@ -62,7 +62,7 @@ std::vector<std::string> CanonicalRows(const vdb::QueryResult& result) {
 DifferentialHarness::DifferentialHarness(HarnessOptions options)
     : options_(std::move(options)) {
   std::vector<std::string> setup = SchemaDdl();
-  for (auto& dml : DataDml(options_.data_seed, options_.rows0, options_.rows1)) {
+  for (auto& dml : DataDml(kDataSeed)) {
     setup.push_back(std::move(dml));
   }
   for (const auto& name : options_.dialects) {

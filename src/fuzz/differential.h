@@ -52,14 +52,14 @@ struct DifferentialOutcome {
   }
 };
 
+/// Seed of the harness's deterministic fuzz data set (query_gen DataDml, at
+/// its default shape).
+inline constexpr uint64_t kDataSeed = 42;
+
 struct HarnessOptions {
   /// Dialects under test; every name must resolve via serializer
   /// FindDialect(). Order is preserved in DifferentialOutcome::runs.
   std::vector<std::string> dialects = {"ansi", "sierra", "granite"};
-  /// Seed/shape of the deterministic fuzz data set (query_gen DataDml).
-  uint64_t data_seed = 42;
-  int rows0 = 24;
-  int rows1 = 18;
   /// Test hook: rewrites the SQL-B text of one dialect before execution,
   /// used to plant a known mismatch and exercise the reducer end to end.
   /// Called as (dialect, sql_b) -> sql_b'. null = identity.

@@ -260,9 +260,6 @@ void HyperQService::RecordQueryOutcome(const Status& status) {
   } else {
     c_queries_error_->Inc();
   }
-  if (options_.query_outcome_hook) {
-    options_.query_outcome_hook(OutcomeLabel(status, nullptr));
-  }
 }
 
 void HyperQService::RecordFinishedTrace(

@@ -196,13 +196,6 @@ struct ServiceOptions {
   double slow_query_micros = 0;
   /// Sink for slow-query log lines; null = stderr.
   std::function<void(const std::string&)> slow_query_sink;
-  /// Called once per submitted query with its outcome label
-  /// ("ok"/"error"/"cancelled"/"deadline"), right where the labeled
-  /// hyperq.queries counter is stamped. The chaos invariant auditor
-  /// (DESIGN.md §13) uses this as its server-side conservation ledger:
-  /// every admitted query must surface exactly one outcome. Must be
-  /// thread-safe and cheap; null = disabled.
-  std::function<void(const char* outcome)> query_outcome_hook;
 };
 
 /// \brief Translation-path accounting, recorded uniformly by both entry

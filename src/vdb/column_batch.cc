@@ -176,6 +176,12 @@ void ColumnVec::AppendFrom(const ColumnVec& src, size_t r) {
     AppendNull();
     return;
   }
+  if (src.kind != kind) {  // into a kDatum column
+    datums.push_back(src.GetDatum(r));
+    PushValid(&valid, size, true);
+    ++size;
+    return;
+  }
   PushValid(&valid, size, true);
   switch (kind) {
     case PhysKind::kI64:
@@ -528,20 +534,16 @@ std::shared_ptr<const ColumnBatch> ConcatBatches(
   out->rows = total;
   size_t ncols = chunks[0]->columns.size();
   for (size_t c = 0; c < ncols; ++c) {
-    auto dst = std::make_shared<ColumnVec>(chunks[0]->columns[c]->kind);
+    // Mixed physical kinds across chunks (rare: a demoted column in one
+    // chunk) concatenate as kDatum.
+    PhysKind kind = chunks[0]->columns[c]->kind;
+    for (const auto& chunk : chunks) {
+      if (chunk->columns[c]->kind != kind) kind = PhysKind::kDatum;
+    }
+    auto dst = std::make_shared<ColumnVec>(kind);
     dst->Reserve(total);
     for (const auto& chunk : chunks) {
       const ColumnVec& src = *chunk->columns[c];
-      if (src.kind != dst->kind) {
-        // Mixed physical kinds across chunks (rare: a demoted column in one
-        // chunk): demote the destination too.
-        auto demoted = std::make_shared<ColumnVec>(PhysKind::kDatum);
-        demoted->Reserve(total);
-        for (size_t r = 0; r < dst->size; ++r) {
-          demoted->Append(dst->GetDatum(r));
-        }
-        dst = std::move(demoted);
-      }
       for (size_t r = 0; r < src.size; ++r) dst->AppendFrom(src, r);
     }
     out->columns.push_back(std::move(dst));

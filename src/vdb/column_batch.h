@@ -90,7 +90,8 @@ struct ColumnVec {
   /// kind does not match this column's physical kind (callers demote the
   /// column to kDatum); kDatum columns accept any kind.
   bool Append(const Datum& d);
-  /// \brief Copies row `r` of `src` (same physical kind) onto the end.
+  /// \brief Copies row `r` of `src` onto the end. `src` has this column's
+  /// physical kind, or this column is kDatum.
   void AppendFrom(const ColumnVec& src, size_t r);
   Datum GetDatum(size_t r) const;
 

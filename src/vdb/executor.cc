@@ -182,8 +182,8 @@ Result<Relation> Executor::ExecGet(const Op& op) {
   Relation rel;
   rel.cols = op.output;
   rel.BuildLayout();
-  // Zero-copy scan: share the table's cached columnar snapshot.
-  rel.chunks = {table->ColumnarSnapshot()};
+  // Zero-copy scan: share the table's batch.
+  rel.chunks = {table->data};
   return rel;
 }
 
@@ -247,8 +247,8 @@ Result<bool> Executor::ProbeSelectIndex(const Op& op, Relation* out) {
       if (idx->key_slot >= 0) break;
     }
     if (idx->key_slot >= 0) {
-      idx->snapshot = table->ColumnarSnapshot();
-      const ColumnVec& keys = *idx->snapshot->columns[idx->key_slot];
+      idx->data = table->data;
+      const ColumnVec& keys = *idx->data->columns[idx->key_slot];
       for (size_t r = 0; r < keys.size; ++r) {
         if (!keys.IsNull(r)) {
           idx->buckets[keys.GetDatum(r)].push_back(static_cast<uint32_t>(r));
@@ -267,7 +267,7 @@ Result<bool> Executor::ProbeSelectIndex(const Op& op, Relation* out) {
   if (key.is_null()) return true;
   auto bucket = idx.buckets.find(key);
   if (bucket != idx.buckets.end()) {
-    out->chunks.push_back(GatherBatch(*idx.snapshot, bucket->second));
+    out->chunks.push_back(GatherBatch(*idx.data, bucket->second));
   }
   return true;
 }
@@ -302,12 +302,16 @@ Result<int64_t> Executor::ExecuteDml(const Op& op) {
       if (n > 0 && src.cols.size() != slots.size()) {
         return Status::ExecutionError("INSERT source arity mismatch");
       }
-      // Rows are materialized here, where they become vdb's row storage.
+      // The statement's rows are built, cast and checked in full before
+      // the table changes: a failing row leaves it untouched.
+      BatchBuilder rows(table->ColumnTypes());
+      rows.Reserve(n);
       Row in;
+      Row out;
       for (const auto& chunk : src.chunks) {
         for (size_t r = 0; r < chunk->rows; ++r) {
           chunk->FillRow(r, &in);
-          Row out(table->columns.size());
+          out.assign(table->columns.size(), Datum::Null());
           for (size_t i = 0; i < slots.size(); ++i) {
             HQ_ASSIGN_OR_RETURN(Datum v,
                                 in[i].CastTo(table->columns[slots[i]].type));
@@ -319,10 +323,10 @@ Result<int64_t> Executor::ExecuteDml(const Op& op) {
                                             table->columns[i].name, "'");
             }
           }
-          table->rows.push_back(std::move(out));
+          HQ_RETURN_IF_ERROR(rows.AppendRow(out));
         }
       }
-      ++table->version;  // invalidate the cached columnar snapshot
+      table->Append(rows.Finish());
       return static_cast<int64_t>(n);
     }
     case OpKind::kUpdate:

@@ -86,14 +86,14 @@ class Executor {
   Result<Relation> ExecLimit(const xtra::Op& op);
 
   // --- UPDATE / DELETE (executor_vec.cc) ----------------------------------
-  // Both filter the table's columnar snapshot with FilterIndices and
-  // publish the successor snapshot themselves (Table::PublishSnapshot).
+  // Both filter the table's batch with FilterIndices and, once the whole
+  // statement has succeeded, assign its successor to Table::data.
   Result<int64_t> ExecUpdate(const xtra::Op& op, Table* table);
   Result<int64_t> ExecDelete(const xtra::Op& op, Table* table);
-  /// Rows of `snapshot` the DML statement `op` targets: every row without
-  /// a predicate, else the rows its predicate is TRUE on.
+  /// Rows of `data` the DML statement `op` targets: every row without a
+  /// predicate, else the rows its predicate is TRUE on.
   Result<std::vector<uint32_t>> DmlTargetRows(const xtra::Op& op,
-                                              const ColumnBatch& snapshot,
+                                              const ColumnBatch& data,
                                               const std::map<int, int>& layout);
 
   /// Evaluation context for one chunk; caches lazily materialized rows for
@@ -195,10 +195,10 @@ class Executor {
   struct SelectIndex {
     int key_slot = -1;                      // slot in the Get output
     const xtra::Expr* outer_key = nullptr;  // outer-only key expression
-    /// The table's columnar snapshot and its non-NULL key buckets (row
-    /// indices into it). The query executor never mutates storage, so the
-    /// snapshot is the table for this executor's lifetime.
-    std::shared_ptr<const ColumnBatch> snapshot;
+    /// The table's batch and its non-NULL key buckets (row indices into
+    /// it). The query executor never mutates storage, so the batch is the
+    /// table for this executor's lifetime.
+    std::shared_ptr<const ColumnBatch> data;
     std::unordered_map<Datum, std::vector<uint32_t>, DatumHashT, DatumEqT>
         buckets;
   };

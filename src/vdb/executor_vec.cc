@@ -1602,7 +1602,7 @@ Result<Relation> Executor::ExecLimit(const Op& op) {
 
 namespace {
 
-// Target column ids onto table slots: the snapshot's layout.
+// Target column ids onto table slots: the layout of the table's batch.
 std::map<int, int> DmlLayout(const Op& op) {
   std::map<int, int> layout;
   for (size_t i = 0; i < op.target_col_ids.size(); ++i) {
@@ -1611,19 +1611,37 @@ std::map<int, int> DmlLayout(const Op& op) {
   return layout;
 }
 
+// `base` with its rows `idx` (ascending) replaced, in order, by the rows of
+// `values`. The kind is kept when both agree, else the column is kDatum.
+std::shared_ptr<ColumnVec> ReplaceRows(const ColumnVec& base,
+                                       const std::vector<uint32_t>& idx,
+                                       const ColumnVec& values) {
+  auto out = std::make_shared<ColumnVec>(
+      base.kind == values.kind ? base.kind : PhysKind::kDatum);
+  out->Reserve(base.size);
+  size_t k = 0;
+  for (size_t r = 0; r < base.size; ++r) {
+    if (k < idx.size() && idx[k] == r) {
+      out->AppendFrom(values, k++);
+    } else {
+      out->AppendFrom(base, r);
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 Result<std::vector<uint32_t>> Executor::DmlTargetRows(
-    const Op& op, const ColumnBatch& snapshot,
-    const std::map<int, int>& layout) {
+    const Op& op, const ColumnBatch& data, const std::map<int, int>& layout) {
   if (op.predicate == nullptr) {
-    std::vector<uint32_t> all(snapshot.rows);
+    std::vector<uint32_t> all(data.rows);
     for (size_t r = 0; r < all.size(); ++r) all[r] = static_cast<uint32_t>(r);
     return all;
   }
   // An empty table evaluates nothing, as a row-at-a-time loop would not.
-  if (snapshot.rows == 0) return std::vector<uint32_t>{};
-  return FilterIndices(*op.predicate, snapshot, layout);
+  if (data.rows == 0) return std::vector<uint32_t>{};
+  return FilterIndices(*op.predicate, data, layout);
 }
 
 Result<int64_t> Executor::ExecUpdate(const Op& op, Table* table) {
@@ -1635,68 +1653,58 @@ Result<int64_t> Executor::ExecUpdate(const Op& op, Table* table) {
     }
     assign_slots.push_back(idx);
   }
-  std::shared_ptr<const ColumnBatch> snapshot = table->ColumnarSnapshot();
+  const std::shared_ptr<const ColumnBatch> data = table->data;
   const std::map<int, int> layout = DmlLayout(op);
   HQ_ASSIGN_OR_RETURN(std::vector<uint32_t> hits,
-                      DmlTargetRows(op, *snapshot, layout));
+                      DmlTargetRows(op, *data, layout));
   if (hits.empty()) return 0;
   // Every assignment reads the matched rows' old values, so all new values
-  // are computed (and cast) before any row changes; an error leaves the
-  // table untouched.
-  std::shared_ptr<const ColumnBatch> matched = KeepRows(snapshot, hits);
+  // are computed (and cast) before the table changes; an error leaves it
+  // untouched.
+  std::shared_ptr<const ColumnBatch> matched = KeepRows(data, hits);
   VecCtx ctx;
   ctx.batch = matched.get();
   ctx.layout = &layout;
-  std::vector<std::vector<Datum>> values(op.assignments.size());
+  std::vector<std::shared_ptr<ColumnVec>> values;
   for (size_t a = 0; a < op.assignments.size(); ++a) {
     HQ_ASSIGN_OR_RETURN(VecVal v, EvalExprVec(*op.assignments[a].second, ctx));
     SideView side = MakeSide(v);
     const SqlType& type = table->columns[assign_slots[a]].type;
-    values[a].reserve(hits.size());
+    BatchBuilder column({type});
+    column.Reserve(hits.size());
     for (size_t k = 0; k < hits.size(); ++k) {
       HQ_ASSIGN_OR_RETURN(Datum cast, side.At(k).CastTo(type));
-      values[a].push_back(std::move(cast));
+      column.Append(0, cast);
     }
+    values.push_back(column.Finish()->columns[0]);
   }
+  // The successor batch rebuilds each assigned column from its old values
+  // plus the new ones and shares every other column.
+  auto next = std::make_shared<ColumnBatch>(*data);
   for (size_t a = 0; a < values.size(); ++a) {
-    for (size_t k = 0; k < hits.size(); ++k) {
-      table->rows[hits[k]][assign_slots[a]] = std::move(values[a][k]);
-    }
+    const int slot = assign_slots[a];
+    next->columns[slot] = ReplaceRows(*data->columns[slot], hits, *values[a]);
   }
-  // The successor snapshot rebuilds the assigned columns from the updated
-  // rows and shares every other column with its predecessor.
-  auto next = std::make_shared<ColumnBatch>(*snapshot);
-  for (int slot : assign_slots) {
-    BatchBuilder column({table->columns[slot].type});
-    column.Reserve(table->rows.size());
-    for (const Row& row : table->rows) column.Append(0, row[slot]);
-    next->columns[slot] = column.Finish()->columns[0];
-  }
-  table->PublishSnapshot(std::move(next));
+  table->data = std::move(next);
   return static_cast<int64_t>(hits.size());
 }
 
 Result<int64_t> Executor::ExecDelete(const Op& op, Table* table) {
-  std::shared_ptr<const ColumnBatch> snapshot = table->ColumnarSnapshot();
+  const std::shared_ptr<const ColumnBatch> data = table->data;
   HQ_ASSIGN_OR_RETURN(std::vector<uint32_t> hits,
-                      DmlTargetRows(op, *snapshot, DmlLayout(op)));
+                      DmlTargetRows(op, *data, DmlLayout(op)));
   if (hits.empty()) return 0;
   std::vector<uint32_t> kept;
-  kept.reserve(snapshot->rows - hits.size());
-  std::vector<Row> kept_rows;
-  kept_rows.reserve(snapshot->rows - hits.size());
+  kept.reserve(data->rows - hits.size());
   size_t h = 0;
-  for (size_t r = 0; r < snapshot->rows; ++r) {
+  for (size_t r = 0; r < data->rows; ++r) {
     if (h < hits.size() && hits[h] == r) {
       ++h;
       continue;
     }
     kept.push_back(static_cast<uint32_t>(r));
-    kept_rows.push_back(std::move(table->rows[r]));
   }
-  table->rows = std::move(kept_rows);
-  // The successor snapshot gathers the kept rows.
-  table->PublishSnapshot(KeepRows(snapshot, kept));
+  table->data = KeepRows(data, kept);
   return static_cast<int64_t>(hits.size());
 }
 

@@ -4,23 +4,9 @@
 
 namespace hyperq::vdb {
 
-std::shared_ptr<const ColumnBatch> Table::ColumnarSnapshot() const {
-  if (snapshot_ && snapshot_version_ == version &&
-      snapshot_->rows == rows.size()) {
-    return snapshot_;
-  }
-  std::vector<SqlType> types;
-  types.reserve(columns.size());
-  for (const auto& c : columns) types.push_back(c.type);
-  snapshot_ = BatchFromRows(types, rows, 0, rows.size());
-  snapshot_version_ = version;
-  return snapshot_;
-}
-
-void Table::PublishSnapshot(std::shared_ptr<const ColumnBatch> next) {
-  ++version;
-  snapshot_ = std::move(next);
-  snapshot_version_ = version;
+void Table::Append(std::shared_ptr<const ColumnBatch> more) {
+  if (more->rows == 0) return;
+  data = data->rows == 0 ? std::move(more) : ConcatBatches({data, more});
 }
 
 int Table::FindColumn(const std::string& col_name) const {
@@ -30,6 +16,13 @@ int Table::FindColumn(const std::string& col_name) const {
     }
   }
   return -1;
+}
+
+std::vector<SqlType> Table::ColumnTypes() const {
+  std::vector<SqlType> types;
+  types.reserve(columns.size());
+  for (const auto& c : columns) types.push_back(c.type);
+  return types;
 }
 
 std::string Storage::Key(const std::string& name) {
@@ -46,6 +39,7 @@ Status Storage::CreateTable(const std::string& name,
   auto table = std::make_unique<Table>();
   table->name = key;
   table->columns = std::move(columns);
+  table->data = BatchBuilder(table->ColumnTypes()).Finish();
   tables_.emplace(std::move(key), std::move(table));
   return Status::OK();
 }
@@ -65,22 +59,8 @@ Result<Table*> Storage::GetTable(const std::string& name) {
   return it->second.get();
 }
 
-Result<const Table*> Storage::GetTable(const std::string& name) const {
-  auto it = tables_.find(Key(name));
-  if (it == tables_.end()) {
-    return Status::CatalogError("table '", name, "' does not exist");
-  }
-  return static_cast<const Table*>(it->second.get());
-}
-
 bool Storage::HasTable(const std::string& name) const {
   return tables_.count(Key(name)) > 0;
-}
-
-std::vector<std::string> Storage::TableNames() const {
-  std::vector<std::string> out;
-  for (const auto& [k, v] : tables_) out.push_back(k);
-  return out;
 }
 
 }  // namespace hyperq::vdb

@@ -1,6 +1,7 @@
 #include "workload/tpch.h"
 
 #include <cmath>
+#include <initializer_list>
 
 #include "types/date.h"
 
@@ -91,6 +92,14 @@ std::string Phone(Rng& rng, int nation) {
 
 Datum Dec2(int64_t cents) { return Datum::MakeDecimal(Decimal{cents, 2}); }
 
+// Appends one row to `rows`, a value per column. The values come as a
+// braced list, which evaluates them in order, so the RNG draws inside them
+// keep their order.
+void AppendRow(vdb::BatchBuilder* rows, std::initializer_list<Datum> values) {
+  size_t c = 0;
+  for (const Datum& v : values) rows->Append(c++, v);
+}
+
 }  // namespace
 
 TpchCardinalities CardinalitiesFor(double sf) {
@@ -149,48 +158,59 @@ Status LoadTpch(service::HyperQService* service, uint32_t session_id,
   }
 
   // Bulk data load (content transfer, paper Appendix A.2) goes straight to
-  // the target's storage.
+  // the target's storage: each table's rows are built as one batch and
+  // appended once.
   Rng rng(options.seed);
   TpchCardinalities n = CardinalitiesFor(options.scale_factor);
-  auto table = [&](const char* name) -> Result<vdb::Table*> {
-    return engine->storage()->GetTable(name);
+  struct Load {
+    vdb::Table* table;
+    vdb::BatchBuilder rows;
+  };
+  auto load = [&](const char* name, int64_t reserve) -> Result<Load> {
+    HQ_ASSIGN_OR_RETURN(vdb::Table * t, engine->storage()->GetTable(name));
+    Load l{t, vdb::BatchBuilder(t->ColumnTypes())};
+    l.rows.Reserve(static_cast<size_t>(reserve));
+    return l;
   };
 
   {
-    HQ_ASSIGN_OR_RETURN(vdb::Table * t, table("REGION"));
+    HQ_ASSIGN_OR_RETURN(Load t, load("REGION", n.region));
     for (int64_t i = 0; i < n.region; ++i) {
-      t->rows.push_back({Datum::Int(i), Datum::String(kRegions[i]),
-                         Datum::String(Comment(rng, 100))});
+      AppendRow(&t.rows, {Datum::Int(i), Datum::String(kRegions[i]),
+                          Datum::String(Comment(rng, 100))});
     }
+    t.table->Append(t.rows.Finish());
   }
   {
-    HQ_ASSIGN_OR_RETURN(vdb::Table * t, table("NATION"));
+    HQ_ASSIGN_OR_RETURN(Load t, load("NATION", n.nation));
     for (int64_t i = 0; i < n.nation; ++i) {
-      t->rows.push_back({Datum::Int(i), Datum::String(kNations[i]),
-                         Datum::Int(kNationRegion[i]),
-                         Datum::String(Comment(rng, 100))});
+      AppendRow(&t.rows, {Datum::Int(i), Datum::String(kNations[i]),
+                          Datum::Int(kNationRegion[i]),
+                          Datum::String(Comment(rng, 100))});
     }
+    t.table->Append(t.rows.Finish());
   }
   {
-    HQ_ASSIGN_OR_RETURN(vdb::Table * t, table("SUPPLIER"));
+    HQ_ASSIGN_OR_RETURN(Load t, load("SUPPLIER", n.supplier));
     for (int64_t i = 1; i <= n.supplier; ++i) {
       int nation = static_cast<int>(rng.Uniform(0, 24));
-      t->rows.push_back(
+      AppendRow(&t.rows,
           {Datum::Int(i), Datum::String("Supplier#" + std::to_string(i)),
            Datum::String("addr " + std::to_string(rng.Uniform(1, 9999))),
            Datum::Int(nation), Datum::String(Phone(rng, nation)),
            Dec2(rng.Uniform(-99999, 999999)),
            Datum::String(Comment(rng, 101))});
     }
+    t.table->Append(t.rows.Finish());
   }
   {
-    HQ_ASSIGN_OR_RETURN(vdb::Table * t, table("PART"));
+    HQ_ASSIGN_OR_RETURN(Load t, load("PART", n.part));
     for (int64_t i = 1; i <= n.part; ++i) {
       int m = static_cast<int>(rng.Uniform(1, 5));
       int nb = static_cast<int>(rng.Uniform(1, 5));
       std::string type = rng.Pick(kTypes1) + " " + rng.Pick(kTypes2) + " " +
                          rng.Pick(kTypes3);
-      t->rows.push_back(
+      AppendRow(&t.rows,
           {Datum::Int(i),
            Datum::String(rng.Pick(kColors) + " " + rng.Pick(kColors) + " " +
                          rng.Pick(kNouns)),
@@ -200,24 +220,26 @@ Status LoadTpch(service::HyperQService* service, uint32_t session_id,
            Datum::String(rng.Pick(kContainers)),
            Dec2(90000 + (i % 200) * 100), Datum::String(Comment(rng, 23))});
     }
+    t.table->Append(t.rows.Finish());
   }
   {
-    HQ_ASSIGN_OR_RETURN(vdb::Table * t, table("PARTSUPP"));
+    HQ_ASSIGN_OR_RETURN(Load t, load("PARTSUPP", n.partsupp));
     for (int64_t p = 1; p <= n.part; ++p) {
       for (int s = 0; s < 4; ++s) {
         int64_t suppkey = 1 + (p + s * (n.supplier / 4 + 1)) % n.supplier;
-        t->rows.push_back({Datum::Int(p), Datum::Int(suppkey),
-                           Datum::Int(rng.Uniform(1, 9999)),
-                           Dec2(rng.Uniform(100, 100000)),
-                           Datum::String(Comment(rng, 150))});
+        AppendRow(&t.rows, {Datum::Int(p), Datum::Int(suppkey),
+                            Datum::Int(rng.Uniform(1, 9999)),
+                            Dec2(rng.Uniform(100, 100000)),
+                            Datum::String(Comment(rng, 150))});
       }
     }
+    t.table->Append(t.rows.Finish());
   }
   {
-    HQ_ASSIGN_OR_RETURN(vdb::Table * t, table("CUSTOMER"));
+    HQ_ASSIGN_OR_RETURN(Load t, load("CUSTOMER", n.customer));
     for (int64_t i = 1; i <= n.customer; ++i) {
       int nation = static_cast<int>(rng.Uniform(0, 24));
-      t->rows.push_back(
+      AppendRow(&t.rows,
           {Datum::Int(i),
            Datum::String("Customer#" + std::to_string(i)),
            Datum::String("addr " + std::to_string(rng.Uniform(1, 9999))),
@@ -226,12 +248,14 @@ Status LoadTpch(service::HyperQService* service, uint32_t session_id,
            Datum::String(rng.Pick(kSegments)),
            Datum::String(Comment(rng, 117))});
     }
+    t.table->Append(t.rows.Finish());
   }
   int32_t epoch92 = DaysFromCivil(1992, 1, 1);
   int32_t last_order_day = DaysFromCivil(1998, 8, 2);
   {
-    HQ_ASSIGN_OR_RETURN(vdb::Table * orders, table("ORDERS"));
-    HQ_ASSIGN_OR_RETURN(vdb::Table * lineitem, table("LINEITEM"));
+    HQ_ASSIGN_OR_RETURN(Load orders, load("ORDERS", n.orders));
+    // An order draws 1 to 7 lines, so LINEITEM's builder grows as it goes.
+    HQ_ASSIGN_OR_RETURN(Load lineitem, load("LINEITEM", 0));
     for (int64_t o = 1; o <= n.orders; ++o) {
       int64_t cust = rng.Uniform(1, n.customer);
       int32_t odate = static_cast<int32_t>(
@@ -261,7 +285,7 @@ Status LoadTpch(service::HyperQService* service, uint32_t session_id,
           if (lstatus[0] == 'O') ++open_lines;
         }
         total_cents += price_cents;
-        lineitem->rows.push_back(
+        AppendRow(&lineitem.rows,
             {Datum::Int(o), Datum::Int(part), Datum::Int(supp), Datum::Int(l),
              Dec2(qty * 100), Dec2(price_cents), Dec2(disc), Dec2(tax),
              Datum::String(rflag), Datum::String(lstatus), Datum::Date(sdate),
@@ -273,13 +297,15 @@ Status LoadTpch(service::HyperQService* service, uint32_t session_id,
       const char* ostatus = open_lines == nlines ? "O"
                             : open_lines == 0    ? "F"
                                                  : "P";
-      orders->rows.push_back(
+      AppendRow(&orders.rows,
           {Datum::Int(o), Datum::Int(cust), Datum::String(ostatus),
            Dec2(total_cents), Datum::Date(odate),
            Datum::String(rng.Pick(kPriorities)),
            Datum::String("Clerk#" + std::to_string(rng.Uniform(1, 1000))),
            Datum::Int(0), Datum::String(Comment(rng, 79))});
     }
+    orders.table->Append(orders.rows.Finish());
+    lineitem.table->Append(lineitem.rows.Finish());
   }
   return Status::OK();
 }

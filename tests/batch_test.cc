@@ -143,6 +143,33 @@ TEST(ColumnBatchTest, GatherPreservesNullsAndStrings) {
   EXPECT_EQ(gathered->RowAt(1)[1].string_val(), "");
 }
 
+TEST(ColumnBatchTest, ConcatDemotesMixedKindsInEitherOrder) {
+  BatchBuilder typed({SqlType::Int()});
+  ASSERT_TRUE(typed.AppendRow({Datum::Int(1)}).ok());
+  ASSERT_TRUE(typed.AppendRow({Datum::Null()}).ok());
+  std::shared_ptr<const ColumnBatch> ints = typed.Finish();
+  BatchBuilder mixed({SqlType::Int()});
+  ASSERT_TRUE(mixed.AppendRow({Datum::String("x")}).ok());
+  std::shared_ptr<const ColumnBatch> demoted = mixed.Finish();
+  ASSERT_EQ(demoted->columns[0]->kind, PhysKind::kDatum);
+  // A demoted chunk before a typed one, and after it.
+  for (const auto& chunks :
+       {std::vector<std::shared_ptr<const ColumnBatch>>{demoted, ints, ints},
+        std::vector<std::shared_ptr<const ColumnBatch>>{ints, demoted,
+                                                        ints}}) {
+    auto all = vdb::ConcatBatches(chunks);
+    ASSERT_EQ(all->rows, 5u);
+    EXPECT_EQ(all->columns[0]->kind, PhysKind::kDatum);
+    EXPECT_EQ(all->columns[0]->nulls, 2u);
+    std::string seen;
+    for (size_t r = 0; r < all->rows; ++r) {
+      seen += all->RowAt(r)[0].ToString() + ";";
+    }
+    EXPECT_EQ(seen, chunks[0] == demoted ? "x;1;NULL;1;NULL;"
+                                         : "1;NULL;x;1;NULL;");
+  }
+}
+
 // --- TDF2 codec --------------------------------------------------------------
 
 TEST(Tdf2Test, RoundTripsEveryPhysicalKind) {

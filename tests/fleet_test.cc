@@ -123,8 +123,8 @@ TEST_F(FleetTest, PassiveErrorsDegradeThenEjectThenReadmit) {
     return pool.health(0) == BackendHealth::kDegraded;
   }));
   EXPECT_EQ(pool.stats().readmissions, 1);
-  EXPECT_GE(pool.health_score(0), options.health.degrade_score);
-  EXPECT_LT(pool.health_score(0), options.health.eject_score);
+  EXPECT_GE(pool.health_score(0), backend::kDegradeScore);
+  EXPECT_LT(pool.health_score(0), backend::kEjectScore);
 }
 
 TEST_F(FleetTest, ScoreDecaysBackToHealthy) {

@@ -394,6 +394,56 @@ TEST_F(VdbTest, InsertSelectAndSelfRead) {
   EXPECT_EQ(Must("SELECT COUNT(*) FROM t").rows[0][0].int_val(), 4);
 }
 
+// An INSERT is statement-atomic: a row that fails its cast or NOT NULL
+// check leaves none of the statement's rows behind.
+TEST_F(VdbTest, FailedInsertValuesLeavesTheTableUntouched) {
+  Must("CREATE TABLE t (a INTEGER NOT NULL, b VARCHAR(10))");
+  Fails("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (NULL, 'c')");
+  EXPECT_EQ(Must("SELECT COUNT(*) FROM t").rows[0][0].int_val(), 0);
+  Must("INSERT INTO t VALUES (1, 'a')");
+  Fails("INSERT INTO t VALUES (2, 'b'), (NULL, 'c')");
+  auto r = Must("SELECT a, b FROM t");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].int_val(), 1);
+  EXPECT_EQ(r.rows[0][1].string_val(), "a");
+}
+
+TEST_F(VdbTest, FailedInsertSelectLeavesTheTableUntouched) {
+  Must("CREATE TABLE t (a INTEGER NOT NULL, b VARCHAR(10))");
+  Must("CREATE TABLE s (a INTEGER, b VARCHAR(10))");
+  Must("INSERT INTO t VALUES (1, 'a')");
+  Must("INSERT INTO s VALUES (2, 'b'), (3, 'c'), (NULL, 'd')");
+  Fails("INSERT INTO t SELECT a, b FROM s ORDER BY a NULLS LAST");
+  EXPECT_EQ(Must("SELECT COUNT(*) FROM t").rows[0][0].int_val(), 1);
+  // The same statement without the NULL row succeeds in full.
+  EXPECT_EQ(Must("INSERT INTO t SELECT a, b FROM s WHERE a IS NOT NULL")
+                .affected_rows,
+            2);
+  EXPECT_EQ(Must("SELECT COUNT(*) FROM t").rows[0][0].int_val(), 3);
+}
+
+TEST_F(VdbTest, ResultFetchedBeforeInsertOrUpdateKeepsOldRows) {
+  Must("CREATE TABLE t (a INTEGER, b VARCHAR(10))");
+  auto empty = engine_.Execute("SELECT a, b FROM t");
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  Must("INSERT INTO t VALUES (1, 'x'), (2, 'y')");
+  EXPECT_TRUE(ResultRows(*empty).empty());
+  auto held = engine_.Execute("SELECT a, b FROM t");
+  ASSERT_TRUE(held.ok()) << held.status();
+  Must("INSERT INTO t VALUES (3, 'z')");
+  Must("UPDATE t SET b = 'new', a = a + 10");
+  const auto rows = ResultRows(*held);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0][0].int_val(), 1);
+  EXPECT_EQ(rows[0][1].string_val(), "x");
+  EXPECT_EQ(rows[1][0].int_val(), 2);
+  EXPECT_EQ(rows[1][1].string_val(), "y");
+  auto now = Must("SELECT a, b FROM t ORDER BY a");
+  ASSERT_EQ(now.rows.size(), 3u);
+  EXPECT_EQ(now.rows[2][0].int_val(), 13);
+  EXPECT_EQ(now.rows[2][1].string_val(), "new");
+}
+
 TEST_F(VdbTest, RecursionRejectedNatively) {
   Must("CREATE TABLE t (a INTEGER)");
   Status s = Fails(
