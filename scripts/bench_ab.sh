@@ -8,11 +8,16 @@
 # tdwpbench/run.py build each side from its own sources (each checkout gets
 # its own .bench_build/). After one short warm-up run per side it runs
 # <pairs> pairs on fresh seeds — pair i uses seed AB_SEED+i on both sides —
-# alternating which side goes first. For every metric in the runs' JSON it
-# prints each side's median and quartiles, the median difference, the
-# parent's quartile spread, and how many pairs the working tree won. A gain
-# is shown when the working tree wins at least 9 pairs in 10 and the median
-# difference exceeds the parent's quartile spread.
+# alternating which side goes first. Every timed run of both sides runs
+# under `taskset -c` on one CPU, the highest-numbered in this script's own
+# affinity, chosen once and printed in the header: the CPUs of one VM can
+# differ in speed, and tdwpbench pins itself to whichever CPU it starts on.
+# The warm-ups, which build, run unpinned so compiles keep every core.
+# For every metric in the runs' JSON it prints each side's median and
+# quartiles, the median difference, the parent's quartile spread, and how
+# many pairs the working tree won. A gain is shown when the working tree
+# wins at least 9 pairs in 10 and the median difference exceeds the
+# parent's quartile spread.
 #
 # Environment:
 #   AB_SECONDS  --seconds per run (default 15)
@@ -49,19 +54,24 @@ if [[ "$(cat "$parent/.ab_commit" 2>/dev/null)" != "$commit" ]]; then
 fi
 logs=$workdir/runs-$workload-$seed
 mkdir -p "$logs"
+cpu=$(python3 -c 'import os; print(max(os.sched_getaffinity(0)))')
 
 echo "bench_ab: parent $ref ($commit) vs working tree; workload $workload," \
      "$pairs pairs, seeds $seed..$((seed + pairs - 1)), --seconds $seconds," \
-     "--trace $trace; logs in $logs" >&2
+     "--trace $trace; timed runs on CPU $cpu; logs in $logs" >&2
 
-# run <side> <checkout> <seed> <seconds> <log>
+# run <side> <checkout> <seed> <seconds> <log> [launcher ...]
 run() {
-  if ! (cd "$2" && python3 tdwpbench/run.py --workload "$workload" \
-          --seed "$3" --seconds "$4" --trace "$trace") > "$5" 2> "$5.err"; then
-    echo "bench_ab: $1 run failed (seed $3); see $5.err" >&2
+  local side=$1 checkout=$2 s=$3 secs=$4 log=$5
+  shift 5
+  if ! (cd "$checkout" && "$@" python3 tdwpbench/run.py \
+          --workload "$workload" --seed "$s" --seconds "$secs" \
+          --trace "$trace") > "$log" 2> "$log.err"; then
+    echo "bench_ab: $side run failed (seed $s); see $log.err" >&2
     exit 1
   fi
 }
+pinned=(taskset -c "$cpu")
 
 # Warm-up: builds each side and touches its code paths once.
 run parent "$parent" "$seed" 1 "$logs/warmup-parent.out"
@@ -70,11 +80,13 @@ run candidate "$root" "$seed" 1 "$logs/warmup-candidate.out"
 for ((i = 0; i < pairs; i++)); do
   s=$((seed + i))
   if ((i % 2 == 0)); then
-    run parent "$parent" "$s" "$seconds" "$logs/parent-$i.out"
-    run candidate "$root" "$s" "$seconds" "$logs/candidate-$i.out"
+    run parent "$parent" "$s" "$seconds" "$logs/parent-$i.out" "${pinned[@]}"
+    run candidate "$root" "$s" "$seconds" "$logs/candidate-$i.out" \
+      "${pinned[@]}"
   else
-    run candidate "$root" "$s" "$seconds" "$logs/candidate-$i.out"
-    run parent "$parent" "$s" "$seconds" "$logs/parent-$i.out"
+    run candidate "$root" "$s" "$seconds" "$logs/candidate-$i.out" \
+      "${pinned[@]}"
+    run parent "$parent" "$s" "$seconds" "$logs/parent-$i.out" "${pinned[@]}"
   fi
   echo "bench_ab: pair $((i + 1))/$pairs done" >&2
 done

@@ -69,7 +69,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   ctest --test-dir build-tsan --output-on-failure -L faults -j "$jobs"
   # Every session — a single backend is a fleet of one — shares its
   # backend's breaker and takes pool slots through Acquire/Release, so the
-  # failover suite (journal replay, the server's admission queue and drain)
+  # failover suite (journal replay, the server's admission and drain)
   # crosses threads through that shared state too.
   ctest --test-dir build-tsan --output-on-failure -L failover -j "$jobs"
   # The registry's whole contract is lock-cheap cross-thread counting and

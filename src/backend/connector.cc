@@ -81,18 +81,12 @@ Result<BackendResult> BackendConnector::ExecuteScript(
 
 Result<BackendResult> BackendConnector::ExecuteWithRetry(
     const std::string& sql, bool is_script, QueryContext* ctx) {
-  // One deadline spans every attempt of this logical request; retrying past
-  // the client's time budget only amplifies load on a struggling backend.
-  Deadline deadline = options_.request_deadline_ms > 0
-                          ? Deadline::After(options_.request_deadline_ms)
+  // The request's one deadline (its context's) spans every attempt;
+  // retrying past the client's time budget only amplifies load on a
+  // struggling backend.
+  Deadline deadline = ctx != nullptr && ctx->has_deadline()
+                          ? ctx->deadline()
                           : Deadline::Infinite();
-  if (ctx != nullptr && ctx->has_deadline()) {
-    Deadline from_ctx = ctx->deadline();
-    if (!deadline.has_deadline() ||
-        from_ctx.RemainingMillis() < deadline.RemainingMillis()) {
-      deadline = from_ctx;
-    }
-  }
   RetryStats stats;
   auto attempt = [&]() -> Result<BackendResult> {
     // Each backend try is its own child span (under the service's

@@ -63,9 +63,6 @@ struct ConnectorOptions {
   /// Transient backend failures (Status::IsRetryable()) are retried under
   /// this policy; permanent errors surface immediately.
   RetryPolicy retry;
-  /// One time budget per request, enforced across all retry attempts.
-  /// 0 = no deadline.
-  double request_deadline_ms = 0;
   /// Consecutive transient failures open the breaker; while open, requests
   /// fail fast with kUnavailable instead of stacking retries.
   CircuitBreakerOptions breaker;

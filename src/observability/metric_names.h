@@ -154,13 +154,9 @@ inline constexpr const char* kGovernorShedQueries =
 // --- tdwp server (admission/overload) --------------------------------------
 inline constexpr const char* kServerAdmitted = "hyperq.server.admitted";
 inline constexpr const char* kServerShed = "hyperq.server.shed";
-inline constexpr const char* kServerQueuedPeak =
-    "hyperq.server.queued_peak";
 inline constexpr const char* kServerDrained = "hyperq.server.drained";
 inline constexpr const char* kServerForceClosed =
     "hyperq.server.force_closed";
-inline constexpr const char* kServerUserCappedLogons =
-    "hyperq.server.user_capped_logons";
 inline constexpr const char* kServerScrapes = "hyperq.server.scrapes";
 inline constexpr const char* kServerFrameStalls =
     "hyperq.server.frame_stalls";

@@ -37,11 +37,8 @@ TdwpServer::TdwpServer(RequestHandler* handler, TdwpServerOptions options)
   }
   admitted_counter_ = metrics_->counter(obs::names::kServerAdmitted);
   shed_counter_ = metrics_->counter(obs::names::kServerShed);
-  queued_peak_gauge_ = metrics_->gauge(obs::names::kServerQueuedPeak);
   drained_counter_ = metrics_->counter(obs::names::kServerDrained);
   force_closed_counter_ = metrics_->counter(obs::names::kServerForceClosed);
-  user_capped_counter_ =
-      metrics_->counter(obs::names::kServerUserCappedLogons);
   scrape_counter_ = metrics_->counter(obs::names::kServerScrapes);
   frame_stall_counter_ = metrics_->counter(obs::names::kServerFrameStalls);
 }
@@ -51,12 +48,7 @@ TdwpServer::~TdwpServer() { Stop(); }
 Status TdwpServer::Start(uint16_t port) {
   HQ_ASSIGN_OR_RETURN(listener_, ListenSocket::BindLocal(port));
   running_ = true;
-  {
-    std::lock_guard<std::mutex> lock(admit_mutex_);
-    dispatch_running_ = true;
-  }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
-  dispatch_thread_ = std::thread([this] { DispatchLoop(); });
   return Status::OK();
 }
 
@@ -65,24 +57,6 @@ void TdwpServer::Stop(int drain_deadline_ms) {
   listener_.Interrupt();
   listener_.Close();
   if (accept_thread_.joinable()) accept_thread_.join();
-
-  // Stop the dispatcher, then refuse everything still waiting in the
-  // admission queue with a clean frame (it was never handed to a worker).
-  {
-    std::lock_guard<std::mutex> lock(admit_mutex_);
-    dispatch_running_ = false;
-  }
-  admit_cv_.notify_all();
-  if (dispatch_thread_.joinable()) dispatch_thread_.join();
-  std::deque<Socket> leftover;
-  {
-    std::lock_guard<std::mutex> lock(admit_mutex_);
-    leftover.swap(pending_);
-  }
-  for (auto& conn : leftover) {
-    ShedConnection(std::move(conn),
-                   Status::Unavailable("server shutting down"));
-  }
 
   // Snapshot in-flight workers so drained/force-closed accounting covers
   // exactly the connections that were live when shutdown began.
@@ -159,11 +133,6 @@ size_t TdwpServer::live_workers() const {
   return workers_.size();
 }
 
-size_t TdwpServer::queued_connections() const {
-  std::lock_guard<std::mutex> lock(admit_mutex_);
-  return pending_.size();
-}
-
 int64_t TdwpServer::rejected_connections() const {
   return shed_counter_->value();
 }
@@ -172,19 +141,11 @@ ServerStats TdwpServer::stats() const {
   ServerStats s;
   s.admitted = admitted_counter_->value();
   s.shed = shed_counter_->value();
-  s.queued_peak = queued_peak_gauge_->value();
   s.drained = drained_counter_->value();
   s.force_closed = force_closed_counter_->value();
-  s.user_capped_logons = user_capped_counter_->value();
   s.scrapes = scrape_counter_->value();
   s.frame_stalls = frame_stall_counter_->value();
   return s;
-}
-
-size_t TdwpServer::EffectiveLowWatermark() const {
-  if (options_.queue_low_watermark == 0) return options_.admission_queue_depth;
-  return std::min(options_.queue_low_watermark,
-                  options_.admission_queue_depth);
 }
 
 void TdwpServer::ReapFinishedWorkers() {
@@ -227,64 +188,20 @@ void TdwpServer::AcceptLoop() {
       continue;
     }
 
-    bool shed = false;
-    Status reason;
-    {
-      std::lock_guard<std::mutex> lock(admit_mutex_);
-      size_t cap = options_.max_connections;
-      size_t active = active_.load();
-      size_t free_slots =
-          cap == 0 ? SIZE_MAX : (active < cap ? cap - active : 0);
-      if (free_slots == SIZE_MAX || pending_.size() < free_slots) {
-        // A worker slot is free: the dispatcher will pick this up
-        // immediately; it never counts against the queue.
-        pending_.push_back(std::move(conn));
-      } else {
-        size_t waiting = pending_.size() - free_slots;
-        if (shedding_ || waiting >= options_.admission_queue_depth) {
-          // Saturated: answer with a clean error frame rather than
-          // accepting work we cannot serve (or silently dropping the
-          // connection).
-          shed = true;
-          reason = Status::ResourceExhausted(
-              "server at capacity (", cap, " connections, admission queue ",
-              options_.admission_queue_depth, "); try again later");
-        } else {
-          pending_.push_back(std::move(conn));
-          ++waiting;
-          queued_peak_gauge_->SetMax(static_cast<int64_t>(waiting));
-          if (waiting >= options_.admission_queue_depth) shedding_ = true;
-        }
-      }
-    }
-    if (shed) {
-      ShedConnection(std::move(conn), reason);
-    } else {
-      admit_cv_.notify_all();
-    }
-  }
-}
-
-void TdwpServer::DispatchLoop() {
-  std::unique_lock<std::mutex> lock(admit_mutex_);
-  while (true) {
-    admit_cv_.wait(lock, [&] {
-      return !dispatch_running_ ||
-             (!pending_.empty() &&
-              (options_.max_connections == 0 ||
-               active_.load() < options_.max_connections));
-    });
-    if (!dispatch_running_) return;
-    Socket conn = std::move(pending_.front());
-    pending_.pop_front();
-    if (shedding_ && pending_.size() <= EffectiveLowWatermark()) {
-      shedding_ = false;
+    // Only this thread raises active_, so the check and the increment
+    // cannot race past the cap; workers only lower it.
+    size_t cap = options_.max_connections;
+    if (cap != 0 && active_.load() >= cap) {
+      // Saturated: answer with a clean error frame rather than accepting
+      // work we cannot serve (or silently dropping the connection).
+      ShedConnection(std::move(conn), Status::ResourceExhausted(
+                                          "server at capacity (", cap,
+                                          " connections); try again later"));
+      continue;
     }
     admitted_counter_->Inc();
     active_.fetch_add(1);
-    lock.unlock();
     SpawnWorker(std::move(conn));
-    lock.lock();
   }
 }
 
@@ -303,25 +220,11 @@ void TdwpServer::SpawnWorker(Socket conn) {
     // until the worker is reaped, keeping Stop()'s shutdown pass safe
     // from fd reuse.
     if (sock->valid()) ::shutdown(sock->fd(), SHUT_RDWR);
-    {
-      // Decrement under the admission lock so the dispatcher's capacity
-      // check cannot miss the wakeup that follows.
-      std::lock_guard<std::mutex> lock(admit_mutex_);
-      active_.fetch_sub(1);
-    }
+    active_.fetch_sub(1);
     done->store(true);
-    admit_cv_.notify_all();
   });
   std::lock_guard<std::mutex> lock(workers_mutex_);
   workers_.push_back(std::move(w));
-}
-
-void TdwpServer::ReleaseUserSlot(const std::string& user) {
-  std::lock_guard<std::mutex> lock(admit_mutex_);
-  auto it = user_sessions_.find(user);
-  if (it != user_sessions_.end() && it->second > 0 && --it->second == 0) {
-    user_sessions_.erase(it);
-  }
 }
 
 namespace {
@@ -380,7 +283,6 @@ Status ProbeClient(Socket& conn, CancelCause* cause) {
 void TdwpServer::ServeConnection(Socket& conn, ActiveQuery& active) {
   uint32_t session_id = 0;
   bool logged_on = false;
-  std::string counted_user;  // non-empty: holds a per-user session slot
   auto send_error = [&](const Status& status) {
     (void)conn.WriteFrame(Frame{MessageKind::kError, 0, ErrorPayload(status)});
   };
@@ -424,38 +326,8 @@ void TdwpServer::ServeConnection(Socket& conn, ActiveQuery& active) {
           send_error(req.status());
           break;
         }
-        if (!counted_user.empty()) {
-          // Re-logon on the same connection: release the old user's slot.
-          ReleaseUserSlot(counted_user);
-          counted_user.clear();
-        }
-        if (options_.max_sessions_per_user > 0) {
-          bool capped = false;
-          {
-            std::lock_guard<std::mutex> lock(admit_mutex_);
-            size_t& n = user_sessions_[req->user];
-            if (n >= options_.max_sessions_per_user) {
-              capped = true;
-            } else {
-              ++n;
-            }
-          }
-          if (capped) user_capped_counter_->Inc();
-          if (capped) {
-            send_error(Status::ResourceExhausted(
-                "too many concurrent sessions for user '", req->user,
-                "' (limit ", options_.max_sessions_per_user,
-                "); try again later"));
-            break;
-          }
-          counted_user = req->user;
-        }
         auto resp = handler_->Logon(*req);
         if (!resp.ok()) {
-          if (!counted_user.empty()) {
-            ReleaseUserSlot(counted_user);
-            counted_user.clear();
-          }
           send_error(resp.status());
           break;
         }
@@ -473,34 +345,26 @@ void TdwpServer::ServeConnection(Socket& conn, ActiveQuery& active) {
         // The trace starts here — after the blocking idle read, so
         // wire.read measures frame decode, not time spent waiting for the
         // client to type (DESIGN.md §9).
-        std::shared_ptr<obs::QueryTrace> trace;
-        int read_span = -1;
-        if (options_.tracing) {
-          trace = std::make_shared<obs::QueryTrace>();
-          trace->set_session_class("wire");
-          read_span = trace->StartSpan("wire.read");
-        }
+        auto trace = std::make_shared<obs::QueryTrace>();
+        trace->set_session_class("wire");
+        int read_span = trace->StartSpan("wire.read");
         auto req = DecodeRunRequest(frame->payload);
-        if (trace) trace->EndSpan(read_span);
+        trace->EndSpan(read_span);
         if (!req.ok()) {
           send_error(req.status());
           break;
         }
-        // Mint the request's lifecycle handle: deadline + client probe,
+        // Mint the request's lifecycle handle: client probe and trace,
         // registered in the active slot so Stop() can route a drain (and
-        // the kill API a cancel) through it.
+        // the kill API a cancel) through it. Its deadline is the handler's
+        // to set (ServiceOptions::default_query_deadline_ms).
         auto ctx = std::make_shared<QueryContext>();
-        if (options_.request_deadline_ms > 0) {
-          ctx->SetDeadline(Deadline::After(options_.request_deadline_ms));
-        }
         ctx->SetClientProbe([&conn](CancelCause* cause) {
           return ProbeClient(conn, cause);
         });
-        if (trace) {
-          trace->set_session_id(session_id);
-          trace->set_query(req->sql);
-          ctx->set_trace(trace);
-        }
+        trace->set_session_id(session_id);
+        trace->set_query(req->sql);
+        ctx->set_trace(trace);
         {
           std::lock_guard<std::mutex> active_lock(active.mutex);
           active.ctx = ctx;
@@ -512,7 +376,7 @@ void TdwpServer::ServeConnection(Socket& conn, ActiveQuery& active) {
           return st.ok() ? "ok" : "error";
         };
         std::string outcome = resp.ok() ? "ok" : outcome_of(resp.status());
-        int write_span = trace ? trace->StartSpan("wire.write") : -1;
+        int write_span = trace->StartSpan("wire.write");
         Status write_status;
         if (!resp.ok()) {
           send_error(resp.status());
@@ -557,12 +421,10 @@ void TdwpServer::ServeConnection(Socket& conn, ActiveQuery& active) {
           active.ctx.reset();
         }
         ctx->ClearClientProbe();
-        if (trace) {
-          trace->EndSpan(write_span);
-          trace->set_outcome(outcome);
-          trace->Finish();
-          handler_->OnQueryTraceFinished(trace);
-        }
+        trace->EndSpan(write_span);
+        trace->set_outcome(outcome);
+        trace->Finish();
+        handler_->OnQueryTraceFinished(trace);
         if (!write_status.ok()) {
           HQ_LOG(kWarn) << "tdwp session " << session_id
                         << ": response write failed: " << write_status;
@@ -602,7 +464,6 @@ void TdwpServer::ServeConnection(Socket& conn, ActiveQuery& active) {
     }
   }
   if (logged_on) handler_->Logoff(session_id);
-  if (!counted_user.empty()) ReleaseUserSlot(counted_user);
 }
 
 }  // namespace hyperq::protocol

@@ -2,19 +2,16 @@
 // connections, performs the logon handshake, and relays query requests to a
 // RequestHandler (implemented by service::HyperQService).
 //
-// Overload protection (DESIGN.md §6): admission control with a bounded
-// queue and high/low watermarks, per-user concurrency caps, load shedding
-// with clean tdwp error frames, and a graceful drain on Stop().
+// Overload protection (DESIGN.md §6): a connection cap that sheds arrivals
+// beyond it with a clean tdwp error frame, and a graceful drain on Stop().
 
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,8 +45,9 @@ class RequestHandler {
   virtual Result<LogonResponse> Logon(const LogonRequest& request) = 0;
   virtual void Logoff(uint32_t session_id) = 0;
   /// `ctx` is the request's lifecycle handle (DESIGN.md §8), minted by the
-  /// server with the client probe and per-request deadline installed.
-  /// Never null; implementations thread it into every cancellable loop.
+  /// server with the client probe and trace installed; its deadline is the
+  /// handler's to set. Never null; implementations thread it into every
+  /// cancellable loop.
   virtual Result<WireResponse> Run(uint32_t session_id,
                                    const std::string& sql,
                                    QueryContext* ctx) = 0;
@@ -69,22 +67,10 @@ class RequestHandler {
 };
 
 struct TdwpServerOptions {
-  /// Connections served concurrently; further clients wait in the
-  /// admission queue (if configured) or get a clean error frame
-  /// (kResourceExhausted) and are disconnected. 0 = unlimited.
-  size_t max_connections = 0;
-  /// Accepted connections that may wait for a free slot before the server
-  /// starts shedding. 0 = no queue: at capacity every arrival is shed
-  /// immediately.
-  size_t admission_queue_depth = 0;
-  /// Hysteresis: once the queue fills to `admission_queue_depth` (the high
-  /// watermark) the server sheds until the queue drains to this level.
-  /// 0 = same as the depth, i.e. no hysteresis: shed exactly while full.
-  size_t queue_low_watermark = 0;
-  /// Concurrent logged-on sessions allowed per user name; further logons
-  /// get a kResourceExhausted error frame (the connection stays usable).
+  /// Connections served concurrently; an arrival beyond the cap gets a
+  /// clean error frame (kResourceExhausted) and is disconnected.
   /// 0 = unlimited.
-  size_t max_sessions_per_user = 0;
+  size_t max_connections = 0;
   /// A connection idle longer than this between frames is reaped with an
   /// error frame instead of pinning a thread forever. 0 = no timeout.
   int idle_timeout_ms = 0;
@@ -96,18 +82,11 @@ struct TdwpServerOptions {
   /// worker thread. Idle time *between* frames is governed by
   /// idle_timeout_ms, not this. 0 = no guard.
   int frame_read_timeout_ms = 0;
-  /// Per-request time budget minted into each QueryContext; expiry cancels
-  /// the request at the next batch boundary with kDeadlineExceeded.
-  /// 0 = no deadline.
-  double request_deadline_ms = 0;
   /// Admission counters register here; when null the server owns a private
   /// registry. Examples share the service's registry so one kStatsRequest
   /// scrape covers both (the server then skips its own render — the
   /// handler's ScrapeText() already includes these counters).
   observability::MetricsRegistry* metrics = nullptr;
-  /// Mint a QueryTrace per wire request (wire.read/wire.write spans) and
-  /// deliver it to RequestHandler::OnQueryTraceFinished.
-  bool tracing = true;
 };
 
 /// \brief Admission/overload counters (observability/tests). A typed view
@@ -115,17 +94,15 @@ struct TdwpServerOptions {
 struct ServerStats {
   int64_t admitted = 0;      // connections handed to a worker thread
   int64_t shed = 0;          // connections refused with an error frame
-  int64_t queued_peak = 0;   // deepest admission-queue backlog observed
   int64_t drained = 0;       // workers that finished within a drain deadline
   int64_t force_closed = 0;  // workers force-closed at the drain deadline
-  int64_t user_capped_logons = 0;  // logons refused by the per-user cap
-  int64_t scrapes = 0;             // kStatsRequest frames answered
+  int64_t scrapes = 0;       // kStatsRequest frames answered
   int64_t frame_stalls = 0;  // connections reaped by the slowloris guard
 };
 
-/// \brief tdwp TCP server; one thread per connection behind a bounded
-/// admission queue. Finished connection threads are reaped as the server
-/// runs (not only at Stop()).
+/// \brief tdwp TCP server; one thread per connection, started by the accept
+/// thread while fewer than `max_connections` are served. Finished
+/// connection threads are reaped as the server runs (not only at Stop()).
 class TdwpServer {
  public:
   explicit TdwpServer(RequestHandler* handler,
@@ -145,8 +122,6 @@ class TdwpServer {
 
   /// \brief Connections currently being served (observability/tests).
   size_t active_connections() const { return active_.load(); }
-  /// \brief Connections waiting in the admission queue.
-  size_t queued_connections() const;
   /// \brief Connections refused by admission control (== stats().shed).
   int64_t rejected_connections() const;
   /// \brief Admission/overload counters.
@@ -180,32 +155,20 @@ class TdwpServer {
   };
 
   void AcceptLoop();
-  void DispatchLoop();
   void SpawnWorker(Socket conn);
   void ServeConnection(Socket& conn, ActiveQuery& active);
   void ReapFinishedWorkers();
   /// Answers `conn` with an error frame for `reason` and drops it.
   void ShedConnection(Socket conn, const Status& reason);
-  void ReleaseUserSlot(const std::string& user);
-  size_t EffectiveLowWatermark() const;
 
   RequestHandler* handler_;
   TdwpServerOptions options_;
   ListenSocket listener_;
   std::thread accept_thread_;
-  std::thread dispatch_thread_;
   std::vector<Worker> workers_;
   mutable std::mutex workers_mutex_;
   std::atomic<bool> running_{false};
   std::atomic<size_t> active_{0};
-
-  // Admission state: queue, watermark flag, per-user counts.
-  mutable std::mutex admit_mutex_;
-  std::condition_variable admit_cv_;
-  std::deque<Socket> pending_;
-  bool dispatch_running_ = false;
-  bool shedding_ = false;  // high watermark hit; cleared at the low one
-  std::map<std::string, size_t> user_sessions_;
 
   // Admission counters live in the registry (options_.metrics or the
   // private fallback); the pointers are cached once at construction.
@@ -213,10 +176,8 @@ class TdwpServer {
   observability::MetricsRegistry* metrics_ = nullptr;
   observability::Counter* admitted_counter_ = nullptr;
   observability::Counter* shed_counter_ = nullptr;
-  observability::Gauge* queued_peak_gauge_ = nullptr;
   observability::Counter* drained_counter_ = nullptr;
   observability::Counter* force_closed_counter_ = nullptr;
-  observability::Counter* user_capped_counter_ = nullptr;
   observability::Counter* scrape_counter_ = nullptr;
   observability::Counter* frame_stall_counter_ = nullptr;
 };

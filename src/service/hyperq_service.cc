@@ -28,6 +28,24 @@ TranslationCacheOptions CacheOptionsFor(TranslationCacheOptions cache,
 
 // Finished traces kept for trace_ring().
 constexpr size_t kTraceRingCapacity = 128;
+
+// A failure the statement or its data caused, the same on any replica and
+// at any time. Every other failure (a lost session, the open-transaction
+// fence, overload, an exhausted retry budget, a deadline, a cancel) is
+// about the request, not its rows.
+bool StatementRejected(const Status& s) {
+  switch (s.code()) {
+    case StatusCode::kInvalidArgument:
+    case StatusCode::kSyntaxError:
+    case StatusCode::kBindError:
+    case StatusCode::kNotSupported:
+    case StatusCode::kCatalogError:
+    case StatusCode::kExecutionError:
+      return true;
+    default:
+      return false;
+  }
+}
 }  // namespace
 
 HyperQService::HyperQService(vdb::Engine* engine, ServiceOptions options)
@@ -351,12 +369,10 @@ void HyperQService::RecordLifecycleFailure(const Status& status,
 // ---------------------------------------------------------------------------
 
 Result<QueryOutcome> HyperQService::Submit(uint32_t session_id,
-                                           const std::string& sql_a,
-                                           QueryContext* ctx) {
+                                           const std::string& sql_a) {
   QueryRequest request;
   request.session_id = session_id;
   request.sql = sql_a;
-  request.ctx = ctx;
   return Submit(request);
 }
 
@@ -397,14 +413,14 @@ Result<QueryOutcome> HyperQService::SubmitStatements(
     // Detach so a reused context never feeds spans into a finished trace.
     ctx->set_trace(nullptr);
   };
-  std::vector<std::string> batched;  // a script's statements
+  std::vector<ScriptStep> steps;  // a script's statements
   if (script) {
     auto statements = sql::SplitStatements(request.sql);
     if (!statements.ok()) {
       finish(statements.status());
       return statements.status();
     }
-    batched = BatchSingleRowInserts(std::move(*statements));
+    steps = BatchSingleRowInserts(std::move(*statements));
   }
   auto session_or = GetSession(request.session_id);
   if (!session_or.ok()) {
@@ -413,16 +429,10 @@ Result<QueryOutcome> HyperQService::SubmitStatements(
   }
   Session* session = *session_or;
   QueryOutcome last;
-  RegisterActiveQuery(request.session_id, ctx);
-  for (size_t i = 0; i < (script ? batched.size() : 1); ++i) {
-    auto one =
-        SubmitWithFailover(session, script ? batched[i] : request.sql, ctx);
-    if (!one.ok()) {
-      UnregisterActiveQuery(request.session_id, ctx);
-      finish(one.status());
-      RecordLifecycleFailure(one.status(), ctx);
-      return one.status();
-    }
+  // Runs one statement and accounts for it; `last` keeps its outcome.
+  auto run = [&](const std::string& sql) -> Status {
+    auto one = SubmitWithFailover(session, sql, ctx);
+    if (!one.ok()) return one.status();
     last = std::move(*one);
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -434,9 +444,33 @@ Result<QueryOutcome> HyperQService::SubmitStatements(
           static_cast<double>(last.result.store->memory_bytes()) +
           static_cast<double>(last.result.store->spilled_bytes()));
     }
+    return Status::OK();
+  };
+  RegisterActiveQuery(request.session_id, ctx);
+  Status st;
+  if (!script) st = run(request.sql);
+  for (const ScriptStep& step : steps) {
+    st = run(step.sql);
+    // A merged run fails as one statement. When its rows made it fail,
+    // rerunning its own statements one at a time leaves the rows, and
+    // returns the error, that unbatched execution would. Any other failure
+    // ends the script as is: a rerun would re-submit past it (after the
+    // open-transaction fence, into autocommit).
+    if (!st.ok() && !step.run.empty() && StatementRejected(st) &&
+        ctx->CheckAlive().ok()) {
+      for (const std::string& stmt : step.run) {
+        st = run(stmt);
+        if (!st.ok()) break;
+      }
+    }
+    if (!st.ok()) break;
   }
   UnregisterActiveQuery(request.session_id, ctx);
-  finish(Status::OK());
+  finish(st);
+  if (!st.ok()) {
+    RecordLifecycleFailure(st, ctx);
+    return st;
+  }
   if (minted != nullptr) last.trace = minted;
   return last;
 }

@@ -97,8 +97,7 @@ struct QueryOutcome {
 /// \brief The unified request descriptor (DESIGN.md §9): Submit,
 /// SubmitScript, and the wire path all funnel through this shape, so the
 /// trace options ride with the request instead of growing more positional
-/// parameters. The legacy (session_id, sql, ctx) overloads are thin shims
-/// over this struct.
+/// parameters.
 struct QueryRequest {
   uint32_t session_id = 0;
   std::string sql;              // one statement, or a ';'-script for scripts
@@ -269,12 +268,10 @@ class HyperQService : public protocol::RequestHandler {
   /// (paper §4.3). Returns the last statement's outcome.
   Result<QueryOutcome> SubmitScript(const QueryRequest& request);
 
-  /// \brief Deprecated positional shims over the QueryRequest overloads.
-  Result<QueryOutcome> Submit(uint32_t session_id, const std::string& sql_a,
-                              QueryContext* ctx = nullptr);
-  Result<QueryOutcome> SubmitScript(uint32_t session_id,
-                                    const std::string& script,
-                                    QueryContext* ctx = nullptr);
+  /// \brief Submit(QueryRequest{session_id, sql_a}). Kept because the
+  /// benchmark harness calls it (tdwpbench/workloads.cc), and benchmark
+  /// code changes only with a new benchmark baseline.
+  Result<QueryOutcome> Submit(uint32_t session_id, const std::string& sql_a);
 
   /// \brief Operator kill API (DESIGN.md §8): cancels the query currently
   /// running on `session_id` (cause kKill); it terminates at its next
@@ -496,9 +493,16 @@ class HyperQService : public protocol::RequestHandler {
   /// statement (`script` false) or a ';'-script's batched statements.
   Result<QueryOutcome> SubmitStatements(const QueryRequest& request,
                                         bool script);
+  /// One statement a script submits: a statement of the script as written,
+  /// or a run of its single-row INSERTs merged into one multi-row INSERT
+  /// (`run` then holds the run's own statements).
+  struct ScriptStep {
+    std::string sql;
+    std::vector<std::string> run;
+  };
   /// Merges runs of single-row INSERT ... VALUES into the same table into
   /// multi-row statements (paper §4.3); other statements pass through.
-  std::vector<std::string> BatchSingleRowInserts(
+  std::vector<ScriptStep> BatchSingleRowInserts(
       std::vector<std::string> statements) const;
   Result<QueryOutcome> SubmitInternal(Session* session,
                                       const std::string& sql_a, int depth,

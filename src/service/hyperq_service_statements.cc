@@ -3,6 +3,7 @@
 // DML batching (paper §4.3).
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/stopwatch.h"
 #include "common/str_util.h"
@@ -448,26 +449,15 @@ Result<QueryOutcome> HyperQService::HandleDropTable(
 // Script submission with single-row DML batching (paper §4.3)
 // ---------------------------------------------------------------------------
 
-Result<QueryOutcome> HyperQService::SubmitScript(uint32_t session_id,
-                                                 const std::string& script,
-                                                 QueryContext* ctx) {
-  QueryRequest request;
-  request.session_id = session_id;
-  request.sql = script;
-  request.ctx = ctx;
-  request.session_class = "script";
-  return SubmitScript(request);
-}
-
 Result<QueryOutcome> HyperQService::SubmitScript(
     const QueryRequest& request) {
   return SubmitStatements(request, /*script=*/true);
 }
 
-std::vector<std::string> HyperQService::BatchSingleRowInserts(
+std::vector<HyperQService::ScriptStep> HyperQService::BatchSingleRowInserts(
     std::vector<std::string> statements) const {
   // Batch runs of single-row INSERT ... VALUES into the same table.
-  std::vector<std::string> batched;
+  std::vector<ScriptStep> batched;
   size_t i = 0;
   while (i < statements.size()) {
     const std::string& stmt = statements[i];
@@ -478,7 +468,7 @@ std::vector<std::string> HyperQService::BatchSingleRowInserts(
         (*parsed)->As<sql::InsertStatement>()->values_rows.size() == 1 &&
         (*parsed)->As<sql::InsertStatement>()->source == nullptr;
     if (!single_row_insert) {
-      batched.push_back(stmt);
+      batched.push_back({stmt, {}});
       ++i;
       continue;
     }
@@ -504,7 +494,12 @@ std::vector<std::string> HyperQService::BatchSingleRowInserts(
       merged += ", " + std::string(Trim(next.substr(vpos + 6)));
       ++j;
     }
-    batched.push_back(std::move(merged));
+    ScriptStep step{std::move(merged), {}};
+    if (j - i > 1) {
+      step.run.assign(std::make_move_iterator(statements.begin() + i),
+                      std::make_move_iterator(statements.begin() + j));
+    }
+    batched.push_back(std::move(step));
     i = j;
   }
   return batched;

@@ -12,6 +12,7 @@
 
 #include "backend/connector.h"
 #include "common/fault.h"
+#include "common/query_context.h"
 #include "common/retry.h"
 #include "common/stopwatch.h"
 #include "protocol/socket.h"
@@ -318,14 +319,16 @@ TEST_F(FaultTest, ConnectorDeadlineAbortsMidRetry) {
   options.retry.max_attempts = 100;
   options.retry.base_delay_ms = 8;
   options.retry.max_delay_ms = 8;
-  options.request_deadline_ms = 10;
   backend::BackendConnector connector(&engine, options);
   FaultSpec spec;
   spec.kind = FaultKind::kTransient;
   FaultInjector::Global().Arm(faultpoints::kVdbExecute, spec);
 
+  // The request's deadline is its context's; it spans every retry.
+  QueryContext ctx;
+  ctx.SetDeadline(Deadline::After(10));
   Stopwatch sw;
-  auto result = connector.Execute("SELECT 1");
+  auto result = connector.Execute("SELECT 1", &ctx);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsDeadlineExceeded());
   EXPECT_LT(sw.ElapsedMillis(), 50.0);

@@ -313,7 +313,7 @@ TEST_F(LifecycleTest, KillQueryCancelsMidFetchWithinOneBatch) {
   for (int i = 0; i < 10; ++i) {
     script += "INS INTO KT VALUES (" + std::to_string(i) + ");";
   }
-  ASSERT_TRUE(service.SubmitScript(*sid, script).ok());
+  ASSERT_TRUE(service.SubmitScript({.session_id = *sid, .sql = script}).ok());
 
   // Nothing in flight yet: kill is a typed no-op.
   EXPECT_FALSE(service.KillQuery(*sid));
@@ -359,7 +359,7 @@ TEST_F(LifecycleTest, DefaultDeadlineExpiresMidFetch) {
   for (int i = 0; i < 10; ++i) {
     script += "INS INTO DT VALUES (" + std::to_string(i) + ");";
   }
-  ASSERT_TRUE(service.SubmitScript(*sid, script).ok());
+  ASSERT_TRUE(service.SubmitScript({.session_id = *sid, .sql = script}).ok());
 
   FaultInjector::Global().Arm(faultpoints::kConnectorFetchBatch, Latency(20));
   auto start = std::chrono::steady_clock::now();
@@ -392,7 +392,8 @@ struct WireRig {
     for (int i = 0; i < server_drain_rows; ++i) {
       script += "INS INTO BIG VALUES (" + std::to_string(i) + ");";
     }
-    EXPECT_TRUE(service->SubmitScript(*sid, script).ok());
+    EXPECT_TRUE(
+        service->SubmitScript({.session_id = *sid, .sql = script}).ok());
     service->CloseSession(*sid);
     server = std::make_unique<TdwpServer>(service.get());
     EXPECT_TRUE(server->Start(0).ok());
@@ -436,6 +437,44 @@ TEST_F(LifecycleTest, ClientAbortFrameCancelsAndKeepsConnection) {
   auto next = client.Run("SEL COUNT(*) FROM BIG");
   ASSERT_TRUE(next.ok()) << next.status();
   client.Goodbye();
+}
+
+// A wire request has one deadline: the service's default, tightened onto
+// the context the server mints. Expiry is answered with a typed error
+// frame, and the same connection serves the next statement.
+TEST_F(LifecycleTest, WireRequestExpiresAtDefaultDeadlineAndKeepsConnection) {
+  vdb::Engine engine;
+  auto options = FastOptions();
+  options.connector.batch_rows = 1;
+  options.default_query_deadline_ms = 40;
+  service::HyperQService service(&engine, options);
+  auto sid = service.OpenSession("loader");
+  ASSERT_TRUE(sid.ok());
+  ASSERT_TRUE(service.Submit(*sid, "CREATE TABLE DT (A INTEGER)").ok());
+  std::string script;
+  for (int i = 0; i < 10; ++i) {
+    script += "INS INTO DT VALUES (" + std::to_string(i) + ");";
+  }
+  ASSERT_TRUE(service.SubmitScript({.session_id = *sid, .sql = script}).ok());
+  service.CloseSession(*sid);
+  TdwpServer server(&service);
+  ASSERT_TRUE(server.Start(0).ok());
+  TdwpClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  ASSERT_TRUE(client.Logon("app", "pw").ok());
+
+  // 10 rows x 20 ms would be 200 ms+; the 40 ms budget cuts it.
+  FaultInjector::Global().Arm(faultpoints::kConnectorFetchBatch, Latency(20));
+  auto slow = client.Run("SEL * FROM DT");
+  ASSERT_FALSE(slow.ok());
+  EXPECT_TRUE(slow.status().IsDeadlineExceeded()) << slow.status();
+  EXPECT_EQ(service.StatsSnapshot().lifecycle.deadline_expired, 1);
+
+  FaultInjector::Global().Disarm(faultpoints::kConnectorFetchBatch);
+  auto next = client.Run("SEL COUNT(*) FROM DT");
+  ASSERT_TRUE(next.ok()) << next.status();
+  client.Goodbye();
+  server.Stop();
 }
 
 TEST_F(LifecycleTest, ClientGoneMidRequestFreesWorkerAndSession) {
@@ -704,7 +743,8 @@ TEST_F(LifecycleTest, ChaosSoak) {
     for (int i = 0; i < 300; ++i) {
       script += "INS INTO BIG VALUES (" + std::to_string(i) + ");";
     }
-    ASSERT_TRUE(service->SubmitScript(*sid, script).ok());
+    ASSERT_TRUE(
+        service->SubmitScript({.session_id = *sid, .sql = script}).ok());
     service->CloseSession(*sid);
   }
 

@@ -33,11 +33,11 @@ class ServiceExtraTest : public ::testing::Test {
 TEST_F(ServiceExtraTest, ScriptBatchesSingleRowInserts) {
   Must("CREATE TABLE T (A INTEGER, B VARCHAR(8))");
   int64_t before = engine_.statements_executed();
-  auto out = service_->SubmitScript(sid_,
-                                    "INS INTO T VALUES (1, 'a');"
-                                    "INS INTO T VALUES (2, 'b');"
-                                    "INS INTO T VALUES (3, 'c');"
-                                    "SEL COUNT(*) FROM T;");
+  auto out = service_->SubmitScript({.session_id = sid_,
+                                     .sql = "INS INTO T VALUES (1, 'a');"
+                                            "INS INTO T VALUES (2, 'b');"
+                                            "INS INTO T VALUES (3, 'c');"
+                                            "SEL COUNT(*) FROM T;"});
   ASSERT_TRUE(out.ok()) << out.status();
   // The paper's §4.3 performance transformation: three contiguous
   // single-row INSERTs reach the target as ONE multi-row statement.
@@ -51,12 +51,29 @@ TEST_F(ServiceExtraTest, ScriptBatchingStopsAtDifferentTables) {
   Must("CREATE TABLE T1 (A INTEGER)");
   Must("CREATE TABLE T2 (A INTEGER)");
   int64_t before = engine_.statements_executed();
-  auto out = service_->SubmitScript(sid_,
-                                    "INS INTO T1 VALUES (1);"
-                                    "INS INTO T2 VALUES (2);"
-                                    "INS INTO T1 VALUES (3)");
+  auto out = service_->SubmitScript({.session_id = sid_,
+                                     .sql = "INS INTO T1 VALUES (1);"
+                                            "INS INTO T2 VALUES (2);"
+                                            "INS INTO T1 VALUES (3)"});
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_EQ(engine_.statements_executed() - before, 3);  // no merge
+}
+
+// Batching is an optimisation, not a semantic change: when a merged run of
+// single-row INSERTs fails, the script leaves the rows and returns the
+// error that unbatched execution would.
+TEST_F(ServiceExtraTest, FailedInsertRunLeavesRowsOfUnbatchedScript) {
+  Must("CREATE TABLE T (A INTEGER NOT NULL)");
+  auto out = service_->SubmitScript({.session_id = sid_,
+                                     .sql = "INS INTO T VALUES (1);"
+                                            "INS INTO T VALUES (2);"
+                                            "INS INTO T VALUES (NULL);"});
+  ASSERT_FALSE(out.ok());
+  EXPECT_NE(out.status().ToString().find("NULL"), std::string::npos)
+      << out.status();
+  auto rows = Must("SEL COUNT(*) FROM T").result.DecodeRows();
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ((*rows)[0][0].int_val(), 2);
 }
 
 TEST_F(ServiceExtraTest, VolatileTablesDropOnLogoff) {

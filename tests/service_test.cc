@@ -222,7 +222,7 @@ TEST(ServiceLifecycleStatsTest, SpillAndShedAccountingFlowThrough) {
   for (int i = 0; i < 40; ++i) {
     script += "INS INTO LS VALUES (" + std::to_string(i) + ");";
   }
-  ASSERT_TRUE(service.SubmitScript(*sid, script).ok());
+  ASSERT_TRUE(service.SubmitScript({.session_id = *sid, .sql = script}).ok());
 
   auto spilled = service.Submit(*sid, "SEL * FROM LS");
   ASSERT_TRUE(spilled.ok()) << spilled.status();
@@ -245,7 +245,8 @@ TEST(ServiceLifecycleStatsTest, SpillAndShedAccountingFlowThrough) {
   for (int i = 0; i < 40; ++i) {
     script2 += "INS INTO LS2 VALUES (" + std::to_string(i) + ");";
   }
-  ASSERT_TRUE(strict_service.SubmitScript(*sid2, script2).ok());
+  ASSERT_TRUE(
+      strict_service.SubmitScript({.session_id = *sid2, .sql = script2}).ok());
   auto shed = strict_service.Submit(*sid2, "SEL * FROM LS2");
   ASSERT_FALSE(shed.ok());
   EXPECT_TRUE(shed.status().IsResourceExhausted()) << shed.status();
