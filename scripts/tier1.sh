@@ -7,7 +7,8 @@
 #                               # `faults`, `failover`, `cache`, `golden`,
 #                               # `lifecycle`, `observability`, `fleet`,
 #                               # `tail`, `fuzz`, `chaos`, and `batch`
-#                               # suites under ASan+UBSan
+#                               # suites and the front-end unit suites
+#                               # under ASan+UBSan
 #   scripts/tier1.sh --tsan     # also build build-tsan/ (-Werror) and run the
 #                               # cross-thread suites (`lifecycle`,
 #                               # `faults`, `failover`, `observability`,
@@ -57,6 +58,12 @@ if [[ "${1:-}" == "--asan" ]]; then
   # hide. The edge suite (zero-row spans, spill straddles, mid-batch
   # cancellation) must be ASan-clean.
   ctest --test-dir build-asan --output-on-failure -L batch -j "$jobs"
+  # The front end works in place: the parser borrows the token vector the
+  # feature scan read, the binder reads the caller's AST plus a side list
+  # of implicit-join tables, and the serializer appends to one buffer
+  # through layered name maps. Its unit suites must be ASan+UBSan-clean.
+  ctest --test-dir build-asan --output-on-failure -j "$jobs" \
+    -R '^(LexerTest|TokenStreamTest|ParserTest|BinderTest|SerializerTest|PipelineTest|FeatureScanTest|AstPrinterTest)\.'
 fi
 
 if [[ "${1:-}" == "--tsan" ]]; then

@@ -125,6 +125,21 @@ void CollectQualifiers(const sql::Expr& e, std::vector<std::string>* out) {
   // Subqueries resolve their own scopes; do not collect from them.
 }
 
+// Collects the qualifiers a FROM entry makes visible: a base table's alias
+// or name, a derived table's alias, and those of a join's two sides.
+void CollectFromQualifiers(const sql::TableRef& ref,
+                           std::vector<std::string>* out) {
+  if (ref.kind == sql::TableRef::Kind::kBaseTable) {
+    out->push_back(ref.alias.empty() ? Catalog::NormalizeName(ref.table_name)
+                                     : ToUpper(ref.alias));
+  } else if (ref.kind == sql::TableRef::Kind::kJoin) {
+    CollectFromQualifiers(*ref.left, out);
+    CollectFromQualifiers(*ref.right, out);
+  } else if (!ref.alias.empty()) {
+    out->push_back(ToUpper(ref.alias));
+  }
+}
+
 std::vector<xtra::ExprPtr> MakeVec(xtra::ExprPtr e) {
   std::vector<xtra::ExprPtr> v;
   v.push_back(std::move(e));
@@ -168,31 +183,23 @@ Result<OpPtr> Binder::BindQueryExpr(const sql::SelectStmt& stmt,
   for (const auto& cte : stmt.with) {
     std::string key = ToUpper(cte.name);
     if (ctes_.count(key)) {
+      for (const auto& k : registered) ctes_.erase(k);
       return Status::BindError("duplicate CTE name '", cte.name, "'");
     }
     ctes_[key] = CteDef{&cte, false, {}};
     registered.push_back(key);
   }
-  auto cleanup = [&]() {
-    for (const auto& k : registered) ctes_.erase(k);
-  };
+  auto res = BindQueryBody(stmt, outer);
+  for (const auto& k : registered) ctes_.erase(k);
+  return res;
+}
 
-  OpPtr plan;
+Result<OpPtr> Binder::BindQueryBody(const sql::SelectStmt& stmt,
+                                    Scope* outer) {
   if (stmt.set_op != sql::SetOpKind::kNone) {
-    auto lres = BindQueryExpr(*stmt.set_left, outer);
-    if (!lres.ok()) {
-      cleanup();
-      return lres.status();
-    }
-    auto rres = BindQueryExpr(*stmt.set_right, outer);
-    if (!rres.ok()) {
-      cleanup();
-      return rres.status();
-    }
-    OpPtr left = std::move(lres).value();
-    OpPtr right = std::move(rres).value();
+    HQ_ASSIGN_OR_RETURN(OpPtr left, BindQueryExpr(*stmt.set_left, outer));
+    HQ_ASSIGN_OR_RETURN(OpPtr right, BindQueryExpr(*stmt.set_right, outer));
     if (left->output.size() != right->output.size()) {
-      cleanup();
       return Status::BindError(
           "set operation inputs have different column counts (",
           left->output.size(), " vs ", right->output.size(), ")");
@@ -217,7 +224,6 @@ Result<OpPtr> Binder::BindQueryExpr(const sql::SelectStmt& stmt,
           CommonSuperType(left->output[i].type, right->output[i].type);
       if (t.kind == TypeKind::kNull &&
           left->output[i].type.kind != TypeKind::kNull) {
-        cleanup();
         return Status::BindError("set operation column ", i + 1,
                                  " has incompatible types");
       }
@@ -225,7 +231,7 @@ Result<OpPtr> Binder::BindQueryExpr(const sql::SelectStmt& stmt,
     }
     op->children.push_back(std::move(left));
     op->children.push_back(std::move(right));
-    plan = std::move(op);
+    OpPtr plan = std::move(op);
 
     // ORDER BY over a set operation binds against output names/ordinals.
     if (!stmt.order_by.empty()) {
@@ -239,7 +245,6 @@ Result<OpPtr> Binder::BindQueryExpr(const sql::SelectStmt& stmt,
         if (oi.expr->kind == ExprKind::kConst && oi.expr->value.is_int()) {
           int64_t ord = oi.expr->value.int_val();
           if (ord < 1 || ord > static_cast<int64_t>(plan->output.size())) {
-            cleanup();
             return Status::BindError("ORDER BY position ", ord,
                                      " is out of range");
           }
@@ -255,7 +260,6 @@ Result<OpPtr> Binder::BindQueryExpr(const sql::SelectStmt& stmt,
           }
         }
         if (target == nullptr) {
-          cleanup();
           return Status::BindError(
               "ORDER BY over a set operation must reference an output column");
         }
@@ -273,17 +277,13 @@ Result<OpPtr> Binder::BindQueryExpr(const sql::SelectStmt& stmt,
       lim->children.push_back(std::move(plan));
       plan = std::move(lim);
     }
-    cleanup();
     return plan;
   }
 
   if (!stmt.block) {
-    cleanup();
     return Status::Internal("query expression has no block and no set op");
   }
-  auto res = BindBlock(*stmt.block, stmt, outer, nullptr, nullptr);
-  cleanup();
-  return res;
+  return BindBlock(*stmt.block, stmt, outer);
 }
 
 Result<OpPtr> Binder::BindRecursive(const sql::SelectStmt& stmt,
@@ -321,10 +321,7 @@ Result<OpPtr> Binder::BindRecursive(const sql::SelectStmt& stmt,
 
   // Bind the main query with the CTE visible as a plain (non-recursive)
   // reference; emulation will point it at the WorkTable.
-  auto main_stmt = stmt.Clone();
-  main_stmt->with.clear();
-  main_stmt->with_recursive = false;
-  auto main_res = BindQueryExpr(*main_stmt, outer);
+  auto main_res = BindQueryBody(stmt, outer);
   ctes_.erase(key);
   if (!main_res.ok()) return main_res.status();
 
@@ -338,40 +335,33 @@ Result<OpPtr> Binder::BindRecursive(const sql::SelectStmt& stmt,
   return OpPtr(std::move(op));
 }
 
-Status Binder::ExpandImplicitJoins(sql::QueryBlock* block,
-                                   const Scope& scope) {
+std::vector<std::string> Binder::ImplicitJoinTables(
+    const sql::QueryBlock& block) {
+  std::vector<std::string> added;
+  if (!dialect_.allow_implicit_join) return added;
+  std::vector<std::string> known;
+  for (const auto& ref : block.from) CollectFromQualifiers(*ref, &known);
+
   std::vector<std::string> quals;
-  for (const auto& item : block->select_list) {
+  for (const auto& item : block.select_list) {
     if (item.expr) CollectQualifiers(*item.expr, &quals);
   }
-  if (block->where) CollectQualifiers(*block->where, &quals);
-  for (const auto& g : block->group_by.items) CollectQualifiers(*g, &quals);
-  if (block->having) CollectQualifiers(*block->having, &quals);
-  if (block->qualify) CollectQualifiers(*block->qualify, &quals);
+  if (block.where) CollectQualifiers(*block.where, &quals);
+  for (const auto& g : block.group_by.items) CollectQualifiers(*g, &quals);
+  if (block.having) CollectQualifiers(*block.having, &quals);
+  if (block.qualify) CollectQualifiers(*block.qualify, &quals);
 
-  std::vector<std::string> added;
   for (const std::string& q : quals) {
-    bool known = false;
-    for (const auto& col : scope.columns) {
-      if (col.qualifier == q) {
-        known = true;
-        break;
-      }
+    if (std::find(known.begin(), known.end(), q) != known.end() ||
+        std::find(added.begin(), added.end(), q) != added.end()) {
+      continue;
     }
-    for (const auto& a : added) {
-      if (a == q) known = true;
-    }
-    if (known) continue;
-    if (!dialect_.allow_implicit_join) continue;
     if (!catalog_->HasTable(q) && !catalog_->HasView(q)) continue;
     // Teradata implicit join: reference to a table missing from FROM.
-    auto ref = std::make_unique<sql::TableRef>(sql::TableRef::Kind::kBaseTable);
-    ref->table_name = q;
-    block->from.push_back(std::move(ref));
     added.push_back(q);
     features_.Record(Feature::kImplicitJoin);
   }
-  return Status::OK();
+  return added;
 }
 
 Result<OpPtr> Binder::BindTableRef(const sql::TableRef& ref, Scope* scope,
@@ -1102,77 +1092,38 @@ Result<xtra::ExprPtr> Binder::BindExpr(const sql::Expr& e, Scope* scope,
 // Block binding
 // ---------------------------------------------------------------------------
 
-Result<OpPtr> Binder::BindBlock(const sql::QueryBlock& block_ast,
-                                const sql::SelectStmt& enclosing, Scope* outer,
-                                bool* /*unused*/, OpPtr* /*unused2*/) {
-  // Work on a deep copy: implicit-join expansion mutates the FROM clause.
-  std::unique_ptr<sql::QueryBlock> block_copy;
-  {
-    sql::SelectStmt shell;
-    shell.block.reset(const_cast<sql::QueryBlock*>(&block_ast));
-    auto cloned = shell.Clone();
-    shell.block.release();  // the shell only borrowed the block
-    block_copy = std::move(cloned->block);
-  }
-  sql::QueryBlock& qb = *block_copy;
-
+Result<OpPtr> Binder::BindBlock(const sql::QueryBlock& qb,
+                                const sql::SelectStmt& enclosing,
+                                Scope* outer) {
   Scope scope;
   scope.parent = outer;
   BlockState state;
 
-  // 1. FROM (with implicit-join expansion done against a first-pass scope).
+  // 1. FROM, then the tables implicit-join expansion adds after it. The
+  // block is the caller's AST and stays as parsed.
   OpPtr plan;
-  {
-    // First pass: register FROM entries to know the visible qualifiers.
-    Scope probe;
-    probe.parent = outer;
-    // Implicit joins need catalog-qualified references; probe only base
-    // table names (cheap, no binding).
-    for (const auto& ref : qb.from) {
-      if (ref->kind == sql::TableRef::Kind::kBaseTable) {
-        std::string q = ref->alias.empty()
-                            ? Catalog::NormalizeName(ref->table_name)
-                            : ToUpper(ref->alias);
-        probe.columns.push_back({q, "", "", -1, SqlType::Null()});
-      } else if (!ref->alias.empty()) {
-        probe.columns.push_back(
-            {ToUpper(ref->alias), "", "", -1, SqlType::Null()});
-      } else if (ref->kind == sql::TableRef::Kind::kJoin) {
-        std::function<void(const sql::TableRef&)> reg =
-            [&](const sql::TableRef& r) {
-              if (r.kind == sql::TableRef::Kind::kJoin) {
-                reg(*r.left);
-                reg(*r.right);
-              } else if (r.kind == sql::TableRef::Kind::kBaseTable) {
-                std::string q = r.alias.empty()
-                                    ? Catalog::NormalizeName(r.table_name)
-                                    : ToUpper(r.alias);
-                probe.columns.push_back({q, "", "", -1, SqlType::Null()});
-              } else if (!r.alias.empty()) {
-                probe.columns.push_back(
-                    {ToUpper(r.alias), "", "", -1, SqlType::Null()});
-              }
-            };
-        reg(*ref);
-      }
-    }
-    HQ_RETURN_IF_ERROR(ExpandImplicitJoins(&qb, probe));
-  }
-
-  for (const auto& ref : qb.from) {
-    HQ_ASSIGN_OR_RETURN(OpPtr item, BindTableRef(*ref, &scope, outer));
+  auto cross_join = [&](OpPtr item) {
     if (!plan) {
       plan = std::move(item);
-    } else {
-      auto join = std::make_unique<Op>(OpKind::kJoin);
-      join->join_kind = xtra::JoinKind::kCross;
-      join->output = plan->output;
-      join->output.insert(join->output.end(), item->output.begin(),
-                          item->output.end());
-      join->children.push_back(std::move(plan));
-      join->children.push_back(std::move(item));
-      plan = std::move(join);
+      return;
     }
+    auto join = std::make_unique<Op>(OpKind::kJoin);
+    join->join_kind = xtra::JoinKind::kCross;
+    join->output = plan->output;
+    join->output.insert(join->output.end(), item->output.begin(),
+                        item->output.end());
+    join->children.push_back(std::move(plan));
+    join->children.push_back(std::move(item));
+    plan = std::move(join);
+  };
+  std::vector<std::string> implicit = ImplicitJoinTables(qb);
+  for (const auto& ref : qb.from) {
+    HQ_ASSIGN_OR_RETURN(OpPtr item, BindTableRef(*ref, &scope, outer));
+    cross_join(std::move(item));
+  }
+  for (const auto& table : implicit) {
+    HQ_ASSIGN_OR_RETURN(OpPtr item, BindBaseTable(table, "", &scope));
+    cross_join(std::move(item));
   }
   if (!plan) {
     // FROM-less SELECT (e.g. SELECT 1): single empty row.
@@ -1392,7 +1343,7 @@ Result<OpPtr> Binder::BindBlock(const sql::QueryBlock& block_ast,
   }
 
   // 9. ORDER BY (the enclosing statement's; may use aliases/ordinals).
-  if (!enclosing.order_by.empty() && enclosing.block.get() == &block_ast) {
+  if (!enclosing.order_by.empty() && enclosing.block.get() == &qb) {
     auto sort = std::make_unique<Op>(OpKind::kSort);
     sort->output = plan->output;
     std::vector<xtra::ProjectItem> hidden;
@@ -1478,7 +1429,7 @@ Result<OpPtr> Binder::BindBlock(const sql::QueryBlock& block_ast,
     ties = qb.top_with_ties;
     if (ties) features_.Record(Feature::kOrderedAnalytics);
   }
-  if (enclosing.limit >= 0 && enclosing.block.get() == &block_ast) {
+  if (enclosing.limit >= 0 && enclosing.block.get() == &qb) {
     limit = enclosing.limit;
     limit_offset = enclosing.limit_offset;
   }

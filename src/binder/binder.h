@@ -97,10 +97,12 @@ class Binder {
   };
 
   Result<xtra::OpPtr> BindQueryExpr(const sql::SelectStmt& stmt, Scope* outer);
+  /// The set operation or block of `stmt`, without its WITH clause.
+  Result<xtra::OpPtr> BindQueryBody(const sql::SelectStmt& stmt, Scope* outer);
   Result<xtra::OpPtr> BindRecursive(const sql::SelectStmt& stmt, Scope* outer);
   Result<xtra::OpPtr> BindBlock(const sql::QueryBlock& block,
-                                const sql::SelectStmt& enclosing, Scope* outer,
-                                bool* bound_order_by, xtra::OpPtr* out);
+                                const sql::SelectStmt& enclosing,
+                                Scope* outer);
 
   Result<xtra::OpPtr> BindTableRef(const sql::TableRef& ref, Scope* scope,
                                    Scope* outer);
@@ -125,9 +127,10 @@ class Binder {
   Result<const TableDef*> ResolveDmlTarget(const std::string& name,
                                            std::string* resolved);
 
-  /// Scans a block for qualified references to catalog tables missing from
-  /// FROM and appends them (implicit-join expansion).
-  Status ExpandImplicitJoins(sql::QueryBlock* block, const Scope& scope);
+  /// Implicit-join expansion: the catalog tables a block's qualified
+  /// references name but its FROM does not, in first-reference order.
+  /// Empty unless the dialect allows implicit joins.
+  std::vector<std::string> ImplicitJoinTables(const sql::QueryBlock& block);
 
   /// `offset` when the literal comes from the statement's own SQL-A, else
   /// -1: view bodies and column defaults are parsed from catalog text, so

@@ -4,11 +4,6 @@
 
 namespace hyperq::frontend {
 
-Status ScanTranslationFeatures(const std::string& sql, FeatureSet* features) {
-  HQ_ASSIGN_OR_RETURN(std::vector<sql::Token> tokens, sql::Tokenize(sql));
-  return ScanTranslationFeatures(tokens, features);
-}
-
 Status ScanTranslationFeatures(const std::vector<sql::Token>& tokens,
                                FeatureSet* features) {
   bool statement_start = true;

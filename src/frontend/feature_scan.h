@@ -16,13 +16,10 @@
 
 namespace hyperq::frontend {
 
-/// \brief Scans SQL-A text and records the Translation-class tracked
-/// features it uses into `features`.
-Status ScanTranslationFeatures(const std::string& sql, FeatureSet* features);
-
-/// \brief Token-stream variant: callers that already lexed the statement
-/// (the translation cache normalizer does) can reuse the stream instead of
-/// tokenizing a second time on the cold path.
+/// \brief Records the Translation-class tracked features that the token
+/// stream of one SQL-A statement or script uses into `features`. The
+/// translation pipeline passes the stream it then parses, so a cache miss
+/// lexes SQL-A once.
 Status ScanTranslationFeatures(const std::vector<sql::Token>& tokens,
                                FeatureSet* features);
 

@@ -1,5 +1,8 @@
 #include "serializer/serializer.h"
 
+#include <algorithm>
+#include <charconv>
+
 namespace hyperq::serializer {
 
 using xtra::ColumnInfo;
@@ -14,6 +17,15 @@ Serializer::Serializer(const transform::BackendProfile& profile)
   if (dialect_ == nullptr) dialect_ = &DefaultDialect();
 }
 
+const std::string* Serializer::NameMap::Find(int id) const {
+  for (const NameMap* m = this; m != nullptr; m = m->outer_) {
+    for (auto it = m->own_.rbegin(); it != m->own_.rend(); ++it) {
+      if (it->first == id) return &it->second;
+    }
+  }
+  return nullptr;
+}
+
 std::string Serializer::QuoteIdent(const std::string& name,
                                    RenderState* state) const {
   std::string quoted = dialect_->QuoteIdent(name);
@@ -26,130 +38,162 @@ std::string Serializer::QuoteIdent(const std::string& name,
   return quoted;
 }
 
-std::string Serializer::RenderLiteral(const Datum& v) const {
-  return dialect_->RenderLiteral(v);
-}
-
 namespace {
-// Brackets the rendering of something built from the SQL-A literal at
-// `literal_offset` so Serialize() can report where it landed.
-std::string MarkSite(int literal_offset, const std::string& text) {
-  std::string marked;
-  marked.reserve(text.size() + 14);
-  marked += kSiteOpen;
-  marked += std::to_string(literal_offset);
-  marked += kSiteOpen;
-  marked += text;
-  marked += kSiteClose;
-  return marked;
+// Appends `text`, built from the SQL-A literal at `literal_offset`,
+// bracketed so Serialize() can report where it landed.
+void AppendMarked(int literal_offset, const std::string& text,
+                  std::string* out) {
+  char digits[16];
+  auto tag = std::to_chars(digits, digits + sizeof(digits), literal_offset);
+  *out += kSiteOpen;
+  out->append(digits, tag.ptr);
+  *out += kSiteOpen;
+  *out += text;
+  *out += kSiteClose;
 }
 
-// Copies `marked` into `out` without the markers, recording each marked
-// range. Returns false on a malformed or nested marker, or a tag of more
-// than nine digits.
-bool StripSiteMarkers(const std::string& marked, std::string* out,
-                      std::vector<LiteralSite>* sites) {
-  out->reserve(marked.size());
+// Removes the markers from `*text` in place (the text only shrinks),
+// recording each marked range. Returns false on a malformed or nested
+// marker, or a tag of more than nine digits; `*text` is then garbage.
+bool StripSiteMarkers(std::string* text, std::vector<LiteralSite>* sites) {
+  std::string& s = *text;
+  size_t written = 0;
   bool open = false;
   LiteralSite site;
   size_t pos = 0;
   while (true) {
-    size_t hit = marked.find_first_of(kSiteMarkerBytes, pos);
-    out->append(marked, pos, hit == std::string::npos ? hit : hit - pos);
-    if (hit == std::string::npos) return !open;
-    if (marked[hit] == kSiteClose) {
+    size_t hit = s.find_first_of(kSiteMarkerBytes, pos);
+    size_t run_end = hit == std::string::npos ? s.size() : hit;
+    if (written != pos) {
+      std::copy(s.begin() + pos, s.begin() + run_end, s.begin() + written);
+    }
+    written += run_end - pos;
+    if (hit == std::string::npos) {
+      s.resize(written);
+      return !open;
+    }
+    if (s[hit] == kSiteClose) {
       if (!open) return false;
-      site.end = out->size();
+      site.end = written;
       sites->push_back(site);
       open = false;
       pos = hit + 1;
       continue;
     }
-    size_t digits_end = marked.find(kSiteOpen, hit + 1);
+    size_t digits_end = s.find(kSiteOpen, hit + 1);
     if (open || digits_end == std::string::npos || digits_end == hit + 1 ||
         digits_end - hit > 10) {
       return false;
     }
     site.literal_offset = 0;
     for (size_t k = hit + 1; k < digits_end; ++k) {
-      if (marked[k] < '0' || marked[k] > '9') return false;
-      site.literal_offset = site.literal_offset * 10 + (marked[k] - '0');
+      if (s[k] < '0' || s[k] > '9') return false;
+      site.literal_offset = site.literal_offset * 10 + (s[k] - '0');
     }
-    site.begin = out->size();
+    site.begin = written;
     open = true;
     pos = digits_end + 1;
   }
 }
+
+// Appends ", " before every list element but the first.
+void Separate(size_t i, std::string* out) {
+  if (i > 0) *out += ", ";
+}
 }  // namespace
 
-std::string Serializer::RenderRowLimit(const Op& limit,
-                                       RenderState* state) const {
+void Serializer::RenderRowLimit(const Op& limit, RenderState* state,
+                                std::string* out) const {
   std::string clause = dialect_->RowLimitClause(limit.limit_count);
-  if (!state->mark_literals || limit.limit_offset < 0) return clause;
-  return MarkSite(limit.limit_offset, clause);
-}
-
-Result<std::string> Serializer::RenderAggCall(const xtra::AggItem& item,
-                                              const NameMap& scope,
-                                              RenderState* state) const {
-  std::string out = item.func + "(";
-  if (item.distinct) out += "DISTINCT ";
-  if (item.arg) {
-    HQ_ASSIGN_OR_RETURN(std::string arg,
-                        RenderExpr(*item.arg, scope, state));
-    out += arg;
+  if (!state->mark_literals || limit.limit_offset < 0) {
+    *out += clause;
   } else {
-    out += "*";
+    AppendMarked(limit.limit_offset, clause, out);
   }
-  out += ")";
-  return out;
 }
 
-Result<std::string> Serializer::RenderWindowCall(const xtra::WindowItem& item,
-                                                 const NameMap& scope,
-                                                 RenderState* state) const {
-  std::string out = item.func + "(";
-  for (size_t i = 0; i < item.args.size(); ++i) {
-    if (i > 0) out += ", ";
-    HQ_ASSIGN_OR_RETURN(std::string arg,
-                        RenderExpr(*item.args[i], scope, state));
-    out += arg;
+Status Serializer::RenderAggCall(const std::string& func, bool distinct,
+                                 const Expr* arg, const NameMap& scope,
+                                 RenderState* state, std::string* out) const {
+  *out += func;
+  *out += '(';
+  if (distinct) *out += "DISTINCT ";
+  if (arg != nullptr) {
+    HQ_RETURN_IF_ERROR(RenderExpr(*arg, scope, state, out));
+  } else {
+    *out += '*';
   }
-  if (item.args.empty() && item.func == "COUNT") out += "*";
-  out += ") OVER (";
+  *out += ')';
+  return Status::OK();
+}
+
+Status Serializer::RenderWindowCall(const xtra::WindowItem& item,
+                                    const NameMap& scope, RenderState* state,
+                                    std::string* out) const {
+  *out += item.func;
+  *out += '(';
+  for (size_t i = 0; i < item.args.size(); ++i) {
+    Separate(i, out);
+    HQ_RETURN_IF_ERROR(RenderExpr(*item.args[i], scope, state, out));
+  }
+  if (item.args.empty() && item.func == "COUNT") *out += '*';
+  *out += ") OVER (";
   bool need_space = false;
   if (!item.partition_by.empty()) {
-    out += "PARTITION BY ";
+    *out += "PARTITION BY ";
     for (size_t i = 0; i < item.partition_by.size(); ++i) {
-      if (i > 0) out += ", ";
-      HQ_ASSIGN_OR_RETURN(
-          std::string p, RenderExpr(*item.partition_by[i], scope,
-                                    state));
-      out += p;
+      Separate(i, out);
+      HQ_RETURN_IF_ERROR(RenderExpr(*item.partition_by[i], scope, state, out));
     }
     need_space = true;
   }
   if (!item.order_by.empty()) {
-    if (need_space) out += " ";
-    out += "ORDER BY ";
+    if (need_space) *out += ' ';
+    *out += "ORDER BY ";
     for (size_t i = 0; i < item.order_by.size(); ++i) {
-      if (i > 0) out += ", ";
-      HQ_ASSIGN_OR_RETURN(
-          std::string o,
-          RenderExpr(*item.order_by[i].expr, scope, state));
-      out += o;
-      if (item.order_by[i].descending) out += " DESC";
+      Separate(i, out);
+      HQ_RETURN_IF_ERROR(RenderExpr(*item.order_by[i].expr, scope, state, out));
+      if (item.order_by[i].descending) *out += " DESC";
       if (item.order_by[i].nulls_first.has_value()) {
-        out += *item.order_by[i].nulls_first ? " NULLS FIRST" : " NULLS LAST";
+        *out += *item.order_by[i].nulls_first ? " NULLS FIRST" : " NULLS LAST";
       }
     }
   }
-  out += ")";
-  return out;
+  *out += ')';
+  return Status::OK();
 }
 
-Result<std::string> Serializer::RenderExpr(const Expr& e, const NameMap& scope,
-                                           RenderState* state) const {
+Status Serializer::RenderExpr(const Expr& e, const NameMap& scope,
+                              RenderState* state, std::string* out) const {
+  // `open c<first> sep c<first+1> ... close`.
+  auto list = [&](size_t first, const char* open, const char* sep,
+                  const char* close) -> Status {
+    *out += open;
+    for (size_t i = first; i < e.children.size(); ++i) {
+      if (i > first) *out += sep;
+      HQ_RETURN_IF_ERROR(RenderExpr(*e.children[i], scope, state, out));
+    }
+    *out += close;
+    return Status::OK();
+  };
+  // `open c0 close`.
+  auto wrap = [&](const char* open, const char* close) -> Status {
+    *out += open;
+    HQ_RETURN_IF_ERROR(RenderExpr(*e.children[0], scope, state, out));
+    *out += close;
+    return Status::OK();
+  };
+  // `(c0 op c1)`.
+  auto infix = [&](const char* op) -> Status {
+    *out += '(';
+    HQ_RETURN_IF_ERROR(RenderExpr(*e.children[0], scope, state, out));
+    *out += ' ';
+    *out += op;
+    *out += ' ';
+    HQ_RETURN_IF_ERROR(RenderExpr(*e.children[1], scope, state, out));
+    *out += ')';
+    return Status::OK();
+  };
   switch (e.kind) {
     case ExprKind::kColRef: {
       if (e.type.kind == TypeKind::kPeriodDate) {
@@ -158,59 +202,40 @@ Result<std::string> Serializer::RenderExpr(const Expr& e, const NameMap& scope,
             "' must be accessed via BEGIN()/END(); the target stores it as "
             "two DATE columns");
       }
-      auto it = scope.find(e.col_id);
-      if (it != scope.end()) return it->second;
+      if (const std::string* text = scope.Find(e.col_id)) {
+        *out += *text;
+        return Status::OK();
+      }
       // Fallback for DML scopes (UPDATE/DELETE): bare column name.
       if (!e.col_name.empty()) {
-        return QuoteIdent(e.col_name.substr(e.col_name.rfind('.') + 1),
-                          state);
+        *out += QuoteIdent(e.col_name.substr(e.col_name.rfind('.') + 1),
+                           state);
+        return Status::OK();
       }
       return Status::Internal("serializer: unresolved column id ", e.col_id);
     }
     case ExprKind::kConst: {
-      std::string lit = RenderLiteral(e.value);
-      if (!state->mark_literals) return lit;
-      if (lit.find_first_of(kSiteMarkerBytes) != std::string::npos) {
+      std::string lit = dialect_->RenderLiteral(e.value);
+      if (state->mark_literals &&
+          lit.find_first_of(kSiteMarkerBytes) != std::string::npos) {
         state->marker_clash = true;
-        return lit;
+      } else if (state->mark_literals && e.literal_offset >= 0) {
+        AppendMarked(e.literal_offset, lit, out);
+        return Status::OK();
       }
-      if (e.literal_offset < 0) return lit;
-      return MarkSite(e.literal_offset, lit);
+      *out += lit;
+      return Status::OK();
     }
-    case ExprKind::kArith: {
-      HQ_ASSIGN_OR_RETURN(std::string l,
-                          RenderExpr(*e.children[0], scope, state));
-      HQ_ASSIGN_OR_RETURN(std::string r,
-                          RenderExpr(*e.children[1], scope, state));
-      if (e.arith == xtra::ArithKind::kMod) {
-        return "MOD(" + l + ", " + r + ")";
-      }
-      return "(" + l + " " + ArithKindName(e.arith) + " " + r + ")";
-    }
-    case ExprKind::kComp: {
-      HQ_ASSIGN_OR_RETURN(std::string l,
-                          RenderExpr(*e.children[0], scope, state));
-      HQ_ASSIGN_OR_RETURN(std::string r,
-                          RenderExpr(*e.children[1], scope, state));
-      return "(" + l + " " + CompKindSql(e.comp) + " " + r + ")";
-    }
-    case ExprKind::kBool: {
-      std::string out = "(";
-      for (size_t i = 0; i < e.children.size(); ++i) {
-        if (i > 0) {
-          out += e.boolk == xtra::BoolKind::kAnd ? " AND " : " OR ";
-        }
-        HQ_ASSIGN_OR_RETURN(std::string c,
-                            RenderExpr(*e.children[i], scope, state));
-        out += c;
-      }
-      return out + ")";
-    }
-    case ExprKind::kNot: {
-      HQ_ASSIGN_OR_RETURN(std::string c,
-                          RenderExpr(*e.children[0], scope, state));
-      return "(NOT " + c + ")";
-    }
+    case ExprKind::kArith:
+      if (e.arith == xtra::ArithKind::kMod) return list(0, "MOD(", ", ", ")");
+      return infix(ArithKindName(e.arith));
+    case ExprKind::kComp:
+      return infix(CompKindSql(e.comp));
+    case ExprKind::kBool:
+      return list(0, "(",
+                  e.boolk == xtra::BoolKind::kAnd ? " AND " : " OR ", ")");
+    case ExprKind::kNot:
+      return wrap("(NOT ", ")");
     case ExprKind::kFunc: {
       // PERIOD accessors address the expanded begin/end DATE columns.
       if ((e.func_name == "BEGIN" || e.func_name == "END") &&
@@ -218,115 +243,88 @@ Result<std::string> Serializer::RenderExpr(const Expr& e, const NameMap& scope,
           e.children[0]->kind == ExprKind::kColRef &&
           e.children[0]->type.kind == TypeKind::kPeriodDate) {
         const Expr& col = *e.children[0];
-        auto it = scope.find(col.col_id);
-        std::string base;
-        if (it != scope.end()) {
-          base = it->second;
+        if (const std::string* text = scope.Find(col.col_id)) {
+          *out += *text;
         } else {
-          base = QuoteIdent(
-              col.col_name.substr(col.col_name.rfind('.') + 1), state);
+          *out += QuoteIdent(col.col_name.substr(col.col_name.rfind('.') + 1),
+                             state);
         }
-        return base + (e.func_name == "BEGIN" ? "_BEGIN" : "_END");
+        *out += e.func_name == "BEGIN" ? "_BEGIN" : "_END";
+        return Status::OK();
       }
-      if (e.func_name == "$NEG") {
-        HQ_ASSIGN_OR_RETURN(std::string c,
-                            RenderExpr(*e.children[0], scope, state));
-        return "(- " + c + ")";
-      }
+      if (e.func_name == "$NEG") return wrap("(- ", ")");
       if (e.func_name == "CURRENT_DATE" || e.func_name == "CURRENT_TIME" ||
           e.func_name == "CURRENT_TIMESTAMP") {
-        return e.func_name;
+        *out += e.func_name;
+        return Status::OK();
       }
-      std::string out = e.func_name + "(";
-      for (size_t i = 0; i < e.children.size(); ++i) {
-        if (i > 0) out += ", ";
-        HQ_ASSIGN_OR_RETURN(std::string c,
-                            RenderExpr(*e.children[i], scope, state));
-        out += c;
-      }
-      return out + ")";
+      *out += e.func_name;
+      return list(0, "(", ", ", ")");
     }
-    case ExprKind::kAgg: {
-      xtra::AggItem item;
-      item.func = e.func_name;
-      item.distinct = e.distinct_arg;
-      if (!e.children.empty()) item.arg = e.children[0]->Clone();
-      return RenderAggCall(item, scope, state);
-    }
-    case ExprKind::kCast: {
-      HQ_ASSIGN_OR_RETURN(std::string c,
-                          RenderExpr(*e.children[0], scope, state));
-      return "CAST(" + c + " AS " + e.type.ToString() + ")";
-    }
+    case ExprKind::kAgg:
+      return RenderAggCall(e.func_name, e.distinct_arg,
+                           e.children.empty() ? nullptr : e.children[0].get(),
+                           scope, state, out);
+    case ExprKind::kCast:
+      *out += "CAST(";
+      HQ_RETURN_IF_ERROR(RenderExpr(*e.children[0], scope, state, out));
+      *out += " AS ";
+      *out += e.type.ToString();
+      *out += ')';
+      return Status::OK();
     case ExprKind::kCase: {
-      std::string out = "CASE";
+      *out += "CASE";
       for (const auto& [w, t] : e.when_then) {
-        HQ_ASSIGN_OR_RETURN(std::string ws,
-                            RenderExpr(*w, scope, state));
-        HQ_ASSIGN_OR_RETURN(std::string ts,
-                            RenderExpr(*t, scope, state));
-        out += " WHEN " + ws + " THEN " + ts;
+        *out += " WHEN ";
+        HQ_RETURN_IF_ERROR(RenderExpr(*w, scope, state, out));
+        *out += " THEN ";
+        HQ_RETURN_IF_ERROR(RenderExpr(*t, scope, state, out));
       }
       if (e.else_expr) {
-        HQ_ASSIGN_OR_RETURN(std::string es,
-                            RenderExpr(*e.else_expr, scope, state));
-        out += " ELSE " + es;
+        *out += " ELSE ";
+        HQ_RETURN_IF_ERROR(RenderExpr(*e.else_expr, scope, state, out));
       }
-      return out + " END";
+      *out += " END";
+      return Status::OK();
     }
-    case ExprKind::kIsNull: {
-      HQ_ASSIGN_OR_RETURN(std::string c,
-                          RenderExpr(*e.children[0], scope, state));
-      return "(" + c + (e.negated ? " IS NOT NULL)" : " IS NULL)");
-    }
-    case ExprKind::kLike: {
-      HQ_ASSIGN_OR_RETURN(std::string v,
-                          RenderExpr(*e.children[0], scope, state));
-      HQ_ASSIGN_OR_RETURN(std::string p,
-                          RenderExpr(*e.children[1], scope, state));
-      std::string out = "(" + v + (e.negated ? " NOT LIKE " : " LIKE ") + p;
+    case ExprKind::kIsNull:
+      return wrap("(", e.negated ? " IS NOT NULL)" : " IS NULL)");
+    case ExprKind::kLike:
+      *out += '(';
+      HQ_RETURN_IF_ERROR(RenderExpr(*e.children[0], scope, state, out));
+      *out += e.negated ? " NOT LIKE " : " LIKE ";
+      HQ_RETURN_IF_ERROR(RenderExpr(*e.children[1], scope, state, out));
       if (e.children.size() > 2) {
-        HQ_ASSIGN_OR_RETURN(std::string esc,
-                            RenderExpr(*e.children[2], scope, state));
-        out += " ESCAPE " + esc;
+        *out += " ESCAPE ";
+        HQ_RETURN_IF_ERROR(RenderExpr(*e.children[2], scope, state, out));
       }
-      return out + ")";
-    }
-    case ExprKind::kInList: {
-      HQ_ASSIGN_OR_RETURN(std::string v,
-                          RenderExpr(*e.children[0], scope, state));
-      std::string out = "(" + v + (e.negated ? " NOT IN (" : " IN (");
-      for (size_t i = 1; i < e.children.size(); ++i) {
-        if (i > 1) out += ", ";
-        HQ_ASSIGN_OR_RETURN(std::string c,
-                            RenderExpr(*e.children[i], scope, state));
-        out += c;
-      }
-      return out + "))";
-    }
-    case ExprKind::kExtract: {
-      HQ_ASSIGN_OR_RETURN(std::string c,
-                          RenderExpr(*e.children[0], scope, state));
-      return "EXTRACT(" + e.func_name + " FROM " + c + ")";
-    }
-    case ExprKind::kSubqScalar: {
-      HQ_ASSIGN_OR_RETURN(Rendered sub,
-                          RenderQuery(*e.subplan, scope, state));
-      return "(" + sub.sql + ")";
-    }
-    case ExprKind::kSubqExists: {
-      HQ_ASSIGN_OR_RETURN(Rendered sub,
-                          RenderQuery(*e.subplan, scope, state));
-      return std::string(e.negated ? "(NOT EXISTS (" : "(EXISTS (") + sub.sql +
-             "))";
-    }
-    case ExprKind::kSubqIn: {
-      HQ_ASSIGN_OR_RETURN(std::string v,
-                          RenderExpr(*e.children[0], scope, state));
-      HQ_ASSIGN_OR_RETURN(Rendered sub,
-                          RenderQuery(*e.subplan, scope, state));
-      return "(" + v + (e.negated ? " NOT IN (" : " IN (") + sub.sql + "))";
-    }
+      *out += ')';
+      return Status::OK();
+    case ExprKind::kInList:
+      *out += '(';
+      HQ_RETURN_IF_ERROR(RenderExpr(*e.children[0], scope, state, out));
+      return list(1, e.negated ? " NOT IN (" : " IN (", ", ", "))");
+    case ExprKind::kExtract:
+      *out += "EXTRACT(";
+      *out += e.func_name;
+      return wrap(" FROM ", ")");
+    case ExprKind::kSubqScalar:
+      *out += '(';
+      HQ_RETURN_IF_ERROR(RenderQuery(*e.subplan, scope, state, out).status());
+      *out += ')';
+      return Status::OK();
+    case ExprKind::kSubqExists:
+      *out += e.negated ? "(NOT EXISTS (" : "(EXISTS (";
+      HQ_RETURN_IF_ERROR(RenderQuery(*e.subplan, scope, state, out).status());
+      *out += "))";
+      return Status::OK();
+    case ExprKind::kSubqIn:
+      *out += '(';
+      HQ_RETURN_IF_ERROR(RenderExpr(*e.children[0], scope, state, out));
+      *out += e.negated ? " NOT IN (" : " IN (";
+      HQ_RETURN_IF_ERROR(RenderQuery(*e.subplan, scope, state, out).status());
+      *out += "))";
+      return Status::OK();
     case ExprKind::kSubqQuantified: {
       if (e.children.size() > 1 && !profile_.supports_vector_subquery) {
         return Status::NotSupported(
@@ -339,53 +337,43 @@ Result<std::string> Serializer::RenderExpr(const Expr& e, const NameMap& scope,
             "quantified subquery reached the serializer for target '",
             profile_.name, "'");
       }
-      std::string row;
+      *out += '(';
       if (e.children.size() > 1) {
-        row = "(";
-        for (size_t i = 0; i < e.children.size(); ++i) {
-          if (i > 0) row += ", ";
-          HQ_ASSIGN_OR_RETURN(
-              std::string c, RenderExpr(*e.children[i], scope, state));
-          row += c;
-        }
-        row += ")";
+        HQ_RETURN_IF_ERROR(list(0, "(", ", ", ")"));
       } else {
-        HQ_ASSIGN_OR_RETURN(row,
-                            RenderExpr(*e.children[0], scope, state));
+        HQ_RETURN_IF_ERROR(RenderExpr(*e.children[0], scope, state, out));
       }
-      HQ_ASSIGN_OR_RETURN(Rendered sub,
-                          RenderQuery(*e.subplan, scope, state));
-      return "(" + row + " " + CompKindSql(e.quant_cmp) +
-             (e.quantifier == xtra::Quantifier::kAny ? " ANY (" : " ALL (") +
-             sub.sql + "))";
+      *out += ' ';
+      *out += CompKindSql(e.quant_cmp);
+      *out += e.quantifier == xtra::Quantifier::kAny ? " ANY (" : " ALL (";
+      HQ_RETURN_IF_ERROR(RenderQuery(*e.subplan, scope, state, out).status());
+      *out += "))";
+      return Status::OK();
     }
   }
   return Status::Internal("unhandled XTRA expression kind in serializer");
 }
 
-Result<std::string> Serializer::RenderFromItem(const Op& op,
-                                               const NameMap& outer,
-                                               NameMap* scope,
-                                               RenderState* state) const {
+Status Serializer::RenderFromItem(const Op& op, const NameMap& outer,
+                                  NameMap* scope, RenderState* state,
+                                  std::string* out) const {
   switch (op.kind) {
     case OpKind::kGet: {
-      std::string alias =
-          op.alias.empty() ? op.table_name : op.alias;
+      const std::string& alias = op.alias.empty() ? op.table_name : op.alias;
+      std::string qualifier = QuoteIdent(alias, state) + ".";
       for (const auto& col : op.output) {
-        (*scope)[col.id] =
-            QuoteIdent(alias, state) + "." + QuoteIdent(col.name, state);
+        scope->Set(col.id, qualifier + QuoteIdent(col.name, state));
       }
-      if (alias == op.table_name) return QuoteIdent(op.table_name, state);
-      return QuoteIdent(op.table_name, state) + " " +
-             QuoteIdent(alias, state);
+      *out += QuoteIdent(op.table_name, state);
+      if (alias != op.table_name) {
+        *out += ' ';
+        *out += QuoteIdent(alias, state);
+      }
+      return Status::OK();
     }
     case OpKind::kJoin: {
-      HQ_ASSIGN_OR_RETURN(
-          std::string left,
-          RenderFromItem(*op.children[0], outer, scope, state));
-      HQ_ASSIGN_OR_RETURN(
-          std::string right,
-          RenderFromItem(*op.children[1], outer, scope, state));
+      HQ_RETURN_IF_ERROR(
+          RenderFromItem(*op.children[0], outer, scope, state, out));
       const char* kw = " INNER JOIN ";
       switch (op.join_kind) {
         case xtra::JoinKind::kInner:
@@ -404,55 +392,80 @@ Result<std::string> Serializer::RenderFromItem(const Op& op,
           kw = " CROSS JOIN ";
           break;
       }
-      if (op.join_kind == xtra::JoinKind::kCross) {
-        return left + kw + right;
+      *out += kw;
+      HQ_RETURN_IF_ERROR(
+          RenderFromItem(*op.children[1], outer, scope, state, out));
+      if (op.join_kind == xtra::JoinKind::kCross) return Status::OK();
+      // The condition sees both sides and, through `scope`, `outer`.
+      *out += " ON ";
+      if (!op.predicate) {
+        *out += "TRUE";
+        return Status::OK();
       }
-      NameMap cond_scope = outer;
-      for (const auto& [id, txt] : *scope) cond_scope[id] = txt;
-      std::string cond = "TRUE";
-      if (op.predicate) {
-        HQ_ASSIGN_OR_RETURN(
-            cond, RenderExpr(*op.predicate, cond_scope, state));
-      }
-      return left + kw + right + " ON " + cond;
+      return RenderExpr(*op.predicate, *scope, state, out);
     }
     default: {
-      HQ_ASSIGN_OR_RETURN(Rendered sub,
-                          RenderQuery(op, outer, state));
-      std::string alias = "T" + std::to_string(++state->aliases);
-      for (const auto& col : sub.cols) {
-        (*scope)[col.id] =
-            QuoteIdent(alias, state) + "." + QuoteIdent(col.name, state);
+      *out += '(';
+      HQ_ASSIGN_OR_RETURN(std::vector<ColumnInfo> cols,
+                          RenderQuery(op, outer, state, out));
+      std::string alias =
+          QuoteIdent("T" + std::to_string(++state->aliases), state);
+      for (const auto& col : cols) {
+        scope->Set(col.id, alias + "." + QuoteIdent(col.name, state));
       }
-      if (sub.bare_table) {
-        return QuoteIdent(sub.table, state) + " " + QuoteIdent(alias, state);
-      }
-      return "(" + sub.sql + ") " + QuoteIdent(alias, state);
+      *out += ") ";
+      *out += alias;
+      return Status::OK();
     }
   }
 }
 
-Result<Serializer::Rendered> Serializer::RenderQuery(
-    const Op& op, const NameMap& outer, RenderState* state) const {
+Status Serializer::RenderOrderBy(const Op& sort,
+                                 const std::vector<ColumnInfo>& out_cols,
+                                 const NameMap& scope, RenderState* state,
+                                 std::string* out) const {
+  *out += " ORDER BY ";
+  NameMap order_scope(&scope);
+  for (const auto& c : out_cols) {
+    order_scope.Set(c.id, QuoteIdent(c.name, state));
+  }
+  for (size_t i = 0; i < sort.sort_items.size(); ++i) {
+    Separate(i, out);
+    HQ_RETURN_IF_ERROR(
+        RenderExpr(*sort.sort_items[i].expr, order_scope, state, out));
+    if (sort.sort_items[i].descending) *out += " DESC";
+    if (sort.sort_items[i].nulls_first.has_value()) {
+      *out += *sort.sort_items[i].nulls_first ? " NULLS FIRST" : " NULLS LAST";
+    }
+  }
+  return Status::OK();
+}
+
+Result<std::vector<ColumnInfo>> Serializer::RenderQuery(
+    const Op& op, const NameMap& outer, RenderState* state,
+    std::string* out) const {
   if (op.kind == OpKind::kRecursiveCte || op.kind == OpKind::kCteRef) {
     return Status::NotSupported(
         "recursive query reached the serializer for target '", profile_.name,
         "'; recursion requires mid-tier emulation");
   }
   if (op.kind == OpKind::kSetOp) {
-    HQ_ASSIGN_OR_RETURN(Rendered left,
-                        RenderQuery(*op.children[0], outer, state));
-    HQ_ASSIGN_OR_RETURN(Rendered right,
-                        RenderQuery(*op.children[1], outer, state));
-    Rendered out;
-    out.sql = "(" + left.sql + ")" + dialect_->SetOpKeyword(op.setop_kind) +
-              "(" + right.sql + ")";
+    *out += '(';
+    HQ_ASSIGN_OR_RETURN(std::vector<ColumnInfo> left,
+                        RenderQuery(*op.children[0], outer, state, out));
+    *out += ')';
+    *out += dialect_->SetOpKeyword(op.setop_kind);
+    *out += '(';
+    HQ_RETURN_IF_ERROR(
+        RenderQuery(*op.children[1], outer, state, out).status());
+    *out += ')';
+    std::vector<ColumnInfo> cols;
     for (size_t i = 0; i < op.output.size(); ++i) {
       std::string name =
-          i < left.cols.size() ? left.cols[i].name : op.output[i].name;
-      out.cols.push_back({op.output[i].id, name, op.output[i].type});
+          i < left.size() ? left[i].name : op.output[i].name;
+      cols.push_back({op.output[i].id, name, op.output[i].type});
     }
-    return out;
+    return cols;
   }
 
   // ---- Single-block assembly -------------------------------------------
@@ -488,72 +501,63 @@ Result<Serializer::Rendered> Serializer::RenderQuery(
     cur = cur->children[0].get();
   }
 
-  Rendered out;
-  NameMap scope = outer;
+  NameMap scope(&outer);
+  // A projection's select list: `expr AS name` per item.
+  std::vector<ColumnInfo> out_cols;
+  auto render_projections = [&]() -> Status {
+    int i = 0;
+    for (const auto& item : proj->projections) {
+      if (i++ > 0) *out += ", ";
+      HQ_RETURN_IF_ERROR(RenderExpr(*item.expr, scope, state, out));
+      std::string name =
+          item.name.empty() ? "C" + std::to_string(i) : item.name;
+      *out += " AS ";
+      *out += QuoteIdent(name, state);
+      out_cols.push_back({item.out_id, std::move(name), item.expr->type});
+    }
+    return Status::OK();
+  };
 
   if (postwin != nullptr) {
     // SQL cannot filter window results in the same block: render the window
-    // subtree as a derived table and filter/project above it.
-    HQ_ASSIGN_OR_RETURN(Rendered inner,
-                        RenderQuery(*cur, outer, state));
-    std::string alias = "T" + std::to_string(++state->aliases);
-    for (const auto& col : inner.cols) {
-      scope[col.id] =
-          QuoteIdent(alias, state) + "." + QuoteIdent(col.name, state);
+    // subtree as a derived table and filter/project above it. The derived
+    // table and the filter are rendered first, as they fix the scope and
+    // the alias numbering.
+    std::string inner;
+    HQ_ASSIGN_OR_RETURN(std::vector<ColumnInfo> inner_cols,
+                        RenderQuery(*cur, outer, state, &inner));
+    std::string alias =
+        QuoteIdent("T" + std::to_string(++state->aliases), state);
+    for (const auto& col : inner_cols) {
+      scope.Set(col.id, alias + "." + QuoteIdent(col.name, state));
     }
-    HQ_ASSIGN_OR_RETURN(std::string pred,
-                        RenderExpr(*postwin->predicate, scope, state));
-    std::string select_list;
-    std::vector<ColumnInfo> out_cols;
-    const std::vector<ColumnInfo>* outputs =
-        proj ? &proj->output : &postwin->output;
+    std::string pred;
+    HQ_RETURN_IF_ERROR(RenderExpr(*postwin->predicate, scope, state, &pred));
+    *out += "SELECT ";
+    if (proj && proj->project_distinct) *out += "DISTINCT ";
     if (proj) {
-      int i = 0;
-      for (const auto& item : proj->projections) {
-        if (i++ > 0) select_list += ", ";
-        HQ_ASSIGN_OR_RETURN(std::string txt,
-                            RenderExpr(*item.expr, scope, state));
-        std::string name = item.name.empty() ? "C" + std::to_string(i) : item.name;
-        select_list += txt + " AS " + QuoteIdent(name, state);
-        out_cols.push_back({item.out_id, name, item.expr->type});
-      }
+      HQ_RETURN_IF_ERROR(render_projections());
     } else {
       int i = 0;
-      for (const auto& col : *outputs) {
-        if (i++ > 0) select_list += ", ";
-        select_list += scope[col.id] + " AS " + QuoteIdent(col.name, state);
+      for (const auto& col : postwin->output) {
+        if (i++ > 0) *out += ", ";
+        if (const std::string* text = scope.Find(col.id)) *out += *text;
+        *out += " AS ";
+        *out += QuoteIdent(col.name, state);
         out_cols.push_back(col);
       }
     }
-    std::string sql = "SELECT ";
-    if (proj && proj->project_distinct) sql += "DISTINCT ";
-    sql += select_list + " FROM (" + inner.sql + ") " +
-           QuoteIdent(alias, state) +
-           " WHERE " + pred;
-    // ORDER BY / LIMIT at this level.
+    *out += " FROM (";
+    *out += inner;
+    *out += ") ";
+    *out += alias;
+    *out += " WHERE ";
+    *out += pred;
     if (sort != nullptr) {
-      sql += " ORDER BY ";
-      NameMap order_scope = scope;
-      for (const auto& c : out_cols) {
-        order_scope[c.id] = QuoteIdent(c.name, state);
-      }
-      for (size_t i = 0; i < sort->sort_items.size(); ++i) {
-        if (i > 0) sql += ", ";
-        HQ_ASSIGN_OR_RETURN(
-            std::string o,
-            RenderExpr(*sort->sort_items[i].expr, order_scope, state));
-        sql += o;
-        if (sort->sort_items[i].descending) sql += " DESC";
-        if (sort->sort_items[i].nulls_first.has_value()) {
-          sql += *sort->sort_items[i].nulls_first ? " NULLS FIRST"
-                                                  : " NULLS LAST";
-        }
-      }
+      HQ_RETURN_IF_ERROR(RenderOrderBy(*sort, out_cols, scope, state, out));
     }
-    if (limit != nullptr) sql += RenderRowLimit(*limit, state);
-    out.sql = std::move(sql);
-    out.cols = std::move(out_cols);
-    return out;
+    if (limit != nullptr) RenderRowLimit(*limit, state, out);
+    return out_cols;
   }
 
   if (cur->kind == OpKind::kWindow) {
@@ -587,7 +591,9 @@ Result<Serializer::Rendered> Serializer::RenderQuery(
     break;
   }
 
-  // FROM + base scope.
+  // FROM + base scope. FROM precedes the select list in rendering order
+  // (it fills the scope) but follows it in the text, so it gets its own
+  // buffer.
   std::string from;
   bool fromless = false;
   if (cur->kind == OpKind::kValues && cur->rows.size() == 1 &&
@@ -595,30 +601,28 @@ Result<Serializer::Rendered> Serializer::RenderQuery(
     fromless = true;
   } else if (cur->kind == OpKind::kValues) {
     // Render literal rows as a UNION ALL of FROM-less selects.
-    std::string sql;
+    from += '(';
     for (size_t r = 0; r < cur->rows.size(); ++r) {
-      if (r > 0) sql += dialect_->SetOpKeyword(xtra::SetOpKind::kUnionAll);
-      sql += "SELECT ";
+      if (r > 0) from += dialect_->SetOpKeyword(xtra::SetOpKind::kUnionAll);
+      from += "SELECT ";
       for (size_t c = 0; c < cur->rows[r].size(); ++c) {
-        if (c > 0) sql += ", ";
-        HQ_ASSIGN_OR_RETURN(std::string v,
-                            RenderExpr(*cur->rows[r][c], scope,
-                                       state));
-        sql += v;
+        Separate(c, &from);
+        HQ_RETURN_IF_ERROR(RenderExpr(*cur->rows[r][c], scope, state, &from));
         if (c < cur->output.size()) {
-          sql += " AS " + QuoteIdent(cur->output[c].name, state);
+          from += " AS ";
+          from += QuoteIdent(cur->output[c].name, state);
         }
       }
     }
-    std::string alias = "T" + std::to_string(++state->aliases);
+    std::string alias =
+        QuoteIdent("T" + std::to_string(++state->aliases), state);
     for (const auto& col : cur->output) {
-      scope[col.id] =
-          QuoteIdent(alias, state) + "." + QuoteIdent(col.name, state);
+      scope.Set(col.id, alias + "." + QuoteIdent(col.name, state));
     }
-    from = "(" + sql + ") " + QuoteIdent(alias, state);
+    from += ") ";
+    from += alias;
   } else {
-    HQ_ASSIGN_OR_RETURN(from,
-                        RenderFromItem(*cur, outer, &scope, state));
+    HQ_RETURN_IF_ERROR(RenderFromItem(*cur, outer, &scope, state, &from));
   }
 
   // Aggregate columns enter the scope as their SQL call text.
@@ -630,41 +634,32 @@ Result<Serializer::Rendered> Serializer::RenderQuery(
           "'; grouping_sets_to_union must run first");
     }
     for (size_t i = 0; i < agg->group_by.size(); ++i) {
-      HQ_ASSIGN_OR_RETURN(std::string g, RenderExpr(*agg->group_by[i], scope,
-                                                    state));
-      group_texts.push_back(g);
-      scope[agg->output[i].id] = g;
+      std::string g;
+      HQ_RETURN_IF_ERROR(RenderExpr(*agg->group_by[i], scope, state, &g));
+      scope.Set(agg->output[i].id, g);
+      group_texts.push_back(std::move(g));
     }
     for (const auto& item : agg->aggregates) {
-      HQ_ASSIGN_OR_RETURN(std::string call,
-                          RenderAggCall(item, scope, state));
-      scope[item.out_id] = call;
+      std::string call;
+      HQ_RETURN_IF_ERROR(RenderAggCall(item.func, item.distinct,
+                                       item.arg.get(), scope, state, &call));
+      scope.Set(item.out_id, std::move(call));
     }
   }
   if (win != nullptr) {
     for (const auto& item : win->windows) {
-      HQ_ASSIGN_OR_RETURN(std::string call,
-                          RenderWindowCall(item, scope, state));
-      scope[item.out_id] = call;
+      std::string call;
+      HQ_RETURN_IF_ERROR(RenderWindowCall(item, scope, state, &call));
+      scope.Set(item.out_id, std::move(call));
     }
   }
 
   // SELECT list.
-  std::string select_list;
-  std::vector<ColumnInfo> out_cols;
-  bool distinct = false;
+  *out += "SELECT ";
+  if (proj != nullptr && proj->project_distinct) *out += "DISTINCT ";
+  const size_t list_begin = out->size();
   if (proj != nullptr) {
-    distinct = proj->project_distinct;
-    int i = 0;
-    for (const auto& item : proj->projections) {
-      if (i++ > 0) select_list += ", ";
-      HQ_ASSIGN_OR_RETURN(std::string txt,
-                          RenderExpr(*item.expr, scope, state));
-      std::string name =
-          item.name.empty() ? "C" + std::to_string(i) : item.name;
-      select_list += txt + " AS " + QuoteIdent(name, state);
-      out_cols.push_back({item.out_id, name, item.expr->type});
-    }
+    HQ_RETURN_IF_ERROR(render_projections());
   } else {
     const Op* top = win       ? win
                     : having  ? having
@@ -676,101 +671,81 @@ Result<Serializer::Rendered> Serializer::RenderQuery(
         top != nullptr ? top->output : op.output;
     int i = 0;
     for (const auto& col : outputs) {
-      if (i++ > 0) select_list += ", ";
-      auto it = scope.find(col.id);
-      if (it == scope.end()) {
+      if (i++ > 0) *out += ", ";
+      const std::string* text = scope.Find(col.id);
+      if (text == nullptr) {
         return Status::Internal("serializer: output column ", col.id,
                                 " not in scope");
       }
-      select_list += it->second + " AS " + QuoteIdent(col.name, state);
+      *out += *text;
+      *out += " AS ";
+      *out += QuoteIdent(col.name, state);
       out_cols.push_back(col);
     }
   }
-  if (select_list.empty()) {
-    select_list = "1 AS ONE";
+  if (out->size() == list_begin) {
+    *out += "1 AS ONE";
     out_cols.push_back({-1, "ONE", SqlType::Int()});
   }
 
-  std::string sql = "SELECT ";
-  if (distinct) sql += "DISTINCT ";
-  sql += select_list;
-  if (!fromless) sql += " FROM " + from;
+  if (!fromless) {
+    *out += " FROM ";
+    *out += from;
+  }
   if (!wheres.empty()) {
-    sql += " WHERE ";
+    *out += " WHERE ";
     for (size_t i = 0; i < wheres.size(); ++i) {
-      if (i > 0) sql += " AND ";
-      HQ_ASSIGN_OR_RETURN(std::string w,
-                          RenderExpr(*wheres[i], scope, state));
-      sql += w;
+      if (i > 0) *out += " AND ";
+      HQ_RETURN_IF_ERROR(RenderExpr(*wheres[i], scope, state, out));
     }
   }
-  if (agg != nullptr && !group_texts.empty()) {
-    sql += " GROUP BY ";
+  if (!group_texts.empty()) {
+    *out += " GROUP BY ";
     for (size_t i = 0; i < group_texts.size(); ++i) {
-      if (i > 0) sql += ", ";
-      sql += group_texts[i];
+      Separate(i, out);
+      *out += group_texts[i];
     }
   }
   if (having != nullptr) {
-    HQ_ASSIGN_OR_RETURN(std::string h,
-                        RenderExpr(*having->predicate, scope, state));
-    sql += " HAVING " + h;
+    *out += " HAVING ";
+    HQ_RETURN_IF_ERROR(RenderExpr(*having->predicate, scope, state, out));
   }
   if (sort != nullptr) {
-    sql += " ORDER BY ";
-    NameMap order_scope = scope;
-    for (const auto& c : out_cols) {
-      order_scope[c.id] = QuoteIdent(c.name, state);
-    }
-    for (size_t i = 0; i < sort->sort_items.size(); ++i) {
-      if (i > 0) sql += ", ";
-      HQ_ASSIGN_OR_RETURN(
-          std::string o,
-          RenderExpr(*sort->sort_items[i].expr, order_scope, state));
-      sql += o;
-      if (sort->sort_items[i].descending) sql += " DESC";
-      if (sort->sort_items[i].nulls_first.has_value()) {
-        sql += *sort->sort_items[i].nulls_first ? " NULLS FIRST"
-                                                : " NULLS LAST";
-      }
-    }
+    HQ_RETURN_IF_ERROR(RenderOrderBy(*sort, out_cols, scope, state, out));
   }
-  if (limit != nullptr) sql += RenderRowLimit(*limit, state);
-
-  out.sql = std::move(sql);
-  out.cols = std::move(out_cols);
-  return out;
+  if (limit != nullptr) RenderRowLimit(*limit, state, out);
+  return out_cols;
 }
 
-Result<std::string> Serializer::RenderInsert(const Op& op,
-                                             RenderState* state) const {
-  std::string sql = "INSERT INTO " + QuoteIdent(op.target_table, state);
+Status Serializer::RenderInsert(const Op& op, RenderState* state,
+                                std::string* out) const {
+  *out += "INSERT INTO ";
+  *out += QuoteIdent(op.target_table, state);
   if (!op.target_columns.empty()) {
-    sql += " (";
+    *out += " (";
     for (size_t i = 0; i < op.target_columns.size(); ++i) {
-      if (i > 0) sql += ", ";
-      sql += QuoteIdent(op.target_columns[i], state);
+      Separate(i, out);
+      *out += QuoteIdent(op.target_columns[i], state);
     }
-    sql += ")";
+    *out += ')';
   }
   const Op& src = *op.children[0];
+  const NameMap no_scope;
   if (src.kind == OpKind::kValues) {
-    sql += " VALUES ";
+    *out += " VALUES ";
     for (size_t r = 0; r < src.rows.size(); ++r) {
-      if (r > 0) sql += ", ";
-      sql += "(";
+      Separate(r, out);
+      *out += '(';
       for (size_t c = 0; c < src.rows[r].size(); ++c) {
-        if (c > 0) sql += ", ";
-        HQ_ASSIGN_OR_RETURN(std::string v,
-                            RenderExpr(*src.rows[r][c], {}, state));
-        sql += v;
+        Separate(c, out);
+        HQ_RETURN_IF_ERROR(RenderExpr(*src.rows[r][c], no_scope, state, out));
       }
-      sql += ")";
+      *out += ')';
     }
-    return sql;
+    return Status::OK();
   }
-  HQ_ASSIGN_OR_RETURN(Rendered q, RenderQuery(src, {}, state));
-  return sql + " " + q.sql;
+  *out += ' ';
+  return RenderQuery(src, no_scope, state, out).status();
 }
 
 namespace {
@@ -793,81 +768,85 @@ void CollectColRefs(const Expr& e, std::vector<const Expr*>* out) {
 // UPDATE/DELETE expressions reference the target table's columns directly;
 // qualify them so that references escaping into correlated subqueries stay
 // unambiguous.
-Result<std::string> Serializer::RenderUpdate(const Op& op,
-                                             RenderState* state) const {
-  NameMap scope;
+Status Serializer::RenderUpdate(const Op& op, RenderState* state,
+                                std::string* out) const {
   std::vector<const Expr*> refs;
   for (const auto& [n, e] : op.assignments) CollectColRefs(*e, &refs);
   if (op.predicate) CollectColRefs(*op.predicate, &refs);
+  const std::string target = QuoteIdent(op.target_table, state);
+  NameMap scope;
   for (const Expr* r : refs) {
     std::string tail = r->col_name.substr(r->col_name.rfind('.') + 1);
-    scope[r->col_id] =
-        QuoteIdent(op.target_table, state) + "." + QuoteIdent(tail, state);
+    scope.Set(r->col_id, target + "." + QuoteIdent(tail, state));
   }
-  std::string sql = "UPDATE " + QuoteIdent(op.target_table, state) + " SET ";
+  *out += "UPDATE ";
+  *out += target;
+  *out += " SET ";
   for (size_t i = 0; i < op.assignments.size(); ++i) {
-    if (i > 0) sql += ", ";
-    HQ_ASSIGN_OR_RETURN(std::string v,
-                        RenderExpr(*op.assignments[i].second, scope, state));
-    sql += QuoteIdent(op.assignments[i].first, state) + " = " + v;
+    Separate(i, out);
+    *out += QuoteIdent(op.assignments[i].first, state);
+    *out += " = ";
+    HQ_RETURN_IF_ERROR(
+        RenderExpr(*op.assignments[i].second, scope, state, out));
   }
   if (op.predicate) {
-    HQ_ASSIGN_OR_RETURN(std::string w, RenderExpr(*op.predicate, scope, state));
-    sql += " WHERE " + w;
+    *out += " WHERE ";
+    HQ_RETURN_IF_ERROR(RenderExpr(*op.predicate, scope, state, out));
   }
-  return sql;
+  return Status::OK();
 }
 
-Result<std::string> Serializer::RenderDelete(const Op& op,
-                                             RenderState* state) const {
-  NameMap scope;
+Status Serializer::RenderDelete(const Op& op, RenderState* state,
+                                std::string* out) const {
   std::vector<const Expr*> refs;
   if (op.predicate) CollectColRefs(*op.predicate, &refs);
+  const std::string target = QuoteIdent(op.target_table, state);
+  NameMap scope;
   for (const Expr* r : refs) {
     std::string tail = r->col_name.substr(r->col_name.rfind('.') + 1);
-    scope[r->col_id] =
-        QuoteIdent(op.target_table, state) + "." + QuoteIdent(tail, state);
+    scope.Set(r->col_id, target + "." + QuoteIdent(tail, state));
   }
-  std::string sql = "DELETE FROM " + QuoteIdent(op.target_table, state);
+  *out += "DELETE FROM ";
+  *out += target;
   if (op.predicate) {
-    HQ_ASSIGN_OR_RETURN(std::string w, RenderExpr(*op.predicate, scope, state));
-    sql += " WHERE " + w;
+    *out += " WHERE ";
+    HQ_RETURN_IF_ERROR(RenderExpr(*op.predicate, scope, state, out));
   }
-  return sql;
+  return Status::OK();
 }
 
-Result<std::string> Serializer::Render(const Op& plan,
-                                       RenderState* state) const {
+Status Serializer::Render(const Op& plan, RenderState* state,
+                          std::string* out) const {
   switch (plan.kind) {
     case OpKind::kInsert:
-      return RenderInsert(plan, state);
+      return RenderInsert(plan, state, out);
     case OpKind::kUpdate:
-      return RenderUpdate(plan, state);
+      return RenderUpdate(plan, state, out);
     case OpKind::kDelete:
-      return RenderDelete(plan, state);
-    default: {
-      HQ_ASSIGN_OR_RETURN(Rendered r, RenderQuery(plan, {}, state));
-      return r.sql;
-    }
+      return RenderDelete(plan, state, out);
+    default:
+      return RenderQuery(plan, NameMap(), state, out).status();
   }
 }
 
 Result<std::string> Serializer::Serialize(
     const Op& plan, std::vector<LiteralSite>* sites) const {
+  std::string out;
+  out.reserve(256);
   RenderState state;
-  if (sites == nullptr) return Render(plan, &state);
-  sites->clear();
-  state.mark_literals = true;
-  HQ_ASSIGN_OR_RETURN(std::string marked, Render(plan, &state));
-  if (!state.marker_clash) {
-    std::string out;
-    if (StripSiteMarkers(marked, &out, sites)) return out;
+  if (sites != nullptr) {
     sites->clear();
+    state.mark_literals = true;
+    HQ_RETURN_IF_ERROR(Render(plan, &state, &out));
+    if (!state.marker_clash && StripSiteMarkers(&out, sites)) return out;
+    // Rendered text carried a marker byte of its own: render again
+    // unmarked and report no sites rather than guess which bytes were ours.
+    sites->clear();
+    out.clear();
+    state = RenderState();
   }
-  // Rendered text carried a marker byte of its own: render again unmarked
-  // and report no sites rather than guess which bytes were ours.
-  RenderState plain;
-  return Render(plan, &plain);
+  HQ_RETURN_IF_ERROR(Render(plan, &state, &out));
+  return out;
 }
 
 }  // namespace hyperq::serializer

@@ -9,8 +9,8 @@
 
 #pragma once
 
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -62,8 +62,21 @@ class Serializer {
   const SQLDialectGenerator& dialect() const { return *dialect_; }
 
  private:
-  /// Maps col id -> SQL text that evaluates it in the current scope.
-  using NameMap = std::map<int, std::string>;
+  /// Col id -> SQL text that evaluates it in the current scope. A block's
+  /// map is layered over its enclosing scope's instead of copying it; a
+  /// lookup tries this layer first, newest entry first.
+  class NameMap {
+   public:
+    explicit NameMap(const NameMap* outer = nullptr) : outer_(outer) {}
+    void Set(int id, std::string text) {
+      own_.emplace_back(id, std::move(text));
+    }
+    const std::string* Find(int id) const;
+
+   private:
+    const NameMap* outer_;
+    std::vector<std::pair<int, std::string>> own_;
+  };
 
   /// Per-call rendering state (the serializer itself is shared and const).
   struct RenderState {
@@ -72,41 +85,44 @@ class Serializer {
     bool marker_clash = false;   // rendered text held a marker byte
   };
 
-  struct Rendered {
-    std::string sql;             // complete SELECT text
-    bool bare_table = false;     // FROM can use the name directly
-    std::string table;           // when bare_table
-    std::vector<xtra::ColumnInfo> cols;  // outputs with emitted names
-  };
+  // Every Render* appends its SQL text to `out`; Serialize() passes one
+  // buffer down the whole tree. RenderQuery returns the block's outputs
+  // with the names it emitted for them.
+  Result<std::vector<xtra::ColumnInfo>> RenderQuery(
+      const xtra::Op& op, const NameMap& outer, RenderState* state,
+      std::string* out) const;
+  Status RenderFromItem(const xtra::Op& op, const NameMap& outer,
+                        NameMap* scope, RenderState* state,
+                        std::string* out) const;
+  Status RenderExpr(const xtra::Expr& e, const NameMap& scope,
+                    RenderState* state, std::string* out) const;
+  Status RenderWindowCall(const xtra::WindowItem& item, const NameMap& scope,
+                          RenderState* state, std::string* out) const;
+  /// `arg` is null for COUNT(*).
+  Status RenderAggCall(const std::string& func, bool distinct,
+                       const xtra::Expr* arg, const NameMap& scope,
+                       RenderState* state, std::string* out) const;
+  /// ORDER BY of a block whose select list emitted `out_cols`.
+  Status RenderOrderBy(const xtra::Op& sort,
+                       const std::vector<xtra::ColumnInfo>& out_cols,
+                       const NameMap& scope, RenderState* state,
+                       std::string* out) const;
 
-  Result<Rendered> RenderQuery(const xtra::Op& op, const NameMap& outer,
-                               RenderState* state) const;
-  Result<std::string> RenderFromItem(const xtra::Op& op, const NameMap& outer,
-                                     NameMap* scope,
-                                     RenderState* state) const;
-  Result<std::string> RenderExpr(const xtra::Expr& e, const NameMap& scope,
-                                 RenderState* state) const;
-  Result<std::string> RenderWindowCall(const xtra::WindowItem& item,
-                                       const NameMap& scope,
-                                       RenderState* state) const;
-  Result<std::string> RenderAggCall(const xtra::AggItem& item,
-                                    const NameMap& scope,
-                                    RenderState* state) const;
-
-  Result<std::string> Render(const xtra::Op& plan, RenderState* state) const;
-  Result<std::string> RenderInsert(const xtra::Op& op,
-                                   RenderState* state) const;
-  Result<std::string> RenderUpdate(const xtra::Op& op,
-                                   RenderState* state) const;
-  Result<std::string> RenderDelete(const xtra::Op& op,
-                                   RenderState* state) const;
+  Status Render(const xtra::Op& plan, RenderState* state,
+                std::string* out) const;
+  Status RenderInsert(const xtra::Op& op, RenderState* state,
+                      std::string* out) const;
+  Status RenderUpdate(const xtra::Op& op, RenderState* state,
+                      std::string* out) const;
+  Status RenderDelete(const xtra::Op& op, RenderState* state,
+                      std::string* out) const;
 
   // Surface syntax delegates to the active dialect generator.
   std::string QuoteIdent(const std::string& name, RenderState* state) const;
-  std::string RenderLiteral(const Datum& v) const;
   /// The dialect's row-limit clause for a kLimit op; marked as a site of
   /// the TOP/LIMIT literal when recording sites.
-  std::string RenderRowLimit(const xtra::Op& limit, RenderState* state) const;
+  void RenderRowLimit(const xtra::Op& limit, RenderState* state,
+                      std::string* out) const;
 
   transform::BackendProfile profile_;
   const SQLDialectGenerator* dialect_;  // registry-owned, never null

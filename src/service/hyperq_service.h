@@ -568,6 +568,11 @@ class HyperQService : public protocol::RequestHandler {
   Result<std::vector<std::string>> TranslateInternal(
       const std::string& sql_a, FeatureSet* caller_features, int depth);
 
+  /// The cold path's front end, shared by Submit and Translate: lexes SQL-A
+  /// once, records its Translation-class features from that token stream,
+  /// and parses the same stream.
+  Result<sql::StatementPtr> ParseSqlA(const std::string& sql_a,
+                                      FeatureSet* features) const;
   /// Binds a query/DML statement against the catalog (under mutex_) and
   /// merges the binder's features; `ctx` carries the bind span.
   Result<xtra::OpPtr> Bind(const sql::Statement& stmt, FeatureSet* features,

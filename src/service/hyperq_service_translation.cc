@@ -242,10 +242,7 @@ Result<QueryOutcome> HyperQService::SubmitInternal(Session* session,
 
   FeatureSet features;
   obs::SpanScope parse_span(ctx, "parse");
-  HQ_RETURN_IF_ERROR(
-      frontend::ScanTranslationFeatures(sql_a, &features));
-  HQ_ASSIGN_OR_RETURN(sql::StatementPtr stmt,
-                      sql::ParseStatement(sql_a, frontend_dialect_));
+  HQ_ASSIGN_OR_RETURN(sql::StatementPtr stmt, ParseSqlA(sql_a, &features));
   parse_span.End();
   double parse_micros = translation.ElapsedMicros();
   bool pipeline_kind = stmt->kind == StmtKind::kSelect ||
@@ -284,6 +281,13 @@ Result<QueryOutcome> HyperQService::SubmitInternal(Session* session,
 // ---------------------------------------------------------------------------
 // Query/DML pipeline
 // ---------------------------------------------------------------------------
+
+Result<sql::StatementPtr> HyperQService::ParseSqlA(
+    const std::string& sql_a, FeatureSet* features) const {
+  HQ_ASSIGN_OR_RETURN(std::vector<sql::Token> tokens, sql::Tokenize(sql_a));
+  HQ_RETURN_IF_ERROR(frontend::ScanTranslationFeatures(tokens, features));
+  return sql::ParseStatement(sql_a, tokens, frontend_dialect_);
+}
 
 Result<xtra::OpPtr> HyperQService::Bind(const sql::Statement& stmt,
                                         FeatureSet* features,
@@ -474,9 +478,7 @@ Result<std::vector<std::string>> HyperQService::TranslateInternal(
   // This statement's own footprint, as under Submit: it is what a cache
   // entry built from it carries.
   FeatureSet features;
-  HQ_RETURN_IF_ERROR(frontend::ScanTranslationFeatures(sql_a, &features));
-  HQ_ASSIGN_OR_RETURN(sql::StatementPtr stmt,
-                      sql::ParseStatement(sql_a, frontend_dialect_));
+  HQ_ASSIGN_OR_RETURN(sql::StatementPtr stmt, ParseSqlA(sql_a, &features));
   // A query/DML statement or MERGE part: the pipeline's bind and lowering.
   auto lower = [&](const sql::Statement& part,
                    std::vector<serializer::LiteralSite>* sites)

@@ -80,11 +80,13 @@ class StreamLexer {
 };
 
 /// \brief Cursor over a token stream with the lookahead helpers every
-/// recursive-descent parser in the repo uses.
+/// recursive-descent parser in the repo uses. It borrows `tokens`, which
+/// must outlive it: the translation pipeline lexes SQL-A once and hands
+/// the same vector to the feature scan and to the parser.
 class TokenStream {
  public:
-  explicit TokenStream(std::vector<Token> tokens)
-      : tokens_(std::move(tokens)) {}
+  explicit TokenStream(const std::vector<Token>& tokens) : tokens_(tokens) {}
+  TokenStream(std::vector<Token>&&) = delete;
 
   const Token& Peek(size_t ahead = 0) const {
     size_t i = pos_ + ahead;
@@ -112,7 +114,7 @@ class TokenStream {
   Status ErrorHere(const std::string& what) const;
 
  private:
-  std::vector<Token> tokens_;
+  const std::vector<Token>& tokens_;
   size_t pos_ = 0;
   Token eof_;
 };

@@ -50,8 +50,9 @@ bool IsTdOrderedAnalytic(const std::string& upper_name) {
 
 class Parser {
  public:
-  Parser(const std::string& text, TokenStream ts, Dialect dialect)
-      : text_(text), ts_(std::move(ts)), dialect_(std::move(dialect)) {}
+  Parser(const std::string& text, const std::vector<Token>& tokens,
+         const Dialect& dialect)
+      : text_(text), ts_(tokens), dialect_(dialect) {}
 
   Result<StatementPtr> ParseSingleStatement() {
     HQ_ASSIGN_OR_RETURN(StatementPtr stmt, ParseStatementInternal());
@@ -1736,7 +1737,7 @@ class Parser {
 
   const std::string& text_;
   TokenStream ts_;
-  Dialect dialect_;
+  const Dialect& dialect_;
 };
 
 }  // namespace
@@ -1744,14 +1745,20 @@ class Parser {
 Result<StatementPtr> ParseStatement(const std::string& text,
                                     const Dialect& dialect) {
   HQ_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  Parser parser(text, TokenStream(std::move(tokens)), dialect);
+  return ParseStatement(text, tokens, dialect);
+}
+
+Result<StatementPtr> ParseStatement(const std::string& text,
+                                    const std::vector<Token>& tokens,
+                                    const Dialect& dialect) {
+  Parser parser(text, tokens, dialect);
   return parser.ParseSingleStatement();
 }
 
 Result<std::vector<StatementPtr>> ParseScript(const std::string& text,
                                               const Dialect& dialect) {
   HQ_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  Parser parser(text, TokenStream(std::move(tokens)), dialect);
+  Parser parser(text, tokens, dialect);
   return parser.ParseScriptStatements();
 }
 
@@ -1786,7 +1793,7 @@ Result<std::vector<std::string>> SplitStatements(const std::string& text) {
 Result<SqlType> ParseTypeName(const std::string& text,
                               const Dialect& dialect) {
   HQ_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  Parser parser(text, TokenStream(std::move(tokens)), dialect);
+  Parser parser(text, tokens, dialect);
   return parser.ParseBareTypeName();
 }
 

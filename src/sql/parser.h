@@ -58,6 +58,12 @@ struct Dialect {
 Result<StatementPtr> ParseStatement(const std::string& text,
                                     const Dialect& dialect);
 
+/// \brief Parses a single statement from `tokens`, which must be
+/// Tokenize(text): for a caller that has lexed the text already.
+Result<StatementPtr> ParseStatement(const std::string& text,
+                                    const std::vector<Token>& tokens,
+                                    const Dialect& dialect);
+
 /// \brief Parses a ';'-separated script.
 Result<std::vector<StatementPtr>> ParseScript(const std::string& text,
                                               const Dialect& dialect);

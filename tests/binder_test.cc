@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include "binder/binder.h"
+#include "frontend/ast_printer.h"
+#include "serializer/serializer.h"
 #include "sql/parser.h"
+#include "transform/backend_profile.h"
 #include "xtra/xtra.h"
 
 namespace hyperq::binder {
@@ -279,6 +282,47 @@ TEST_F(BinderTest, AnsiDialectDisablesVendorResolution) {
   ASSERT_TRUE(implicit.ok());
   Binder ansi2(&catalog_, sql::Dialect::Ansi());
   EXPECT_FALSE(ansi2.BindStatement(**implicit).ok());  // no implicit joins
+}
+
+// The binder reads the caller's AST in place, so binding must leave it as
+// parsed: implicit-join expansion keeps the tables it adds in a side list.
+// Each statement is bound twice; the AST prints the same before and after
+// each bind, and both binds produce the same plan.
+TEST_F(BinderTest, BindingLeavesTheAstUntouched) {
+  const std::string statements[] = {
+      // Implicit joins in the outer block (T, U), in a scalar subquery (U)
+      // and in a derived table (T).
+      "SEL T.A, (SEL MAX(x.A) FROM T x WHERE x.A = U.C) AS m "
+      "FROM (SEL U.A AS a FROM U WHERE U.C = T.A) d WHERE d.a = U.C",
+      // Implicit joins in the recursive branch (U) and the main query (T).
+      "WITH RECURSIVE R (N) AS (SEL A FROM T UNION ALL "
+      "SEL R.N + 1 FROM R WHERE R.N < U.C) SEL R.N, T.B FROM R WHERE R.N = T.A",
+  };
+  serializer::Serializer serializer(transform::BackendProfile::Vdb());
+  for (const std::string& sql : statements) {
+    auto stmt = sql::ParseStatement(sql, sql::Dialect::Teradata());
+    ASSERT_TRUE(stmt.ok()) << sql << "\n" << stmt.status();
+    const std::string parsed = frontend::AstToTreeString(**stmt);
+    std::string plans[2];
+    std::string sql_b[2];
+    for (int i = 0; i < 2; ++i) {
+      Binder binder(&catalog_, sql::Dialect::Teradata());
+      auto plan = binder.BindStatement(**stmt);
+      ASSERT_TRUE(plan.ok()) << sql << "\n" << plan.status();
+      EXPECT_TRUE(binder.features().Has(Feature::kImplicitJoin)) << sql;
+      EXPECT_EQ(frontend::AstToTreeString(**stmt), parsed)
+          << "bind " << i + 1 << " changed the AST of " << sql;
+      plans[i] = xtra::ToTreeString(**plan);
+      // A recursive query is emulated, not serialized.
+      if ((*plan)->kind != xtra::OpKind::kRecursiveCte) {
+        auto text = serializer.Serialize(**plan);
+        ASSERT_TRUE(text.ok()) << sql << "\n" << text.status();
+        sql_b[i] = *text;
+      }
+    }
+    EXPECT_EQ(plans[1], plans[0]) << sql;
+    EXPECT_EQ(sql_b[1], sql_b[0]) << sql;
+  }
 }
 
 TEST_F(BinderTest, ColumnAliasListOnBaseTable) {

@@ -12,7 +12,11 @@ namespace {
 
 FeatureSet Scan(const std::string& sql) {
   FeatureSet fs;
-  EXPECT_TRUE(ScanTranslationFeatures(sql, &fs).ok());
+  auto tokens = sql::Tokenize(sql);
+  EXPECT_TRUE(tokens.ok()) << tokens.status();
+  if (tokens.ok()) {
+    EXPECT_TRUE(ScanTranslationFeatures(*tokens, &fs).ok());
+  }
   return fs;
 }
 

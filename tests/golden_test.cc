@@ -385,6 +385,24 @@ TEST_F(GoldenCorpusTest, NormalizationIsIdempotent) {
   }
 }
 
+// A cache miss lexes SQL-A once and parses that token stream (DESIGN.md
+// §7): for every corpus statement it yields the AST that parsing the text
+// does.
+TEST_F(GoldenCorpusTest, ParsingTheTokenStreamMatchesParsingTheText) {
+  const sql::Dialect dialect = sql::Dialect::Teradata();
+  for (const auto& c : cases_) {
+    auto from_text = sql::ParseStatement(c.sql, dialect);
+    ASSERT_TRUE(from_text.ok()) << c.name << "\n" << from_text.status();
+    auto tokens = sql::Tokenize(c.sql);
+    ASSERT_TRUE(tokens.ok()) << c.name << "\n" << tokens.status();
+    auto from_tokens = sql::ParseStatement(c.sql, *tokens, dialect);
+    ASSERT_TRUE(from_tokens.ok()) << c.name << "\n" << from_tokens.status();
+    EXPECT_EQ(frontend::AstToTreeString(**from_tokens),
+              frontend::AstToTreeString(**from_text))
+        << c.name;
+  }
+}
+
 // One translation path (DESIGN.md §7): Translate() returns exactly the
 // SQL-B that Submit() sends, for every corpus case in every dialect. Each
 // side runs on a fresh service, so neither reads a template the other

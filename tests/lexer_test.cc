@@ -96,7 +96,8 @@ TEST(LexerTest, RejectsUnknownCharacter) {
 }
 
 TEST(TokenStreamTest, KeywordAndOpConsumption) {
-  TokenStream ts(Lex("SELECT * FROM t"));
+  std::vector<Token> tokens = Lex("SELECT * FROM t");
+  TokenStream ts(tokens);
   EXPECT_TRUE(ts.ConsumeKeyword("SELECT"));
   EXPECT_FALSE(ts.ConsumeKeyword("WHERE"));
   EXPECT_TRUE(ts.ConsumeOp("*"));
@@ -107,7 +108,8 @@ TEST(TokenStreamTest, KeywordAndOpConsumption) {
 }
 
 TEST(TokenStreamTest, RewindRestoresPosition) {
-  TokenStream ts(Lex("a b c"));
+  std::vector<Token> tokens = Lex("a b c");
+  TokenStream ts(tokens);
   size_t mark = ts.position();
   ts.Next();
   ts.Next();
@@ -116,7 +118,8 @@ TEST(TokenStreamTest, RewindRestoresPosition) {
 }
 
 TEST(TokenStreamTest, ErrorMentionsLocation) {
-  TokenStream ts(Lex("SELECT"));
+  std::vector<Token> tokens = Lex("SELECT");
+  TokenStream ts(tokens);
   ts.Next();
   Status s = ts.ExpectKeyword("FROM");
   EXPECT_TRUE(s.IsSyntaxError());
