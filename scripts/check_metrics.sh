@@ -12,7 +12,10 @@
 # hyperq.chaos.* / hyperq.backend.* / hyperq.governor.* / hyperq.pool.*
 # series must be declared as a named constant in metric_names.h (no ad-hoc
 # string literals in src/), and every declared constant must actually be
-# emitted somewhere.
+# emitted somewhere. Trace stages (DESIGN.md §9) get the same two-way lint:
+# every span src/ opens names a row of the names::Stage table (a string
+# literal at a SpanScope/StartSpan site is an error), and every row is
+# opened somewhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -165,9 +168,39 @@ convert_count=$(lint_family "convert" 'hyperq\.convert\.[a-z_.]*') || status=1
 backend_count=$(lint_family "backend" \
     'hyperq\.(backend|governor|pool)\.[a-z_.]*') || status=1
 
+# --- Trace stages (DESIGN.md §9) --------------------------------------------
+# The compiler ties each Stage enumerator to its kStageNames row; the lint
+# keeps span sites on the table and the table free of unused rows.
+stages=$(sed -n '/enum class Stage/,/};/p' "$names_h" |
+         grep -oE 'k[A-Z][A-Za-z0-9]*' | sort)
+if [[ -z "$stages" ]]; then
+  echo "check_metrics: no Stage enumerators parsed from $names_h" >&2
+  exit 1
+fi
+literal_spans=$(grep -rnE '(SpanScope [a-z_]+\([^,]+, *"|StartSpan\(")' src \
+                    --include='*.cc' --include='*.h' || true)
+if [[ -n "$literal_spans" ]]; then
+  echo "check_metrics: span sites naming a stage by string literal (use names::Stage):" >&2
+  echo "$literal_spans" | sed 's/^/  /' >&2
+  status=1
+fi
+unused_stages=""
+for stage in $stages; do
+  if ! grep -rqE "Stage::${stage}\b" src --include='*.cc' --include='*.h' \
+       --exclude='metric_names.h'; then
+    unused_stages="${unused_stages}  ${stage}"$'\n'
+  fi
+done
+if [[ -n "$unused_stages" ]]; then
+  echo "check_metrics: stale Stage rows (no span site opens them):" >&2
+  printf '%s' "$unused_stages" >&2
+  status=1
+fi
+
 if [[ $status -eq 0 ]]; then
   count=$(echo "$declared" | wc -l)
   state_count=$(echo "$states" | wc -l)
-  echo "check_metrics: OK ($count fault points, $state_count health states, $tail_count tail series, $chaos_count chaos series, $convert_count convert series, $backend_count backend series all mirrored)"
+  stage_count=$(echo "$stages" | wc -l)
+  echo "check_metrics: OK ($count fault points, $state_count health states, $tail_count tail series, $chaos_count chaos series, $convert_count convert series, $backend_count backend series all mirrored; $stage_count trace stages)"
 fi
 exit $status

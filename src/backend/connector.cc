@@ -7,6 +7,7 @@
 namespace hyperq::backend {
 
 namespace obs = observability;
+using observability::names::Stage;
 
 Result<std::vector<std::vector<Datum>>> BackendResult::DecodeRows() const {
   std::vector<std::vector<Datum>> rows;
@@ -91,7 +92,7 @@ Result<BackendResult> BackendConnector::ExecuteWithRetry(
   auto attempt = [&]() -> Result<BackendResult> {
     // Each backend try is its own child span (under the service's
     // backend.execute), so a retried request shows every attempt.
-    obs::SpanScope attempt_span(ctx, "backend.attempt");
+    obs::SpanScope attempt_span(ctx, Stage::kBackendAttempt);
     if (!options_.backend_name.empty()) {
       attempt_span.Annotate("backend", options_.backend_name);
     }
@@ -175,12 +176,13 @@ Result<BackendResult> BackendConnector::ExecuteWithRetry(
 Result<BackendResult> BackendConnector::Package(vdb::QueryResult result,
                                                 QueryContext* ctx) {
   // The TDF batching/buffering stage of this attempt (paper §4.5).
-  obs::SpanScope buffer_span(ctx, "tdf.buffer");
+  obs::SpanScope buffer_span(ctx, Stage::kTdfBuffer);
   BackendResult out;
   out.affected_rows = result.affected_rows;
   out.command_tag = std::move(result.command_tag);
   if (result.columns.empty()) return out;
 
+  out.columns.reserve(result.columns.size());
   for (const auto& col : result.columns) {
     out.columns.push_back({col.name, col.type});
   }

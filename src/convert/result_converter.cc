@@ -265,6 +265,12 @@ ResultConverter::ResultConverter(ConverterOptions options)
     : options_(options) {
   options_.parallelism = std::max(1, options_.parallelism);
   options_.rows_per_batch = std::max<size_t>(1, options_.rows_per_batch);
+  if (options_.metrics != nullptr) {
+    rows_hist_ = options_.metrics->histogram(
+        observability::names::kConvertBatchRows);
+    bytes_hist_ = options_.metrics->histogram(
+        observability::names::kConvertBatchBytes);
+  }
 }
 
 Result<ConversionResult> ResultConverter::Convert(
@@ -272,6 +278,7 @@ Result<ConversionResult> ResultConverter::Convert(
   ConversionResult out;
   if (!result.is_rowset()) return out;
 
+  out.columns.reserve(result.columns.size());
   for (const auto& col : result.columns) {
     HQ_ASSIGN_OR_RETURN(protocol::WireColumn wc,
                         protocol::ToWireColumn(col.name, col.type));
@@ -282,15 +289,21 @@ Result<ConversionResult> ResultConverter::Convert(
   // row count). Spans share their batches with the store — no row copy.
   std::vector<BatchSpan> spans;
   std::vector<size_t> span_start;  // global row index of each span
-  size_t total = 0;
   if (result.store) {
-    HQ_RETURN_IF_ERROR(result.store->ScanSpans([&](const BatchSpan& span) {
-      span_start.push_back(total);
-      spans.push_back(span);
-      total += span.rows;
-      return Status::OK();
-    }));
+    spans.reserve(result.store->batch_count());
+    span_start.reserve(result.store->batch_count());
+    // Two captured references keep the callback in std::function's inline
+    // storage.
+    HQ_RETURN_IF_ERROR(result.store->ScanSpans(
+        [&spans, &span_start](const BatchSpan& span) {
+          span_start.push_back(
+              spans.empty() ? 0 : span_start.back() + spans.back().rows);
+          spans.push_back(span);
+          return Status::OK();
+        }));
   }
+  const size_t total =
+      spans.empty() ? 0 : span_start.back() + spans.back().rows;
   out.total_rows = total;
 
   // Carve the global row range into wire batches (batch b covers rows
@@ -337,15 +350,17 @@ Result<ConversionResult> ResultConverter::Convert(
     return Status::OK();
   };
 
-  std::vector<Status> statuses(nbatches);
-  auto encode_range = [&](size_t begin_batch, size_t end_batch) {
+  // Each encode worker reports through its own status; a worker stops at
+  // its first failure.
+  auto encode_range = [&](size_t begin_batch, size_t end_batch,
+                          Status* status) {
     for (size_t b = begin_batch; b < end_batch; ++b) {
       // CheckAlive is safe from parallel workers: concurrent callers skip
       // the client probe instead of contending on the socket.
       if (ctx != nullptr) {
         Status alive = ctx->CheckAlive();
         if (!alive.ok()) {
-          statuses[b] = std::move(alive);
+          *status = std::move(alive);
           return;
         }
       }
@@ -384,7 +399,7 @@ Result<ConversionResult> ResultConverter::Convert(
         return encode_span_rows_fallback(span, begin, end, &w);
       });
       if (!st.ok()) {
-        statuses[b] = std::move(st);
+        *status = std::move(st);
         return;
       }
       out.batches[b] = w.Take();
@@ -397,30 +412,31 @@ Result<ConversionResult> ResultConverter::Convert(
       1, std::min<size_t>(options_.parallelism,
                           nbatches / kMinBatchesPerWorker));
   const size_t per = (nbatches + workers - 1) / workers;
+  Status first;
+  std::vector<Status> helper_statuses((nbatches - 1) / per);
   {
     std::vector<std::jthread> helpers;
+    helpers.reserve(helper_statuses.size());
+    Status* helper_status = helper_statuses.data();
     for (size_t begin = per; begin < nbatches; begin += per) {
       helpers.emplace_back(encode_range, begin,
-                           std::min(nbatches, begin + per));
+                           std::min(nbatches, begin + per), helper_status++);
     }
-    encode_range(0, std::min(nbatches, per));
+    encode_range(0, std::min(nbatches, per), &first);
   }
-  for (const Status& s : statuses) {
+  HQ_RETURN_IF_ERROR(first);
+  for (const Status& s : helper_statuses) {
     HQ_RETURN_IF_ERROR(s);
   }
   // Batch-size distributions are recorded only after the whole conversion
   // succeeded: a failed or cancelled attempt contributes nothing, so a
   // retried query attributes each produced batch exactly once.
-  if (options_.metrics != nullptr) {
-    auto* rows_hist = options_.metrics->histogram(
-        observability::names::kConvertBatchRows);
-    auto* bytes_hist = options_.metrics->histogram(
-        observability::names::kConvertBatchBytes);
+  if (rows_hist_ != nullptr) {
     for (size_t b = 0; b < nbatches; ++b) {
       size_t row_begin = b * rows_per_batch;
       size_t row_end = std::min(total, row_begin + rows_per_batch);
-      rows_hist->Observe(static_cast<double>(row_end - row_begin));
-      bytes_hist->Observe(static_cast<double>(out.batches[b].size()));
+      rows_hist_->Observe(static_cast<double>(row_end - row_begin));
+      bytes_hist_->Observe(static_cast<double>(out.batches[b].size()));
     }
   }
   return out;

@@ -60,6 +60,10 @@ class ResultConverter {
 
  private:
   ConverterOptions options_;
+  // options_.metrics' batch histograms, resolved at construction; null
+  // without a registry.
+  observability::Histogram* rows_hist_ = nullptr;
+  observability::Histogram* bytes_hist_ = nullptr;
 };
 
 }  // namespace hyperq::convert

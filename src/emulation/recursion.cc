@@ -10,6 +10,7 @@ namespace hyperq::emulation {
 using xtra::Op;
 using xtra::OpKind;
 using xtra::OpPtr;
+using observability::names::Stage;
 
 namespace {
 std::atomic<int64_t> g_recursion_counter{0};
@@ -137,7 +138,7 @@ Result<backend::BackendResult> RecursionDriver::Execute(
     for (int iter = 0; iter < max_iterations_; ++iter) {
       // One trace span per iteration, so a slow recursive query's log
       // shows where the fixed-point loop spent its time.
-      observability::SpanScope iter_span(ctx, "recursion.iteration");
+      observability::SpanScope iter_span(ctx, Stage::kRecursionIteration);
       // An unbounded recursion is the canonical runaway query: check the
       // lifecycle at every iteration boundary, not just per statement.
       if (ctx != nullptr) HQ_RETURN_IF_ERROR(ctx->CheckAlive());

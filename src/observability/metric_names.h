@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace hyperq::observability::names {
 
@@ -35,6 +36,43 @@ inline constexpr const char* kLifecycleKilled = "hyperq.lifecycle.killed";
 inline constexpr const char* kLifecycleSpillBytes =
     "hyperq.lifecycle.spill_bytes";
 inline constexpr const char* kSessionsOpen = "hyperq.sessions.open";
+
+// --- Trace stages (DESIGN.md §9) -------------------------------------------
+// Every span the proxy opens names one row of this table: the instrumented
+// code passes a Stage, the span records the row's static name, and a
+// finished trace feeds kStageMicros{stage="<name>"} through a histogram the
+// service resolves once per stage — no name string is built per request.
+// scripts/check_metrics.sh enforces that no src/ span site passes a string
+// literal instead, and that every row is opened somewhere.
+enum class Stage : uint8_t {
+  kWireRead,
+  kCacheLookup,
+  kParse,
+  kBind,
+  kTransform,
+  kSerialize,
+  kBackendExecute,
+  kBackendAttempt,
+  kBackendHedge,
+  kTdfBuffer,
+  kRecursionIteration,
+  kConvert,
+  kWireWrite,
+};
+inline constexpr const char* kStageNames[] = {
+    "wire.read",       "cache.lookup",        "parse",
+    "bind",            "transform",           "serialize",
+    "backend.execute", "backend.attempt",     "backend.hedge",
+    "tdf.buffer",      "recursion.iteration", "convert",
+    "wire.write",
+};
+inline constexpr size_t kStageCount =
+    sizeof(kStageNames) / sizeof(kStageNames[0]);
+static_assert(kStageCount == static_cast<size_t>(Stage::kWireWrite) + 1,
+              "one kStageNames row per Stage");
+constexpr const char* StageName(Stage stage) {
+  return kStageNames[static_cast<size_t>(stage)];
+}
 
 // --- Wire path (service-side accounting of tdwp requests) ------------------
 inline constexpr const char* kWireRequests = "hyperq.wire.requests";

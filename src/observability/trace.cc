@@ -7,27 +7,46 @@
 
 namespace hyperq::observability {
 
+namespace {
+// Slots reserved when a trace is created. A cache-hit wire request opens
+// 7 spans under the root, so its span vector never grows; a cold one (11)
+// grows it once. The ring keeps 128 finished traces, so reserving for the
+// cold case would cost resident memory on every hit. Stage spans nest at
+// most five deep (a recursive query's attempt, root included).
+constexpr size_t kReservedSpans = 8;
+constexpr size_t kReservedDepth = 8;
+}  // namespace
+
 QueryTrace::QueryTrace() {
-  TraceSpanRecord root;
+  spans_.reserve(kReservedSpans);
+  open_stack_.reserve(kReservedDepth);
+  TraceSpanRecord& root = spans_.emplace_back();
   root.id = 0;
   root.parent = -1;
   root.name = "query";
   root.start_micros = 0;
-  spans_.push_back(std::move(root));
   open_stack_.push_back(0);
 }
 
-int QueryTrace::StartSpan(const std::string& name) {
+int QueryTrace::StartSpan(names::Stage stage) {
+  return OpenSpan(names::StageName(stage), static_cast<int>(stage));
+}
+
+int QueryTrace::StartSpan(const char* name) {
+  return OpenSpan(name, TraceSpanRecord::kNoStage);
+}
+
+int QueryTrace::OpenSpan(std::string_view name, int stage) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (finished_) return -1;
-  TraceSpanRecord span;
-  span.id = static_cast<int>(spans_.size());
+  TraceSpanRecord& span = spans_.emplace_back();
+  span.id = static_cast<int>(spans_.size()) - 1;
   span.parent = open_stack_.empty() ? 0 : open_stack_.back();
   span.name = name;
+  span.stage = stage;
   span.start_micros = clock_.ElapsedMicros();
   open_stack_.push_back(span.id);
-  spans_.push_back(std::move(span));
-  return spans_.back().id;
+  return span.id;
 }
 
 void QueryTrace::EndSpan(int id) {
@@ -56,18 +75,16 @@ void QueryTrace::AnnotateSpan(int id, const std::string& key,
   spans_[id].attrs.emplace_back(key, value);
 }
 
-void QueryTrace::AddCompletedSpan(const std::string& name,
-                                  double start_micros,
+void QueryTrace::AddCompletedSpan(const char* name, double start_micros,
                                   double duration_micros) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (finished_) return;
-  TraceSpanRecord span;
-  span.id = static_cast<int>(spans_.size());
+  TraceSpanRecord& span = spans_.emplace_back();
+  span.id = static_cast<int>(spans_.size()) - 1;
   span.parent = open_stack_.empty() ? 0 : open_stack_.back();
   span.name = name;
   span.start_micros = std::max(0.0, start_micros);
   span.duration_micros = std::max(0.0, duration_micros);
-  spans_.push_back(std::move(span));
 }
 
 void QueryTrace::Finish() {
@@ -93,9 +110,14 @@ double QueryTrace::total_micros() const {
   return finished_ ? total_micros_ : clock_.ElapsedMicros();
 }
 
-void QueryTrace::set_query(std::string sql) {
+void QueryTrace::set_query(std::string_view sql) {
   std::lock_guard<std::mutex> lock(mutex_);
-  query_ = std::move(sql);
+  query_size_ = std::min(sql.size(), kQueryTextBytes);
+  std::copy_n(sql.data(), query_size_, query_.data());
+  if (sql.size() > kQueryTextBytes) {
+    std::copy_n("...", 3, query_.data() + query_size_);
+    query_size_ += 3;
+  }
 }
 void QueryTrace::set_session_id(uint32_t id) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -111,7 +133,7 @@ void QueryTrace::set_outcome(std::string outcome) {
 }
 std::string QueryTrace::query() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return query_;
+  return std::string(query_.data(), query_size_);
 }
 uint32_t QueryTrace::session_id() const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -131,7 +153,7 @@ std::vector<TraceSpanRecord> QueryTrace::spans() const {
   return spans_;
 }
 
-double QueryTrace::SumDurations(const std::string& name) const {
+double QueryTrace::SumDurations(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   double sum = 0;
   for (const TraceSpanRecord& span : spans_) {
@@ -142,7 +164,7 @@ double QueryTrace::SumDurations(const std::string& name) const {
   return sum;
 }
 
-double QueryTrace::LastDuration(const std::string& name) const {
+double QueryTrace::LastDuration(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto it = spans_.rbegin(); it != spans_.rend(); ++it) {
     if (it->name == name && it->duration_micros >= 0) {
@@ -152,7 +174,7 @@ double QueryTrace::LastDuration(const std::string& name) const {
   return 0;
 }
 
-int QueryTrace::CountSpans(const std::string& name) const {
+int QueryTrace::CountSpans(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   int n = 0;
   for (const TraceSpanRecord& span : spans_) {
@@ -175,7 +197,7 @@ double QueryTrace::SelfMicros(int id) const {
 }
 
 namespace {
-void AppendJsonEscaped(std::string* out, const std::string& s,
+void AppendJsonEscaped(std::string* out, std::string_view s,
                        size_t max_len) {
   size_t n = std::min(s.size(), max_len);
   for (size_t i = 0; i < n; ++i) {
@@ -218,7 +240,9 @@ std::string QueryTrace::ToJson() const {
                 finished_ ? total_micros_ : clock_.ElapsedMicros());
   out += num;
   out += ",\"sql\":\"";
-  AppendJsonEscaped(&out, query_, 256);
+  // query_ already ends in the truncation mark when set_query cut it.
+  AppendJsonEscaped(&out, std::string_view(query_.data(), query_size_),
+                    query_size_);
   out += "\",\"spans\":[";
   bool first = true;
   for (const TraceSpanRecord& span : spans_) {
@@ -250,12 +274,16 @@ std::string QueryTrace::ToJson() const {
   return out;
 }
 
+SpanScope::SpanScope(QueryTrace* trace, names::Stage stage) : trace_(trace) {
+  if (trace_ != nullptr) id_ = trace_->StartSpan(stage);
+}
+
 SpanScope::SpanScope(QueryTrace* trace, const char* name) : trace_(trace) {
   if (trace_ != nullptr) id_ = trace_->StartSpan(name);
 }
 
-SpanScope::SpanScope(QueryContext* ctx, const char* name)
-    : SpanScope(ctx != nullptr ? ctx->trace() : nullptr, name) {}
+SpanScope::SpanScope(QueryContext* ctx, names::Stage stage)
+    : SpanScope(ctx != nullptr ? ctx->trace() : nullptr, stage) {}
 
 void SpanScope::Annotate(const std::string& key, const std::string& value) {
   if (trace_ != nullptr && id_ > 0) trace_->AnnotateSpan(id_, key, value);

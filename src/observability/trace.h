@@ -1,10 +1,20 @@
 // Per-query trace spans (DESIGN.md §9): every request served by the proxy
 // carries a span tree hung off its QueryContext, one span per pipeline
-// stage (wire.read, cache.lookup, parse, bind, transform, serialize,
-// backend.execute, tdf.buffer, convert, wire.write) plus child spans for
-// retry attempts and recursion iterations. Finished traces are kept in a
-// per-process ring buffer and, past a configurable threshold, emitted as
-// one structured JSON line each — the slow-query log.
+// stage plus child spans for retry attempts, hedges and recursion
+// iterations. The stages are the rows of names::kStageNames
+// (observability/metric_names.h), from wire.read to wire.write; a span
+// records its row's static name and index, never a string of its own.
+// Finished traces are kept in a per-process ring buffer and, past a
+// configurable threshold, emitted as one structured JSON line each — the
+// slow-query log.
+//
+// Per-request cost: a trace reserves room for a cache hit's spans when it
+// is created and keeps only the part of the SQL text the slow-query log
+// prints, so on the hit path opening and closing a stage span allocates
+// nothing. Filing a
+// finished trace walks its spans in place (VisitSpans) and observes
+// hyperq.stage.micros through histograms the service resolved once per
+// stage.
 //
 // Concurrency: a query's spans are opened and closed from the worker
 // thread driving its pipeline, but cancellation (and the trace ring) may
@@ -14,14 +24,17 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/stopwatch.h"
+#include "observability/metric_names.h"
 
 namespace hyperq {
 class QueryContext;
@@ -33,9 +46,16 @@ namespace hyperq::observability {
 /// relative to the trace's start; `duration_micros` is negative while the
 /// span is still open.
 struct TraceSpanRecord {
+  /// `stage` of a span opened by a free-form name rather than a Stage.
+  static constexpr int kNoStage = -1;
+
   int id = 0;
   int parent = -1;  // -1: the root span
-  std::string name;
+  /// Static storage: a names::kStageNames row, or the literal a free-form
+  /// span was opened with.
+  std::string_view name;
+  /// Index into names::kStageNames, or kNoStage.
+  int stage = kNoStage;
   double start_micros = 0;
   double duration_micros = -1;
   // Key/value annotations (e.g. backend.attempt spans carry
@@ -49,11 +69,17 @@ struct TraceSpanRecord {
 /// span, mirroring the call structure of the pipeline.
 class QueryTrace {
  public:
+  /// Longest SQL prefix the trace keeps (what ToJson prints).
+  static constexpr size_t kQueryTextBytes = 256;
+
   QueryTrace();
 
-  /// \brief Opens a span under the current innermost open span and makes
-  /// it current. Returns the span id (pass to EndSpan).
-  int StartSpan(const std::string& name);
+  /// \brief Opens a span for `stage` under the current innermost open span
+  /// and makes it current. Returns the span id (pass to EndSpan).
+  int StartSpan(names::Stage stage);
+  /// \brief The same for a span outside the stage table (tests, benches).
+  /// `name` must outlive the trace: pass a literal.
+  int StartSpan(const char* name);
   void EndSpan(int id);
 
   /// \brief Attaches a key/value attribute to span `id` (open or closed).
@@ -62,7 +88,8 @@ class QueryTrace {
 
   /// \brief Records an already measured interval as a closed child of the
   /// current span (used for work measured before the trace could nest it).
-  void AddCompletedSpan(const std::string& name, double start_micros,
+  /// `name` must outlive the trace.
+  void AddCompletedSpan(const char* name, double start_micros,
                         double duration_micros);
 
   /// \brief Closes the root span (and any span left open by an error
@@ -72,26 +99,38 @@ class QueryTrace {
   double total_micros() const;
 
   // Request annotations (set by the wire/service layer).
-  void set_query(std::string sql);
+  /// Keeps the first kQueryTextBytes bytes of `sql`, plus "..." when it is
+  /// longer: exactly what ToJson prints, so a huge script pins no memory in
+  /// the trace ring.
+  void set_query(std::string_view sql);
   void set_session_id(uint32_t id);
   void set_session_class(std::string session_class);
   /// "ok", "error", "cancelled", "deadline" — the lifecycle outcome.
   void set_outcome(std::string outcome);
+  /// The kept SQL text (see set_query).
   std::string query() const;
   uint32_t session_id() const;
   std::string session_class() const;
   std::string outcome() const;
 
   std::vector<TraceSpanRecord> spans() const;
+  /// \brief Calls fn(const TraceSpanRecord&) for each span in id order,
+  /// in place and under the trace's lock: fn must not call back into the
+  /// trace.
+  template <typename Fn>
+  void VisitSpans(Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const TraceSpanRecord& span : spans_) fn(span);
+  }
   /// \brief Sum of the durations of every closed span named `name`.
-  double SumDurations(const std::string& name) const;
+  double SumDurations(std::string_view name) const;
   /// \brief Duration of the most recent closed span named `name`, or 0.
   /// Deriving per-request stage times from the *last* span is what keeps
   /// them from drifting when an earlier attempt of the same stage was
   /// abandoned (the conversion_micros double-count, DESIGN.md §9).
-  double LastDuration(const std::string& name) const;
+  double LastDuration(std::string_view name) const;
   /// \brief Number of closed spans named `name`.
-  int CountSpans(const std::string& name) const;
+  int CountSpans(std::string_view name) const;
   /// \brief Span duration minus its children's durations, by span id.
   double SelfMicros(int id) const;
 
@@ -100,13 +139,17 @@ class QueryTrace {
   std::string ToJson() const;
 
  private:
+  int OpenSpan(std::string_view name, int stage);
+
   mutable std::mutex mutex_;
   Stopwatch clock_;
   std::vector<TraceSpanRecord> spans_;
   std::vector<int> open_stack_;  // innermost open span is back()
   bool finished_ = false;
   double total_micros_ = 0;
-  std::string query_;
+  // The kept SQL text: a prefix plus the truncation mark, never allocated.
+  std::array<char, kQueryTextBytes + 3> query_{};
+  size_t query_size_ = 0;
   uint32_t session_id_ = 0;
   std::string session_class_ = "library";
   std::string outcome_ = "ok";
@@ -117,9 +160,11 @@ class QueryTrace {
 /// attached the scope is a no-op.
 class SpanScope {
  public:
+  SpanScope(QueryTrace* trace, names::Stage stage);
+  /// A span outside the stage table; `name` must outlive the trace.
   SpanScope(QueryTrace* trace, const char* name);
   /// Convenience: spans the trace attached to `ctx` (either may be null).
-  SpanScope(QueryContext* ctx, const char* name);
+  SpanScope(QueryContext* ctx, names::Stage stage);
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
   ~SpanScope() { End(); }

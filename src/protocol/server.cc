@@ -14,6 +14,7 @@
 namespace hyperq::protocol {
 
 namespace obs = observability;
+using observability::names::Stage;
 
 namespace {
 
@@ -347,7 +348,7 @@ void TdwpServer::ServeConnection(Socket& conn, ActiveQuery& active) {
         // client to type (DESIGN.md §9).
         auto trace = std::make_shared<obs::QueryTrace>();
         trace->set_session_class("wire");
-        int read_span = trace->StartSpan("wire.read");
+        int read_span = trace->StartSpan(Stage::kWireRead);
         auto req = DecodeRunRequest(frame->payload);
         trace->EndSpan(read_span);
         if (!req.ok()) {
@@ -376,7 +377,7 @@ void TdwpServer::ServeConnection(Socket& conn, ActiveQuery& active) {
           return st.ok() ? "ok" : "error";
         };
         std::string outcome = resp.ok() ? "ok" : outcome_of(resp.status());
-        int write_span = trace->StartSpan("wire.write");
+        int write_span = trace->StartSpan(Stage::kWireWrite);
         Status write_status;
         if (!resp.ok()) {
           send_error(resp.status());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
 
 #include "common/fault.h"
 #include "common/stopwatch.h"
@@ -13,6 +14,7 @@ using backend::BackendResult;
 using sql::StmtKind;
 namespace obs = observability;
 namespace names = observability::names;
+using observability::names::Stage;
 
 namespace {
 // The translation cache shares the process memory ceiling with the live
@@ -28,6 +30,27 @@ TranslationCacheOptions CacheOptionsFor(TranslationCacheOptions cache,
 
 // Finished traces kept for trace_ring().
 constexpr size_t kTraceRingCapacity = 128;
+
+convert::ConverterOptions WireConverterOptions(int parallelism,
+                                               obs::MetricsRegistry* metrics) {
+  convert::ConverterOptions options;
+  options.parallelism = parallelism;
+  options.metrics = metrics;
+  return options;
+}
+
+// The series `*slot` caches, registering base{key="value"} on first use.
+// Racing first uses register the same series, so either store is right.
+obs::Histogram* ResolveOnce(std::atomic<obs::Histogram*>* slot,
+                            obs::MetricsRegistry* metrics, const char* base,
+                            const char* key, std::string_view value) {
+  obs::Histogram* h = slot->load(std::memory_order_acquire);
+  if (h == nullptr) {
+    h = metrics->histogram(obs::LabeledName(base, {{key, std::string(value)}}));
+    slot->store(h, std::memory_order_release);
+  }
+  return h;
+}
 
 // A failure the statement or its data caused, the same on any replica and
 // at any time. Every other failure (a lost session, the open-transaction
@@ -60,6 +83,8 @@ HyperQService::HyperQService(vdb::Engine* engine, ServiceOptions options)
       metrics_(options_.metrics != nullptr ? options_.metrics
                                            : owned_metrics_.get()),
       trace_ring_(kTraceRingCapacity),
+      converter_(WireConverterOptions(options_.convert_parallelism,
+                                      metrics_)),
       translation_cache_(CacheOptionsFor(options_.translation_cache,
                                          options_.governor, metrics_)),
       profile_digest_(options_.profile.CacheKeyDigest()),
@@ -280,21 +305,38 @@ void HyperQService::RecordQueryOutcome(const Status& status) {
   }
 }
 
+obs::Histogram* HyperQService::QueryClassHistogram(
+    const std::string& session_class) {
+  std::atomic<obs::Histogram*>* slot = nullptr;
+  if (session_class == "wire") slot = &h_query_wire_;
+  if (session_class == "library") slot = &h_query_library_;
+  if (slot != nullptr) {
+    return ResolveOnce(slot, metrics_, names::kQueryMicros, "class",
+                       session_class);
+  }
+  return metrics_->histogram(
+      obs::LabeledName(names::kQueryMicros, {{"class", session_class}}));
+}
+
+obs::Histogram* HyperQService::StageHistogram(
+    const obs::TraceSpanRecord& span) {
+  if (span.stage == obs::TraceSpanRecord::kNoStage) {
+    return metrics_->histogram(obs::LabeledName(
+        names::kStageMicros, {{"stage", std::string(span.name)}}));
+  }
+  return ResolveOnce(&h_stages_[static_cast<size_t>(span.stage)], metrics_,
+                     names::kStageMicros, "stage", span.name);
+}
+
 void HyperQService::RecordFinishedTrace(
     const std::shared_ptr<const obs::QueryTrace>& trace) {
   if (trace == nullptr) return;
   double total = trace->total_micros();
-  metrics_
-      ->histogram(obs::LabeledName(names::kQueryMicros,
-                                   {{"class", trace->session_class()}}))
-      ->Observe(total);
-  for (const auto& span : trace->spans()) {
-    if (span.id == 0 || span.duration_micros < 0) continue;
-    metrics_
-        ->histogram(
-            obs::LabeledName(names::kStageMicros, {{"stage", span.name}}))
-        ->Observe(span.duration_micros);
-  }
+  QueryClassHistogram(trace->session_class())->Observe(total);
+  trace->VisitSpans([this](const obs::TraceSpanRecord& span) {
+    if (span.id == 0 || span.duration_micros < 0) return;
+    StageHistogram(span)->Observe(span.duration_micros);
+  });
   trace_ring_.Add(trace);
   if (options_.slow_query_micros > 0 &&
       total >= options_.slow_query_micros) {
@@ -372,16 +414,15 @@ Result<QueryOutcome> HyperQService::Submit(uint32_t session_id,
                                            const std::string& sql_a) {
   QueryRequest request;
   request.session_id = session_id;
-  request.sql = sql_a;
-  return Submit(request);
+  return SubmitStatements(request, sql_a, /*script=*/false);
 }
 
 Result<QueryOutcome> HyperQService::Submit(const QueryRequest& request) {
-  return SubmitStatements(request, /*script=*/false);
+  return SubmitStatements(request, request.sql, /*script=*/false);
 }
 
 Result<QueryOutcome> HyperQService::SubmitStatements(
-    const QueryRequest& request, bool script) {
+    const QueryRequest& request, const std::string& sql, bool script) {
   // Tail tolerance (DESIGN.md §11): each request tops up the retry budget.
   retry_budget_->NoteRequest();
   // Library callers without a context still get governance: the service
@@ -400,7 +441,7 @@ Result<QueryOutcome> HyperQService::SubmitStatements(
   if (options_.tracing && request.trace && ctx->trace() == nullptr) {
     minted = std::make_shared<obs::QueryTrace>();
     minted->set_session_id(request.session_id);
-    minted->set_query(request.sql);
+    minted->set_query(sql);
     minted->set_session_class(request.session_class);
     ctx->set_trace(minted);
   }
@@ -415,7 +456,7 @@ Result<QueryOutcome> HyperQService::SubmitStatements(
   };
   std::vector<ScriptStep> steps;  // a script's statements
   if (script) {
-    auto statements = sql::SplitStatements(request.sql);
+    auto statements = sql::SplitStatements(sql);
     if (!statements.ok()) {
       finish(statements.status());
       return statements.status();
@@ -430,8 +471,8 @@ Result<QueryOutcome> HyperQService::SubmitStatements(
   Session* session = *session_or;
   QueryOutcome last;
   // Runs one statement and accounts for it; `last` keeps its outcome.
-  auto run = [&](const std::string& sql) -> Status {
-    auto one = SubmitWithFailover(session, sql, ctx);
+  auto run = [&](const std::string& statement) -> Status {
+    auto one = SubmitWithFailover(session, statement, ctx);
     if (!one.ok()) return one.status();
     last = std::move(*one);
     {
@@ -448,7 +489,7 @@ Result<QueryOutcome> HyperQService::SubmitStatements(
   };
   RegisterActiveQuery(request.session_id, ctx);
   Status st;
-  if (!script) st = run(request.sql);
+  if (!script) st = run(sql);
   for (const ScriptStep& step : steps) {
     st = run(step.sql);
     // A merged run fails as one statement. When its rows made it fail,
@@ -502,10 +543,10 @@ Result<protocol::WireResponse> HyperQService::Run(uint32_t session_id,
   c_wire_requests_->Inc();
   QueryRequest request;
   request.session_id = session_id;
-  request.sql = sql;
   request.ctx = ctx;
   request.session_class = "wire";
-  HQ_ASSIGN_OR_RETURN(QueryOutcome outcome, Submit(request));
+  HQ_ASSIGN_OR_RETURN(QueryOutcome outcome,
+                      SubmitStatements(request, sql, /*script=*/false));
 
   protocol::WireResponse resp;
   resp.success.activity_count =
@@ -516,12 +557,8 @@ Result<protocol::WireResponse> HyperQService::Run(uint32_t session_id,
 
   if (outcome.result.is_rowset()) {
     Stopwatch conversion;
-    convert::ConverterOptions conv_opts;
-    conv_opts.parallelism = options_.convert_parallelism;
-    conv_opts.metrics = metrics_;
-    convert::ResultConverter converter(conv_opts);
-    obs::SpanScope convert_span(ctx, "convert");
-    auto converted_result = converter.Convert(outcome.result, ctx);
+    obs::SpanScope convert_span(ctx, Stage::kConvert);
+    auto converted_result = converter_.Convert(outcome.result, ctx);
     convert_span.End();
     if (!converted_result.ok()) {
       // Streaming-phase cancellation (Submit already counted its own).
@@ -537,7 +574,7 @@ Result<protocol::WireResponse> HyperQService::Run(uint32_t session_id,
     obs::QueryTrace* trace = ctx != nullptr ? ctx->trace() : nullptr;
     double convert_micros = conversion.ElapsedMicros();
     if (trace != nullptr) {
-      double last = trace->LastDuration("convert");
+      double last = trace->LastDuration(names::StageName(Stage::kConvert));
       if (last > 0) convert_micros = last;
     }
     outcome.timing.conversion_micros = convert_micros;

@@ -20,6 +20,7 @@
 
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <map>
@@ -427,6 +428,12 @@ class HyperQService : public protocol::RequestHandler {
   /// latency histograms, the trace ring, and the slow-query log.
   void RecordFinishedTrace(
       const std::shared_ptr<const observability::QueryTrace>& trace);
+  /// The hyperq.query.micros{class=...} series of a trace's session class.
+  observability::Histogram* QueryClassHistogram(
+      const std::string& session_class);
+  /// The hyperq.stage.micros{stage=...} series of a closed span.
+  observability::Histogram* StageHistogram(
+      const observability::TraceSpanRecord& span);
   /// Stamps the labeled hyperq.queries{outcome=...} counter.
   void RecordQueryOutcome(const Status& status);
   /// Mirrors levels owned below the observability layer — the governor,
@@ -489,10 +496,12 @@ class HyperQService : public protocol::RequestHandler {
   /// cancelled attempt); `all` waits for every one (destructor).
   void ReapHedgeStragglers(bool all);
 
-  /// Submit and SubmitScript: admission, tracing and accounting around one
-  /// statement (`script` false) or a ';'-script's batched statements.
+  /// Submit, SubmitScript and Run: admission, tracing and accounting
+  /// around one statement (`script` false) or a ';'-script's batched
+  /// statements. `sql` is the request's text; `request.sql` is not read,
+  /// so the wire path passes its frame's string without copying it.
   Result<QueryOutcome> SubmitStatements(const QueryRequest& request,
-                                        bool script);
+                                        const std::string& sql, bool script);
   /// One statement a script submits: a statement of the script as written,
   /// or a run of its single-row INSERTs merged into one multi-row INSERT
   /// (`run` then holds the run's own statements).
@@ -534,6 +543,8 @@ class HyperQService : public protocol::RequestHandler {
   /// Statement kinds eligible for caching (single-statement query/DML
   /// pipeline, no placeholders). Everything else bypasses.
   static bool IsCacheableShape(const sql::NormalizedStatement& norm);
+  /// True while any session holds a volatile table.
+  bool HasVolatileNames() const;
   /// True when any identifier names a live volatile table of any session
   /// (cached SQL-B must never smuggle a session-scoped name).
   bool TouchesVolatileName(const std::vector<std::string>& idents) const;
@@ -694,6 +705,17 @@ class HyperQService : public protocol::RequestHandler {
   observability::Counter* c_hedge_denied_load_;
   observability::Counter* c_hedge_denied_no_replica_;
   observability::Histogram* h_hedge_execute_;
+  // Per-stage and per-class latency series, each resolved on its first use
+  // and reused for the service's lifetime, so filing a trace builds no name
+  // and does no registry lookup; a stage that never ran shows no series.
+  std::array<std::atomic<observability::Histogram*>,
+             observability::names::kStageCount>
+      h_stages_{};
+  std::atomic<observability::Histogram*> h_query_wire_{nullptr};
+  std::atomic<observability::Histogram*> h_query_library_{nullptr};
+  // The wire path's converter, built once: its batch histograms are
+  // resolved at construction, not per Convert call.
+  const convert::ResultConverter converter_;
 
   TranslationCache translation_cache_;
   const std::string profile_digest_;  // options_.profile.CacheKeyDigest()

@@ -13,6 +13,7 @@ namespace hyperq::service {
 
 using backend::BackendResult;
 namespace obs = observability;
+using observability::names::Stage;
 
 // ---------------------------------------------------------------------------
 // Fleet routing & cross-replica failover (DESIGN.md §10)
@@ -450,7 +451,7 @@ Result<BackendResult> HyperQService::HedgedExecute(Session* session,
   c_hedge_launched_->Inc();
   hedges_in_flight_.fetch_add(1, std::memory_order_relaxed);
   Result<BackendResult> hedge_result = [&]() {
-    obs::SpanScope hedge_span(ctx, "backend.hedge");
+    obs::SpanScope hedge_span(ctx, Stage::kBackendHedge);
     hedge_span.Annotate("backend", pool_->spec(hedge_backend).name);
     std::unique_ptr<backend::BackendConnector> hedge_conn =
         pool_->CreateConnector(hedge_backend, session->id);

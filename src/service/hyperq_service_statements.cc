@@ -451,7 +451,7 @@ Result<QueryOutcome> HyperQService::HandleDropTable(
 
 Result<QueryOutcome> HyperQService::SubmitScript(
     const QueryRequest& request) {
-  return SubmitStatements(request, /*script=*/true);
+  return SubmitStatements(request, request.sql, /*script=*/true);
 }
 
 std::vector<HyperQService::ScriptStep> HyperQService::BatchSingleRowInserts(

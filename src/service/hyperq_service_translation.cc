@@ -3,6 +3,8 @@
 // (parse -> bind -> transform -> serialize -> execute), and translation-only
 // requests.
 
+#include <charconv>
+
 #include "common/hash.h"
 #include "common/stopwatch.h"
 #include "emulation/macro.h"
@@ -15,6 +17,7 @@ namespace hyperq::service {
 
 using sql::StmtKind;
 namespace obs = observability;
+using observability::names::Stage;
 
 namespace {
 // True for the statuses a cancelled/expired request surfaces; these say
@@ -39,10 +42,16 @@ bool CanTagLiterals(const std::string& sql_a) {
 Result<HyperQService::CacheProbe> HyperQService::ProbeTranslationCache(
     const std::string& sql_a, uint64_t settings_digest) {
   CacheProbe probe;
-  HQ_ASSIGN_OR_RETURN(probe.norm, sql::NormalizeStatement(sql_a));
+  // The identifiers are only checked against live volatile tables. With
+  // none, skipping them is safe: a volatile table created later bumps the
+  // catalog version, so no entry admitted now is reachable afterwards.
+  const bool check_volatile =
+      options_.translation_cache.enabled && HasVolatileNames();
+  HQ_ASSIGN_OR_RETURN(probe.norm,
+                      sql::NormalizeStatement(sql_a, check_volatile));
   if (!options_.translation_cache.enabled) return probe;
   if (!IsCacheableShape(probe.norm) ||
-      TouchesVolatileName(probe.norm.identifiers)) {
+      (check_volatile && TouchesVolatileName(probe.norm.identifiers))) {
     translation_cache_.RecordBypass();
     return probe;
   }
@@ -82,6 +91,11 @@ bool HyperQService::IsCacheableShape(const sql::NormalizedStatement& norm) {
          k == "UPD" || k == "UPDATE" || k == "DEL" || k == "DELETE";
 }
 
+bool HyperQService::HasVolatileNames() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return !volatile_names_.empty();
+}
+
 bool HyperQService::TouchesVolatileName(
     const std::vector<std::string>& idents) const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -117,10 +131,15 @@ std::string HyperQService::MakeCacheKey(uint64_t settings_digest,
   key += norm.literal_signature;
   key += '\x1f';
   key += profile_digest_;
+  char digits[24];
   key += '\x1f';
-  key += std::to_string(settings_digest);
+  key.append(digits,
+             std::to_chars(digits, digits + sizeof(digits), settings_digest)
+                 .ptr);
   key += '\x1f';
-  key += std::to_string(catalog_version);
+  key.append(digits,
+             std::to_chars(digits, digits + sizeof(digits), catalog_version)
+                 .ptr);
   return key;
 }
 
@@ -136,8 +155,12 @@ void HyperQService::MaybeCacheTranslation(
     translation_cache_.RecordBypass();
     return;
   }
+  // As in ProbeTranslationCache: SQL-B identifiers are only collected
+  // while some session holds a volatile table.
+  const bool check_volatile = HasVolatileNames();
   std::vector<std::string> sql_b_idents;
-  auto built = BuildTranslationTemplate(sql_b, norm, sites, &sql_b_idents);
+  auto built = BuildTranslationTemplate(
+      sql_b, norm, sites, check_volatile ? &sql_b_idents : nullptr);
   if (!built.ok()) {
     translation_cache_.RecordBypass();
     // Negative-cache the shape so permanently uncacheable statements skip
@@ -153,7 +176,7 @@ void HyperQService::MaybeCacheTranslation(
   }
   // A view or macro can smuggle a session-scoped volatile table into the
   // serialized text even when SQL-A never names it.
-  if (TouchesVolatileName(sql_b_idents)) {
+  if (check_volatile && TouchesVolatileName(sql_b_idents)) {
     translation_cache_.RecordBypass();
     return;
   }
@@ -191,12 +214,13 @@ Result<QueryOutcome> HyperQService::ExecuteCachedStatement(
   // was emitted under the active dialect (it is part of the cache key).
   out.timing.translation_micros = translation.ElapsedMicros();
   out.timing.dialect = serializer_.dialect().Name();
-  out.backend_sql.push_back(sql_b);
+  out.backend_sql.push_back(std::move(sql_b));
+  const std::string& sent = out.backend_sql.back();
   Stopwatch execution;
   {
-    obs::SpanScope exec_span(ctx, "backend.execute");
+    obs::SpanScope exec_span(ctx, Stage::kBackendExecute);
     HQ_ASSIGN_OR_RETURN(out.result,
-                        ExecuteOnBackend(session, sql_b, ctx, select_shape));
+                        ExecuteOnBackend(session, sent, ctx, select_shape));
   }
   out.timing.execution_micros = execution.ElapsedMicros();
   out.timing.hedges += out.result.hedges;
@@ -223,7 +247,7 @@ Result<QueryOutcome> HyperQService::SubmitInternal(Session* session,
   // backend.execute as a sibling (never nested under the lookup). A hit
   // skips the whole parse→bind→transform→serialize pipeline (and the
   // feature scan — the cached entry carries the cold run's footprint).
-  obs::SpanScope cache_span(ctx, "cache.lookup");
+  obs::SpanScope cache_span(ctx, Stage::kCacheLookup);
   HQ_ASSIGN_OR_RETURN(CacheProbe probe,
                       ProbeTranslationCache(sql_a, session->settings_digest));
   cache_span.End();
@@ -241,7 +265,7 @@ Result<QueryOutcome> HyperQService::SubmitInternal(Session* session,
   }
 
   FeatureSet features;
-  obs::SpanScope parse_span(ctx, "parse");
+  obs::SpanScope parse_span(ctx, Stage::kParse);
   HQ_ASSIGN_OR_RETURN(sql::StatementPtr stmt, ParseSqlA(sql_a, &features));
   parse_span.End();
   double parse_micros = translation.ElapsedMicros();
@@ -295,7 +319,7 @@ Result<xtra::OpPtr> HyperQService::Bind(const sql::Statement& stmt,
   binder::Binder binder(&catalog_, frontend_dialect_);
   xtra::OpPtr plan;
   {
-    obs::SpanScope bind_span(ctx, "bind");
+    obs::SpanScope bind_span(ctx, Stage::kBind);
     std::lock_guard<std::mutex> lock(mutex_);  // catalog reads
     HQ_ASSIGN_OR_RETURN(plan, binder.BindStatement(stmt));
   }
@@ -307,7 +331,7 @@ Result<std::string> HyperQService::LowerToSqlB(
     xtra::OpPtr* plan, FeatureSet* features, QueryContext* ctx,
     std::vector<serializer::LiteralSite>* sites) {
   binder::ColIdGenerator ids(binder::kFirstRewriteColId);
-  obs::SpanScope transform_span(ctx, "transform");
+  obs::SpanScope transform_span(ctx, Stage::kTransform);
   HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kBinding, plan, &ids,
                                       features, &catalog_));
   // Recursive queries need mid-tier emulation rather than serialization.
@@ -319,7 +343,7 @@ Result<std::string> HyperQService::LowerToSqlB(
     HQ_RETURN_IF_ERROR(ExpandPeriodInsert(plan->get(), features));
   }
   transform_span.End();
-  obs::SpanScope serialize_span(ctx, "serialize");
+  obs::SpanScope serialize_span(ctx, Stage::kSerialize);
   serialize_span.Annotate("dialect", serializer_.dialect().Name());
   return serializer_.Serialize(**plan, sites);
 }
@@ -346,7 +370,7 @@ Result<QueryOutcome> HyperQService::RunPipeline(Session* session,
 
   if (plan->kind == xtra::OpKind::kRecursiveCte) {
     Stopwatch execution;
-    obs::SpanScope exec_span(ctx, "backend.execute");
+    obs::SpanScope exec_span(ctx, Stage::kBackendExecute);
     emulation::RecursionDriver driver(&serializer_,
                                       session->connector.get());
     HQ_ASSIGN_OR_RETURN(out.result, driver.Execute(*plan, nullptr, ctx));
@@ -368,7 +392,7 @@ Result<QueryOutcome> HyperQService::RunPipeline(Session* session,
 
   Stopwatch execution;
   {
-    obs::SpanScope exec_span(ctx, "backend.execute");
+    obs::SpanScope exec_span(ctx, Stage::kBackendExecute);
     HQ_ASSIGN_OR_RETURN(out.result,
                         ExecuteOnBackend(session, sql_b, ctx,
                                          stmt.kind == StmtKind::kSelect));

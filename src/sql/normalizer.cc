@@ -30,11 +30,12 @@ char LiteralTag(const ExtractedLiteral& lit) {
 
 }  // namespace
 
-Result<NormalizedStatement> NormalizeStatement(const std::string& sql) {
+Result<NormalizedStatement> NormalizeStatement(const std::string& sql,
+                                               bool collect_identifiers) {
   NormalizedStatement out;
   std::string& tpl = out.template_sql;
   tpl.reserve(sql.size() + 8);
-  out.identifiers.reserve(16);
+  if (collect_identifiers) out.identifiers.reserve(16);
   auto append = [&tpl](const std::string& part) {
     if (!tpl.empty()) tpl += ' ';
     tpl += part;
@@ -54,12 +55,12 @@ Result<NormalizedStatement> NormalizeStatement(const std::string& sql) {
         break;
       case TokenKind::kIdent: {
         if (out.first_keyword.empty()) out.first_keyword = t.upper;
-        out.identifiers.push_back(t.upper);
+        if (collect_identifiers) out.identifiers.push_back(t.upper);
         append(t.upper);
         break;
       }
       case TokenKind::kQuotedIdent:
-        out.identifiers.push_back(t.upper);
+        if (collect_identifiers) out.identifiers.push_back(t.upper);
         append(QuoteSql(t.text, '"'));
         break;
       case TokenKind::kString: {

@@ -60,7 +60,8 @@ struct NormalizedStatement {
   /// share a template (their serialized renderings differ).
   std::string literal_signature;
   std::vector<ExtractedLiteral> literals;
-  /// Upper-cased bare/quoted identifiers (volatile-table bypass checks).
+  /// Upper-cased bare/quoted identifiers (volatile-table bypass checks);
+  /// empty unless requested from NormalizeStatement.
   std::vector<std::string> identifiers;
   std::string first_keyword;  // first identifier token, upper-cased
   /// True when the source carries :name or ? placeholders — never cache.
@@ -68,7 +69,10 @@ struct NormalizedStatement {
 };
 
 /// \brief Normalizes one statement. Fails only on lexer errors.
-Result<NormalizedStatement> NormalizeStatement(const std::string& sql);
+/// `collect_identifiers` fills `identifiers`; a caller with no volatile
+/// table to check against skips copying them.
+Result<NormalizedStatement> NormalizeStatement(
+    const std::string& sql, bool collect_identifiers = true);
 
 /// \brief The splice mode a literal canonicalizes under by default.
 SpliceMode NaturalSpliceMode(const ExtractedLiteral& lit);

@@ -211,6 +211,38 @@ TEST_F(ObservabilityTest, FinishClosesStragglersAndIsIdempotent) {
   }
 }
 
+TEST_F(ObservabilityTest, QueryTextIsBoundedToWhatTheLogPrints) {
+  // A 1 MB statement keeps only the 256 bytes the slow-query log prints
+  // plus the truncation mark, and the log line is the one an unbounded copy
+  // of the text produced: the first 256 bytes escaped, then "...".
+  const std::string prefix = "SEL 'a\"b\\c\nd";  // escaped or blanked
+  std::string sql = prefix;
+  sql.append(1 << 20, 'x');
+  sql += "'";
+  obs::QueryTrace trace;
+  trace.set_query(sql);
+  trace.Finish();
+  EXPECT_LE(trace.query().size(), 260u);
+  EXPECT_EQ(trace.query(), sql.substr(0, 256) + "...");
+  const std::string logged = "SEL 'a\\\"b\\\\c d" +
+                             std::string(256 - prefix.size(), 'x') + "...";
+  EXPECT_NE(trace.ToJson().find(",\"sql\":\"" + logged + "\",\"spans\":[]}"),
+            std::string::npos)
+      << trace.ToJson().substr(0, 400);
+
+  // Up to 256 bytes the text is kept whole; one byte more is cut.
+  for (size_t n : {size_t{0}, size_t{17}, size_t{256}, size_t{257}}) {
+    const std::string text(n, 'y');
+    obs::QueryTrace t;
+    t.set_query(text);
+    const std::string kept = n > 256 ? text.substr(0, 256) + "..." : text;
+    EXPECT_EQ(t.query(), kept) << n;
+    EXPECT_NE(t.ToJson().find(",\"sql\":\"" + kept + "\","),
+              std::string::npos)
+        << n;
+  }
+}
+
 TEST_F(ObservabilityTest, TraceRingKeepsMostRecentFirst) {
   obs::TraceRing ring(3);
   std::vector<std::shared_ptr<obs::QueryTrace>> traces;
@@ -598,6 +630,95 @@ TEST_F(ObservabilityTest, WireTraceHasStageSpansAndLandsInRing) {
   EXPECT_EQ(trace->CountSpans("wire.read"), 1);
   EXPECT_EQ(trace->CountSpans("wire.write"), 1);
   EXPECT_EQ(trace->CountSpans("convert"), 1);
+  client.Goodbye();
+  server.Stop();
+}
+
+TEST_F(ObservabilityTest, StageHistogramsCountEveryClosedSpanInTheRing) {
+  // Filing a trace observes each closed span once, through a histogram
+  // resolved per stage: after a fixed request list, every stage series
+  // counts exactly the spans of that stage in the trace ring, and every
+  // class series the traces of that class. The list reaches all 13 stages
+  // (a hedged read and a recursive query included) and both classes.
+  vdb::Engine engine;
+  ServiceOptions options;
+  for (const char* name : {"r0", "r1"}) {
+    backend::BackendSpec spec;
+    spec.name = name;
+    spec.profile = transform::BackendProfile::Vdb();
+    options.fleet.backends.push_back(spec);
+  }
+  options.tail.hedge.enabled = true;
+  options.tail.hedge.min_threshold_micros = 2000;
+  options.tail.hedge.max_hedge_fraction = 1.0;
+  HyperQService service(&engine, options);
+  TdwpServerOptions server_options;
+  server_options.metrics = service.metrics_registry();
+  TdwpServer server(&service, server_options);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  TdwpClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  ASSERT_TRUE(client.Logon("alice", "pw").ok());
+  for (const char* sql :
+       {"CREATE TABLE EMP (EMPNO INTEGER, MGRNO INTEGER)",
+        "INS INTO EMP VALUES (1, 7)", "INS INTO EMP VALUES (7, 8)",
+        "INS INTO EMP VALUES (8, 10)", "SEL EMPNO FROM EMP WHERE MGRNO = 7",
+        "SEL EMPNO FROM EMP WHERE MGRNO = 8",
+        "WITH RECURSIVE REPORTS (EMPNO, MGRNO) AS ("
+        "SELECT EMPNO, MGRNO FROM EMP WHERE MGRNO = 10 UNION ALL "
+        "SELECT EMP.EMPNO, EMP.MGRNO FROM EMP, REPORTS "
+        "WHERE REPORTS.EMPNO = EMP.MGRNO) SELECT EMPNO FROM REPORTS"}) {
+    auto r = client.Run(sql);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status();
+  }
+  // A slow (not dead) replica: the next read hedges onto its peer.
+  const int bound = service.session_backend(client.session_id());
+  ASSERT_GE(bound, 0);
+  service.backend_pool()->SlowBackend(static_cast<size_t>(bound), 40);
+  auto hedged = client.Run("SEL EMPNO FROM EMP WHERE MGRNO = 10");
+  ASSERT_TRUE(hedged.ok()) << hedged.status();
+  service.backend_pool()->SlowBackend(static_cast<size_t>(bound), 0);
+  // The scrape is a sequencing barrier: the server has filed every trace
+  // of this connection before it answers.
+  ASSERT_TRUE(client.Scrape().ok());
+
+  auto sid = service.OpenSession("library");
+  ASSERT_TRUE(sid.ok()) << sid.status();
+  QueryRequest request;
+  request.session_id = *sid;
+  request.sql = "SEL EMPNO FROM EMP WHERE MGRNO = 8";
+  ASSERT_TRUE(service.Submit(request).ok());
+
+  auto traces = service.trace_ring().Recent(service.trace_ring().capacity());
+  ASSERT_EQ(static_cast<int64_t>(traces.size()),
+            service.trace_ring().total_added())
+      << "every filed trace must still be in the ring";
+  auto histograms = service.StatsSnapshot().metrics.histograms;
+  auto count_of = [&histograms](const std::string& series) -> int64_t {
+    auto it = histograms.find(series);
+    return it == histograms.end() ? 0 : it->second.count;
+  };
+  for (const char* stage : names::kStageNames) {
+    int64_t spans = 0;
+    for (const auto& trace : traces) spans += trace->CountSpans(stage);
+    EXPECT_GT(spans, 0) << "the request list never opened " << stage;
+    EXPECT_EQ(count_of(obs::LabeledName(names::kStageMicros,
+                                        {{"stage", stage}})),
+              spans)
+        << stage;
+  }
+  for (const char* session_class : {"wire", "library"}) {
+    int64_t filed = 0;
+    for (const auto& trace : traces) {
+      filed += trace->session_class() == session_class ? 1 : 0;
+    }
+    EXPECT_GT(filed, 0) << session_class;
+    EXPECT_EQ(count_of(obs::LabeledName(names::kQueryMicros,
+                                        {{"class", session_class}})),
+              filed)
+        << session_class;
+  }
   client.Goodbye();
   server.Stop();
 }

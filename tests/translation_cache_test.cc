@@ -198,6 +198,38 @@ TEST_F(TranslationCacheTest, VolatileTableReferencesBypass) {
   EXPECT_EQ(b.timing.cache_hits, 0);
 }
 
+TEST_F(TranslationCacheTest, ViewOverNameThatLaterTurnsVolatileBypasses) {
+  // With no volatile table anywhere the probe and the template build skip
+  // the identifier lists. That is safe because the DDL that later makes a
+  // name volatile bumps the catalog version in every key: a view's cached
+  // template (its SQL-B names the underlying table, its SQL-A only the
+  // view) becomes unreachable, and the next cold run sees the name.
+  Init();
+  Must("CREATE TABLE UNDER_T (A INTEGER)");
+  Must("INS INTO UNDER_T VALUES (1)");
+  Must("CREATE VIEW OVER_V AS SEL A FROM UNDER_T");
+  auto cold = Must("SEL A FROM OVER_V WHERE A = 1");
+  ASSERT_EQ(cold.backend_sql.size(), 1u);
+  ASSERT_NE(cold.backend_sql[0].find("UNDER_T"), std::string::npos)
+      << cold.backend_sql[0];
+  EXPECT_EQ(Must("SEL A FROM OVER_V WHERE A = 2").timing.cache_hits, 1);
+
+  Must("DROP TABLE UNDER_T");
+  Must("CREATE VOLATILE TABLE UNDER_T (A INTEGER)");
+  Must("INS INTO UNDER_T VALUES (2)");
+  auto before = Stats();
+  auto a = Must("SEL A FROM OVER_V WHERE A = 1");
+  auto b = Must("SEL A FROM OVER_V WHERE A = 2");
+  auto after = Stats();
+  EXPECT_EQ(a.timing.cache_hits, 0);
+  EXPECT_EQ(b.timing.cache_hits, 0);
+  EXPECT_EQ(after.hits - before.hits, 0);
+  EXPECT_EQ(after.inserts - before.inserts, 0);
+  EXPECT_GE(after.bypasses - before.bypasses, 2);
+  ASSERT_EQ(Rows(b).size(), 1u);
+  EXPECT_EQ(Rows(b)[0][0].int_val(), 2);
+}
+
 TEST_F(TranslationCacheTest, DdlAndSessionCommandsBypass) {
   Init();
   auto before = Stats();
