@@ -104,10 +104,9 @@ Result<backend::BackendResult> Package(const PipelineInput& in,
                                        const backend::ConnectorOptions& opts,
                                        bool canonicalize = false) {
   backend::BackendResult out;
-  out.columns = in.schema;
   out.store = std::make_shared<backend::ResultStore>(opts.store_memory_budget,
                                                      opts.spill_dir);
-  out.store->set_schema(out.columns);
+  out.store->set_schema(in.schema);
   for (auto chunk : in.chunks) {
     if (canonicalize) {
       HQ_ASSIGN_OR_RETURN(chunk, backend::CanonicalizeBatch(in.schema, chunk));

@@ -31,7 +31,7 @@ void Run(service::HyperQService& service, uint32_t sid,
   if (outcome->result.is_rowset()) {
     auto rows = outcome->result.DecodeRows();
     if (rows.ok()) {
-      for (const auto& col : outcome->result.columns) {
+      for (const auto& col : outcome->result.columns()) {
         std::printf("%-14s", col.name.c_str());
       }
       std::printf("\n");

@@ -17,7 +17,10 @@
 # quartiles, the median difference, the parent's quartile spread, and how
 # many pairs the working tree won. A gain is shown when the working tree
 # wins at least 9 pairs in 10 and the median difference exceeds the
-# parent's quartile spread.
+# parent's quartile spread. Below each scaled metric it prints the same for
+# the unscaled `raw.*` note tdwpbench prints above its JSON, when there is
+# one: host scaling divides by a probe measured in the same build, so a
+# shift in the scaled value alone is the probe's, not the program's.
 #
 # Environment:
 #   AB_SECONDS  --seconds per run (default 15)
@@ -106,11 +109,17 @@ better = {m["name"]: m["better"]
 
 def load(side, i):
     with open(os.path.join(logs, "%s-%d.out" % (side, i))) as f:
-        lines = [l for l in f.read().splitlines() if l.startswith("{")]
-    result = json.loads(lines[-1])
+        text = f.read().splitlines()
+    result = json.loads([l for l in text if l.startswith("{")][-1])
     if not result.get("correct", False) or result.get("failed", 0):
         sys.exit("bench_ab: %s run %d was not correct" % (side, i))
-    return {k: v["value"] for k, v in result["metrics"].items()}
+    values = {k: v["value"] for k, v in result["metrics"].items()}
+    # The notes above the JSON: "  <name> <value> <unit>".
+    for line in text:
+        fields = line.split()
+        if len(fields) == 3 and fields[0].startswith("raw."):
+            values[fields[0]] = float(fields[1])
+    return values
 
 
 runs = {side: [load(side, i) for i in range(pairs)]
@@ -124,15 +133,10 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-print("%-34s %8s %10s %10s %10s %10s %10s %10s %8s %9s %5s" %
-      ("metric", "better", "par.q1", "par.med", "par.q3", "cand.q1",
-       "cand.med", "cand.q3", "diff", "par.iqr", "wins"))
-for name in runs["parent"][0]:
-    if name not in better or name not in runs["candidate"][0]:
-        continue
+def row(name, direction):
     p = [r[name] for r in runs["parent"]]
     c = [r[name] for r in runs["candidate"]]
-    sign = -1 if better[name] == "lower" else 1
+    sign = -1 if direction == "lower" else 1
     wins = sum(1 for a, b in zip(p, c) if sign * (b - a) > 0)
     pq1, pmed, pq3 = quartiles(p)
     cq1, cmed, cq3 = quartiles(c)
@@ -142,6 +146,21 @@ for name in runs["parent"][0]:
             and abs(cmed - pmed) > pq3 - pq1)
     print("%-34s %8s %10.4g %10.4g %10.4g %10.4g %10.4g %10.4g %+7.1f%% "
           "%8.1f%% %2d/%-2d%s" %
-          (name, better[name], pq1, pmed, pq3, cq1, cmed, cq3, 100 * rel,
+          (name, direction, pq1, pmed, pq3, cq1, cmed, cq3, 100 * rel,
            100 * iqr, wins, pairs, "  gain" if gain else ""))
+
+
+def present(name):
+    return all(name in r for side in runs.values() for r in side)
+
+
+print("%-34s %8s %10s %10s %10s %10s %10s %10s %8s %9s %5s" %
+      ("metric", "better", "par.q1", "par.med", "par.q3", "cand.q1",
+       "cand.med", "cand.q3", "diff", "par.iqr", "wins"))
+for name in runs["parent"][0]:
+    if name not in better or not present(name):
+        continue
+    row(name, better[name])
+    if present("raw." + name):
+        row("raw." + name, better[name])
 EOF

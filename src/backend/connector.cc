@@ -9,6 +9,11 @@ namespace hyperq::backend {
 namespace obs = observability;
 using observability::names::Stage;
 
+const std::vector<TdfColumn>& BackendResult::columns() const {
+  static const std::vector<TdfColumn> kNone;
+  return store != nullptr ? store->schema() : kNone;
+}
+
 Result<std::vector<std::vector<Datum>>> BackendResult::DecodeRows() const {
   std::vector<std::vector<Datum>> rows;
   if (!store) return rows;
@@ -182,15 +187,14 @@ Result<BackendResult> BackendConnector::Package(vdb::QueryResult result,
   out.command_tag = std::move(result.command_tag);
   if (result.columns.empty()) return out;
 
-  out.columns.reserve(result.columns.size());
-  for (const auto& col : result.columns) {
-    out.columns.push_back({col.name, col.type});
-  }
+  // The engine's column list becomes the store's schema, which is the
+  // result's column list: packaging copies no column.
   out.store = std::make_shared<ResultStore>(options_.store_memory_budget,
                                             options_.spill_dir,
                                             options_.governor,
                                             options_.session_tag);
-  out.store->set_schema(out.columns);
+  out.store->set_schema(std::move(result.columns));
+  const std::vector<TdfColumn>& columns = out.store->schema();
 
   auto emit_span = [&](const std::shared_ptr<const vdb::ColumnBatch>& batch,
                        size_t offset, size_t rows) -> Status {
@@ -219,8 +223,8 @@ Result<BackendResult> BackendConnector::Package(vdb::QueryResult result,
   if (total == 0) {
     // Announce-then-stream protocols expect at least one (empty) batch.
     std::vector<SqlType> types;
-    types.reserve(out.columns.size());
-    for (const auto& c : out.columns) types.push_back(c.type);
+    types.reserve(columns.size());
+    for (const auto& c : columns) types.push_back(c.type);
     vdb::BatchBuilder builder(types);
     HQ_RETURN_IF_ERROR(emit_span(builder.Finish(), 0, 0));
     return out;
@@ -230,7 +234,7 @@ Result<BackendResult> BackendConnector::Package(vdb::QueryResult result,
     // Coerce the whole chunk to the declared result types once (the common
     // case is a zero-copy identity check), instead of per row per value.
     HQ_ASSIGN_OR_RETURN(std::shared_ptr<const vdb::ColumnBatch> canon,
-                        CanonicalizeBatch(out.columns, chunk));
+                        CanonicalizeBatch(columns, chunk));
     size_t i = 0;
     while (i < canon->rows) {
       // Spans never straddle chunk boundaries; a short tail span simply

@@ -31,8 +31,8 @@ namespace hyperq::backend {
 
 /// \brief Outcome of one backend request.
 struct BackendResult {
-  std::vector<TdfColumn> columns;  // empty for command results
-  std::shared_ptr<ResultStore> store;  // TDF batches (rowsets only)
+  /// TDF batches (rowsets only); its schema is the result's column list.
+  std::shared_ptr<ResultStore> store;
   int64_t affected_rows = 0;
   std::string command_tag;
 
@@ -46,7 +46,10 @@ struct BackendResult {
   bool hedge_won = false;  // this result came from the hedge replica
   int hedge_backend = -1;  // pool index of the winning hedge (-1 = primary)
 
-  bool is_rowset() const { return !columns.empty(); }
+  bool is_rowset() const { return store != nullptr; }
+  /// \brief The result's columns: the store's schema, empty for command
+  /// results.
+  const std::vector<TdfColumn>& columns() const;
 
   /// \brief Decodes all batches back into datum rows: the in-process read
   /// API for examples and tests. The wire path iterates

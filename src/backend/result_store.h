@@ -84,6 +84,14 @@ class ResultStore {
   /// \brief Bytes currently spilled to disk by this store.
   int64_t spilled_bytes() const { return spilled_bytes_; }
 
+  /// \brief The store's only batch when it holds exactly one, in memory;
+  /// else null. A one-batch result is read through it without a scan.
+  const BatchSpan* SoleSpan() const {
+    return in_memory_.size() == 1 && in_memory_[0].path.empty()
+               ? &in_memory_[0].span
+               : nullptr;
+  }
+
   /// \brief Visits every batch in append order as columnar spans (spilled
   /// batches are read back from disk and decoded). Repeated scans are
   /// valid.

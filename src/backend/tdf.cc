@@ -348,18 +348,18 @@ Result<std::shared_ptr<const ColumnBatch>> CanonicalizeBatch(
     return false;
   };
 
-  std::vector<bool> ok(chunk->columns.size());
-  bool all_ok = true;
-  for (size_t c = 0; c < chunk->columns.size(); ++c) {
-    ok[c] = conforms(c);
-    all_ok = all_ok && ok[c];
+  // The identity check allocates nothing; a column that fails it starts
+  // the rebuild, which re-checks the columns after it.
+  size_t first_bad = 0;
+  while (first_bad < chunk->columns.size() && conforms(first_bad)) {
+    ++first_bad;
   }
-  if (all_ok) return chunk;
+  if (first_bad == chunk->columns.size()) return chunk;
 
   auto out = std::make_shared<ColumnBatch>();
   out->rows = n;
   for (size_t c = 0; c < chunk->columns.size(); ++c) {
-    if (ok[c]) {
+    if (c < first_bad || (c > first_bad && conforms(c))) {
       out->columns.push_back(chunk->columns[c]);
       continue;
     }

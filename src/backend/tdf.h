@@ -41,10 +41,9 @@
 
 namespace hyperq::backend {
 
-struct TdfColumn {
-  std::string name;
-  SqlType type;
-};
+/// A TDF column is a result column, so a backend result's column list
+/// becomes the store's schema without a copy.
+using TdfColumn = vdb::ResultColumn;
 
 /// \brief Decodes one TDF batch. Spill files come back from disk, so the
 /// bytes are treated as outside input: a wrong magic (including the

@@ -71,6 +71,7 @@ void QueryContext::BeginDrain(Deadline deadline) {
 void QueryContext::SetClientProbe(ClientProbe probe) {
   std::lock_guard<std::mutex> lock(probe_mutex_);
   probe_ = std::move(probe);
+  last_poll_ = std::chrono::steady_clock::now();
 }
 
 void QueryContext::ClearClientProbe() {
@@ -122,13 +123,19 @@ Status QueryContext::CheckAlive() {
     return CancelledStatus();
   }
 
-  // Client liveness: a cheap non-blocking poll of the connection. Probing
+  // Client liveness: a cheap non-blocking look at the connection. Probing
   // reads the client socket, so concurrent checkers (parallel converter
-  // workers) skip rather than stack up on it.
+  // workers) skip rather than stack up on it. The poll is rate-limited: a
+  // request shorter than kClientPollInterval makes none (DESIGN.md §8).
   if (probe_mutex_.try_lock()) {
     Status probed;
     CancelCause cause = CancelCause::kClientGone;
-    if (probe_) probed = probe_(&cause);
+    if (probe_) {
+      const auto now = std::chrono::steady_clock::now();
+      const bool poll = now - last_poll_ >= kClientPollInterval;
+      if (poll) last_poll_ = now;
+      probed = probe_(poll, &cause);
+    }
     probe_mutex_.unlock();
     if (!probed.ok()) {
       Cancel(cause, std::move(probed));

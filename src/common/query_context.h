@@ -14,6 +14,10 @@
 //   - the operator kill API (HyperQService::KillQuery),
 //   - a server drain deadline during graceful Stop().
 //
+// The client probe has two parts. Its look at bytes the server already read
+// runs at every boundary; its poll() of the socket runs at most once per
+// kClientPollInterval, so a request shorter than that makes no syscall.
+//
 // All surface as kCancelled (kDeadlineExceeded for deadline expiry), so a
 // request terminates within one batch boundary with a typed error and a
 // well-formed wire frame. Thread-safe: cancellation may arrive from any
@@ -22,6 +26,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -78,11 +83,18 @@ class QueryContext {
   /// from the request deadline so the cause is attributed correctly.
   void BeginDrain(Deadline deadline);
 
+  /// \brief The least time between two polls of the client socket: the
+  /// request's start (SetClientProbe) or the last poll, to the next.
+  static constexpr std::chrono::microseconds kClientPollInterval{100};
+
   /// \brief Installed by the wire layer: a cheap non-blocking look at the
   /// client connection. Returns non-OK (with the cause) when the client
-  /// sent an abort frame or disconnected. Called from CheckAlive() under
-  /// an internal lock; concurrent callers skip the probe rather than wait.
-  using ClientProbe = std::function<Status(CancelCause* cause)>;
+  /// sent an abort frame or disconnected. `poll` is true when the probe may
+  /// make a syscall to look at the socket (once kClientPollInterval has
+  /// passed); without it the probe checks only what the server already
+  /// read. Called from CheckAlive() under an internal lock; concurrent
+  /// callers skip the probe rather than wait.
+  using ClientProbe = std::function<Status(bool poll, CancelCause* cause)>;
   void SetClientProbe(ClientProbe probe);
   void ClearClientProbe();
 
@@ -127,6 +139,7 @@ class QueryContext {
 
   std::mutex probe_mutex_;  // serializes probe invocations (socket reads)
   ClientProbe probe_;
+  std::chrono::steady_clock::time_point last_poll_;  // or the probe's start
 
   mutable std::mutex trace_mutex_;  // guards trace_ attach/read
   std::shared_ptr<observability::QueryTrace> trace_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <thread>
 
 #include "common/fault.h"
@@ -278,29 +279,41 @@ Result<ConversionResult> ResultConverter::Convert(
   ConversionResult out;
   if (!result.is_rowset()) return out;
 
-  out.columns.reserve(result.columns.size());
-  for (const auto& col : result.columns) {
+  const std::vector<backend::TdfColumn>& columns = result.columns();
+  out.columns.reserve(columns.size());
+  for (const auto& col : columns) {
     HQ_ASSIGN_OR_RETURN(protocol::WireColumn wc,
                         protocol::ToWireColumn(col.name, col.type));
     out.columns.push_back(std::move(wc));
   }
 
   // Collect the store's spans (buffered: the header must announce the full
-  // row count). Spans share their batches with the store — no row copy.
-  std::vector<BatchSpan> spans;
-  std::vector<size_t> span_start;  // global row index of each span
-  if (result.store) {
-    spans.reserve(result.store->batch_count());
-    span_start.reserve(result.store->batch_count());
+  // row count). Spans share their batches with the store — no row copy. A
+  // store holding one in-memory span (a point read) is read in place,
+  // without span lists.
+  static constexpr size_t kFirstRow = 0;
+  std::span<const BatchSpan> spans;
+  std::span<const size_t> span_start;  // global row index of each span
+  std::vector<BatchSpan> span_list;
+  std::vector<size_t> start_list;
+  if (const BatchSpan* sole = result.store->SoleSpan()) {
+    spans = {sole, 1};
+    span_start = {&kFirstRow, 1};
+  } else {
+    span_list.reserve(result.store->batch_count());
+    start_list.reserve(result.store->batch_count());
     // Two captured references keep the callback in std::function's inline
     // storage.
     HQ_RETURN_IF_ERROR(result.store->ScanSpans(
-        [&spans, &span_start](const BatchSpan& span) {
-          span_start.push_back(
-              spans.empty() ? 0 : span_start.back() + spans.back().rows);
-          spans.push_back(span);
+        [&span_list, &start_list](const BatchSpan& span) {
+          start_list.push_back(span_list.empty() ? 0
+                                                 : start_list.back() +
+                                                       span_list.back().rows);
+          span_list.push_back(span);
           return Status::OK();
         }));
+    spans = span_list;
+    span_start = start_list;
   }
   const size_t total =
       spans.empty() ? 0 : span_start.back() + spans.back().rows;

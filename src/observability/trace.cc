@@ -7,25 +7,12 @@
 
 namespace hyperq::observability {
 
-namespace {
-// Slots reserved when a trace is created. A cache-hit wire request opens
-// 7 spans under the root, so its span vector never grows; a cold one (11)
-// grows it once. The ring keeps 128 finished traces, so reserving for the
-// cold case would cost resident memory on every hit. Stage spans nest at
-// most five deep (a recursive query's attempt, root included).
-constexpr size_t kReservedSpans = 8;
-constexpr size_t kReservedDepth = 8;
-}  // namespace
-
 QueryTrace::QueryTrace() {
-  spans_.reserve(kReservedSpans);
-  open_stack_.reserve(kReservedDepth);
   TraceSpanRecord& root = spans_.emplace_back();
   root.id = 0;
   root.parent = -1;
   root.name = "query";
   root.start_micros = 0;
-  open_stack_.push_back(0);
 }
 
 int QueryTrace::StartSpan(names::Stage stage) {
@@ -41,31 +28,31 @@ int QueryTrace::OpenSpan(std::string_view name, int stage) {
   if (finished_) return -1;
   TraceSpanRecord& span = spans_.emplace_back();
   span.id = static_cast<int>(spans_.size()) - 1;
-  span.parent = open_stack_.empty() ? 0 : open_stack_.back();
+  span.parent = current_;
   span.name = name;
   span.stage = stage;
   span.start_micros = clock_.ElapsedMicros();
-  open_stack_.push_back(span.id);
+  current_ = span.id;
   return span.id;
 }
 
 void QueryTrace::EndSpan(int id) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (id <= 0 || id >= static_cast<int>(spans_.size())) return;
-  TraceSpanRecord& span = spans_[id];
+  const TraceSpanRecord& span = spans_[id];
   if (span.duration_micros >= 0) return;  // already closed
-  span.duration_micros = clock_.ElapsedMicros() - span.start_micros;
-  // Unwind the open stack through this span: children left open by an
-  // error path are closed at the same instant (zero-width tail).
-  while (!open_stack_.empty() && open_stack_.back() != 0) {
-    int top = open_stack_.back();
-    open_stack_.pop_back();
-    if (spans_[top].duration_micros < 0) {
-      spans_[top].duration_micros =
-          clock_.ElapsedMicros() - spans_[top].start_micros;
+  // An open span is current_ or one of its ancestors. Close the chain from
+  // current_ through this span: children left open by an error path are
+  // closed at the same instant (zero-width tail).
+  const double now = clock_.ElapsedMicros();
+  for (int open = current_; open > 0 && open != span.parent;
+       open = spans_[open].parent) {
+    TraceSpanRecord& closing = spans_[open];
+    if (closing.duration_micros < 0) {
+      closing.duration_micros = now - closing.start_micros;
     }
-    if (top == id) break;
   }
+  current_ = span.parent;
 }
 
 void QueryTrace::AnnotateSpan(int id, const std::string& key,
@@ -81,7 +68,7 @@ void QueryTrace::AddCompletedSpan(const char* name, double start_micros,
   if (finished_) return;
   TraceSpanRecord& span = spans_.emplace_back();
   span.id = static_cast<int>(spans_.size()) - 1;
-  span.parent = open_stack_.empty() ? 0 : open_stack_.back();
+  span.parent = current_;
   span.name = name;
   span.start_micros = std::max(0.0, start_micros);
   span.duration_micros = std::max(0.0, duration_micros);
@@ -92,12 +79,13 @@ void QueryTrace::Finish() {
   if (finished_) return;
   finished_ = true;
   total_micros_ = clock_.ElapsedMicros();
-  for (TraceSpanRecord& span : spans_) {
+  for (size_t i = 0; i < spans_.size(); ++i) {
+    TraceSpanRecord& span = spans_[i];
     if (span.duration_micros < 0) {
       span.duration_micros = total_micros_ - span.start_micros;
     }
   }
-  open_stack_.clear();
+  current_ = 0;
 }
 
 bool QueryTrace::finished() const {
@@ -150,36 +138,37 @@ std::string QueryTrace::outcome() const {
 
 std::vector<TraceSpanRecord> QueryTrace::spans() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return spans_;
+  std::vector<TraceSpanRecord> out;
+  out.reserve(spans_.size());
+  for (size_t i = 0; i < spans_.size(); ++i) out.push_back(spans_[i]);
+  return out;
 }
 
 double QueryTrace::SumDurations(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   double sum = 0;
-  for (const TraceSpanRecord& span : spans_) {
+  VisitSpans([&](const TraceSpanRecord& span) {
     if (span.name == name && span.duration_micros >= 0) {
       sum += span.duration_micros;
     }
-  }
+  });
   return sum;
 }
 
 double QueryTrace::LastDuration(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = spans_.rbegin(); it != spans_.rend(); ++it) {
-    if (it->name == name && it->duration_micros >= 0) {
-      return it->duration_micros;
+  for (size_t i = spans_.size(); i-- > 0;) {
+    if (spans_[i].name == name && spans_[i].duration_micros >= 0) {
+      return spans_[i].duration_micros;
     }
   }
   return 0;
 }
 
 int QueryTrace::CountSpans(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   int n = 0;
-  for (const TraceSpanRecord& span : spans_) {
+  VisitSpans([&](const TraceSpanRecord& span) {
     if (span.name == name && span.duration_micros >= 0) ++n;
-  }
+  });
   return n;
 }
 
@@ -188,9 +177,9 @@ double QueryTrace::SelfMicros(int id) const {
   if (id < 0 || id >= static_cast<int>(spans_.size())) return 0;
   double self = spans_[id].duration_micros;
   if (self < 0) return 0;
-  for (const TraceSpanRecord& span : spans_) {
-    if (span.parent == id && span.duration_micros > 0) {
-      self -= span.duration_micros;
+  for (size_t i = 0; i < spans_.size(); ++i) {
+    if (spans_[i].parent == id && spans_[i].duration_micros > 0) {
+      self -= spans_[i].duration_micros;
     }
   }
   return std::max(0.0, self);
@@ -245,7 +234,8 @@ std::string QueryTrace::ToJson() const {
                     query_size_);
   out += "\",\"spans\":[";
   bool first = true;
-  for (const TraceSpanRecord& span : spans_) {
+  for (size_t i = 0; i < spans_.size(); ++i) {
+    const TraceSpanRecord& span = spans_[i];
     if (span.id == 0) continue;  // the root duplicates total_micros
     if (!first) out += ',';
     first = false;

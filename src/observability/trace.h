@@ -8,10 +8,10 @@
 // configurable threshold, emitted as one structured JSON line each — the
 // slow-query log.
 //
-// Per-request cost: a trace reserves room for a cache hit's spans when it
-// is created and keeps only the part of the SQL text the slow-query log
-// prints, so on the hit path opening and closing a stage span allocates
-// nothing. Filing a
+// Per-request cost: a trace keeps its first 8 spans (a cache hit's) inside
+// itself, finds the innermost open span through the parent links, and
+// keeps only the part of the SQL text the slow-query log prints, so on the
+// hit path opening and closing a stage span allocates nothing. Filing a
 // finished trace walks its spans in place (VisitSpans) and observes
 // hyperq.stage.micros through histograms the service resolved once per
 // stage.
@@ -120,7 +120,7 @@ class QueryTrace {
   template <typename Fn>
   void VisitSpans(Fn&& fn) const {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const TraceSpanRecord& span : spans_) fn(span);
+    for (size_t i = 0; i < spans_.size(); ++i) fn(spans_[i]);
   }
   /// \brief Sum of the durations of every closed span named `name`.
   double SumDurations(std::string_view name) const;
@@ -139,12 +139,38 @@ class QueryTrace {
   std::string ToJson() const;
 
  private:
+  /// The spans in id order. The first kInline live in the list itself: a
+  /// cache-hit wire request opens 7 under the root, so its trace allocates
+  /// no span storage; a cold one (11) puts its last 4 in the overflow
+  /// vector.
+  class SpanList {
+   public:
+    static constexpr size_t kInline = 8;
+    size_t size() const { return size_; }
+    TraceSpanRecord& operator[](size_t i) {
+      return i < kInline ? inline_[i] : overflow_[i - kInline];
+    }
+    const TraceSpanRecord& operator[](size_t i) const {
+      return i < kInline ? inline_[i] : overflow_[i - kInline];
+    }
+    TraceSpanRecord& emplace_back() {
+      return size_++ < kInline ? inline_[size_ - 1]
+                               : overflow_.emplace_back();
+    }
+
+   private:
+    std::array<TraceSpanRecord, kInline> inline_;
+    std::vector<TraceSpanRecord> overflow_;
+    size_t size_ = 0;
+  };
+
   int OpenSpan(std::string_view name, int stage);
 
   mutable std::mutex mutex_;
   Stopwatch clock_;
-  std::vector<TraceSpanRecord> spans_;
-  std::vector<int> open_stack_;  // innermost open span is back()
+  SpanList spans_;
+  // The innermost open span; the open spans are it and its ancestors.
+  int current_ = 0;
   bool finished_ = false;
   double total_micros_ = 0;
   // The kept SQL text: a prefix plus the truncation mark, never allocated.

@@ -18,12 +18,13 @@ using observability::names::Stage;
 
 namespace {
 
-/// The kError payload for `status`: its code and its rendered message.
+/// The kError message for `status`: its code and its rendered message.
+ErrorMessage ErrorOf(const Status& status) {
+  return ErrorMessage{static_cast<uint32_t>(status.code()), status.ToString()};
+}
+
 std::vector<uint8_t> ErrorPayload(const Status& status) {
-  ErrorMessage err;
-  err.code = static_cast<uint32_t>(status.code());
-  err.message = status.ToString();
-  return Encode(err);
+  return Encode(ErrorOf(status));
 }
 
 }  // namespace
@@ -230,18 +231,19 @@ void TdwpServer::SpawnWorker(Socket conn) {
 
 namespace {
 
-/// The QueryContext client probe (DESIGN.md §8): a zero-timeout poll of the
-/// client socket from inside the request path. The worker thread is not
-/// reading the connection while a request runs, so any data here — already
-/// in the socket's read buffer (pipelined behind the request) or readable
-/// from the kernel — is either an abort/goodbye frame or EOF from a
-/// vanished client.
-Status ProbeClient(Socket& conn, CancelCause* cause) {
+/// The QueryContext client probe (DESIGN.md §8): a look at the socket's read
+/// buffer, and, when `poll` is set, a zero-timeout poll of the client socket
+/// from inside the request path. The worker thread is not reading the
+/// connection while a request runs, so any data here — already in the
+/// socket's read buffer (pipelined behind the request) or readable from the
+/// kernel — is either an abort/goodbye frame or EOF from a vanished client.
+Status ProbeClient(Socket& conn, bool poll, CancelCause* cause) {
   if (!conn.valid()) {
     *cause = CancelCause::kClientGone;
     return Status::Cancelled("client connection closed");
   }
   if (conn.buffered() == 0) {
+    if (!poll) return Status::OK();
     struct pollfd pfd;
     pfd.fd = conn.fd();
     pfd.events = POLLIN;
@@ -360,8 +362,8 @@ void TdwpServer::ServeConnection(Socket& conn, ActiveQuery& active) {
         // the kill API a cancel) through it. Its deadline is the handler's
         // to set (ServiceOptions::default_query_deadline_ms).
         auto ctx = std::make_shared<QueryContext>();
-        ctx->SetClientProbe([&conn](CancelCause* cause) {
-          return ProbeClient(conn, cause);
+        ctx->SetClientProbe([&conn](bool poll, CancelCause* cause) {
+          return ProbeClient(conn, poll, cause);
         });
         trace->set_session_id(session_id);
         trace->set_query(req->sql);
@@ -382,23 +384,23 @@ void TdwpServer::ServeConnection(Socket& conn, ActiveQuery& active) {
         if (!resp.ok()) {
           send_error(resp.status());
         } else {
-          // The whole response — header, batches, success — is one buffer
-          // and one send (DESIGN.md §9), sized up front.
-          std::vector<uint8_t> header;
-          std::vector<uint8_t> success = Encode(resp->success);
-          size_t bytes = kFrameHeaderBytes + success.size();
+          // The whole response — header, batches, success — is one buffer,
+          // sized up front, and one send (DESIGN.md §9). Each frame is
+          // encoded in place and its length written after its payload.
+          size_t bytes = kFrameHeaderBytes + EncodedSize(resp->success);
           if (resp->has_rowset) {
-            header = Encode(resp->header);
-            bytes += kFrameHeaderBytes + header.size();
+            bytes += kFrameHeaderBytes + EncodedSize(resp->header);
             for (const auto& batch : resp->batches) {
               bytes += kFrameHeaderBytes + batch.size();
             }
           }
-          std::vector<uint8_t> out;
-          out.reserve(bytes);
+          BufferWriter out;
+          out.Reserve(bytes);
           Status alive;
           if (resp->has_rowset) {
-            AppendFrame(MessageKind::kResultHeader, header, &out);
+            size_t frame = BeginFrame(MessageKind::kResultHeader, &out);
+            EncodeTo(resp->header, &out);
+            EndFrame(frame, &out);
             for (const auto& batch : resp->batches) {
               // Poll the lifecycle before each batch: a client abort,
               // disconnect, deadline, kill, or drain ends the response at
@@ -406,14 +408,20 @@ void TdwpServer::ServeConnection(Socket& conn, ActiveQuery& active) {
               // in place of Success.
               alive = ctx->CheckAlive();
               if (!alive.ok()) break;
-              AppendFrame(MessageKind::kRecordBatch, batch, &out);
+              frame = BeginFrame(MessageKind::kRecordBatch, &out);
+              out.PutBytes(batch.data(), batch.size());
+              EndFrame(frame, &out);
             }
           }
           if (alive.ok()) {
-            AppendFrame(MessageKind::kSuccess, success, &out);
+            size_t frame = BeginFrame(MessageKind::kSuccess, &out);
+            EncodeTo(resp->success, &out);
+            EndFrame(frame, &out);
           } else {
             outcome = outcome_of(alive);
-            AppendFrame(MessageKind::kError, ErrorPayload(alive), &out);
+            size_t frame = BeginFrame(MessageKind::kError, &out);
+            EncodeTo(ErrorOf(alive), &out);
+            EndFrame(frame, &out);
           }
           write_status = conn.WriteAll(out.data(), out.size());
         }

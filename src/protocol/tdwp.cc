@@ -22,6 +22,18 @@ std::vector<uint8_t> EncodeFrame(const Frame& frame) {
   return out;
 }
 
+size_t BeginFrame(MessageKind kind, BufferWriter* out) {
+  const size_t start = out->size();
+  out->Extend(kFrameHeaderBytes)[0] = static_cast<uint8_t>(kind);
+  return start;
+}
+
+void EndFrame(size_t frame_start, BufferWriter* out) {
+  out->PatchU32(frame_start + 4,
+                static_cast<uint32_t>(out->size() - frame_start -
+                                      kFrameHeaderBytes));
+}
+
 std::vector<uint8_t> Encode(const LogonRequest& m) {
   BufferWriter out;
   out.PutLenBytes(m.user);
@@ -74,16 +86,26 @@ Result<RunRequest> DecodeRunRequest(const std::vector<uint8_t>& p) {
   return m;
 }
 
+void EncodeTo(const ResultHeader& m, BufferWriter* out) {
+  out->PutU32(static_cast<uint32_t>(m.columns.size()));
+  for (const auto& col : m.columns) {
+    out->PutLenBytes(col.name);
+    out->PutU8(static_cast<uint8_t>(col.type));
+    out->PutI32(col.length);
+    out->PutI32(col.scale);
+  }
+  out->PutU64(m.total_rows);
+}
+
+size_t EncodedSize(const ResultHeader& m) {
+  size_t bytes = 4 + 8;
+  for (const auto& col : m.columns) bytes += 4 + col.name.size() + 1 + 4 + 4;
+  return bytes;
+}
+
 std::vector<uint8_t> Encode(const ResultHeader& m) {
   BufferWriter out;
-  out.PutU32(static_cast<uint32_t>(m.columns.size()));
-  for (const auto& col : m.columns) {
-    out.PutLenBytes(col.name);
-    out.PutU8(static_cast<uint8_t>(col.type));
-    out.PutI32(col.length);
-    out.PutI32(col.scale);
-  }
-  out.PutU64(m.total_rows);
+  EncodeTo(m, &out);
   return out.Take();
 }
 
@@ -104,13 +126,21 @@ Result<ResultHeader> DecodeResultHeader(const std::vector<uint8_t>& p) {
   return m;
 }
 
+void EncodeTo(const SuccessMessage& m, BufferWriter* out) {
+  out->PutU64(m.activity_count);
+  out->PutLenBytes(m.tag);
+  out->PutF64(m.translation_micros);
+  out->PutF64(m.execution_micros);
+  out->PutF64(m.conversion_micros);
+}
+
+size_t EncodedSize(const SuccessMessage& m) {
+  return 8 + 4 + m.tag.size() + 3 * 8;
+}
+
 std::vector<uint8_t> Encode(const SuccessMessage& m) {
   BufferWriter out;
-  out.PutU64(m.activity_count);
-  out.PutLenBytes(m.tag);
-  out.PutF64(m.translation_micros);
-  out.PutF64(m.execution_micros);
-  out.PutF64(m.conversion_micros);
+  EncodeTo(m, &out);
   return out.Take();
 }
 
@@ -125,10 +155,14 @@ Result<SuccessMessage> DecodeSuccess(const std::vector<uint8_t>& p) {
   return m;
 }
 
+void EncodeTo(const ErrorMessage& m, BufferWriter* out) {
+  out->PutU32(m.code);
+  out->PutLenBytes(m.message);
+}
+
 std::vector<uint8_t> Encode(const ErrorMessage& m) {
   BufferWriter out;
-  out.PutU32(m.code);
-  out.PutLenBytes(m.message);
+  EncodeTo(m, &out);
   return out.Take();
 }
 

@@ -68,6 +68,13 @@ void AppendFrame(MessageKind kind, const std::vector<uint8_t>& payload,
 /// \brief Serializes a frame (header + payload).
 std::vector<uint8_t> EncodeFrame(const Frame& frame);
 
+/// \brief Builds a frame in place: BeginFrame appends the frame header with
+/// a zero length and returns where the frame starts; the caller appends the
+/// payload straight after it; EndFrame writes the payload's length. The
+/// bytes equal AppendFrame's, without a payload buffer of their own.
+size_t BeginFrame(MessageKind kind, BufferWriter* out);
+void EndFrame(size_t frame_start, BufferWriter* out);
+
 // --- Message payloads ------------------------------------------------------
 
 struct LogonRequest {
@@ -142,6 +149,14 @@ std::vector<uint8_t> Encode(const ResultHeader& m);
 std::vector<uint8_t> Encode(const SuccessMessage& m);
 std::vector<uint8_t> Encode(const ErrorMessage& m);
 std::vector<uint8_t> Encode(const StatsResponse& m);
+
+/// Appends a payload to `out`: the bytes Encode returns.
+void EncodeTo(const ResultHeader& m, BufferWriter* out);
+void EncodeTo(const SuccessMessage& m, BufferWriter* out);
+void EncodeTo(const ErrorMessage& m, BufferWriter* out);
+/// Payload bytes EncodeTo appends, for sizing a buffer up front.
+size_t EncodedSize(const ResultHeader& m);
+size_t EncodedSize(const SuccessMessage& m);
 
 Result<LogonRequest> DecodeLogonRequest(const std::vector<uint8_t>& p);
 Result<LogonResponse> DecodeLogonResponse(const std::vector<uint8_t>& p);

@@ -359,26 +359,24 @@ void HyperQService::OnQueryTraceFinished(
 // Lifecycle (DESIGN.md §8)
 // ---------------------------------------------------------------------------
 
-void HyperQService::RegisterActiveQuery(uint32_t session_id,
-                                        QueryContext* ctx) {
+void HyperQService::RegisterActiveQuery(Session* session, QueryContext* ctx) {
   std::lock_guard<std::mutex> lock(mutex_);
-  active_queries_[session_id] = ctx;
+  session->active_query = ctx;
 }
 
-void HyperQService::UnregisterActiveQuery(uint32_t session_id,
+void HyperQService::UnregisterActiveQuery(Session* session,
                                           QueryContext* ctx) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = active_queries_.find(session_id);
-  if (it != active_queries_.end() && it->second == ctx) {
-    active_queries_.erase(it);
-  }
+  if (session->active_query == ctx) session->active_query = nullptr;
 }
 
 bool HyperQService::KillQuery(uint32_t session_id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = active_queries_.find(session_id);
-  if (it == active_queries_.end()) return false;
-  it->second->Cancel(
+  auto it = sessions_.find(session_id);
+  if (it == sessions_.end() || it->second->active_query == nullptr) {
+    return false;
+  }
+  it->second->active_query->Cancel(
       CancelCause::kKill,
       Status::Cancelled("query killed by operator (session ", session_id,
                         ")"));
@@ -487,7 +485,7 @@ Result<QueryOutcome> HyperQService::SubmitStatements(
     }
     return Status::OK();
   };
-  RegisterActiveQuery(request.session_id, ctx);
+  RegisterActiveQuery(session, ctx);
   Status st;
   if (!script) st = run(sql);
   for (const ScriptStep& step : steps) {
@@ -506,7 +504,7 @@ Result<QueryOutcome> HyperQService::SubmitStatements(
     }
     if (!st.ok()) break;
   }
-  UnregisterActiveQuery(request.session_id, ctx);
+  UnregisterActiveQuery(session, ctx);
   finish(st);
   if (!st.ok()) {
     RecordLifecycleFailure(st, ctx);

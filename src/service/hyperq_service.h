@@ -402,6 +402,11 @@ class HyperQService : public protocol::RequestHandler {
     /// invalidates every cached plan built under the old settings while
     /// letting sessions with identical settings share entries.
     uint64_t settings_digest = 0;
+    /// KillQuery's target: the context of the session's in-flight query,
+    /// or null. Guarded by mutex_. The context outlives its registration
+    /// (Unregister runs before Submit returns), so cancelling under mutex_
+    /// is always safe.
+    QueryContext* active_query = nullptr;
   };
 
   Result<Session*> GetSession(uint32_t id);
@@ -417,8 +422,8 @@ class HyperQService : public protocol::RequestHandler {
     std::vector<serializer::LiteralSite> sites;  // when want_sites
     FeatureSet features;
   };
-  void RegisterActiveQuery(uint32_t session_id, QueryContext* ctx);
-  void UnregisterActiveQuery(uint32_t session_id, QueryContext* ctx);
+  void RegisterActiveQuery(Session* session, QueryContext* ctx);
+  void UnregisterActiveQuery(Session* session, QueryContext* ctx);
   /// Classifies a failed submit into the lifecycle counters.
   void RecordLifecycleFailure(const Status& status, const QueryContext* ctx);
 
@@ -721,10 +726,6 @@ class HyperQService : public protocol::RequestHandler {
   const std::string profile_digest_;  // options_.profile.CacheKeyDigest()
   uint64_t default_settings_digest_; // digest of a fresh SessionInfo
   std::map<std::string, int> volatile_names_;   // guarded by mutex_
-  /// KillQuery registry: the context of each session's in-flight query.
-  /// The context outlives its registration (Unregister runs before Submit
-  /// returns), so cancelling under mutex_ is always safe.
-  std::map<uint32_t, QueryContext*> active_queries_;  // guarded by mutex_
 };
 
 }  // namespace hyperq::service

@@ -46,14 +46,15 @@ void AbsorbPart(QueryOutcome* combined, QueryOutcome one, int64_t* activity) {
 BackendResult HyperQService::PackageLocal(
     const emulation::LocalResult& local) {
   BackendResult out;
+  std::vector<backend::TdfColumn> columns;
   std::vector<SqlType> types;
   types.reserve(local.columns.size());
   for (const auto& col : local.columns) {
-    out.columns.push_back({col.name, col.type});
+    columns.push_back({col.name, col.type});
     types.push_back(col.type);
   }
   out.store = std::make_shared<backend::ResultStore>();
-  out.store->set_schema(out.columns);
+  out.store->set_schema(std::move(columns));
   std::shared_ptr<const vdb::ColumnBatch> batch =
       vdb::BatchFromRows(types, local.rows, 0, local.rows.size());
   (void)out.store->AppendBatch(batch, 0, batch->rows);

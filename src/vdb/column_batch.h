@@ -100,6 +100,13 @@ struct ColumnVec {
   size_t ByteSize() const { return ByteSize(0, size); }
 };
 
+/// \brief Column metadata of a query result: the name and declared type of
+/// one column of its batches.
+struct ResultColumn {
+  std::string name;
+  SqlType type;
+};
+
 /// \brief A batch of equally sized columns. Columns are shared: scans and
 /// projections alias them instead of copying.
 struct ColumnBatch {

@@ -24,12 +24,6 @@
 
 namespace hyperq::vdb {
 
-/// \brief Column metadata of a query result.
-struct ResultColumn {
-  std::string name;
-  SqlType type;
-};
-
 /// \brief A fully materialized statement result. SELECT results arrive as
 /// columnar `chunks` (shared, immutable ColumnBatch).
 struct QueryResult {

@@ -51,7 +51,7 @@ bool WaitFor(const std::function<bool()>& pred, int timeout_ms = 5000) {
 std::vector<std::vector<uint8_t>> OracleBatches(const BackendResult& result,
                                                 size_t rows_per_batch) {
   std::vector<protocol::WireColumn> cols;
-  for (const auto& c : result.columns) {
+  for (const auto& c : result.columns()) {
     auto wc = protocol::ToWireColumn(c.name, c.type);
     EXPECT_TRUE(wc.ok()) << wc.status();
     cols.push_back(*wc);
@@ -97,7 +97,6 @@ void ExpectConverterMatchesOracle(const BackendResult& result,
 BackendResult StoreOf(const std::vector<TdfColumn>& schema,
                       const std::vector<BatchSpan>& spans) {
   BackendResult result;
-  result.columns = schema;
   result.store = std::make_shared<backend::ResultStore>();
   result.store->set_schema(schema);
   for (const BatchSpan& span : spans) {
@@ -339,7 +338,6 @@ TEST(BatchStoreTest, VarlenSpillAcrossSpanBoundaries) {
   // And the converter's bytes over this store match the row oracle even
   // when a wire batch straddles a memory span and a spilled span.
   BackendResult result;
-  result.columns = schema;
   result.store = store;
   ExpectConverterMatchesOracle(result, /*rows_per_batch=*/4);
 }

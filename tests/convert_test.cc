@@ -12,9 +12,9 @@ namespace {
 
 backend::BackendResult MakeBackendResult(int64_t rows) {
   backend::BackendResult result;
-  result.columns = {{"A", SqlType::Int()}, {"S", SqlType::Varchar(16)}};
   result.store = std::make_shared<backend::ResultStore>();
-  result.store->set_schema(result.columns);
+  result.store->set_schema(
+      {{"A", SqlType::Int()}, {"S", SqlType::Varchar(16)}});
   vdb::BatchBuilder builder({SqlType::Int(), SqlType::Varchar(16)});
   for (int64_t i = 0; i < rows; ++i) {
     EXPECT_TRUE(

@@ -284,7 +284,7 @@ TEST_P(CancelledFailoverTest, SessionIsRepairedForTheNextStatement) {
   FaultInjector::Global().Arm(faultpoints::kBackendSessionLost,
                               LoseSessionOnce());
   QueryContext ctx;
-  ctx.SetClientProbe([](CancelCause*) -> Status {
+  ctx.SetClientProbe([](bool, CancelCause*) -> Status {
     if (FaultInjector::Global().fires(faultpoints::kBackendSessionLost) == 0) {
       return Status::OK();
     }

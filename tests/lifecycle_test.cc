@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "common/fault.h"
 #include "common/query_context.h"
 #include "common/resource_governor.h"
+#include "common/stopwatch.h"
 #include "protocol/client.h"
 #include "protocol/server.h"
 #include "service/hyperq_service.h"
@@ -147,6 +149,134 @@ TEST_F(LifecycleTest, QueryContextDrainDeadlineCancelsWithDrainCause) {
   ASSERT_TRUE(WaitFor([&] { return !ctx.CheckAlive().ok(); }));
   EXPECT_TRUE(ctx.CheckAlive().IsCancelled());
   EXPECT_EQ(ctx.cause(), CancelCause::kDrain);
+}
+
+// --- Client probe rate limit --------------------------------------------------
+// The probe's look at bytes the server already read runs at every boundary;
+// its poll() of the socket runs only once QueryContext::kClientPollInterval
+// has passed since the request started or since the last poll. The
+// assertions that no poll ran are made only over stretches shorter than the
+// interval, so a slow (sanitized, loaded) host cannot fail them.
+
+constexpr double kPollIntervalMicros =
+    std::chrono::duration<double, std::micro>(
+        QueryContext::kClientPollInterval)
+        .count();
+
+/// A client probe that counts its calls, and the calls allowed to poll.
+struct CountingProbe {
+  std::atomic<int> calls{0};
+  std::atomic<int> polls{0};
+  QueryContext::ClientProbe Fn() {
+    return [this](bool poll, CancelCause*) {
+      calls.fetch_add(1);
+      if (poll) polls.fetch_add(1);
+      return Status::OK();
+    };
+  }
+};
+
+TEST_F(LifecycleTest, ClientProbePollsOncePerInterval) {
+  QueryContext ctx;
+  CountingProbe probe;
+  Stopwatch since_start;
+  ctx.SetClientProbe(probe.Fn());
+  ASSERT_TRUE(ctx.CheckAlive().ok());
+  ASSERT_TRUE(ctx.CheckAlive().ok());
+  const double start_micros = since_start.ElapsedMicros();
+  EXPECT_EQ(probe.calls.load(), 2);
+  if (start_micros < kPollIntervalMicros) {
+    EXPECT_EQ(probe.polls.load(), 0);
+  }
+
+  std::this_thread::sleep_for(2 * QueryContext::kClientPollInterval);
+  const int polls = probe.polls.load();
+  Stopwatch since_poll;
+  ASSERT_TRUE(ctx.CheckAlive().ok());
+  EXPECT_EQ(probe.polls.load(), polls + 1);
+  ASSERT_TRUE(ctx.CheckAlive().ok());
+  if (since_poll.ElapsedMicros() < kPollIntervalMicros) {
+    EXPECT_EQ(probe.polls.load(), polls + 1);
+  }
+  EXPECT_EQ(probe.calls.load(), 4);
+}
+
+std::string CustomerRead(int key) {
+  return "SEL C_CUSTKEY, C_NAME FROM CUSTOMER WHERE C_CUSTKEY = " +
+         std::to_string(key);
+}
+
+TEST_F(LifecycleTest, OneRowCacheHitMakesNoPoll) {
+  vdb::Engine engine;
+  service::HyperQService service(&engine, FastOptions());
+  auto sid = service.OpenSession("app");
+  ASSERT_TRUE(sid.ok());
+  ASSERT_TRUE(service
+                  .Submit(*sid,
+                          "CREATE TABLE CUSTOMER (C_CUSTKEY INTEGER, "
+                          "C_NAME VARCHAR(25))")
+                  .ok());
+  std::string script;
+  for (int k = 1; k <= 32; ++k) {
+    script += "INS INTO CUSTOMER VALUES (" + std::to_string(k) + ", 'c" +
+              std::to_string(k) + "');";
+  }
+  ASSERT_TRUE(service.SubmitScript({.session_id = *sid, .sql = script}).ok());
+  ASSERT_TRUE(service.Submit(*sid, CustomerRead(1)).ok());  // fills the cache
+
+  int fast = 0;
+  for (int k = 2; k <= 32; ++k) {
+    const int64_t hits = service.translation_cache_stats().hits;
+    QueryContext ctx;
+    CountingProbe probe;
+    Stopwatch request;
+    ctx.SetClientProbe(probe.Fn());
+    auto resp = service.Run(*sid, CustomerRead(k), &ctx);
+    const double micros = request.ElapsedMicros();
+    ASSERT_TRUE(resp.ok()) << resp.status();
+    ASSERT_EQ(resp->header.total_rows, 1u);
+    ASSERT_EQ(service.translation_cache_stats().hits, hits + 1);
+    // The buffered-bytes look still runs at every boundary.
+    EXPECT_GE(probe.calls.load(), 3);
+    if (micros < kPollIntervalMicros) {
+      ++fast;
+      EXPECT_EQ(probe.polls.load(), 0) << "a " << micros << " us hit polled";
+    }
+  }
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  // An optimized build serves a hit in well under the interval.
+  EXPECT_GT(fast, 0);
+#endif
+}
+
+TEST_F(LifecycleTest, SlowMultiBatchResultPollsAtEveryBatch) {
+  vdb::Engine engine;
+  auto options = FastOptions();
+  options.connector.batch_rows = 1;
+  service::HyperQService service(&engine, options);
+  auto sid = service.OpenSession("app");
+  ASSERT_TRUE(sid.ok());
+  ASSERT_TRUE(service.Submit(*sid, "CREATE TABLE PT (A INTEGER)").ok());
+  std::string script;
+  for (int i = 0; i < 10; ++i) {
+    script += "INS INTO PT VALUES (" + std::to_string(i) + ");";
+  }
+  ASSERT_TRUE(service.SubmitScript({.session_id = *sid, .sql = script}).ok());
+
+  // Every fetched batch waits 25 ms, so every boundary after the first
+  // lies a whole interval past the last poll.
+  FaultInjector::Global().Arm(faultpoints::kConnectorFetchBatch, Latency(25));
+  QueryContext ctx;
+  CountingProbe probe;
+  ctx.SetClientProbe(probe.Fn());
+  auto resp = service.Run(*sid, "SEL A FROM PT", &ctx);
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  EXPECT_EQ(resp->header.total_rows, 10u);
+  const int64_t batches =
+      FaultInjector::Global().fires(faultpoints::kConnectorFetchBatch);
+  EXPECT_EQ(batches, 10);
+  EXPECT_GE(probe.polls.load(), batches - 1);
+  FaultInjector::Global().Disarm(faultpoints::kConnectorFetchBatch);
 }
 
 // --- ResourceGovernor --------------------------------------------------------
@@ -619,6 +749,185 @@ TEST_F(LifecycleTest, RunAndGoodbyeInOneSendIsClientGone) {
   EXPECT_TRUE(raw->ReadFrame().status().IsUnavailable());
   ASSERT_TRUE(WaitFor([&] { return rig.server->active_connections() == 0; }));
   ASSERT_TRUE(WaitFor([&] { return rig.service->open_sessions() == 0; }));
+}
+
+// --- Response bytes ------------------------------------------------------------
+// The server frames each response in place. Its bytes must equal what
+// protocol::Encode and AppendFrame produce for the same response.
+
+/// Serves requests through a HyperQService and keeps a copy of each
+/// response. After set_cancel_at_batch(n) with n >= 0, the client probe is
+/// replaced when Run returns, so the server's check before batch n cancels
+/// the request.
+class RecordingHandler : public protocol::RequestHandler {
+ public:
+  explicit RecordingHandler(service::HyperQService* service)
+      : service_(service) {}
+
+  Result<protocol::LogonResponse> Logon(
+      const protocol::LogonRequest& request) override {
+    return service_->Logon(request);
+  }
+  void Logoff(uint32_t session_id) override { service_->Logoff(session_id); }
+  Result<protocol::WireResponse> Run(uint32_t session_id,
+                                     const std::string& sql,
+                                     QueryContext* ctx) override {
+    auto resp = service_->Run(session_id, sql, ctx);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (resp.ok()) last_ = *resp;
+    if (cancel_at_batch_ >= 0) {
+      ctx->SetClientProbe([left = cancel_at_batch_](
+                              bool, CancelCause* cause) mutable -> Status {
+        if (left-- > 0) return Status::OK();
+        *cause = CancelCause::kClientAbort;
+        return Status::Cancelled("aborted mid-stream");
+      });
+    }
+    return resp;
+  }
+
+  protocol::WireResponse last() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return last_;
+  }
+  void set_cancel_at_batch(int batch) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    cancel_at_batch_ = batch;
+  }
+
+ private:
+  service::HyperQService* service_;
+  std::mutex mutex_;
+  protocol::WireResponse last_;
+  int cancel_at_batch_ = -1;
+};
+
+/// The bytes of `resp` framed with Encode and AppendFrame: the header, the
+/// first `batches` record batches, then Success, or `error` when given.
+std::vector<uint8_t> FramedWithEncode(const protocol::WireResponse& resp,
+                                      size_t batches,
+                                      const Status* error = nullptr) {
+  using protocol::MessageKind;
+  std::vector<uint8_t> out;
+  if (resp.has_rowset) {
+    protocol::AppendFrame(MessageKind::kResultHeader,
+                          protocol::Encode(resp.header), &out);
+    for (size_t b = 0; b < batches; ++b) {
+      protocol::AppendFrame(MessageKind::kRecordBatch, resp.batches[b], &out);
+    }
+  }
+  if (error != nullptr) {
+    protocol::ErrorMessage err{static_cast<uint32_t>(error->code()),
+                               error->ToString()};
+    protocol::AppendFrame(MessageKind::kError, protocol::Encode(err), &out);
+  } else {
+    protocol::AppendFrame(MessageKind::kSuccess,
+                          protocol::Encode(resp.success), &out);
+  }
+  return out;
+}
+
+TEST_F(LifecycleTest, ResponseBytesEqualEncodeAndAppendFrame) {
+  using protocol::MessageKind;
+  vdb::Engine engine;
+  service::HyperQService service(&engine, FastOptions());
+  auto sid = service.OpenSession("loader");
+  ASSERT_TRUE(sid.ok());
+  ASSERT_TRUE(service.Submit(*sid, "CREATE TABLE DIGIT (X INTEGER)").ok());
+  ASSERT_TRUE(service
+                  .SubmitScript({.session_id = *sid,
+                                 .sql = "INS INTO DIGIT VALUES (0);"
+                                        "INS INTO DIGIT VALUES (1);"
+                                        "INS INTO DIGIT VALUES (2);"
+                                        "INS INTO DIGIT VALUES (3);"
+                                        "INS INTO DIGIT VALUES (4);"
+                                        "INS INTO DIGIT VALUES (5);"
+                                        "INS INTO DIGIT VALUES (6);"
+                                        "INS INTO DIGIT VALUES (7);"
+                                        "INS INTO DIGIT VALUES (8);"
+                                        "INS INTO DIGIT VALUES (9);"})
+                  .ok());
+  ASSERT_TRUE(service
+                  .Submit(*sid,
+                          "CREATE TABLE WIDE (A INTEGER, S VARCHAR(8), "
+                          "C CHAR(4))")
+                  .ok());
+  // 10,000 rows: five wire batches of at most 2,048 records.
+  ASSERT_TRUE(service
+                  .Submit(*sid,
+                          "INS INTO WIDE SEL A.X * 1000 + B.X * 100 + "
+                          "C.X * 10 + D.X, 'v', 'c' FROM DIGIT A, DIGIT B, "
+                          "DIGIT C, DIGIT D")
+                  .ok());
+  service.CloseSession(*sid);
+
+  RecordingHandler handler(&service);
+  TdwpServer server(&handler);
+  ASSERT_TRUE(server.Start(0).ok());
+  auto raw = protocol::Socket::ConnectLocal(server.port());
+  ASSERT_TRUE(raw.ok());
+  protocol::LogonRequest logon{"app", "pw", "", "ASCII"};
+  ASSERT_TRUE(raw->WriteFrame(protocol::Frame{MessageKind::kLogonRequest, 0,
+                                              protocol::Encode(logon)})
+                  .ok());
+  ASSERT_TRUE(raw->ReadFrame().ok());
+
+  // Sends `sql` and reads exactly as many bytes as `expected(resp)` holds.
+  auto check = [&](const std::string& sql, auto expected) {
+    SCOPED_TRACE(sql);
+    protocol::RunRequest run{sql};
+    ASSERT_TRUE(raw->WriteFrame(protocol::Frame{MessageKind::kRunRequest, 0,
+                                                protocol::Encode(run)})
+                    .ok());
+    // The response is one send, so its first byte means all of it was
+    // built; the handler's copy is complete by then.
+    uint8_t first = 0;
+    ASSERT_TRUE(raw->ReadExactly(&first, 1).ok());
+    std::vector<uint8_t> want = expected(handler.last());
+    std::vector<uint8_t> got(want.size());
+    got[0] = first;
+    ASSERT_TRUE(raw->ReadExactly(got.data() + 1, got.size() - 1).ok());
+    EXPECT_EQ(got, want);
+  };
+
+  check("SEL A, S, C FROM WIDE WHERE A = 4321",
+        [](const protocol::WireResponse& r) {
+          EXPECT_EQ(r.header.total_rows, 1u);
+          return FramedWithEncode(r, r.batches.size());
+        });
+  check("SEL A, S FROM WIDE WHERE A < 0", [](const protocol::WireResponse& r) {
+    EXPECT_TRUE(r.has_rowset);
+    EXPECT_EQ(r.header.total_rows, 0u);
+    return FramedWithEncode(r, r.batches.size());
+  });
+  check("SEL A, S, C FROM WIDE", [](const protocol::WireResponse& r) {
+    EXPECT_EQ(r.batches.size(), 5u);
+    return FramedWithEncode(r, r.batches.size());
+  });
+  check("UPD WIDE SET S = 'w' WHERE A < 10",
+        [](const protocol::WireResponse& r) {
+          EXPECT_FALSE(r.has_rowset);
+          EXPECT_EQ(r.success.activity_count, 10u);
+          return FramedWithEncode(r, 0);
+        });
+  // Cancelled before the third batch: the header, two batches, then the
+  // Error frame in place of Success.
+  handler.set_cancel_at_batch(2);
+  const Status aborted = Status::Cancelled("aborted mid-stream");
+  check("SEL A, S, C FROM WIDE", [&](const protocol::WireResponse& r) {
+    EXPECT_EQ(r.batches.size(), 5u);
+    return FramedWithEncode(r, 2, &aborted);
+  });
+  handler.set_cancel_at_batch(-1);
+
+  // Nothing followed the last response: the next frame is the reply to the
+  // next request.
+  ASSERT_TRUE(
+      raw->WriteFrame(protocol::Frame{MessageKind::kStatsRequest, 0, {}}).ok());
+  auto stats = raw->ReadFrame();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->kind, MessageKind::kStatsResponse);
+  server.Stop();
 }
 
 // --- Cancellation vs the translation cache -----------------------------------
